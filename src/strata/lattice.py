@@ -147,6 +147,11 @@ class Lattice:
         alias-free on the kept band (needs 3*cut < n; the naive floor touches
         the contaminated boundary mode when n is divisible by 3).  Fractions
         above 2/3 keep the naive cut and accept aliasing.
+
+        Only fraction 1 keeps each axis's Nyquist index n/2.  The nonlinear
+        step drops those modes, as it does for ``mask=None`` (all modes): the
+        gradient symbol i*k has no Hermitian partner there.  Every fraction
+        below 1 excludes them already.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"dealias fraction must lie in (0, 1], got {fraction}")

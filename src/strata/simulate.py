@@ -4,19 +4,28 @@ The sheared frame keeps every mode's lattice position fixed while the shear
 enters through time-dependent symbols (eta - k t), so the linear part is
 solved exactly by an integrating factor and only the transport nonlinearity
 needs a time stepper (Lawson RK4 on top of the exact factor).
+
+States are full-lattice Hermitian ``SpectralField``s everywhere outside the
+nonlinear step.  Inside it the state is packed to the kept modes of the
+rfft half-spectrum (the dealias mask without Nyquist indices); the symbols
+and damping factors are evaluated on those modes once per distinct stage
+time, each RK stage's product is formed with six ``irfftn`` and one
+``rfftn`` on a zero-padded half-spectrum, and the result is unpacked to the
+full lattice on return.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft as _fft
 
 from .config import SimConfig
 from .lattice import Lattice, SpectralField
-from .symbols import transport_symbol
+from .symbols import _damping_antiderivative, transport_symbol
 
 __all__ = [
     "SimState",
@@ -51,7 +60,8 @@ def init_field(cfg: SimConfig) -> SimState:
     """Build the initial spectral field for a run.
 
     All recipes produce a zero-mean, Hermitian-symmetric field supported
-    inside the dealias region with amplitudes decaying like
+    inside the dealias region (without the Nyquist indices that the
+    nonlinear step drops) with amplitudes decaying like
     exp(-lambda_in |f|_1^s), rescaled so the sigma=0 Gevrey norm at radius
     lambda_in equals epsilon exactly.
     """
@@ -61,7 +71,7 @@ def init_field(cfg: SimConfig) -> SimState:
         return SimState(0.0, SpectralField(lat, coeffs))
 
     decay = np.exp(-cfg.lambda_in * lat.l1 ** cfg.s)
-    support = lat.dealias_mask(cfg.dealias) & (lat.l1 > 0)
+    support = _without_nyquist(lat.dealias_mask(cfg.dealias)) & (lat.l1 > 0)
     if cfg.init_kmax > 0:
         # index-space cap on every axis; without it the spectral cascade fills
         # the envelope at fresh modes and the weighted-norm ratios measure the
@@ -93,9 +103,40 @@ def init_field(cfg: SimConfig) -> SimState:
     return SimState(0.0, fieldv)
 
 
-def _antiderivative(u, b):
-    sq = np.sqrt(b)
-    return u / (2.0 * (b + u * u)) + np.arctan(u / sq) / (2.0 * sq)
+class _Damping:
+    """Closed-form damping integrals for the modes given as flat (k, eta, alpha) arrays.
+
+    For k != 0 the integral over [t0, t1] is (F(eta - k t0) - F(eta - k t1)) / k
+    with the antiderivative F of ``symbols``; the k = 0 rate
+    alpha^2/(eta^2+alpha^2)^2 is constant in time and the mean mode keeps
+    factor 1.  The antiderivative is a separate call so a caller that needs
+    several intervals evaluates it once per distinct time.
+    """
+
+    def __init__(self, k: np.ndarray, eta: np.ndarray, alpha: np.ndarray):
+        self.size = k.size
+        self.shear = k != 0
+        self.k = k[self.shear]
+        self.eta = eta[self.shear]
+        self.b = self.k**2 + alpha[self.shear] ** 2
+        self.flat = (~self.shear) & ((eta != 0) | (alpha != 0))
+        self.rate = alpha[self.flat] ** 2 / (eta[self.flat] ** 2 + alpha[self.flat] ** 2) ** 2
+
+    def antiderivative(self, t: float) -> np.ndarray:
+        return _damping_antiderivative(self.eta - self.k * t, self.b)
+
+    def factors(self, t0: float, t1: float, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+        """exp(-integral over [t0, t1]) from the antiderivatives f0, f1 at t0, t1."""
+        out = np.ones(self.size)
+        out[self.shear] = np.exp(-((f0 - f1) / self.k))
+        out[self.flat] = np.exp(-self.rate * (t1 - t0))
+        return out
+
+
+@lru_cache(maxsize=8)
+def _lattice_damping(lat: Lattice) -> _Damping:
+    k, eta, alpha = (a.ravel() for a in np.broadcast_arrays(lat.kx, lat.eta, lat.alpha))
+    return _Damping(k, eta, alpha)
 
 
 def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
@@ -104,20 +145,9 @@ def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
     Closed form for k != 0; the k = 0 rate alpha^2/(eta^2+alpha^2)^2 is
     constant in time.  The mean mode is untouched (factor 1).
     """
-    K, ETA, AL = np.broadcast_arrays(lat.kx, lat.eta, lat.alpha)
-    out = np.ones(lat.shape)
-
-    nz = K != 0
-    b = K[nz] ** 2 + AL[nz] ** 2
-    kk = K[nz]
-    integ = (_antiderivative(ETA[nz] - kk * t0, b)
-             - _antiderivative(ETA[nz] - kk * t1, b)) / kk
-    out[nz] = np.exp(-integ)
-
-    zx = (~nz) & ((ETA != 0) | (AL != 0))
-    sig = AL[zx] ** 2 / (ETA[zx] ** 2 + AL[zx] ** 2) ** 2
-    out[zx] = np.exp(-sig * (t1 - t0))
-    return out
+    damp = _lattice_damping(lat)
+    out = damp.factors(t0, t1, damp.antiderivative(t0), damp.antiderivative(t1))
+    return out.reshape(lat.shape)
 
 
 def step_linear(state: SimState, dt: float) -> SimState:
@@ -128,6 +158,98 @@ def step_linear(state: SimState, dt: float) -> SimState:
     return SimState(state.t + dt, SpectralField(lat, state.field.coeffs * factors))
 
 
+def _without_nyquist(mask: np.ndarray) -> np.ndarray:
+    """Copy of a lattice mask with each axis's Nyquist index n/2 cleared."""
+    out = mask.copy()
+    out[out.shape[0] // 2, :, :] = False
+    out[:, out.shape[1] // 2, :] = False
+    out[:, :, out.shape[2] // 2] = False
+    return out
+
+
+class _Core:
+    """The kept modes of one lattice and mask, packed from the rfft half-spectrum.
+
+    The half-spectrum (nx, ny, nz//2+1) holds the modes with alpha >= 0; a
+    real field's alpha < 0 modes are the conjugates of their partners.  The
+    kept set is the mask without each axis's Nyquist index n/2, where the
+    gradient symbol i*k has no Hermitian partner.  On the self-conjugate
+    alpha = 0 plane both members of a pair are stored, so a reality defect
+    there is carried through a step instead of being repaired.
+    """
+
+    def __init__(self, lat: Lattice, mask: np.ndarray | None):
+        nx, ny, nz = lat.shape
+        keep = _without_nyquist(np.ones(lat.shape, dtype=bool) if mask is None else mask)
+        if not np.array_equal(keep, np.roll(np.flip(keep), 1, axis=(0, 1, 2))):
+            raise ValueError("dealias mask must keep -f whenever it keeps f")
+        self.shape = lat.shape
+        self.size = lat.size
+        self.half_shape = (nx, ny, nz // 2 + 1)
+        ix, iy, iz = np.nonzero(keep[:, :, : nz // 2 + 1])
+        self.half_idx = np.ravel_multi_index((ix, iy, iz), self.half_shape)
+        self.full_idx = np.ravel_multi_index((ix, iy, iz), lat.shape)
+        self.upper = iz > 0
+        self.mirror_idx = np.ravel_multi_index(
+            (-ix[self.upper] % nx, -iy[self.upper] % ny, -iz[self.upper] % nz), lat.shape)
+        self.mean = np.flatnonzero(self.full_idx == 0)
+        self.k = lat.kx.ravel()[ix]
+        self.eta = lat.eta.ravel()[iy]
+        self.alpha = lat.alpha.ravel()[iz]
+        self.grad = (1j * self.k, 1j * self.eta, 1j * self.alpha)
+        self.damping = _Damping(self.k, self.eta, self.alpha)
+
+    def pack(self, coeffs: np.ndarray) -> np.ndarray:
+        return coeffs.ravel()[self.full_idx]
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.size, dtype=np.complex128)
+        out[self.full_idx] = packed
+        out[self.mirror_idx] = np.conj(packed[self.upper])
+        return out.reshape(self.shape)
+
+    def workspace(self) -> np.ndarray:
+        """Zero half-spectrum; rhs writes only the kept modes, so it stays zero-padded."""
+        return np.zeros(self.half_shape, dtype=np.complex128)
+
+    def rhs(self, c: np.ndarray, u, work: np.ndarray, workers: int) -> np.ndarray:
+        """Packed -(u . grad theta) for packed c and symbols u; mean mode zeroed."""
+        flat = work.reshape(-1)
+
+        # norm="forward": theta(x) = sum_f c(f) exp(i f.x) without scaling
+        def phys(vals):
+            flat[self.half_idx] = vals
+            return _fft.irfftn(work, s=self.shape, workers=workers, norm="forward")
+
+        # overflow here surfaces as a NumericalAbort from the stepper's
+        # finiteness check rather than as a warning storm
+        with np.errstate(over="ignore", invalid="ignore"):
+            u1, u2, u3 = u
+            g1, g2, g3 = self.grad
+            adv = (phys(u1 * c) * phys(g1 * c)
+                   + phys(u2 * c) * phys(g2 * c)
+                   + phys(u3 * c) * phys(g3 * c))
+            out = -_fft.rfftn(adv, workers=workers, norm="forward").reshape(-1)[self.half_idx]
+        out[self.mean] = 0.0
+        return out
+
+
+@lru_cache(maxsize=8)
+def _cached_core(lat: Lattice, mask_bytes: bytes | None) -> _Core:
+    mask = (None if mask_bytes is None
+            else np.frombuffer(mask_bytes, dtype=bool).reshape(lat.shape))
+    return _Core(lat, mask)
+
+
+def _core(lat: Lattice, mask: np.ndarray | None) -> _Core:
+    if mask is None:
+        return _cached_core(lat, None)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != lat.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match lattice {lat.shape}")
+    return _cached_core(lat, mask.tobytes())
+
+
 def nonlinear_rhs(state: SimState, mask: np.ndarray | None = None,
                   workers: int = 1) -> np.ndarray:
     """Spectral coefficients of -(u . grad theta), dealiased, mean mode zeroed.
@@ -135,29 +257,13 @@ def nonlinear_rhs(state: SimState, mask: np.ndarray | None = None,
     u is the moving-frame transport velocity and grad is the plain
     (ik, i eta, i alpha) gradient of the sheared coordinates; u is
     divergence-free, so the mean of u . grad theta vanishes identically and
-    the zero mode is pinned to machine zero.
+    the zero mode is pinned to machine zero.  The result is zero outside the
+    kept set: the mask (all modes if None) without the Nyquist indices.
     """
-    lat = state.field.lattice
-    c = state.field.coeffs
-    if mask is not None:
-        c = np.where(mask, c, 0.0)
-    u1, u2, u3 = transport_symbol(state.t, lat.kx, lat.eta, lat.alpha)
-    n = lat.size
-
-    def phys(c_hat):
-        return np.real(_fft.ifftn(c_hat, workers=workers) * n)
-
-    # overflow here surfaces as a NumericalAbort from the stepper's
-    # finiteness check rather than as a warning storm
-    with np.errstate(over="ignore", invalid="ignore"):
-        adv = (phys(u1 * c) * phys(1j * lat.kx * c)
-               + phys(u2 * c) * phys(1j * lat.eta * c)
-               + phys(u3 * c) * phys(1j * lat.alpha * c))
-        out = -_fft.fftn(adv, workers=workers) / n
-    if mask is not None:
-        out = np.where(mask, out, 0.0)
-    out[0, 0, 0] = 0.0
-    return out
+    core = _core(state.field.lattice, mask)
+    u = transport_symbol(state.t, core.k, core.eta, core.alpha)
+    c = core.pack(state.field.coeffs)
+    return core.unpack(core.rhs(c, u, core.workspace(), workers))
 
 
 def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None,
@@ -166,31 +272,42 @@ def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None,
 
     The linear damping is applied through its exact per-mode propagator, so
     the scheme reduces to step_linear when the nonlinear term vanishes and
-    retains classical 4th-order accuracy otherwise.
+    retains classical 4th-order accuracy otherwise.  The step works on the
+    packed kept modes (see nonlinear_rhs); content outside them is dropped.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     lat = state.field.lattice
     t, h = state.t, dt
-    c0 = state.field.coeffs
-    if not np.all(np.isfinite(c0.view(np.float64))):
+    if not np.all(np.isfinite(state.field.coeffs.view(np.float64))):
         raise NumericalAbort(f"non-finite state at t={t:.6g}", state)
-    e_half = linear_decay_factors(lat, t, t + 0.5 * h)
-    e_back = linear_decay_factors(lat, t + 0.5 * h, t + h)
+    core = _core(lat, mask)
+    work = core.workspace()
+    c0 = core.pack(state.field.coeffs)
+
+    # symbols and damping antiderivatives once per distinct stage time
+    t_mid, t_end = t + 0.5 * h, t + h
+    u_a = transport_symbol(t, core.k, core.eta, core.alpha)
+    u_b = transport_symbol(t_mid, core.k, core.eta, core.alpha)
+    u_c = transport_symbol(t_end, core.k, core.eta, core.alpha)
+    damp = core.damping
+    f_a, f_b, f_c = damp.antiderivative(t), damp.antiderivative(t_mid), damp.antiderivative(t_end)
+    e_half = damp.factors(t, t_mid, f_a, f_b)
+    e_back = damp.factors(t_mid, t_end, f_b, f_c)
     e_full = e_half * e_back
 
-    k1 = nonlinear_rhs(state, mask, workers)
+    k1 = core.rhs(c0, u_a, work, workers)
     theta_a = e_half * (c0 + 0.5 * h * k1)
-    k2 = nonlinear_rhs(SimState(t + 0.5 * h, SpectralField(lat, theta_a)), mask, workers)
+    k2 = core.rhs(theta_a, u_b, work, workers)
     theta_b = e_half * c0 + 0.5 * h * k2
-    k3 = nonlinear_rhs(SimState(t + 0.5 * h, SpectralField(lat, theta_b)), mask, workers)
+    k3 = core.rhs(theta_b, u_b, work, workers)
     theta_c = e_full * c0 + h * e_back * k3
-    k4 = nonlinear_rhs(SimState(t + h, SpectralField(lat, theta_c)), mask, workers)
+    k4 = core.rhs(theta_c, u_c, work, workers)
 
     c1 = e_full * c0 + (h / 6.0) * (e_full * k1 + 2.0 * e_back * (k2 + k3) + k4)
     if not np.all(np.isfinite(c1)):
-        raise NumericalAbort(f"non-finite state at t={t + h:.6g}", state)
-    return SimState(t + h, SpectralField(lat, c1))
+        raise NumericalAbort(f"non-finite state at t={t_end:.6g}", state)
+    return SimState(t_end, SpectralField(lat, core.unpack(c1)))
 
 
 def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):

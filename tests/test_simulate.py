@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as _fft
 from scipy.integrate import quad
 
 from strata.config import ConfigError, SimConfig
@@ -17,10 +18,72 @@ from strata.simulate import (
     step_linear,
     step_nonlinear,
 )
-from strata.symbols import damping_coeff, semigroup, velocity_symbol
+from strata.symbols import damping_coeff, semigroup, transport_symbol, velocity_symbol
 
 
 SMALL = dict(nx=8, ny=16, nz=8, dt=0.1, t_end=1.0)
+
+
+def _reference_rhs(state, mask=None):
+    """Full-lattice complex-to-complex -(u . grad theta): the oracle for nonlinear_rhs."""
+    lat = state.field.lattice
+    c = state.field.coeffs
+    if mask is not None:
+        c = np.where(mask, c, 0.0)
+    u1, u2, u3 = transport_symbol(state.t, lat.kx, lat.eta, lat.alpha)
+    n = lat.size
+
+    def phys(c_hat):
+        return np.real(_fft.ifftn(c_hat) * n)
+
+    adv = (phys(u1 * c) * phys(1j * lat.kx * c)
+           + phys(u2 * c) * phys(1j * lat.eta * c)
+           + phys(u3 * c) * phys(1j * lat.alpha * c))
+    out = -_fft.fftn(adv) / n
+    if mask is not None:
+        out = np.where(mask, out, 0.0)
+    out[0, 0, 0] = 0.0
+    return out
+
+
+def _reference_step(state, dt, mask=None):
+    """Full-lattice Lawson RK4 step on _reference_rhs: the oracle for step_nonlinear."""
+    lat = state.field.lattice
+    t, h = state.t, dt
+    c0 = state.field.coeffs
+    e_half = linear_decay_factors(lat, t, t + 0.5 * h)
+    e_back = linear_decay_factors(lat, t + 0.5 * h, t + h)
+    e_full = e_half * e_back
+
+    def rhs(s, c):
+        return _reference_rhs(SimState(s, SpectralField(lat, c)), mask)
+
+    k1 = rhs(t, c0)
+    k2 = rhs(t + 0.5 * h, e_half * (c0 + 0.5 * h * k1))
+    k3 = rhs(t + 0.5 * h, e_half * c0 + 0.5 * h * k2)
+    k4 = rhs(t + h, e_full * c0 + h * e_back * k3)
+    c1 = e_full * c0 + (h / 6.0) * (e_full * k1 + 2.0 * e_back * (k2 + k3) + k4)
+    return SimState(t + h, SpectralField(lat, c1))
+
+
+def _random_masked_field(lat, mask, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape)
+    fieldv = SpectralField(lat, np.where(mask, c, 0.0)).symmetrized()
+    fieldv.coeffs[~mask] = 0.0
+    return fieldv
+
+
+def _without_nyquist(lat, mask):
+    out = mask.copy()
+    out[lat.nx // 2] = False
+    out[:, lat.ny // 2] = False
+    out[:, :, lat.nz // 2] = False
+    return out
+
+
+def _rel_err(got, ref):
+    return float(np.max(np.abs(got - ref))) / float(np.max(np.abs(ref)))
 
 
 class TestConfig:
@@ -219,6 +282,29 @@ class TestNonlinearRHS:
         got = nonlinear_rhs(st, mask)
         assert np.max(np.abs(got - oracle)) < 1e-13 * max(np.max(np.abs(oracle)), 1.0)
 
+    @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.75, 0.9, 1.0])
+    def test_matches_full_lattice_reference(self, shape, fraction):
+        # below 1 the masks hold no Nyquist index and the reference is the
+        # unchanged full-lattice pipeline; at 1 the kept set drops Nyquist
+        lat = Lattice(*shape)
+        mask = lat.dealias_mask(fraction)
+        ref_mask = _without_nyquist(lat, mask)
+        if fraction < 1.0:
+            assert np.array_equal(ref_mask, mask)
+        fieldv = _random_masked_field(lat, mask, seed=shape[0] + round(10 * fraction))
+        for t in (0.0, 3.7, 50.0):
+            st = SimState(t, fieldv)
+            got = nonlinear_rhs(st, mask)
+            assert _rel_err(got, _reference_rhs(st, ref_mask)) <= 1e-12, t
+
+    def test_rejects_asymmetric_mask(self):
+        lat = Lattice(8, 16, 8)
+        mask = lat.dealias_mask()
+        mask[1, 1, 1] = False
+        with pytest.raises(ValueError):
+            nonlinear_rhs(SimState(0.0, SpectralField.zeros(lat)), mask)
+
 
 class TestNonlinearStep:
     def test_reduces_to_linear_for_zero_field(self):
@@ -263,6 +349,46 @@ class TestNonlinearStep:
             st = step_nonlinear(st, 0.1, mask)
         assert st.field.hermitian_defect() < 1e-12
         assert st.field.reality_defect() < 1e-10
+
+    def test_matches_full_lattice_reference_steps(self):
+        cfg = SimConfig(nx=8, ny=16, nz=8, epsilon=0.5, dt=0.1, t_end=2.0,
+                        recipe="random", init_kmax=2, mode="nonlinear", seed=9)
+        mask = cfg.lattice.dealias_mask()
+        st = ref = init_field(cfg)
+        for _ in range(20):
+            st = step_nonlinear(st, 0.1, mask)
+            ref = _reference_step(ref, 0.1, mask)
+        assert st.t == ref.t
+        assert _rel_err(st.field.coeffs, ref.field.coeffs) <= 1e-12
+
+    def test_reality_defect_on_self_conjugate_plane_survives(self):
+        # both members of an alpha = 0 pair are stored, so a defect there is
+        # carried by the step and reality_err keeps reporting it
+        cfg = SimConfig(**SMALL, epsilon=0.1, recipe="random", init_kmax=2,
+                        mode="nonlinear")
+        st = init_field(cfg)
+        c = st.field.coeffs
+        c[1, 2, 0] += 1j * np.max(np.abs(c))    # partner c[-1, -2, 0] untouched
+        assert st.field.reality_defect() > 1e-6
+        out = step_nonlinear(st, 0.1, cfg.lattice.dealias_mask())
+        assert out.field.reality_defect() > 1e-6
+
+    def test_dealias_one_run(self):
+        # the fraction-1 mask keeps the Nyquist indices; init and the step drop them
+        cfg = SimConfig(nx=8, ny=16, nz=8, epsilon=1e-2, dt=0.1, t_end=1.0,
+                        output_every=0.1, dealias=1.0, recipe="random",
+                        mode="nonlinear")
+        c0 = init_field(cfg).field.coeffs
+        assert not (np.any(c0[4]) or np.any(c0[:, 8]) or np.any(c0[:, :, 4]))
+        params = cfg.weight_params
+        rows = []
+        run_simulation(cfg, on_row=lambda s: rows.append(compute_row(s, params)))
+        assert len(rows) == 11
+        for row in rows:
+            assert all(math.isfinite(v) for v in row.values())
+            assert row.reality_err < 1e-10
+        theta_scale = max(r.theta_l2 for r in rows)
+        assert max(r.mass_mode for r in rows) < 1e-12 * theta_scale
 
     def test_aborts_on_nonfinite(self):
         lat = Lattice(4, 4, 4)
