@@ -13,6 +13,7 @@ All commands honor --out (or $STRATA_OUT), --seed, --quiet.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -268,7 +269,20 @@ def _cmd_toy(args) -> int:
 # --- weights --------------------------------------------------------------
 
 
+def _check_weights_args(args) -> None:
+    """Reject out-of-range weights arguments before any output is written."""
+    if not all(cs > 0.0 for cs in args.cstar):
+        raise ConfigError(f"--cstar values must be positive, got {args.cstar}")
+    if args.action == "table" and not 1.0 < abs(args.iota) < math.inf:
+        raise ConfigError(f"--iota must satisfy 1 < |iota| < inf, got {args.iota}")
+    if args.action == "totalgrowth" and not 1.0 < args.iota_max < math.inf:
+        raise ConfigError(f"--iota-max must satisfy 1 < iota_max < inf, got {args.iota_max}")
+    if args.action == "ratios" and args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+
+
 def _cmd_weights(args) -> int:
+    _check_weights_args(args)
     out = _outdir(args)
     seed = args.seed if args.seed is not None else 0
 
@@ -278,7 +292,6 @@ def _cmd_weights(args) -> int:
                                           f"[weights]\niota = {args.iota}\n", [name])
         rows = []
         for cs in args.cstar:
-            p = WeightParams(c_star=cs)
             table = weight_table(abs(args.iota), cs)
             ts = sorted(set(np.concatenate([
                 table.t_ell, table.peaks,

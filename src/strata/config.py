@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .lattice import Lattice
-from .weights import WeightParams
+from .weights import _DEFAULT_SIGMAS, WeightParams
 
 __all__ = ["ConfigError", "SimConfig", "default_config_text"]
 
@@ -49,7 +49,7 @@ class SimConfig:
     lambda_inf: float = 0.1
     delta_tilde: float = 0.05
     a: float = 0.1
-    sigmas: tuple[float, ...] = (212.0, 182.0, 152.0, 122.0, 92.0, 62.0, 32.0)
+    sigmas: tuple[float, ...] = _DEFAULT_SIGMAS
 
     def __post_init__(self):
         if self.mode not in ("linear", "nonlinear"):

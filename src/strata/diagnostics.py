@@ -20,10 +20,12 @@ from .lattice import SpectralField
 from .symbols import velocity_symbol
 from .weights import (
     WeightParams,
+    b_multiplier,
     lambda_dot,
     lambda_t,
     lattice_weights,
     log_weighted_l2,
+    masked_log,
 )
 
 __all__ = ["DiagnosticRow", "compute_row", "log10p_from_log", "theta_distance_log"]
@@ -108,7 +110,7 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
     # weighted ladder, all in log space
     gev_exp = lam * lat.l1 ** p.s
     log_j = lw.log_j(t)
-    log_b = 0.5 * np.log(1.0 + np.abs(lat.eta) + lat.alpha**2)
+    log_b = np.log(b_multiplier(lat.eta, lat.alpha))
     zero_mask = zero
     znz_mask = zero & np.broadcast_to(lat.alpha != 0, lat.shape)
 
@@ -135,18 +137,13 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
     # sup over eta of the z- and x-averaged mode at sigma7
     dz_col = np.abs(c[0, :, 0])
     eta_1d = lat.eta.ravel()
-    with np.errstate(divide="ignore"):
-        sup_arg = np.where(dz_col > 0,
-                           np.log(np.where(dz_col > 0, dz_col, 1.0))
-                           + lam * np.abs(eta_1d) ** p.s
-                           + 0.5 * s7 * np.log1p(eta_1d**2),
-                           -math.inf)
+    sup_arg = (masked_log(dz_col) + lam * np.abs(eta_1d) ** p.s
+               + 0.5 * s7 * np.log1p(eta_1d**2))
     sup0_s7 = log10p_from_log(float(np.max(sup_arg)))
 
     # CK terms at sigma1 (with J), bracketed time factor <t>^-3
     log_a1 = gev_exp + s1 * lat.log_brackets + log_j
-    with np.errstate(divide="ignore"):
-        half_log_l1s = np.where(lat.l1 > 0, 0.5 * p.s * np.log(np.where(lat.l1 > 0, lat.l1, 1.0)), -math.inf)
+    half_log_l1s = 0.5 * p.s * masked_log(lat.l1)
     ln_ck_lam = log_weighted_l2(lat, c, log_a1 + half_log_l1s)
     if ln_ck_lam != -math.inf:
         # -lambda_dot * <t>^-3 * (weighted norm)^2, assembled in logs
@@ -154,8 +151,7 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
     ck_lambda = log10p_from_log(ln_ck_lam)
 
     ratio = lw.dlogw_dt(t)
-    with np.errstate(divide="ignore"):
-        half_log_ratio = np.where(ratio > 0, 0.5 * np.log(np.where(ratio > 0, ratio, 1.0)), -math.inf)
+    half_log_ratio = 0.5 * masked_log(ratio)
     ln_ck_w = log_weighted_l2(lat, c, log_a1 + half_log_ratio)
     if ln_ck_w != -math.inf:
         ln_ck_w = 2.0 * ln_ck_w - 3.0 * ljt

@@ -44,19 +44,17 @@ def bracket(k: float, eta: float = 0.0, alpha: float = 0.0) -> float:
     return math.sqrt(1.0 + k * k + eta * eta + alpha * alpha)
 
 
-def iota(k: float, eta: float, alpha: float) -> float:
-    """Dominant-direction selector.
+def iota(k, eta, alpha):
+    """Dominant-direction selector; array-valued, a float for scalar input.
 
     Returns eta when |eta| is (weakly) largest, k when |k| is strictly
     largest, and alpha otherwise; ties between alpha and k go to alpha.
     Exactly one branch applies to every frequency.
     """
-    ak, ae, aa = abs(k), abs(eta), abs(alpha)
-    if ae >= ak and ae >= aa:
-        return eta
-    if ak > ae and ak > aa:
-        return k
-    return alpha
+    ak, ae, aa = np.abs(k), np.abs(eta), np.abs(alpha)
+    out = np.where((ae >= ak) & (ae >= aa), eta,
+                   np.where((ak > ae) & (ak > aa), k, alpha))
+    return float(out) if out.ndim == 0 else out
 
 
 def iota_lipschitz_ok(f1: tuple[float, float, float],
@@ -133,12 +131,7 @@ class Lattice:
 
     @cached_property
     def iota_vals(self) -> np.ndarray:
-        ak, ae, aa = np.abs(self.kx), np.abs(self.eta), np.abs(self.alpha)
-        k3 = np.broadcast_to(self.kx, self.shape)
-        e3 = np.broadcast_to(self.eta, self.shape)
-        a3 = np.broadcast_to(self.alpha, self.shape)
-        return np.where((ae >= ak) & (ae >= aa), e3,
-                        np.where((ak > ae) & (ak > aa), k3, a3))
+        return iota(self.kx, self.eta, self.alpha)
 
     def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
         """Boolean mask keeping |index| <= cut on each axis, cut ~ fraction * n/2.

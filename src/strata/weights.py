@@ -4,9 +4,17 @@ The scalar weight w(t, iota) is assembled backward in time from t = 2|iota|:
 on each critical interval around the times iota/ell the non-resonant branch
 w_NR picks up an algebraic factor and the resonant branch w_R rides on top
 of it, so that 1/w records the worst-case growth a mode with dominant
-frequency iota can accumulate.  The mode-selected weight w_k switches to
-the resonant branch only on the resonant interval matching the x-wavenumber
-k.  A^sigma combines 1/w with a Gevrey exponential and a Sobolev bracket;
+frequency iota can accumulate.
+
+Resonance-selection rule: the mode-selected weight w_k uses w_R if and only
+if k != 0, sign k = sign iota and |k| is the index of the resonant interval
+that contains t; it uses w_NR otherwise, and w = 1 for |iota| <= 1.  The rule
+lives in ``_mode_weights``, which every array evaluation of w_k goes through.
+On each smooth piece log w is a sum of constant multiples of logs of
+functions linear in t, so d/dt log w is evaluated in closed form
+(``WeightTable._pieces``).
+
+A^sigma combines 1/w with a Gevrey exponential and a Sobolev bracket;
 because sigma runs into the hundreds all norm computations are done in log
 space.
 """
@@ -161,69 +169,60 @@ class WeightTable:
     def floor_value(self) -> float:
         return math.exp(self.log_floor)
 
-    def interval_index(self, t: float) -> int:
-        """Index ell with t in [t_ell, t_{ell-1}); 0 when t is outside all intervals.
+    def interval_index(self, t):
+        """Index ell of the interval [t_ell, t_{ell-1}] containing t; 0 outside [t_E, 2|iota|).
 
-        A t that lands exactly on an interior breakpoint belongs to the
-        earlier-time interval; the piecewise values agree there anyway.
+        Array-valued.  A t that lands exactly on an interior breakpoint
+        belongs to the earlier-time interval and t_E to interval E; the
+        piecewise values agree there anyway.
         """
-        if t >= self.t_ell[0] or t < self.t_ell[self.ell_max]:
-            return 0
-        lo, hi = 1, self.ell_max
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if t > self.t_ell[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        t = np.asarray(t, dtype=float)
+        E = self.ell_max
+        # t_ell[:0:-1] runs upward from t_E to t_1; count the t_ell >= t.
+        ell = np.minimum(E + 1 - np.searchsorted(self.t_ell[:0:-1], t), E)
+        return np.where((t >= self.t_ell[0]) | (t < self.t_ell[E]), 0, ell)
 
-    def log_wnr(self, t: float) -> float:
-        if t >= self.t_ell[0]:
-            return 0.0
-        if t <= self.t_ell[self.ell_max]:
-            return self.log_floor
+    def _pieces(self, t, deriv: bool = False):
+        """Interval index, w_NR part and w_R - w_NR part of log w (or of d/dt log w).
+
+        On interval ell with peak p let L = 1 + b(t-p) on the right half and
+        L = 1 + a(p-t) on the left half.  log w_NR is c* log((ell^2/iota) L)
+        plus the anchor at t_{ell-1}, resp. -(1+c*) log L plus the anchor at
+        p, and w_R adds log((ell^2/iota) L).  The closed-form derivatives are
+        c* b/L, resp. (1+c*) a/L, for w_NR and +b/L, resp. -a/L, for the
+        resonant part; both vanish where w is constant (t >= 2|iota|, t <= t_E).
+        """
+        t = np.asarray(t, dtype=float)
         ell = self.interval_index(t)
-        p = self.peaks[ell - 1]
-        if t >= p:
-            base = (ell * ell / self.iota) * (1.0 + self.b_ell[ell] * (t - p))
-            return self.c_star * math.log(base) + self.lv_break[ell - 1]
-        return -(1.0 + self.c_star) * math.log(1.0 + self.a_ell[ell] * (p - t)) + self.lv_peak[ell]
+        inside = ell > 0
+        i = np.maximum(ell, 1)    # any valid interval outside; masked below
+        p = self.peaks[i - 1]
+        right = t >= p
+        coef = np.where(right, self.b_ell[i], self.a_ell[i])
+        lin = 1.0 + coef * np.abs(t - p)
+        if deriv:
+            rate = np.where(inside & (t > self.t_ell[-1]), coef / lin, 0.0)
+            nr_rate = np.where(right, self.c_star, 1.0 + self.c_star) * rate
+            return ell, nr_rate, np.where(right, rate, -rate)
+        scale = i * i / self.iota
+        nr = np.where(right, self.c_star * np.log(scale * lin) + self.lv_break[i - 1],
+                      -(1.0 + self.c_star) * np.log(lin) + self.lv_peak[i])
+        nr = np.where(inside, nr, np.where(t < self.t_ell[0], self.log_floor, 0.0))
+        return ell, nr, np.where(inside, np.log(scale) + np.log(lin), 0.0)
 
-    def log_wr(self, t: float) -> float:
+    def log_wnr(self, t):
+        return self._pieces(t)[1][()]
+
+    def log_wr(self, t):
         """Resonant branch; coincides with w_NR outside the critical intervals."""
-        ell = self.interval_index(t)
-        if ell == 0:
-            return self.log_wnr(t)
-        p = self.peaks[ell - 1]
-        coef = self.b_ell[ell] if t >= p else self.a_ell[ell]
-        return (math.log(ell * ell / self.iota)
-                + math.log(1.0 + coef * abs(t - p)) + self.log_wnr(t))
+        _, nr, lift = self._pieces(t)
+        return (lift + nr)[()]
 
-    def wnr(self, t: float) -> float:
-        return math.exp(self.log_wnr(t))
+    def wnr(self, t):
+        return np.exp(self.log_wnr(t))
 
-    def wr(self, t: float) -> float:
-        return math.exp(self.log_wr(t))
-
-    def resonant_interval(self, t: float) -> int:
-        """Resonant interval index containing t, or 0 if none."""
-        ell = self.interval_index(t)
-        if ell and self.resonant[ell]:
-            return ell
-        return 0
-
-    def piece_bounds(self, t: float) -> tuple[float, float]:
-        """Bounds of the smooth piece (half-interval) containing t."""
-        if t >= self.t_ell[0]:
-            return self.t_ell[0], math.inf
-        if t <= self.t_ell[self.ell_max]:
-            return 0.0, self.t_ell[self.ell_max]
-        ell = self.interval_index(t)
-        p = self.peaks[ell - 1]
-        if t >= p:
-            return p, self.t_ell[ell - 1]
-        return self.t_ell[ell], p
+    def wr(self, t):
+        return np.exp(self.log_wr(t))
 
     def continuity_defect(self) -> float:
         """Largest relative mismatch of adjacent piece formulas at the breakpoints.
@@ -280,22 +279,42 @@ def w_r(t: float, iota_val: float, p: WeightParams) -> float:
     return weight_table(abs(float(iota_val)), p.c_star).wr(t)
 
 
-def log_w_k(t: float, k: int, eta: float, alpha: float, p: WeightParams) -> float:
-    """log of the mode-selected weight.
+def _iota_groups(k: np.ndarray, iv: np.ndarray) -> list:
+    """Flat modes with |iota| > 1 grouped by |iota|: (|iota|, indices, k, iota)."""
+    vals, inverse = np.unique(np.abs(iv), return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    splits = np.cumsum(np.bincount(inverse))[:-1]
+    return [(float(val), idx, k[idx], iv[idx])
+            for val, idx in zip(vals, np.split(order, splits)) if val > 1.0]
 
-    The resonant branch requires k and iota to share a sign and |k| to equal
-    the index of the resonant interval containing t; in particular k = 0
-    always selects w_NR.
+
+def _mode_weights(t, groups: list, n: int, c_star: float, deriv: bool = False):
+    """log w_k (d/dt log w_k when ``deriv``) of n flat modes, and the w_R mask.
+
+    Applies the resonance-selection rule of the module docstring group by
+    group; ``t`` is one time for all modes or one time per mode, and modes
+    outside ``groups`` (|iota| <= 1) keep w = 1.
     """
-    iv = iota(k, eta, alpha)
-    if abs(iv) <= 1.0:
-        return 0.0
-    table = weight_table(abs(float(iv)), p.c_star)
-    if k != 0 and k * iv > 0:
-        ell = table.resonant_interval(t)
-        if ell and ell == abs(k):
-            return table.log_wr(t)
-    return table.log_wnr(t)
+    out = np.zeros(n)
+    uses_r = np.zeros(n, dtype=bool)
+    for val, idx, k, iv in groups:
+        tg = t if np.ndim(t) == 0 else t[idx]
+        table = weight_table(val, c_star)
+        if np.all(tg >= table.t_ell[0]) or deriv and np.all(tg <= table.t_ell[-1]):
+            continue    # w = 1 from t = 2|iota| on, and w is frozen up to t_E
+        ell, nr, lift = table._pieces(tg, deriv)
+        use = (k * iv > 0) & (np.abs(k) == ell) & table.resonant[ell]
+        out[idx] = np.where(use, lift, 0.0) + nr
+        uses_r[idx] = use
+    return out, uses_r
+
+
+def log_w_k(t, k, eta, alpha, p: WeightParams):
+    """log of the mode-selected weight; array-valued, the arguments broadcast."""
+    t, k, iv = np.broadcast_arrays(t, k, iota(k, eta, alpha))
+    out, _ = _mode_weights(t.ravel(), _iota_groups(k.ravel(), iv.ravel()), k.size,
+                           p.c_star)
+    return out.reshape(k.shape)[()]
 
 
 def w_k(t: float, k: int, eta: float, alpha: float, p: WeightParams) -> float:
@@ -334,28 +353,15 @@ class LatticeWeights:
     def __init__(self, lattice: Lattice, params: WeightParams):
         self.lattice = lattice
         self.params = params
-        iv = lattice.iota_vals.ravel()
         kk = np.broadcast_to(lattice.kx, lattice.shape).ravel()
-        self._abs_k = np.abs(kk).astype(int)
-        self._sign_ok = kk * iv > 0
-        abs_iota = np.abs(iv)
-        self._vals, self._inverse = np.unique(abs_iota, return_inverse=True)
-        self._groups = [np.nonzero(self._inverse == i)[0] for i in range(len(self._vals))]
+        self._groups = _iota_groups(kk, lattice.iota_vals.ravel())
+
+    def _eval(self, t: float, deriv: bool) -> np.ndarray:
+        out, _ = _mode_weights(t, self._groups, self.lattice.size, self.params.c_star, deriv)
+        return out.reshape(self.lattice.shape)
 
     def log_w(self, t: float) -> np.ndarray:
-        out = np.zeros(self.lattice.size)
-        for gi, val in enumerate(self._vals):
-            if val <= 1.0:
-                continue
-            idx = self._groups[gi]
-            table = weight_table(float(val), self.params.c_star)
-            out[idx] = table.log_wnr(t)
-            ell = table.resonant_interval(t)
-            if ell:
-                res = idx[(self._abs_k[idx] == ell) & self._sign_ok[idx]]
-                if res.size:
-                    out[res] = table.log_wr(t)
-        return out.reshape(self.lattice.shape)
+        return self._eval(t, deriv=False)
 
     def w(self, t: float) -> np.ndarray:
         return np.exp(self.log_w(t))
@@ -364,42 +370,19 @@ class LatticeWeights:
         return -self.log_w(t)
 
     def dlogw_dt(self, t: float) -> np.ndarray:
-        """One-sided difference of log w_k, snapped inside the smooth piece.
-
-        Nonnegative by construction on [t_E, 2 iota] where w is nondecreasing;
-        zero on the frozen and trivial regions.
-        """
-        out = np.zeros(self.lattice.size)
-        h0 = 1e-4 * max(1.0, t)
-        for gi, val in enumerate(self._vals):
-            if val <= 1.0:
-                continue
-            idx = self._groups[gi]
-            table = weight_table(float(val), self.params.c_star)
-            lo, hi = table.piece_bounds(t)
-            if not math.isfinite(hi):          # t above 2 iota: w constant 1
-                continue
-            if hi <= table.t_ell[table.ell_max]:  # frozen region
-                continue
-            h = min(h0, 0.25 * (hi - lo))
-            if h <= 0:
-                continue
-            t1 = min(max(t, lo + h), hi)
-            t0 = t1 - h
-            d_nr = max(0.0, (table.log_wnr(t1) - table.log_wnr(t0)) / h)
-            ell = table.resonant_interval(t)
-            if ell:
-                res_mask = (self._abs_k[idx] == ell) & self._sign_ok[idx]
-                d_r = max(0.0, (table.log_wr(t1) - table.log_wr(t0)) / h)
-                out[idx] = np.where(res_mask, d_r, d_nr)
-            else:
-                out[idx] = d_nr
-        return out.reshape(self.lattice.shape)
+        """Closed-form d/dt log w_k: nonnegative, zero where w is constant."""
+        return self._eval(t, deriv=True)
 
 
 @lru_cache(maxsize=8)
 def lattice_weights(lattice: Lattice, params: WeightParams) -> LatticeWeights:
     return LatticeWeights(lattice, params)
+
+
+def masked_log(x: np.ndarray) -> np.ndarray:
+    """log x where x > 0 and -inf elsewhere, without a divide warning."""
+    pos = x > 0
+    return np.where(pos, np.log(np.where(pos, x, 1.0)), -math.inf)
 
 
 def log_weighted_l2(lattice: Lattice, coeffs: np.ndarray, logw: np.ndarray,
@@ -411,8 +394,7 @@ def log_weighted_l2(lattice: Lattice, coeffs: np.ndarray, logw: np.ndarray,
     nonzero = mag > 0
     if not np.any(nonzero):
         return -math.inf
-    with np.errstate(divide="ignore"):
-        m = np.where(nonzero, np.log(np.where(nonzero, mag, 1.0)) + logw, -math.inf)
+    m = masked_log(mag) + logw
     top = float(np.max(m))
     if not math.isfinite(top):
         return -math.inf
@@ -429,7 +411,7 @@ def gevrey_log_norm(fieldv: SpectralField, sigma: float, t: float, p: WeightPara
     if use_j:
         logw = logw + lattice_weights(lat, p).log_j(t)
     if use_b:
-        logw = logw + 0.5 * np.log(1.0 + np.abs(lat.eta) + lat.alpha**2)
+        logw = logw + np.log(b_multiplier(lat.eta, lat.alpha))
     return log_weighted_l2(lat, fieldv.coeffs, logw, mask)
 
 
@@ -498,24 +480,71 @@ class RatioSweepReport:
                 " ".join(str(x) for x in self.worst_tuple)]
 
 
-def _random_frequency(rng: np.random.Generator, delta_eta: float = 0.25):
-    k = int(rng.integers(-40, 41))
-    j = int(rng.integers(-160, 161))
-    alpha = int(rng.integers(-40, 41))
-    return k, delta_eta * j, alpha
+# Samples are drawn and evaluated in chunks of fixed size, which keeps the
+# sweep's memory flat in the sample count.  Peak RSS of `strata weights ratios
+# --samples 25000`: 87 MB with one batch per lemma, 83 MB with these chunks
+# (most of it numpy code touched for the first time), 81 MB for a per-sample
+# Python loop.
+_SWEEP_CHUNK = 4096
 
 
-def _random_pair(rng: np.random.Generator, delta_eta: float = 0.25):
-    """Frequency pair; half the draws are near-diagonal so that the
-    low-separation support conditions of the ratio estimates get exercised."""
-    f2 = _random_frequency(rng, delta_eta)
-    if rng.uniform() < 0.5:
-        f1 = (f2[0] + int(rng.integers(-3, 4)),
-              f2[1] + delta_eta * int(rng.integers(-12, 13)),
-              f2[2] + int(rng.integers(-3, 4)))
+def _draw_samples(rng: np.random.Generator, n: int, lemma: str, delta_eta: float = 0.25):
+    """n sample tuples (t, f1, f2) for one ratio estimate; f = (k, eta, alpha) arrays.
+
+    |k|, |alpha| <= 40 and |eta| <= 160 delta_eta; half the pairs are
+    near-diagonal so that the low-separation support conditions of the
+    ratio estimates get exercised.  t is uniform on the lemma's time window.
+    """
+    box, near_box = np.array([40, 160, 40]), np.array([3, 12, 3])
+    f2 = rng.integers(-box, box + 1, size=(n, 3))
+    near = rng.uniform(size=n) < 0.5
+    f1 = np.where(near[:, None], f2 + rng.integers(-near_box, near_box + 1, size=(n, 3)),
+                  rng.integers(-box, box + 1, size=(n, 3)))
+    f1 = (f1[:, 0], delta_eta * f1[:, 1], f1[:, 2])
+    f2 = (f2[:, 0], delta_eta * f2[:, 1], f2[:, 2])
+    a1, a2 = np.abs(iota(*f1)), np.abs(iota(*f2))
+    if lemma == "rNR":
+        lo, hi = 0.0, 2.0 * np.maximum(np.maximum(a1, a2), 1.0) + 5.0
+    elif lemma == "ratioJ":
+        lo, hi = 10.0, 2.0 * np.maximum(np.maximum(a1, a2), 6.0)
     else:
-        f1 = _random_frequency(rng, delta_eta)
-    return f1, f2
+        lo, hi = 0.0, 0.5 * np.sqrt(np.minimum(a1, a2))
+    return rng.uniform(lo, hi), f1, f2
+
+
+def _lemma_log_ratios(lemma: str, t: np.ndarray, f1: tuple, f2: tuple, p: WeightParams):
+    """Per-sample log(lhs/rhs) of one ratio estimate, and whether the sample counts."""
+    n = len(t)
+    i1, i2 = iota(*f1), iota(*f2)
+    df = np.abs(f1[0] - f2[0]) + np.abs(f1[1] - f2[1]) + np.abs(f1[2] - f2[2])
+    mu = p.mu
+
+    def weights(k, iv):
+        if lemma == "rNR":
+            k = np.zeros(n, dtype=int)   # k = 0 selects w_NR
+        return _mode_weights(t, _iota_groups(k, iv), n, p.c_star)
+
+    (lw1, in1), (lw2, in2) = weights(f1[0], i1), weights(f2[0], i2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if lemma == "rNR":
+            return lw1 - lw2 - mu * np.sqrt(df), np.ones(n, dtype=bool)
+        if lemma == "ratioJ":
+            # J_k / J_l = w_l / w_k; the indicator picks the resonant factor
+            k, l = f1[0], f2[0]
+            first = in1 & ~in2 & (k != l)
+            second = ~in1 & in2
+            log_factor = np.where(
+                first, np.log(np.abs(i1) / (k * k * (1.0 + np.abs(t - i1 / k)))),
+                np.where(second, np.log(l * l * (1.0 + np.abs(t - i2 / l)) / np.abs(i2)), 0.0))
+            l1f2 = np.abs(f2[0]) + np.abs(f2[1]) + np.abs(f2[2])
+            # outside the lemma's support when neither factor applies
+            ok = (t > 10.0) & (first | second | (df <= (3.0 / 16.0) * l1f2))
+            return lw2 - lw1 - (log_factor + 2.0 * mu * np.sqrt(df)), ok
+        # shortTime: a sample with w_k = w_l counts, with log ratio -inf
+        s1, s2 = np.sqrt(np.abs(i1)), np.sqrt(np.abs(i2))
+        log_lhs = np.log(np.abs(np.expm1(lw2 - lw1)))
+        log_rhs = np.log(np.sqrt(1.0 + df * df) / (s1 + s2)) + 3.0 * mu * np.sqrt(df)
+        return log_lhs - log_rhs, np.minimum(s1, s2) > 0
 
 
 def ratio_lemma_sweep(lemma: str, sample_count: int, p: WeightParams,
@@ -533,72 +562,17 @@ def ratio_lemma_sweep(lemma: str, sample_count: int, p: WeightParams,
     if lemma not in ("rNR", "ratioJ", "shortTime"):
         raise ValueError(f"unknown lemma sweep {lemma!r}")
     rng = np.random.default_rng(seed)
-    mu = p.mu
     sup_log, worst, used = -math.inf, (), 0
-
-    for _ in range(sample_count):
-        f1, f2 = _random_pair(rng)
-        i1 = iota(*f1)
-        i2 = iota(*f2)
-        df = (abs(f1[0] - f2[0]) + abs(f1[1] - f2[1]) + abs(f1[2] - f2[2]))
-
-        if lemma == "rNR":
-            t = float(rng.uniform(0.0, 2.0 * max(abs(i1), abs(i2), 1.0) + 5.0))
-            log_lhs = _log_wnr_val(t, i1, p) - _log_wnr_val(t, i2, p)
-            log_rhs = mu * math.sqrt(df)
-        elif lemma == "ratioJ":
-            t = float(rng.uniform(10.0, 2.0 * max(abs(i1), abs(i2), 6.0)))
-            if t <= 10.0:
-                continue
-            # J_k / J_l = w_l / w_k
-            log_lhs = (log_w_k(t, f2[0], f2[1], f2[2], p)
-                       - log_w_k(t, f1[0], f1[1], f1[2], p))
-            k, l = f1[0], f2[0]
-            in1 = _in_resonant(t, k, i1, p)
-            in2 = _in_resonant(t, l, i2, p)
-            if in1 and not in2 and k != l:
-                log_factor = math.log(abs(i1) / (k * k * (1.0 + abs(t - i1 / k))))
-            elif not in1 and in2:
-                log_factor = math.log(l * l * (1.0 + abs(t - i2 / l)) / abs(i2))
-            else:
-                l1f2 = abs(f2[0]) + abs(f2[1]) + abs(f2[2])
-                if df > (3.0 / 16.0) * l1f2:
-                    continue  # outside the lemma's support
-                log_factor = 0.0
-            log_rhs = log_factor + 2.0 * mu * math.sqrt(df)
-        else:  # shortTime
-            cap = 0.5 * min(math.sqrt(abs(i1)), math.sqrt(abs(i2)))
-            if cap <= 0:
-                continue
-            t = float(rng.uniform(0.0, cap))
-            diff = abs(math.expm1(log_w_k(t, f2[0], f2[1], f2[2], p)
-                                  - log_w_k(t, f1[0], f1[1], f1[2], p)))
-            if diff == 0.0:
-                used += 1
-                continue
-            log_lhs = math.log(diff)
-            br = math.sqrt(1.0 + df * df)
-            log_rhs = (math.log(br / (math.sqrt(abs(i1)) + math.sqrt(abs(i2))))
-                       + 3.0 * mu * math.sqrt(df))
-
-        used += 1
-        log_ratio = log_lhs - log_rhs
-        if log_ratio > sup_log:
-            sup_log, worst = log_ratio, (t, *f1, *f2)
+    for start in range(0, sample_count, _SWEEP_CHUNK):
+        t, f1, f2 = _draw_samples(rng, min(_SWEEP_CHUNK, sample_count - start), lemma)
+        log_ratio, ok = _lemma_log_ratios(lemma, t, f1, f2, p)
+        used += int(np.count_nonzero(ok))
+        log_ratio = np.where(ok, log_ratio, -math.inf)
+        i = int(np.argmax(log_ratio))
+        if log_ratio[i] > sup_log:
+            sup_log = float(log_ratio[i])
+            worst = (float(t[i]), int(f1[0][i]), float(f1[1][i]), int(f1[2][i]),
+                     int(f2[0][i]), float(f2[1][i]), int(f2[2][i]))
 
     sup = math.exp(sup_log) if sup_log < 700.0 else math.inf
     return RatioSweepReport(lemma, sample_count, used, sup, worst)
-
-
-def _log_wnr_val(t: float, iota_val: float, p: WeightParams) -> float:
-    if abs(iota_val) <= 1.0:
-        return 0.0
-    return weight_table(abs(float(iota_val)), p.c_star).log_wnr(t)
-
-
-def _in_resonant(t: float, k: int, iota_val: float, p: WeightParams) -> bool:
-    if k == 0 or abs(iota_val) <= 1.0 or k * iota_val <= 0:
-        return False
-    table = weight_table(abs(float(iota_val)), p.c_star)
-    ell = table.resonant_interval(t)
-    return bool(ell) and ell == abs(k)

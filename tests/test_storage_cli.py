@@ -222,6 +222,19 @@ output_every = 1.0
         assert cols["lemma"] == ["rNR"]
         assert float(cols["empirical_constant"][0]) <= 10.0
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "--iota", "0.5"],
+        ["table", "--cstar", "-1"],
+        ["totalgrowth", "--iota-max", "1"],
+        ["ratios", "--cstar", "0"],
+        ["ratios", "--samples", "0"],
+    ])
+    def test_weights_argument_errors_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "w"
+        assert main(["weights", *argv, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()     # rejected before the manifest is written
+
     def test_toy_liftup_prints_exponent(self, tmp_path, capsys):
         out = tmp_path / "toy"
         assert main(["toy", "liftup", "--out", str(out)]) == 0

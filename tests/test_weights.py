@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from strata.lattice import Lattice, SpectralField, iota
 from strata.weights import (
+    _SWEEP_CHUNK,
     LatticeWeights,
     WeightParams,
+    _draw_samples,
+    _lemma_log_ratios,
     a_multiplier,
     b_multiplier,
     critical_times,
@@ -26,6 +29,142 @@ from strata.weights import (
 )
 
 P = WeightParams()
+
+
+# Scalar reference implementations: the per-call weight code that the
+# array-valued evaluator replaced, kept as oracles on identical inputs.
+
+
+def _reference_interval_index(table, t):
+    if t >= table.t_ell[0] or t < table.t_ell[table.ell_max]:
+        return 0
+    lo, hi = 1, table.ell_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if t > table.t_ell[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _reference_log_wnr(table, t):
+    if t >= table.t_ell[0]:
+        return 0.0
+    if t <= table.t_ell[table.ell_max]:
+        return table.log_floor
+    ell = _reference_interval_index(table, t)
+    p = table.peaks[ell - 1]
+    if t >= p:
+        base = (ell * ell / table.iota) * (1.0 + table.b_ell[ell] * (t - p))
+        return table.c_star * math.log(base) + table.lv_break[ell - 1]
+    return -(1.0 + table.c_star) * math.log(1.0 + table.a_ell[ell] * (p - t)) + table.lv_peak[ell]
+
+
+def _reference_log_wr(table, t):
+    ell = _reference_interval_index(table, t)
+    if ell == 0:
+        return _reference_log_wnr(table, t)
+    p = table.peaks[ell - 1]
+    coef = table.b_ell[ell] if t >= p else table.a_ell[ell]
+    return (math.log(ell * ell / table.iota)
+            + math.log(1.0 + coef * abs(t - p)) + _reference_log_wnr(table, t))
+
+
+def _reference_resonant(t, k, iota_val, p):
+    if k == 0 or abs(iota_val) <= 1.0 or k * iota_val <= 0:
+        return False
+    table = weight_table(abs(float(iota_val)), p.c_star)
+    ell = _reference_interval_index(table, t)
+    return bool(ell) and bool(table.resonant[ell]) and ell == abs(k)
+
+
+def _reference_select(t, k, iota_val, p):
+    if abs(iota_val) <= 1.0:
+        return 0.0
+    table = weight_table(abs(float(iota_val)), p.c_star)
+    if _reference_resonant(t, k, iota_val, p):
+        return _reference_log_wr(table, t)
+    return _reference_log_wnr(table, t)
+
+
+def _reference_log_w_k(t, k, eta, alpha, p):
+    return _reference_select(t, k, iota(k, eta, alpha), p)
+
+
+def _reference_piece_bounds(table, t):
+    if t >= table.t_ell[0]:
+        return table.t_ell[0], math.inf
+    if t <= table.t_ell[table.ell_max]:
+        return 0.0, table.t_ell[table.ell_max]
+    ell = _reference_interval_index(table, t)
+    p = table.peaks[ell - 1]
+    if t >= p:
+        return p, table.t_ell[ell - 1]
+    return table.t_ell[ell], p
+
+
+def _reference_dlogw_dt(lattice, p, t):
+    """One-sided difference of log w_k, snapped inside the smooth piece."""
+    iv = lattice.iota_vals.ravel()
+    kk = np.broadcast_to(lattice.kx, lattice.shape).ravel()
+    out = np.zeros(lattice.size)
+    h0 = 1e-4 * max(1.0, t)
+    for val in np.unique(np.abs(iv)):
+        if val <= 1.0:
+            continue
+        idx = np.nonzero(np.abs(iv) == val)[0]
+        table = weight_table(float(val), p.c_star)
+        lo, hi = _reference_piece_bounds(table, t)
+        if not math.isfinite(hi) or hi <= table.t_ell[table.ell_max]:
+            continue
+        h = min(h0, 0.25 * (hi - lo))
+        t1 = min(max(t, lo + h), hi)
+        t0 = t1 - h
+        d_nr = max(0.0, (_reference_log_wnr(table, t1) - _reference_log_wnr(table, t0)) / h)
+        ell = _reference_interval_index(table, t)
+        if ell and table.resonant[ell]:
+            res = (np.abs(kk[idx]) == ell) & (kk[idx] * iv[idx] > 0)
+            d_r = max(0.0, (_reference_log_wr(table, t1) - _reference_log_wr(table, t0)) / h)
+            out[idx] = np.where(res, d_r, d_nr)
+        else:
+            out[idx] = d_nr
+    return out.reshape(lattice.shape)
+
+
+def _reference_lemma_log_ratio(lemma, t, f1, f2, p):
+    """Per-sample body of the ratio sweep: (counts, log(lhs/rhs))."""
+    i1, i2 = iota(*f1), iota(*f2)
+    df = abs(f1[0] - f2[0]) + abs(f1[1] - f2[1]) + abs(f1[2] - f2[2])
+    mu = p.mu
+    if lemma == "rNR":
+        return True, (_reference_select(t, 0, i1, p) - _reference_select(t, 0, i2, p)
+                      - mu * math.sqrt(df))
+    log_lhs = _reference_log_w_k(t, *f2, p) - _reference_log_w_k(t, *f1, p)
+    if lemma == "ratioJ":
+        if t <= 10.0:
+            return False, None
+        k, l = f1[0], f2[0]
+        in1 = _reference_resonant(t, k, i1, p)
+        in2 = _reference_resonant(t, l, i2, p)
+        if in1 and not in2 and k != l:
+            log_factor = math.log(abs(i1) / (k * k * (1.0 + abs(t - i1 / k))))
+        elif not in1 and in2:
+            log_factor = math.log(l * l * (1.0 + abs(t - i2 / l)) / abs(i2))
+        else:
+            if df > (3.0 / 16.0) * (abs(f2[0]) + abs(f2[1]) + abs(f2[2])):
+                return False, None
+            log_factor = 0.0
+        return True, log_lhs - (log_factor + 2.0 * mu * math.sqrt(df))
+    cap = 0.5 * min(math.sqrt(abs(i1)), math.sqrt(abs(i2)))
+    if cap <= 0:
+        return False, None
+    diff = abs(math.expm1(log_lhs))
+    if diff == 0.0:
+        return True, -math.inf
+    br = math.sqrt(1.0 + df * df)
+    return True, math.log(diff) - (math.log(br / (math.sqrt(abs(i1)) + math.sqrt(abs(i2))))
+                                   + 3.0 * mu * math.sqrt(df))
 
 
 class TestParams:
@@ -284,17 +423,120 @@ class TestLatticeWeights:
         for t in (2.5, 5.0, 9.0, 14.0):
             d = lw.dlogw_dt(t)
             assert np.all(d >= 0)
-        # away from breakpoints the difference matches a direct secant
+        # on the right half of I_{1,10} the rate is the closed form c* b/(1 + b(t - p))
         table = weight_table(10.0, 1.0)
         t = 11.0
-        h = 1e-4 * max(1.0, t)
-        expect = (table.log_wnr(t) - table.log_wnr(t - h)) / h
+        expect = P.c_star * table.b_ell[1] / (1.0 + table.b_ell[1] * (t - 10.0))
         lat2 = Lattice(4, 128, 4, ly=0.8 * math.pi)  # contains eta = 10 at j = 4
         lw2 = LatticeWeights(lat2, P)
         d = lw2.dlogw_dt(t)
         j = 4
         assert lat2.eta.ravel()[j] == pytest.approx(10.0)
-        assert d[0, j, 0] == pytest.approx(expect, rel=1e-10)
+        assert d[0, j, 0] == pytest.approx(expect, rel=1e-12)
+
+
+def _breakpoint_times(table):
+    """Every t_ell and peak of a table, and one ulp either side of each."""
+    marks = np.concatenate([table.t_ell, table.peaks])
+    return np.concatenate([np.nextafter(marks, -np.inf), marks, np.nextafter(marks, np.inf)])
+
+
+class TestAgainstScalarReference:
+    @pytest.mark.parametrize("c_star", [0.5, 1.0, 2.0])
+    def test_log_w_k(self, c_star):
+        p = WeightParams(c_star=c_star)
+        rng = np.random.default_rng(17)
+        n = 20_000
+        k = rng.integers(-40, 41, n)
+        eta = 0.25 * rng.integers(-160, 161, n)
+        al = rng.integers(-40, 41, n)
+        t = rng.uniform(0.0, 2.2 * np.maximum(np.abs(iota(k, eta, al)), 1.0))
+        cols = [(t, k, eta, al)]
+        for j in range(5, 161):
+            eta_j = 0.25 * j * (-1) ** j
+            ts = _breakpoint_times(weight_table(abs(eta_j), c_star))
+            for kk in (-2, -1, 0, 1, 2):
+                cols.append((ts, np.full(ts.size, kk), np.full(ts.size, eta_j),
+                             np.zeros(ts.size, dtype=int)))
+        t, k, eta, al = (np.concatenate(c) for c in zip(*cols))
+        tuples = [(float(a), int(b), float(c), int(d)) for a, b, c, d in zip(t, k, eta, al)]
+        expect = np.array([_reference_log_w_k(*x, p) for x in tuples])
+        assert np.max(np.abs(log_w_k(t, k, eta, al, p) - expect)) <= 1e-14
+        # both branches are exercised
+        resonant = sum(_reference_resonant(a, b, iota(b, c, d), p) for a, b, c, d in tuples)
+        assert 1000 < resonant < len(tuples) // 2
+
+    @pytest.mark.parametrize("c_star", [0.5, 1.0, 2.0])
+    def test_lattice_log_w(self, c_star):
+        p = WeightParams(c_star=c_star)
+        lat = Lattice(4, 32, 4, ly=0.8 * math.pi)   # eta = 2.5 j, |iota| up to 40
+        lw = LatticeWeights(lat, p)
+        kk = np.broadcast_to(lat.kx, lat.shape).ravel().tolist()
+        iv = lat.iota_vals.ravel().tolist()
+        pairs = set(zip(kk, iv))
+        vals = sorted({abs(v) for v in iv if abs(v) > 1.0})
+        times = np.concatenate([_breakpoint_times(weight_table(v, c_star)) for v in vals]
+                               + [np.random.default_rng(3).uniform(0.0, 90.0, 20)])
+        for t in times.tolist():
+            ref = {pair: _reference_select(t, *pair, p) for pair in pairs}
+            expect = np.array([ref[pair] for pair in zip(kk, iv)])
+            assert np.max(np.abs(lw.log_w(t).ravel() - expect)) <= 1e-14, t
+
+    @pytest.mark.parametrize("c_star", [0.5, 1.0, 2.0])
+    def test_closed_form_dlogw(self, c_star):
+        p = WeightParams(c_star=c_star)
+        lat = Lattice(4, 32, 4, ly=0.8 * math.pi)
+        lw = LatticeWeights(lat, p)
+        abs_iota = np.abs(lat.iota_vals.ravel())
+        marks = {v: np.concatenate([weight_table(v, c_star).t_ell, weight_table(v, c_star).peaks])
+                 for v in np.unique(abs_iota) if v > 1.0}
+        times = np.concatenate([np.linspace(0.05, 85.0, 150), *marks.values()])
+        h = 1e-6
+        for t in times.tolist():
+            d = lw.dlogw_dt(t).ravel()
+            assert np.all(d >= 0)
+            assert np.array_equal(d > 0, _reference_dlogw_dt(lat, p, t).ravel() > 0), t
+            central = (lw.log_w(t + h) - lw.log_w(t - h)).ravel() / (2.0 * h)
+            smooth = np.array([v <= 1.0 or np.min(np.abs(marks[v] - t)) >= 1e-3
+                               for v in abs_iota])
+            np.testing.assert_allclose(d[smooth], central[smooth], rtol=1e-6, atol=0.0)
+
+
+class TestBatchedSweep:
+    @staticmethod
+    def _reference(lemma, t, f1, f2, i):
+        a = (int(f1[0][i]), float(f1[1][i]), int(f1[2][i]))
+        b = (int(f2[0][i]), float(f2[1][i]), int(f2[2][i]))
+        return _reference_lemma_log_ratio(lemma, float(t[i]), a, b, P), (float(t[i]), *a, *b)
+
+    @pytest.mark.parametrize("lemma", ["rNR", "ratioJ", "shortTime"])
+    def test_matches_per_sample_reference(self, lemma):
+        t, f1, f2 = _draw_samples(np.random.default_rng(5), 3000, lemma)
+        log_ratio, ok = _lemma_log_ratios(lemma, t, f1, f2, P)
+        ref = [self._reference(lemma, t, f1, f2, i)[0] for i in range(t.size)]
+        assert ok.tolist() == [counts for counts, _ in ref]
+        expect = np.array([r for counts, r in ref if counts])
+        np.testing.assert_allclose(log_ratio[ok], expect, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("lemma", ["rNR", "ratioJ", "shortTime"])
+    def test_sweep_reports_reference_supremum(self, lemma):
+        rep = ratio_lemma_sweep(lemma, _SWEEP_CHUNK + 500, P, seed=3)
+        rng = np.random.default_rng(3)
+        used, best, worst = 0, -math.inf, ()
+        for size in (_SWEEP_CHUNK, 500):
+            t, f1, f2 = _draw_samples(rng, size, lemma)
+            for i in range(size):
+                (counts, r), tup = self._reference(lemma, t, f1, f2, i)
+                used += counts
+                if counts and r > best:
+                    best, worst = r, tup
+        assert rep.samples_used == used
+        assert rep.empirical_constant == pytest.approx(math.exp(best), rel=1e-11)
+        # the CSV renders Python numbers, as before the sweep was batched
+        assert [type(x) for x in rep.worst_tuple] == [float, int, float, int, int, float, int]
+        wt = rep.worst_tuple
+        _, at_worst = _reference_lemma_log_ratio(lemma, wt[0], wt[1:4], wt[4:], P)
+        assert at_worst == pytest.approx(best, abs=1e-12)
 
 
 class TestSweeps:
