@@ -170,8 +170,7 @@ def _cmd_run(args) -> int:
         manifest.outputs.append(name)
 
     try:
-        final = run_simulation(cfg, on_row=on_row,
-                               on_checkpoint=on_checkpoint if args.mode == "nonlinear" else None)
+        final = run_simulation(cfg, on_row=on_row, on_checkpoint=on_checkpoint)
     except NumericalAbort as exc:
         if rows:
             write_csv(os.path.join(out, csv_name), DiagnosticRow.header(),
@@ -285,11 +284,12 @@ def _cmd_weights(args) -> int:
     _check_weights_args(args)
     out = _outdir(args)
     seed = args.seed if args.seed is not None else 0
+    settings = f"[weights]\ncstar = {' '.join(map(str, args.cstar))}\n"
 
     if args.action == "table":
         name = f"weights_table_iota{args.iota:g}.csv"
         manifest, mpath = _start_manifest(args, "weights_table", seed,
-                                          f"[weights]\niota = {args.iota}\n", [name])
+                                          f"{settings}iota = {args.iota}\n", [name])
         rows = []
         for cs in args.cstar:
             table = weight_table(abs(args.iota), cs)
@@ -305,7 +305,7 @@ def _cmd_weights(args) -> int:
     elif args.action == "totalgrowth":
         name = "weights_totalgrowth.csv"
         manifest, mpath = _start_manifest(args, "weights_totalgrowth", seed,
-                                          f"[weights]\niota_max = {args.iota_max}\n", [name])
+                                          f"{settings}iota_max = {args.iota_max}\n", [name])
         rows = []
         for cs in args.cstar:
             rep = total_growth_check(args.iota_max, WeightParams(c_star=cs))
@@ -319,18 +319,19 @@ def _cmd_weights(args) -> int:
 
     else:  # ratios
         name = "weights_ratio_sweeps.csv"
-        manifest, mpath = _start_manifest(args, "weights_ratios", seed,
-                                          f"[weights]\nsamples = {args.samples}\n", [name])
+        manifest, mpath = _start_manifest(
+            args, "weights_ratios", seed,
+            f"{settings}lemma = {args.lemma}\nsamples = {args.samples}\n", [name])
         lemmas = ["rNR", "ratioJ", "shortTime"] if args.lemma == "all" else [args.lemma]
         rows = []
         for lem in lemmas:
             for cs in args.cstar:
                 rep = ratio_lemma_sweep(lem, args.samples, WeightParams(c_star=cs), seed=seed)
-                rows.append(rep.csv_row())
+                rows.append(rep.csv_row() + [cs])
                 _say(args, f"{lem} (c_star={cs}): constant {rep.empirical_constant:.4e} "
                            f"over {rep.samples_used} admissible samples")
         write_csv(os.path.join(out, name),
-                  ["lemma", "samples", "empirical_constant", "worst_tuple"], rows,
+                  ["lemma", "samples", "empirical_constant", "worst_tuple", "c_star"], rows,
                   manifest_name=RunManifest.name_for("weights_ratios"))
 
     manifest.stamp_finish()

@@ -17,6 +17,8 @@ from functools import cached_property
 import numpy as np
 import scipy.fft as _fft
 
+from .symbols import zero_mode_rate
+
 __all__ = [
     "efloor",
     "l1_norm",
@@ -161,15 +163,12 @@ class Lattice:
         return mx & my & mz
 
     def sigma_min_resolved(self) -> float:
-        """Smallest zero-mode damping rate alpha^2/(eta^2+alpha^2)^2 on the lattice.
+        """Smallest zero-mode damping rate ``zero_mode_rate`` over alpha != 0.
 
         Decay-rate fits are only trustworthy for t well below 1/sigma_min;
         beyond that the eta-truncation of the vertical direction dominates.
         """
-        al = np.abs(self.alpha)
-        mask = al > 0
-        denom = np.where(mask, (self.eta**2 + al**2) ** 2, 1.0)
-        sig = np.where(mask, al**2 / denom, np.inf)
+        sig = np.where(self.alpha != 0, zero_mode_rate(self.eta, self.alpha), np.inf)
         return float(np.min(sig))
 
 

@@ -2,8 +2,9 @@
 
 The sheared frame keeps every mode's lattice position fixed while the shear
 enters through time-dependent symbols (eta - k t), so the linear part is
-solved exactly by an integrating factor and only the transport nonlinearity
-needs a time stepper (Lawson RK4 on top of the exact factor).
+solved exactly by an integrating factor: a linear run evaluates that exact
+solution at each output time, and only the transport nonlinearity needs a
+time stepper (Lawson RK4 on top of the exact factor).
 
 States are full-lattice Hermitian ``SpectralField``s everywhere outside the
 nonlinear step.  Inside it the state is packed to the kept modes of the
@@ -25,7 +26,7 @@ import scipy.fft as _fft
 
 from .config import SimConfig
 from .lattice import Lattice, SpectralField
-from .symbols import _damping_antiderivative, transport_symbol
+from .symbols import _damping_antiderivative, transport_symbol, zero_mode_rate
 
 __all__ = [
     "SimState",
@@ -108,9 +109,9 @@ class _Damping:
 
     For k != 0 the integral over [t0, t1] is (F(eta - k t0) - F(eta - k t1)) / k
     with the antiderivative F of ``symbols``; the k = 0 rate
-    alpha^2/(eta^2+alpha^2)^2 is constant in time and the mean mode keeps
-    factor 1.  The antiderivative is a separate call so a caller that needs
-    several intervals evaluates it once per distinct time.
+    ``zero_mode_rate`` is constant in time and vanishes at the mean mode,
+    which keeps factor 1.  The antiderivative is a separate call so a caller
+    that needs several intervals evaluates it once per distinct time.
     """
 
     def __init__(self, k: np.ndarray, eta: np.ndarray, alpha: np.ndarray):
@@ -119,8 +120,8 @@ class _Damping:
         self.k = k[self.shear]
         self.eta = eta[self.shear]
         self.b = self.k**2 + alpha[self.shear] ** 2
-        self.flat = (~self.shear) & ((eta != 0) | (alpha != 0))
-        self.rate = alpha[self.flat] ** 2 / (eta[self.flat] ** 2 + alpha[self.flat] ** 2) ** 2
+        self.flat = ~self.shear
+        self.rate = zero_mode_rate(eta[self.flat], alpha[self.flat])
 
     def antiderivative(self, t: float) -> np.ndarray:
         return _damping_antiderivative(self.eta - self.k * t, self.b)
@@ -142,8 +143,8 @@ def _lattice_damping(lat: Lattice) -> _Damping:
 def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
     """Per-mode exp(-integral of the damping coefficient over [t0, t1]).
 
-    Closed form for k != 0; the k = 0 rate alpha^2/(eta^2+alpha^2)^2 is
-    constant in time.  The mean mode is untouched (factor 1).
+    Closed form for k != 0; the k = 0 rate ``zero_mode_rate`` is constant
+    in time.  The mean mode is untouched (factor 1).
     """
     damp = _lattice_damping(lat)
     out = damp.factors(t0, t1, damp.antiderivative(t0), damp.antiderivative(t1))
@@ -313,23 +314,34 @@ def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None,
 def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):
     """Drive a full run; calls ``on_row(state)`` at t=0 and every output time.
 
-    Returns the final state.  ``on_checkpoint(state)`` fires every
-    ``checkpoint_every`` time units in nonlinear mode when configured.
+    Returns the final state, at ``round(t_end/dt) * dt``.  A linear run takes
+    no time steps: each state is the exact solution ``step_linear(start, t)``
+    from the initial state, so ``dt`` only sets the time grid.
+    ``on_checkpoint(state)`` fires every ``checkpoint_every`` time units in
+    nonlinear mode when configured; linear runs never checkpoint.
     """
     state = init_field(cfg)
-    mask = cfg.lattice.dealias_mask(cfg.dealias)
     n_steps = round(cfg.t_end / cfg.dt)
     out_stride = max(1, round(cfg.output_every / cfg.dt))
-    ckpt_stride = (max(1, round(cfg.checkpoint_every / cfg.dt))
-                   if cfg.checkpoint_every > 0 else 0)
 
     if on_row is not None:
         on_row(state)
+    if cfg.mode == "linear":
+        start = state
+        if on_row is not None:
+            for i in range(out_stride, n_steps + 1, out_stride):
+                state = step_linear(start, i * cfg.dt)
+                on_row(state)
+        # the last row is the end state unless output_every does not divide t_end
+        if state.t == n_steps * cfg.dt:
+            return state
+        return step_linear(start, n_steps * cfg.dt)
+
+    mask = cfg.lattice.dealias_mask(cfg.dealias)
+    ckpt_stride = (max(1, round(cfg.checkpoint_every / cfg.dt))
+                   if cfg.checkpoint_every > 0 else 0)
     for i in range(1, n_steps + 1):
-        if cfg.mode == "linear":
-            state = step_linear(state, cfg.dt)
-        else:
-            state = step_nonlinear(state, cfg.dt, mask, cfg.threads)
+        state = step_nonlinear(state, cfg.dt, mask, cfg.threads)
         # keep t exactly on the uniform grid to avoid drift in long runs
         state.t = i * cfg.dt
         if on_row is not None and i % out_stride == 0:

@@ -5,6 +5,10 @@ the original-frame velocity, the moving-frame transport velocity, the weak
 damping coefficient with its exact time integral, and the zero-mode
 semigroup.  All functions accept scalars or broadcastable numpy arrays and
 assign the excluded (0,0,0) mode the value zero.
+
+The velocity, transport and damping symbols share one 1/D^2 multiplier,
+D = k^2 + (eta-kt)^2 + alpha^2, which covers k = 0 with no branch of its
+own; the constant k = 0 damping rate is ``zero_mode_rate``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ __all__ = [
     "velocity_symbol",
     "transport_symbol",
     "damping_coeff",
+    "zero_mode_rate",
     "damping_integral",
     "semigroup",
     "orr_amplification",
@@ -26,8 +31,13 @@ __all__ = [
 ]
 
 
-def _shear_denom(t, k, eta, alpha):
-    return k * k + (eta - k * t) ** 2 + alpha * alpha
+def _couette(t, k, eta, alpha):
+    # broadcast float k and alpha, eta - k t, the mask D > 0 and 1/D^2 (1 where D = 0)
+    k, eta, alpha = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (k, eta, alpha)))
+    em = eta - k * t
+    D = k * k + em * em + alpha * alpha
+    keep = D > 0
+    return k, alpha, em, keep, 1.0 / np.where(keep, D, 1.0) ** 2
 
 
 def velocity_symbol(t, k, eta, alpha):
@@ -36,15 +46,7 @@ def velocity_symbol(t, k, eta, alpha):
     v = (k(eta-kt), -(k^2+alpha^2), (eta-kt)*alpha) / D^2 with
     D = k^2 + (eta-kt)^2 + alpha^2; zero at the mean mode where D = 0.
     """
-    k = np.asarray(k, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    k, eta, alpha = np.broadcast_arrays(k, eta, alpha)
-    D = _shear_denom(t, k, eta, alpha)
-    safe = np.where(D > 0, D, 1.0)
-    inv2 = 1.0 / safe**2
-    keep = D > 0
-    em = eta - k * t
+    k, alpha, em, keep, inv2 = _couette(t, k, eta, alpha)
     v1 = np.where(keep, k * em * inv2, 0.0)
     v2 = np.where(keep, -(k * k + alpha * alpha) * inv2, 0.0)
     v3 = np.where(keep, em * alpha * inv2, 0.0)
@@ -54,41 +56,30 @@ def velocity_symbol(t, k, eta, alpha):
 def transport_symbol(t, k, eta, alpha):
     """Moving-frame velocity multipliers (u1, u2, u3) applied to theta-hat.
 
-    For k != 0:  ((t(k^2+a^2) + k(eta-kt)), -(k^2+a^2), (eta-kt)a) / D^2.
-    For k = 0:   (t a^2, -a^2, eta*a) / (eta^2+a^2)^2, zero when (eta,a)=(0,0).
+    u = (t(k^2+a^2) + k(eta-kt), -(k^2+a^2), (eta-kt)a) / D^2, zero at the
+    mean mode.  At k = 0 this is (t a^2, -a^2, eta a) / (eta^2+a^2)^2.
     """
-    k = np.asarray(k, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    k, eta, alpha = np.broadcast_arrays(k, eta, alpha)
-    em = eta - k * t
-    D = _shear_denom(t, k, eta, alpha)
-    R = eta * eta + alpha * alpha
-    nonzero_x = k != 0
-    safe_d = np.where(D > 0, D, 1.0)
-    safe_r = np.where(R > 0, R, 1.0)
-    invd2 = 1.0 / safe_d**2
-    invr2 = 1.0 / safe_r**2
+    k, alpha, em, keep, inv2 = _couette(t, k, eta, alpha)
     ka = k * k + alpha * alpha
-
-    u1 = np.where(nonzero_x, (t * ka + k * em) * invd2,
-                  np.where(R > 0, t * alpha**2 * invr2, 0.0))
-    u2 = np.where(nonzero_x, -ka * invd2,
-                  np.where(R > 0, -(alpha**2) * invr2, 0.0))
-    u3 = np.where(nonzero_x, em * alpha * invd2,
-                  np.where(R > 0, eta * alpha * invr2, 0.0))
+    u1 = np.where(keep, (t * ka + k * em) * inv2, 0.0)
+    u2 = np.where(keep, -ka * inv2, 0.0)
+    u3 = np.where(keep, em * alpha * inv2, 0.0)
     return u1, u2, u3
 
 
 def damping_coeff(t, k, eta, alpha):
-    """Linear damping rate (k^2+alpha^2)/D^2, reducing to a^2/(eta^2+a^2)^2 at k=0."""
-    k = np.asarray(k, dtype=float)
+    """Linear damping rate (k^2+alpha^2)/D^2, reducing to zero_mode_rate at k = 0."""
+    k, alpha, _, keep, inv2 = _couette(t, k, eta, alpha)
+    out = np.where(keep, (k * k + alpha * alpha) * inv2, 0.0)
+    return out if out.ndim else float(out)
+
+
+def zero_mode_rate(eta, alpha):
+    """Constant damping rate alpha^2/(eta^2+alpha^2)^2 of a k = 0 mode; 0 at (0, 0)."""
     eta = np.asarray(eta, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    k, eta, alpha = np.broadcast_arrays(k, eta, alpha)
-    D = _shear_denom(t, k, eta, alpha)
-    safe = np.where(D > 0, D, 1.0)
-    out = np.where(D > 0, (k * k + alpha * alpha) / safe**2, 0.0)
+    R = eta * eta + alpha * alpha
+    out = alpha * alpha / np.where(R > 0, R, 1.0) ** 2
     return out if out.ndim else float(out)
 
 
@@ -102,7 +93,7 @@ def damping_integral(t0, t1, k, eta, alpha):
     """Exact integral of the damping coefficient over [t0, t1] for k != 0.
 
     Integrates (k^2+a^2) / ((k^2+a^2) + (eta-k tau)^2)^2 d tau in closed
-    form; callers with k = 0 should use the constant-coefficient rate
+    form; callers with k = 0 should use the constant ``zero_mode_rate``
     directly.
     """
     k = np.asarray(k, dtype=float)
@@ -127,8 +118,7 @@ def semigroup(t, eta, alpha):
         raise ValueError("semigroup is undefined at (eta, alpha) = (0, 0)")
     if np.any(np.asarray(t) < 0):
         raise ValueError("semigroup requires t >= 0")
-    R = eta * eta + alpha * alpha
-    out = np.exp(-(alpha**2) * np.asarray(t, float) / R**2)
+    out = np.exp(-zero_mode_rate(eta, alpha) * np.asarray(t, float))
     return out if out.ndim else float(out)
 
 
@@ -167,13 +157,8 @@ def nonzero_mode_decay_bound_check(k: int, eta: float, alpha: float,
     t = np.asarray(t_grid, dtype=float)
     jt = np.sqrt(1.0 + t * t)
     br = math.sqrt(1.0 + k * k + eta * eta + alpha * alpha)
-    em = eta - k * t
-    D = k * k + em * em + alpha * alpha
-    ka = k * k + alpha * alpha
-    v1 = np.abs(k * em) / D**2
-    v2 = ka / D**2
-    v3 = np.abs(em * alpha) / D**2
-    umag = np.sqrt(((t * ka + k * em) ** 2 + ka**2 + (em * alpha) ** 2)) / D**2
+    v1, v2, v3 = (np.abs(v) for v in velocity_symbol(t, k, eta, alpha))
+    umag = np.sqrt(sum(u * u for u in transport_symbol(t, k, eta, alpha)))
 
     c1 = float(np.max(v1 * jt**3)) / br**3
     c2 = float(np.max(v2 * jt**4)) / br**6

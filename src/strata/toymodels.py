@@ -15,6 +15,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .lattice import efloor
+from .symbols import zero_mode_rate
 
 __all__ = [
     "GrowthFit",
@@ -135,7 +136,7 @@ def zero_mode_decay_bound(eta: float, alpha: int, t_max: float,
     """Solve the damped zero-mode model and report its <t>^3 decay constant."""
     if alpha == 0:
         raise ValueError("the zero-mode damping vanishes at alpha = 0")
-    sigma = alpha**2 / (eta**2 + alpha**2) ** 2
+    sigma = zero_mode_rate(eta, alpha)
     ts = np.geomspace(1e-2, t_max, n_t)
     ts = np.concatenate(([0.0], ts))
     sup, t_at = 0.0, 0.0
@@ -185,7 +186,7 @@ def semigroup_bound_check(grid, m: float, horizon_factor: float = 200.0,
     for eta, alpha in grid:
         if alpha == 0:
             raise ValueError("alpha = 0 has no semigroup decay")
-        sigma = alpha**2 / (eta**2 + alpha**2) ** 2
+        sigma = zero_mode_rate(eta, alpha)
         horizons = np.geomspace(1.0, horizon_factor / sigma, n_t)
         best = max(_semigroup_integral(sigma, m, h) for h in horizons)
         consts.append(best)
@@ -200,12 +201,13 @@ def liftup_value(t, epsilon: float, eta: float, alpha: float):
     """Streamwise zero-mode response eps^2 |eta,alpha| sigma int_0^t tau e^(-sigma tau) dtau.
 
     The time integral has the closed form (1 - (1 + sigma t) e^(-sigma t)) / sigma^2.
-    Even in eta and alpha separately and exactly quadratic in epsilon.
+    Even in eta and alpha separately and exactly quadratic in epsilon; zero
+    for alpha = 0, where the zero mode is undamped and not forced.
     """
-    sigma = alpha**2 / (eta**2 + alpha**2) ** 2
     t = np.asarray(t, dtype=float)
-    if sigma == 0.0:
-        return 0.5 * epsilon**2 * (abs(eta) + abs(alpha)) * 0.0 * t
+    if alpha == 0:
+        return np.zeros_like(t)
+    sigma = zero_mode_rate(eta, alpha)
     x = sigma * t
     ramp = -np.expm1(-x) - x * np.exp(-x)   # 1 - (1+x)e^-x, stable for small x
     return epsilon**2 * (abs(eta) + abs(alpha)) * ramp / sigma

@@ -5,6 +5,7 @@ import pytest
 import scipy.fft as _fft
 from scipy.integrate import quad
 
+import strata.simulate as simulate
 from strata.config import ConfigError, SimConfig
 from strata.diagnostics import compute_row
 from strata.lattice import Lattice, SpectralField
@@ -64,6 +65,44 @@ def _reference_step(state, dt, mask=None):
     k4 = rhs(t + h, e_full * c0 + h * e_back * k3)
     c1 = e_full * c0 + (h / 6.0) * (e_full * k1 + 2.0 * e_back * (k2 + k3) + k4)
     return SimState(t + h, SpectralField(lat, c1))
+
+
+def _reference_linear_run(cfg):
+    """The stepped linear loop, one step_linear per dt: the oracle for linear runs.
+
+    Yields the state at t = 0 and at every output time, like run_simulation's
+    on_row, and returns the final state.
+    """
+    state = init_field(cfg)
+    n_steps = round(cfg.t_end / cfg.dt)
+    out_stride = max(1, round(cfg.output_every / cfg.dt))
+    yield state
+    for i in range(1, n_steps + 1):
+        state = step_linear(state, cfg.dt)
+        state.t = i * cfg.dt
+        if i % out_stride == 0:
+            yield state
+    return state
+
+
+def _against_reference(cfg):
+    """Run cfg and its stepped reference side by side: (row times, worst rel. error)."""
+    ref = _reference_linear_run(cfg)
+    times, errs = [], []
+
+    def on_row(state):
+        want = next(ref)
+        assert state.t == want.t
+        times.append(state.t)
+        errs.append(_rel_err(state.field.coeffs, want.field.coeffs))
+
+    final = run_simulation(cfg, on_row=on_row)
+    with pytest.raises(StopIteration) as stop:
+        next(ref)
+    want = stop.value.value
+    assert final.t == want.t
+    errs.append(_rel_err(final.field.coeffs, want.field.coeffs))
+    return times, max(errs)
 
 
 def _random_masked_field(lat, mask, seed):
@@ -413,6 +452,48 @@ class TestNonlinearStep:
                                                - st_l.field.coeffs) ** 2))) / eps
 
         assert dist(1e-3) / dist(5e-4) == pytest.approx(2.0, abs=0.3)
+
+
+class TestLinearRun:
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(nx=8, ny=16, nz=8, dt=0.1, t_end=100.0, output_every=1.0),
+        SimConfig(),
+    ], ids=["8x16x8", "default"])
+    def test_matches_stepped_reference(self, cfg):
+        times, err = _against_reference(cfg)
+        assert len(times) == round(cfg.t_end / cfg.output_every) + 1
+        assert err <= 1e-12
+
+    def test_output_every_off_the_end_time(self):
+        cfg = SimConfig(nx=8, ny=16, nz=8, dt=0.1, t_end=2.0, output_every=0.3)
+        times, err = _against_reference(cfg)
+        assert times == [i * 0.1 for i in range(0, 19, 3)]
+        assert err <= 1e-12
+
+    def test_each_state_is_evaluated_from_the_start(self, monkeypatch):
+        calls = []
+
+        def spy(state, dt):
+            calls.append((state.t, dt))
+            return step_linear(state, dt)
+
+        monkeypatch.setattr(simulate, "step_linear", spy)
+        cfg = SimConfig(nx=8, ny=16, nz=8, dt=0.1, t_end=2.0, output_every=0.3)
+        final = run_simulation(cfg, on_row=lambda s: None)
+        assert calls == [(0.0, i * 0.1) for i in (*range(3, 19, 3), 20)]
+        assert final.t == 2.0
+        calls.clear()
+        run_simulation(cfg)
+        assert calls == [(0.0, 20 * 0.1)]
+
+    def test_never_checkpoints(self):
+        kw = dict(nx=8, ny=16, nz=8, dt=0.1, t_end=1.0, checkpoint_every=0.5)
+        seen = {}
+        for mode in ("linear", "nonlinear"):
+            seen[mode] = []
+            run_simulation(SimConfig(**kw, mode=mode), on_row=lambda s: None,
+                           on_checkpoint=lambda s, m=mode: seen[m].append(s.t))
+        assert seen == {"linear": [], "nonlinear": [0.5, 1.0]}
 
 
 class TestRunAndDiagnostics:

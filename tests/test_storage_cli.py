@@ -222,6 +222,28 @@ output_every = 1.0
         assert cols["lemma"] == ["rNR"]
         assert float(cols["empirical_constant"][0]) <= 10.0
 
+    def test_weights_ratio_rows_and_manifest_name_c_star(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["weights", "ratios", "--samples", "300", "--cstar", "0.5", "1",
+                     "--lemma", "rNR", "--out", str(out), "--quiet"]) == 0
+        cols = read_csv_columns(out / "weights_ratio_sweeps.csv")
+        assert list(cols) == ["lemma", "samples", "empirical_constant", "worst_tuple",
+                              "c_star"]
+        assert [float(c) for c in cols["c_star"]] == [0.5, 1.0]
+        lines = (out / "weights_ratios_manifest.ini").read_text().splitlines()
+        assert {"cstar = 0.5 1.0", "lemma = rNR", "samples = 300"} <= set(lines)
+
+    @pytest.mark.parametrize("action,argv", [
+        ("table", ["--iota", "10"]),
+        ("totalgrowth", ["--iota-max", "100"]),
+    ])
+    def test_weights_manifest_records_c_star(self, tmp_path, action, argv):
+        out = tmp_path / "w"
+        assert main(["weights", action, *argv, "--cstar", "0.5", "2",
+                     "--out", str(out), "--quiet"]) == 0
+        lines = (out / f"weights_{action}_manifest.ini").read_text().splitlines()
+        assert "cstar = 0.5 2.0" in lines
+
     @pytest.mark.parametrize("argv", [
         ["table", "--iota", "0.5"],
         ["table", "--cstar", "-1"],

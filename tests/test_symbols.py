@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from strata.lattice import Lattice
 from strata.symbols import (
     damping_coeff,
     damping_integral,
@@ -12,11 +13,34 @@ from strata.symbols import (
     semigroup,
     transport_symbol,
     velocity_symbol,
+    zero_mode_rate,
 )
 
 
 def _scalar(triple, idx=()):
     return tuple(float(np.asarray(v)[idx]) for v in triple)
+
+
+def _reference_transport_symbol(t, k, eta, alpha):
+    """Transport symbol with its own k = 0 branch: the oracle for transport_symbol."""
+    k = np.asarray(k, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    k, eta, alpha = np.broadcast_arrays(k, eta, alpha)
+    em = eta - k * t
+    D = k * k + (eta - k * t) ** 2 + alpha * alpha
+    R = eta * eta + alpha * alpha
+    nonzero_x = k != 0
+    invd2 = 1.0 / np.where(D > 0, D, 1.0) ** 2
+    invr2 = 1.0 / np.where(R > 0, R, 1.0) ** 2
+    ka = k * k + alpha * alpha
+    u1 = np.where(nonzero_x, (t * ka + k * em) * invd2,
+                  np.where(R > 0, t * alpha**2 * invr2, 0.0))
+    u2 = np.where(nonzero_x, -ka * invd2,
+                  np.where(R > 0, -(alpha**2) * invr2, 0.0))
+    u3 = np.where(nonzero_x, em * alpha * invd2,
+                  np.where(R > 0, eta * alpha * invr2, 0.0))
+    return u1, u2, u3
 
 
 class TestVelocitySymbol:
@@ -71,6 +95,15 @@ class TestTransportSymbol:
     def test_alpha_zero_zero_mode_vanishes(self):
         assert _scalar(transport_symbol(3.0, 0.0, 2.0, 0.0)) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("t", [0.0, 0.05, 3.7, 50.0, 99.95, 1000.0])
+    def test_matches_two_branch_reference_bitwise(self, t):
+        lat = Lattice(32, 128, 32)
+        got = transport_symbol(t, lat.kx, lat.eta, lat.alpha)
+        ref = _reference_transport_symbol(t, lat.kx, lat.eta, lat.alpha)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+            assert np.array_equal(np.signbit(g), np.signbit(r))
+
 
 class TestDamping:
     def test_hand_values(self):
@@ -110,6 +143,34 @@ class TestDamping:
     def test_integral_rejects_k_zero(self):
         with pytest.raises(ValueError):
             damping_integral(0.0, 1.0, 0, 1.0, 1)
+
+
+class TestZeroModeRate:
+    @pytest.mark.parametrize("eta,al,rate", [
+        (0.0, 1.0, 1.0),
+        (1.0, 1.0, 0.25),
+        (-1.0, 1.0, 0.25),
+        (0.0, 0.5, 4.0),
+        (2.0, -2.0, 1.0 / 16.0),
+        (3.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0),
+    ])
+    def test_hand_values_are_k_zero_damping(self, eta, al, rate):
+        assert zero_mode_rate(eta, al) == rate
+        for t in (0.0, 2.5, 40.0):
+            assert zero_mode_rate(eta, al) == damping_coeff(t, 0.0, eta, al)
+
+    def test_k_zero_damping_within_one_ulp(self):
+        # damping_coeff multiplies by the shared 1/D^2, zero_mode_rate divides
+        # exactly as the per-site expressions it replaced did
+        lat = Lattice(8, 64, 16)
+        rate = zero_mode_rate(lat.eta, lat.alpha)
+        assert rate.shape == (1, 64, 16)
+        live = (lat.eta != 0) | (lat.alpha != 0)
+        old = lat.alpha**2 / np.where(live, lat.eta**2 + lat.alpha**2, 1.0) ** 2
+        assert np.array_equal(rate, old)
+        np.testing.assert_array_max_ulp(rate, damping_coeff(7.0, 0.0, lat.eta, lat.alpha),
+                                        maxulp=1)
 
 
 class TestSemigroup:

@@ -172,3 +172,8 @@ class TestLiftup:
     def test_rejects_alpha_zero(self):
         with pytest.raises(ValueError):
             liftup_growth(1e-3, [1.0], [0], np.geomspace(10, 100, 20))
+
+    @pytest.mark.parametrize("eta,alpha", [(3.0, 0.0), (0.0, 0.0)])
+    def test_value_zero_for_alpha_zero(self, eta, alpha):
+        t = np.array([0.0, 5.0, 50.0])
+        assert np.array_equal(liftup_value(t, 1e-3, eta, alpha), np.zeros(3))
