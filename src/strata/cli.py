@@ -342,6 +342,13 @@ def _cmd_weights(args) -> int:
 # --- fit --------------------------------------------------------------
 
 
+def _numeric_column(cols: dict, name: str, path: str) -> np.ndarray:
+    try:
+        return np.asarray([float(x) for x in cols[name]])
+    except ValueError:
+        raise ConfigError(f"column {name!r} in {path} is not numeric") from None
+
+
 def _cmd_fit(args) -> int:
     cols = read_csv_columns(args.csv)
     if args.column not in cols:
@@ -349,8 +356,8 @@ def _cmd_fit(args) -> int:
                           f"(have {sorted(cols)})")
     if args.time_column not in cols:
         raise ConfigError(f"time column {args.time_column!r} not in {args.csv}")
-    t = np.asarray([float(x) for x in cols[args.time_column]])
-    v = np.asarray([float(x) for x in cols[args.column]])
+    t = _numeric_column(cols, args.time_column, args.csv)
+    v = _numeric_column(cols, args.column, args.csv)
     window = None
     if args.tmin is not None or args.tmax is not None:
         window = (args.tmin if args.tmin is not None else float(np.min(t)),

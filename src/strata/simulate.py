@@ -4,13 +4,15 @@ The sheared frame keeps every mode's lattice position fixed while the shear
 enters through time-dependent symbols (eta - k t), so the linear part is
 solved exactly by an integrating factor: a linear run evaluates that exact
 solution at each output time, and only the transport nonlinearity needs a
-time stepper (Lawson RK4 on top of the exact factor).
+time stepper (Lawson RK4 on top of the exact factor).  Every damping factor
+over [t0, t1] is exp(G(t0) - G(t1)) with the one per-mode antiderivative
+G = ``symbols.damping_antiderivative``.
 
 States are full-lattice Hermitian ``SpectralField``s everywhere outside the
 nonlinear step.  Inside it the state is packed to the kept modes of the
 rfft half-spectrum (the dealias mask without Nyquist indices); the symbols
-and damping factors are evaluated on those modes once per distinct stage
-time, each RK stage's product is formed with six ``irfftn`` and one
+and the antiderivative G are evaluated on those modes once per distinct
+stage time, each RK stage's product is formed with six ``irfftn`` and one
 ``rfftn`` on a zero-padded half-spectrum, and the result is unpacked to the
 full lattice on return.
 """
@@ -26,7 +28,7 @@ import scipy.fft as _fft
 
 from .config import SimConfig
 from .lattice import Lattice, SpectralField
-from .symbols import _damping_antiderivative, transport_symbol, zero_mode_rate
+from .symbols import damping_antiderivative, transport_symbol
 
 __all__ = [
     "SimState",
@@ -104,51 +106,14 @@ def init_field(cfg: SimConfig) -> SimState:
     return SimState(0.0, fieldv)
 
 
-class _Damping:
-    """Closed-form damping integrals for the modes given as flat (k, eta, alpha) arrays.
-
-    For k != 0 the integral over [t0, t1] is (F(eta - k t0) - F(eta - k t1)) / k
-    with the antiderivative F of ``symbols``; the k = 0 rate
-    ``zero_mode_rate`` is constant in time and vanishes at the mean mode,
-    which keeps factor 1.  The antiderivative is a separate call so a caller
-    that needs several intervals evaluates it once per distinct time.
-    """
-
-    def __init__(self, k: np.ndarray, eta: np.ndarray, alpha: np.ndarray):
-        self.size = k.size
-        self.shear = k != 0
-        self.k = k[self.shear]
-        self.eta = eta[self.shear]
-        self.b = self.k**2 + alpha[self.shear] ** 2
-        self.flat = ~self.shear
-        self.rate = zero_mode_rate(eta[self.flat], alpha[self.flat])
-
-    def antiderivative(self, t: float) -> np.ndarray:
-        return _damping_antiderivative(self.eta - self.k * t, self.b)
-
-    def factors(self, t0: float, t1: float, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
-        """exp(-integral over [t0, t1]) from the antiderivatives f0, f1 at t0, t1."""
-        out = np.ones(self.size)
-        out[self.shear] = np.exp(-((f0 - f1) / self.k))
-        out[self.flat] = np.exp(-self.rate * (t1 - t0))
-        return out
-
-
-@lru_cache(maxsize=8)
-def _lattice_damping(lat: Lattice) -> _Damping:
-    k, eta, alpha = (a.ravel() for a in np.broadcast_arrays(lat.kx, lat.eta, lat.alpha))
-    return _Damping(k, eta, alpha)
-
-
 def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
     """Per-mode exp(-integral of the damping coefficient over [t0, t1]).
 
-    Closed form for k != 0; the k = 0 rate ``zero_mode_rate`` is constant
-    in time.  The mean mode is untouched (factor 1).
+    Formed as exp(G(t0) - G(t1)) from ``damping_antiderivative``; the mean
+    mode and an empty interval give factor 1 exactly.
     """
-    damp = _lattice_damping(lat)
-    out = damp.factors(t0, t1, damp.antiderivative(t0), damp.antiderivative(t1))
-    return out.reshape(lat.shape)
+    return np.exp(damping_antiderivative(t0, lat.kx, lat.eta, lat.alpha)
+                  - damping_antiderivative(t1, lat.kx, lat.eta, lat.alpha))
 
 
 def step_linear(state: SimState, dt: float) -> SimState:
@@ -198,7 +163,6 @@ class _Core:
         self.eta = lat.eta.ravel()[iy]
         self.alpha = lat.alpha.ravel()[iz]
         self.grad = (1j * self.k, 1j * self.eta, 1j * self.alpha)
-        self.damping = _Damping(self.k, self.eta, self.alpha)
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs.ravel()[self.full_idx]
@@ -288,13 +252,11 @@ def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None,
 
     # symbols and damping antiderivatives once per distinct stage time
     t_mid, t_end = t + 0.5 * h, t + h
-    u_a = transport_symbol(t, core.k, core.eta, core.alpha)
-    u_b = transport_symbol(t_mid, core.k, core.eta, core.alpha)
-    u_c = transport_symbol(t_end, core.k, core.eta, core.alpha)
-    damp = core.damping
-    f_a, f_b, f_c = damp.antiderivative(t), damp.antiderivative(t_mid), damp.antiderivative(t_end)
-    e_half = damp.factors(t, t_mid, f_a, f_b)
-    e_back = damp.factors(t_mid, t_end, f_b, f_c)
+    u_a, u_b, u_c = (transport_symbol(s, core.k, core.eta, core.alpha) for s in (t, t_mid, t_end))
+    g_a, g_b, g_c = (damping_antiderivative(s, core.k, core.eta, core.alpha)
+                     for s in (t, t_mid, t_end))
+    e_half = np.exp(g_a - g_b)
+    e_back = np.exp(g_b - g_c)
     e_full = e_half * e_back
 
     k1 = core.rhs(c0, u_a, work, workers)

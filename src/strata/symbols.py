@@ -2,13 +2,16 @@
 
 Everything here is a pointwise multiplier on the (k, eta, alpha) lattice:
 the original-frame velocity, the moving-frame transport velocity, the weak
-damping coefficient with its exact time integral, and the zero-mode
+damping coefficient with its exact time antiderivative, and the zero-mode
 semigroup.  All functions accept scalars or broadcastable numpy arrays and
 assign the excluded (0,0,0) mode the value zero.
 
 The velocity, transport and damping symbols share one 1/D^2 multiplier,
 D = k^2 + (eta-kt)^2 + alpha^2, which covers k = 0 with no branch of its
-own; the constant k = 0 damping rate is ``zero_mode_rate``.
+own; the constant k = 0 damping rate is ``zero_mode_rate``.  The damping
+is integrated once, in the per-mode antiderivative G
+(``damping_antiderivative``): every damping factor over [t0, t1], linear or
+inside the nonlinear step, is exp(G(t0) - G(t1)).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "transport_symbol",
     "damping_coeff",
     "zero_mode_rate",
+    "damping_antiderivative",
     "damping_integral",
     "semigroup",
     "orr_amplification",
@@ -83,31 +87,30 @@ def zero_mode_rate(eta, alpha):
     return out if out.ndim else float(out)
 
 
-def _damping_antiderivative(u, b):
-    # F(u) = u / (2(b+u^2)) + arctan(u/sqrt(b)) / (2 sqrt(b)), b = k^2 + alpha^2 > 0
+def damping_antiderivative(t, k, eta, alpha):
+    """Antiderivative G in t of the damping coefficient, one per mode.
+
+    G(t1) - G(t0) is the exact integral of ``damping_coeff`` over [t0, t1].
+    For k != 0, G = -F(eta - kt)/k with b = k^2 + alpha^2 and
+    F(u) = u/(2(b+u^2)) + arctan(u/sqrt(b))/(2 sqrt(b)); for k = 0,
+    G = zero_mode_rate * t, which is 0 at the mean mode.
+    """
+    t, k, eta, alpha = (np.asarray(a, dtype=float) for a in (t, k, eta, alpha))
+    shear = k != 0
+    ks = np.where(shear, k, 1.0)
+    b = ks * ks + alpha * alpha
     sq = np.sqrt(b)
-    return u / (2.0 * (b + u * u)) + np.arctan(u / sq) / (2.0 * sq)
+    u = eta - ks * t
+    out = np.where(shear, (u / (b + u * u) + np.arctan(u / sq) / sq) / (-2.0 * ks),
+                   zero_mode_rate(eta, alpha) * t)
+    return out if out.ndim else float(out)
 
 
 def damping_integral(t0, t1, k, eta, alpha):
-    """Exact integral of the damping coefficient over [t0, t1] for k != 0.
-
-    Integrates (k^2+a^2) / ((k^2+a^2) + (eta-k tau)^2)^2 d tau in closed
-    form; callers with k = 0 should use the constant ``zero_mode_rate``
-    directly.
-    """
-    k = np.asarray(k, dtype=float)
-    if np.any(k == 0):
-        raise ValueError("damping_integral requires k != 0; the k = 0 rate is constant in time")
+    """Exact integral of the damping coefficient over [t0, t1], t0 <= t1."""
     if np.any(np.asarray(t1) < np.asarray(t0)):
         raise ValueError("damping_integral requires t0 <= t1")
-    eta = np.asarray(eta, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    b = k * k + alpha * alpha
-    f0 = _damping_antiderivative(eta - k * np.asarray(t0, float), b)
-    f1 = _damping_antiderivative(eta - k * np.asarray(t1, float), b)
-    out = (f0 - f1) / k
-    return out if out.ndim else float(out)
+    return damping_antiderivative(t1, k, eta, alpha) - damping_antiderivative(t0, k, eta, alpha)
 
 
 def semigroup(t, eta, alpha):

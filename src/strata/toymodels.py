@@ -46,19 +46,23 @@ def fit_loglog_slope(t, values, window: tuple[float, float] | None = None,
                      min_r2: float | None = 0.99) -> GrowthFit:
     """Least-squares slope of log(value) against log(t).
 
-    Requires at least 8 strictly positive points inside ``window``.  When
-    ``min_r2`` is set (the default), a fit below that quality raises
-    :class:`FitError` instead of silently returning a misfit; pass None to
-    inspect poor fits.
+    Requires finite times and at least 8 finite, strictly positive points
+    inside ``window``.  When ``min_r2`` is set (the default), a fit below
+    that quality raises :class:`FitError` instead of silently returning a
+    misfit; pass None to inspect poor fits.
     """
     t = np.asarray(t, dtype=float)
     v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise FitError("power-law fit requires finite times")
     if window is None:
         window = (float(np.min(t)), float(np.max(t)))
     sel = (t >= window[0]) & (t <= window[1])
     t, v = t[sel], v[sel]
     if t.size < 8:
         raise FitError(f"need at least 8 points in window {window}, got {t.size}")
+    if not np.all(np.isfinite(v)):
+        raise FitError(f"power-law fit requires finite values in window {window}")
     if np.any(v <= 0) or np.any(t <= 0):
         raise FitError("power-law fit requires strictly positive times and values")
     x = np.log(t)

@@ -96,6 +96,8 @@ class WeightParams:
 
     def sigma(self, i: int) -> float:
         """1-based accessor into the sigma ladder."""
+        if not 1 <= i <= len(self.sigmas):
+            raise ValueError(f"sigma index must be in 1..{len(self.sigmas)}, got {i}")
         return self.sigmas[i - 1]
 
 

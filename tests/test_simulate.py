@@ -19,10 +19,38 @@ from strata.simulate import (
     step_linear,
     step_nonlinear,
 )
-from strata.symbols import damping_coeff, semigroup, transport_symbol, velocity_symbol
+from strata.symbols import (
+    damping_coeff,
+    semigroup,
+    transport_symbol,
+    velocity_symbol,
+    zero_mode_rate,
+)
 
 
 SMALL = dict(nx=8, ny=16, nz=8, dt=0.1, t_end=1.0)
+
+
+def _reference_decay_factors(lat, t0, t1):
+    """Two-branch decay factors: the oracle for the one damping antiderivative.
+
+    (F(eta - k t0) - F(eta - k t1)) / k with the arctan closed form F on the
+    k != 0 modes, the constant ``zero_mode_rate`` on the k = 0 modes.
+    """
+    k, eta, alpha = (a.ravel() for a in np.broadcast_arrays(lat.kx, lat.eta, lat.alpha))
+    shear = k != 0
+    ks = k[shear]
+    b = ks**2 + alpha[shear] ** 2
+    sq = np.sqrt(b)
+
+    def F(t):
+        u = eta[shear] - ks * t
+        return u / (2.0 * (b + u * u)) + np.arctan(u / sq) / (2.0 * sq)
+
+    out = np.ones(k.size)
+    out[shear] = np.exp(-((F(t0) - F(t1)) / ks))
+    out[~shear] = np.exp(-zero_mode_rate(eta[~shear], alpha[~shear]) * (t1 - t0))
+    return out.reshape(lat.shape)
 
 
 def _reference_rhs(state, mask=None):
@@ -237,6 +265,21 @@ class TestLinearStep:
         c[0, 0, 0] = 3.0
         st = step_linear(SimState(0.0, SpectralField(lat, c)), 2.0)
         assert st.field.coeffs[0, 0, 0] == 3.0
+
+    @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
+    @pytest.mark.parametrize("t0,t1", [(0.0, 0.05), (0.0, 37.3), (3.7, 3.75),
+                                       (99.95, 100.0), (2.0, 2.0)])
+    def test_factors_match_two_branch_reference(self, shape, t0, t1):
+        lat = Lattice(*shape)
+        got = linear_decay_factors(lat, t0, t1)
+        assert got.shape == lat.shape
+        np.testing.assert_allclose(got, _reference_decay_factors(lat, t0, t1),
+                                   rtol=1e-13, atol=0)
+        assert got[0, 0, 0] == 1.0   # the mean mode is never damped
+
+    @pytest.mark.parametrize("t", [0.0, 2.0, 37.3, 99.95])
+    def test_empty_interval_factor_is_exactly_one(self, t):
+        assert np.all(linear_decay_factors(Lattice(8, 16, 8), t, t) == 1.0)
 
     def test_factors_in_unit_interval(self):
         lat = Lattice(8, 16, 8)

@@ -281,6 +281,29 @@ output_every = 1.0
         write_csv(out / "series.csv", ["t", "y"], [[1.0, 1.0]] * 10)
         assert main(["fit", str(out / "series.csv"), "--column", "z"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_fit_nonfinite_value(self, tmp_path, capsys, bad):
+        out = tmp_path / "fit3"
+        out.mkdir()
+        t = np.geomspace(1, 100, 20)
+        rows = np.c_[t, t**2].tolist()
+        rows[5][1] = bad
+        write_csv(out / "series.csv", ["t", "y"], rows)
+        assert main(["fit", str(out / "series.csv"), "--column", "y"]) == 2
+        assert "fit error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--column", "label"],
+                                      ["--column", "y", "--time-column", "label"]])
+    def test_fit_non_numeric_column(self, tmp_path, capsys, argv):
+        out = tmp_path / "fit4"
+        out.mkdir()
+        t = np.geomspace(1, 100, 20)
+        write_csv(out / "series.csv", ["t", "y", "label"],
+                  [[a, b, "(1, 2, 3)"] for a, b in zip(t, t**2)])
+        assert main(["fit", str(out / "series.csv"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'label'" in err
+
     def test_toy_orr_report(self, tmp_path, capsys):
         out = tmp_path / "orr"
         assert main(["toy", "orr", "--k", "1", "--kappa", "1.0",

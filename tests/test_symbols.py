@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from strata.lattice import Lattice
 from strata.symbols import (
+    damping_antiderivative,
     damping_coeff,
     damping_integral,
     nonzero_mode_decay_bound_check,
@@ -140,9 +141,38 @@ class TestDamping:
         assert vals[-1] == pytest.approx(vals[-2], rel=1e-4)  # finite limit
         assert vals[-1] < 1.0
 
-    def test_integral_rejects_k_zero(self):
+    @pytest.mark.parametrize("eta,al,t0,t1", [
+        (1.0, 1.0, 0.0, 1.0),
+        (0.0, 0.5, 2.0, 9.5),
+        (3.0, -2.0, 0.0, 40.0),
+        (3.0, 0.0, 1.0, 5.0),
+        (0.0, 0.0, 0.0, 10.0),
+    ])
+    def test_integral_at_k_zero_matches_quadrature(self, eta, al, t0, t1):
+        oracle, _ = quad(lambda s: float(damping_coeff(s, 0, eta, al)), t0, t1,
+                         epsabs=1e-13, epsrel=1e-13)
+        got = damping_integral(t0, t1, 0, eta, al)
+        assert got == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+
+    def test_integral_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
-            damping_integral(0.0, 1.0, 0, 1.0, 1)
+            damping_integral(2.0, 1.0, 1, 0.0, 1)
+
+    @pytest.mark.parametrize("t", [0.0, 0.05, 3.7, 100.0])
+    def test_antiderivative_at_k_zero_is_rate_times_t(self, t):
+        lat = Lattice(8, 64, 16)
+        got = damping_antiderivative(t, 0.0, lat.eta, lat.alpha)
+        assert got.shape == (1, 64, 16)
+        assert np.array_equal(got, zero_mode_rate(lat.eta, lat.alpha) * t)
+        assert got[0, 0, 0] == 0.0   # mean mode
+
+    def test_antiderivative_broadcasts(self):
+        lat = Lattice(8, 16, 8)
+        t = np.array([0.5, 7.0]).reshape(2, 1, 1, 1)
+        got = damping_antiderivative(t, lat.kx, lat.eta, lat.alpha)
+        assert got.shape == (2, *lat.shape)
+        assert got[1, 2, 3, 1] == pytest.approx(
+            damping_antiderivative(7.0, 2.0, lat.eta[0, 3, 0], 1.0), rel=1e-15)
 
 
 class TestZeroModeRate:

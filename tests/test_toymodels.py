@@ -52,6 +52,31 @@ class TestFit:
         with pytest.raises(FitError):
             fit_loglog_slope(t, t - 5.0)   # nonpositive values
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_nonfinite_values(self, bad):
+        t = np.linspace(1, 10, 20)
+        v = t**2
+        v[7] = bad
+        with pytest.raises(FitError, match="finite"):
+            fit_loglog_slope(t, v)
+        with pytest.raises(FitError, match="finite"):
+            fit_loglog_slope(t, v, min_r2=None)   # no r2 floor to hide behind
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_nonfinite_times(self, bad):
+        t = np.linspace(1, 10, 20)
+        t[7] = bad
+        with pytest.raises(FitError, match="finite"):
+            fit_loglog_slope(t, np.ones(20))
+        with pytest.raises(FitError, match="finite"):
+            fit_loglog_slope(t, np.ones(20), window=(1.0, 10.0))   # not dropped silently
+
+    def test_nonfinite_value_outside_window_is_ignored(self):
+        t = np.linspace(1, 10, 20)
+        v = t**2
+        v[0] = np.nan
+        assert fit_loglog_slope(t, v, window=(2.0, 10.0)).exponent == pytest.approx(2.0)
+
     def test_constant_series(self):
         t = np.linspace(1, 10, 20)
         fit = fit_loglog_slope(t, np.full_like(t, 7.0))

@@ -186,6 +186,13 @@ class TestParams:
         with pytest.raises(ValueError):
             WeightParams(c_star=-1.0)
 
+    def test_sigma_ladder_index(self):
+        assert P.sigma(1) == P.sigmas[0]
+        assert P.sigma(7) == P.sigmas[6]
+        for i in (0, -1, 8):
+            with pytest.raises(ValueError):
+                P.sigma(i)
+
     def test_lambda(self):
         assert lambda_t(0.0, P) == P.lambda_inf + P.delta_tilde
         assert lambda_t(1e30, P) == pytest.approx(P.lambda_inf, rel=1e-3)
