@@ -270,8 +270,8 @@ def _cmd_toy(args) -> int:
 
 def _check_weights_args(args) -> None:
     """Reject out-of-range weights arguments before any output is written."""
-    if not all(cs > 0.0 for cs in args.cstar):
-        raise ConfigError(f"--cstar values must be positive, got {args.cstar}")
+    if not all(0.0 < cs < math.inf for cs in args.cstar):
+        raise ConfigError(f"--cstar values must be positive and finite, got {args.cstar}")
     if args.action == "table" and not 1.0 < abs(args.iota) < math.inf:
         raise ConfigError(f"--iota must satisfy 1 < |iota| < inf, got {args.iota}")
     if args.action == "totalgrowth" and not 1.0 < args.iota_max < math.inf:

@@ -52,6 +52,10 @@ class SimConfig:
     sigmas: tuple[float, ...] = _DEFAULT_SIGMAS
 
     def __post_init__(self):
+        floats = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
+        for name, val in floats + [("sigmas", v) for v in self.sigmas]:
+            if not math.isfinite(val):
+                raise ConfigError(f"{name} must be finite, got {val}")
         if self.mode not in ("linear", "nonlinear"):
             raise ConfigError(f"mode must be linear or nonlinear, got {self.mode!r}")
         if self.recipe not in ("single", "multimode", "random"):

@@ -3,9 +3,13 @@
 x and z live on unit tori with integer wavenumbers ``k`` and ``alpha``.
 The unbounded vertical direction is truncated to a box of period ``ly``,
 so its dual variable ``eta`` runs over integer multiples of
-``delta_eta = 2*pi/ly``.  All fields are stored as complex Fourier
-coefficients on the full (k, eta, alpha) lattice with the Hermitian
-symmetry of a real scalar.
+``delta_eta = 2*pi/ly``.  A field is the complex Fourier coefficients of a
+real scalar on the full (k, eta, alpha) lattice, so c(-f) = conj c(f).
+The solver forms one member of each +-f pair and writes the other as its
+conjugate (``simulate._Core.unpack``).  On the self-conjugate alpha = 0
+plane both members are stored, so a rounding-level departure from the
+pairing there is carried rather than repaired, and ``reality_defect``
+still reports it.
 """
 
 from __future__ import annotations
@@ -86,8 +90,8 @@ class Lattice:
             n = getattr(self, name)
             if n <= 0 or n % 2 != 0:
                 raise ValueError(f"{name} must be a positive even integer, got {n}")
-        if self.ly <= 0:
-            raise ValueError(f"ly must be positive, got {self.ly}")
+        if not 0 < self.ly < math.inf:
+            raise ValueError(f"ly must be positive and finite, got {self.ly}")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -172,12 +176,6 @@ class Lattice:
         return float(np.min(sig))
 
 
-def _conj_mirror(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of the complex conjugate field: c(-f) conjugated back onto f."""
-    flipped = np.flip(coeffs, axis=(0, 1, 2))
-    return np.conj(np.roll(flipped, shift=(1, 1, 1), axis=(0, 1, 2)))
-
-
 @dataclass
 class SpectralField:
     """Complex Fourier coefficients of a real scalar on a :class:`Lattice`.
@@ -213,17 +211,6 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.lattice, self.coeffs.copy())
 
-    def hermitian_defect(self) -> float:
-        """Relative departure from c(-f) = conj(c(f))."""
-        mirror = _conj_mirror(self.coeffs)
-        scale = float(np.max(np.abs(self.coeffs)))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.coeffs - mirror))) / scale
-
-    def symmetrized(self) -> "SpectralField":
-        return SpectralField(self.lattice, 0.5 * (self.coeffs + _conj_mirror(self.coeffs)))
-
     def reality_defect(self, workers: int = 1) -> float:
         """Relative size of the imaginary part of the inverse transform."""
         phys = _fft.ifftn(self.coeffs, workers=workers) * self.lattice.size
@@ -235,25 +222,3 @@ class SpectralField:
     def l2(self) -> float:
         """Delta_eta-weighted l2 norm of the coefficients (Plancherel convention)."""
         return math.sqrt(self.lattice.delta_eta * float(np.sum(np.abs(self.coeffs) ** 2)))
-
-    # Mode projections used throughout the diagnostics.
-
-    def zero_mode(self) -> "SpectralField":
-        out = np.zeros_like(self.coeffs)
-        out[0] = self.coeffs[0]
-        return SpectralField(self.lattice, out)
-
-    def nonzero_mode(self) -> "SpectralField":
-        out = self.coeffs.copy()
-        out[0] = 0.0
-        return SpectralField(self.lattice, out)
-
-    def z_nonzero(self) -> "SpectralField":
-        out = self.coeffs.copy()
-        out[:, :, 0] = 0.0
-        return SpectralField(self.lattice, out)
-
-    def z_average(self) -> "SpectralField":
-        out = np.zeros_like(self.coeffs)
-        out[:, :, 0] = self.coeffs[:, :, 0]
-        return SpectralField(self.lattice, out)

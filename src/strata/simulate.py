@@ -8,13 +8,16 @@ time stepper (Lawson RK4 on top of the exact factor).  Every damping factor
 over [t0, t1] is exp(G(t0) - G(t1)) with the one per-mode antiderivative
 G = ``symbols.damping_antiderivative``.
 
-States are full-lattice Hermitian ``SpectralField``s everywhere outside the
-nonlinear step.  Inside it the state is packed to the kept modes of the
-rfft half-spectrum (the dealias mask without Nyquist indices); the symbols
-and the antiderivative G are evaluated on those modes once per distinct
-stage time, each RK stage's product is formed with six ``irfftn`` and one
-``rfftn`` on a zero-padded half-spectrum, and the result is unpacked to the
-full lattice on return.
+A state is a full-lattice ``SpectralField`` of a real scalar.  The initial
+field and the nonlinear step work on the kept modes of the rfft
+half-spectrum (the dealias mask without Nyquist indices): one member of
+each +-f pair is formed, and ``_Core.unpack`` writes the other as its
+conjugate, so no step repairs Hermitian symmetry.  On the self-conjugate
+alpha = 0 plane both members are stored, and ``reality_err`` still reports
+a rounding-level defect there.  In the nonlinear step the symbols and the
+antiderivative G are evaluated on the kept modes once per distinct stage
+time, and each RK stage's product is formed with six ``irfftn`` and one
+``rfftn`` on a zero-padded half-spectrum.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as _fft
 
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .lattice import Lattice, SpectralField
 from .symbols import damping_antiderivative, transport_symbol
 
@@ -62,11 +65,13 @@ class NumericalAbort(RuntimeError):
 def init_field(cfg: SimConfig) -> SimState:
     """Build the initial spectral field for a run.
 
-    All recipes produce a zero-mean, Hermitian-symmetric field supported
-    inside the dealias region (without the Nyquist indices that the
-    nonlinear step drops) with amplitudes decaying like
-    exp(-lambda_in |f|_1^s), rescaled so the sigma=0 Gevrey norm at radius
-    lambda_in equals epsilon exactly.
+    Every recipe sets full-lattice coefficients c with amplitudes decaying
+    like exp(-lambda_in |f|_1^s).  The field takes 0.5 * (c(f) + conj c(-f))
+    on one member f of each +-f pair of the nonlinear step's kept modes
+    (the dealias mask without the Nyquist indices), zeroes the mean mode,
+    and writes the other member as its conjugate; it is then rescaled so
+    the sigma=0 Gevrey norm at radius lambda_in equals epsilon exactly.  A
+    recipe that puts nothing on the kept modes is a ``ConfigError``.
     """
     lat = cfg.lattice
     coeffs = np.zeros(lat.shape, dtype=np.complex128)
@@ -74,7 +79,7 @@ def init_field(cfg: SimConfig) -> SimState:
         return SimState(0.0, SpectralField(lat, coeffs))
 
     decay = np.exp(-cfg.lambda_in * lat.l1 ** cfg.s)
-    support = _without_nyquist(lat.dealias_mask(cfg.dealias)) & (lat.l1 > 0)
+    support = np.ones(lat.shape, dtype=bool)
     if cfg.init_kmax > 0:
         # index-space cap on every axis; without it the spectral cascade fills
         # the envelope at fresh modes and the weighted-norm ratios measure the
@@ -94,10 +99,13 @@ def init_field(cfg: SimConfig) -> SimState:
         amps = rng.uniform(0.5, 1.0, size=lat.shape)
         coeffs = np.where(support, amps * decay * np.exp(1j * phases), 0.0)
 
-    fieldv = SpectralField(lat, coeffs).symmetrized()
-    fieldv.coeffs[0, 0, 0] = 0.0
-    if not np.any(fieldv.coeffs):
-        raise ValueError(f"init recipe {cfg.recipe!r} produced an empty field")
+    # built uncached, so its index arrays do not outlive the call
+    core = _Core(lat, lat.dealias_mask(cfg.dealias))
+    kept = 0.5 * (core.pack(coeffs) + np.conj(coeffs.ravel()[core.neg_idx]))
+    kept[core.mean] = 0.0
+    if not np.any(kept):
+        raise ConfigError(f"init recipe {cfg.recipe!r} puts nothing on the kept modes")
+    fieldv = SpectralField(lat, core.unpack(kept))
 
     # exact rescale of the radius-lambda_in Gevrey norm to epsilon
     weighted = np.exp(cfg.lambda_in * lat.l1 ** cfg.s) * np.abs(fieldv.coeffs)
@@ -124,15 +132,6 @@ def step_linear(state: SimState, dt: float) -> SimState:
     return SimState(state.t + dt, SpectralField(lat, state.field.coeffs * factors))
 
 
-def _without_nyquist(mask: np.ndarray) -> np.ndarray:
-    """Copy of a lattice mask with each axis's Nyquist index n/2 cleared."""
-    out = mask.copy()
-    out[out.shape[0] // 2, :, :] = False
-    out[:, out.shape[1] // 2, :] = False
-    out[:, :, out.shape[2] // 2] = False
-    return out
-
-
 class _Core:
     """The kept modes of one lattice and mask, packed from the rfft half-spectrum.
 
@@ -142,22 +141,29 @@ class _Core:
     gradient symbol i*k has no Hermitian partner.  On the self-conjugate
     alpha = 0 plane both members of a pair are stored, so a reality defect
     there is carried through a step instead of being repaired.
+
+    ``neg_idx`` is the one place the pairing is written: the flat
+    full-lattice index of -f for each packed mode f.
     """
 
     def __init__(self, lat: Lattice, mask: np.ndarray | None):
         nx, ny, nz = lat.shape
-        keep = _without_nyquist(np.ones(lat.shape, dtype=bool) if mask is None else mask)
-        if not np.array_equal(keep, np.roll(np.flip(keep), 1, axis=(0, 1, 2))):
-            raise ValueError("dealias mask must keep -f whenever it keeps f")
+        keep = np.ones(lat.shape, dtype=bool) if mask is None else mask.copy()
+        keep[nx // 2] = keep[:, ny // 2] = keep[:, :, nz // 2] = False
         self.shape = lat.shape
         self.size = lat.size
         self.half_shape = (nx, ny, nz // 2 + 1)
         ix, iy, iz = np.nonzero(keep[:, :, : nz // 2 + 1])
         self.half_idx = np.ravel_multi_index((ix, iy, iz), self.half_shape)
         self.full_idx = np.ravel_multi_index((ix, iy, iz), lat.shape)
+        self.neg_idx = np.ravel_multi_index((-ix % nx, -iy % ny, -iz % nz), lat.shape)
         self.upper = iz > 0
-        self.mirror_idx = np.ravel_multi_index(
-            (-ix[self.upper] % nx, -iy[self.upper] % ny, -iz[self.upper] % nz), lat.shape)
+        self.mirror_idx = self.neg_idx[self.upper]
+        # symmetric iff -f is kept for every packed f and the alpha < 0 modes
+        # kept are exactly the mirrors of the packed alpha > 0 ones
+        if (not keep.ravel()[self.neg_idx].all()
+                or np.count_nonzero(keep) != self.full_idx.size + self.mirror_idx.size):
+            raise ValueError("dealias mask must keep -f whenever it keeps f")
         self.mean = np.flatnonzero(self.full_idx == 0)
         self.k = lat.kx.ravel()[ix]
         self.eta = lat.eta.ravel()[iy]

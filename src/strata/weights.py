@@ -73,6 +73,9 @@ class WeightParams:
     sigmas: tuple[float, ...] = _DEFAULT_SIGMAS
 
     def __post_init__(self):
+        values = (self.c_star, self.s, self.lambda_inf, self.delta_tilde, self.a, *self.sigmas)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"weight parameters must be finite, got {values}")
         if self.c_star <= 0:
             raise ValueError("c_star must be positive")
         if not 0.5 < self.s <= 1.0:

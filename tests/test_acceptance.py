@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _hermitian import symmetrized
 from strata.cli import main
 from strata.config import SimConfig
 from strata.diagnostics import compute_row
@@ -214,7 +215,7 @@ def test_criterion_8_determinism_and_io(tmp_path):
         rng = np.random.default_rng(12)
         lat = Lattice(8, 16, 8)
         c = rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape)
-        st = SimState(4.25, SpectralField(lat, c).symmetrized())
+        st = SimState(4.25, symmetrized(SpectralField(lat, c)))
         blob = checkpoint_bytes(st)
         back = state_from_checkpoint(blob)
         assert back.t == st.t

@@ -6,6 +6,7 @@ import scipy.fft as _fft
 from scipy.integrate import quad
 
 import strata.simulate as simulate
+from _hermitian import hermitian_defect, symmetrized
 from strata.config import ConfigError, SimConfig
 from strata.diagnostics import compute_row
 from strata.lattice import Lattice, SpectralField
@@ -51,6 +52,42 @@ def _reference_decay_factors(lat, t0, t1):
     out[shear] = np.exp(-((F(t0) - F(t1)) / ks))
     out[~shear] = np.exp(-zero_mode_rate(eta[~shear], alpha[~shear]) * (t1 - t0))
     return out.reshape(lat.shape)
+
+
+def _reference_init_field(cfg):
+    """The full-lattice draw repaired by symmetrization: the oracle for init_field."""
+    lat = cfg.lattice
+    coeffs = np.zeros(lat.shape, dtype=np.complex128)
+    if cfg.epsilon == 0.0:
+        return SimState(0.0, SpectralField(lat, coeffs))
+
+    decay = np.exp(-cfg.lambda_in * lat.l1 ** cfg.s)
+    support = _without_nyquist(lat, lat.dealias_mask(cfg.dealias)) & (lat.l1 > 0)
+    if cfg.init_kmax > 0:
+        kc = cfg.init_kmax
+        support &= ((np.abs(lat.kx) <= kc) & (np.abs(lat.jy) <= kc)
+                    & (np.abs(lat.alpha) <= kc))
+
+    if cfg.recipe == "single":
+        ix, jy, iz = 1, 1, 1
+        coeffs[ix, jy, iz] = decay[ix, jy, iz]
+    elif cfg.recipe == "multimode":
+        coeffs[support] = decay[support]
+    else:  # random
+        rng = np.random.default_rng(cfg.seed)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=lat.shape)
+        amps = rng.uniform(0.5, 1.0, size=lat.shape)
+        coeffs = np.where(support, amps * decay * np.exp(1j * phases), 0.0)
+
+    fieldv = symmetrized(SpectralField(lat, coeffs))
+    fieldv.coeffs[0, 0, 0] = 0.0
+    if not np.any(fieldv.coeffs):
+        raise ValueError(f"init recipe {cfg.recipe!r} produced an empty field")
+
+    weighted = np.exp(cfg.lambda_in * lat.l1 ** cfg.s) * np.abs(fieldv.coeffs)
+    norm = math.sqrt(lat.delta_eta * float(np.sum(weighted**2)))
+    fieldv.coeffs *= cfg.epsilon / norm
+    return SimState(0.0, fieldv)
 
 
 def _reference_rhs(state, mask=None):
@@ -136,7 +173,7 @@ def _against_reference(cfg):
 def _random_masked_field(lat, mask, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape)
-    fieldv = SpectralField(lat, np.where(mask, c, 0.0)).symmetrized()
+    fieldv = symmetrized(SpectralField(lat, np.where(mask, c, 0.0)))
     fieldv.coeffs[~mask] = 0.0
     return fieldv
 
@@ -205,7 +242,7 @@ class TestInitField:
         cfg = SimConfig(**SMALL, epsilon=1e-3, recipe="random")
         st = init_field(cfg)
         assert st.field.coeffs[0, 0, 0] == 0.0
-        assert st.field.hermitian_defect() < 1e-12
+        assert hermitian_defect(st.field) < 1e-12
         assert st.field.reality_defect() < 1e-10
         mask = cfg.lattice.dealias_mask()
         assert not np.any(st.field.coeffs[~mask])
@@ -223,6 +260,20 @@ class TestInitField:
         assert np.array_equal(a, b)
         c = init_field(SimConfig(**SMALL, epsilon=1e-3, recipe="random", seed=124))
         assert not np.array_equal(a, c.field.coeffs)
+
+    @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32), (4, 4, 4), (6, 10, 8)])
+    def test_matches_symmetrized_reference(self, shape):
+        # bytes, not array_equal, so a -0.0 for +0.0 counts as a difference
+        nx, ny, nz = shape
+        for dealias in (2.0 / 3.0, 0.75, 0.9, 1.0):
+            for init_kmax in (0, 1, 2):
+                for recipe in ("single", "multimode", "random"):
+                    for seed in (0, 7):
+                        cfg = SimConfig(nx=nx, ny=ny, nz=nz, dealias=dealias,
+                                        init_kmax=init_kmax, recipe=recipe, seed=seed)
+                        got = init_field(cfg).field.coeffs
+                        want = _reference_init_field(cfg).field.coeffs
+                        assert got.tobytes() == want.tobytes(), cfg
 
 
 class TestLinearStep:
@@ -319,7 +370,7 @@ class TestNonlinearRHS:
     def test_hermitian_preserved(self):
         st, mask = self._random_state(seed=4)
         rhs = SpectralField(st.field.lattice, nonlinear_rhs(st, mask))
-        assert rhs.hermitian_defect() < 1e-12
+        assert hermitian_defect(rhs) < 1e-12
 
     def test_mean_mode_pinned(self):
         st, mask = self._random_state(seed=5)
@@ -335,7 +386,7 @@ class TestNonlinearRHS:
         rng = np.random.default_rng(8)
         c = np.where(mask, rng.normal(size=lat.shape)
                      + 1j * rng.normal(size=lat.shape), 0.0)
-        fieldv = SpectralField(lat, c).symmetrized()
+        fieldv = symmetrized(SpectralField(lat, c))
         fieldv.coeffs[0, 0, 0] = 0.0
         fieldv.coeffs[~mask] = 0.0
         st = SimState(1.7, fieldv)
@@ -382,10 +433,35 @@ class TestNonlinearRHS:
 
     def test_rejects_asymmetric_mask(self):
         lat = Lattice(8, 16, 8)
-        mask = lat.dealias_mask()
-        mask[1, 1, 1] = False
-        with pytest.raises(ValueError):
-            nonlinear_rhs(SimState(0.0, SpectralField.zeros(lat)), mask)
+        # dropping f with alpha > 0, alpha < 0 and alpha = 0 breaks the pairing
+        for f in ((1, 1, 1), (-1, -1, -1), (1, 2, 0)):
+            mask = lat.dealias_mask()
+            mask[f] = False
+            with pytest.raises(ValueError):
+                nonlinear_rhs(SimState(0.0, SpectralField.zeros(lat)), mask)
+
+
+class TestPairing:
+    @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.75, 1.0, None])
+    def test_neg_idx_pairs_the_kept_set(self, shape, fraction):
+        lat = Lattice(*shape)
+        mask = None if fraction is None else lat.dealias_mask(fraction)
+        core = simulate._Core(lat, mask)
+        keep = _without_nyquist(lat, np.ones(lat.shape, bool) if mask is None else mask)
+        kept = np.zeros(lat.size, dtype=bool)
+        kept[core.full_idx] = True
+        kept[core.mirror_idx] = True
+        assert np.array_equal(kept.reshape(lat.shape), keep)
+        # -f of every flat index, from a flip of the whole lattice
+        neg = np.roll(np.flip(np.arange(lat.size).reshape(lat.shape)), 1, axis=(0, 1, 2))
+        neg = neg.ravel()
+        assert np.array_equal(core.neg_idx, neg[core.full_idx])
+        assert kept[core.neg_idx].all()
+        assert np.array_equal(neg[core.neg_idx], core.full_idx)
+        # a Hermitian field on the kept set survives pack -> unpack bitwise
+        c = _random_masked_field(lat, keep, seed=shape[0]).coeffs
+        assert core.unpack(core.pack(c)).tobytes() == c.tobytes()
 
 
 class TestNonlinearStep:
@@ -429,7 +505,7 @@ class TestNonlinearStep:
         st = init_field(cfg)
         for _ in range(10):
             st = step_nonlinear(st, 0.1, mask)
-        assert st.field.hermitian_defect() < 1e-12
+        assert hermitian_defect(st.field) < 1e-12
         assert st.field.reality_defect() < 1e-10
 
     def test_matches_full_lattice_reference_steps(self):
@@ -578,7 +654,7 @@ class TestRunAndDiagnostics:
         j = round(eta_t / lat.delta_eta)
         c = np.zeros(lat.shape, complex)
         c[1, j, 0] = 1.0
-        st = SimState(0.0, SpectralField(lat, c).symmetrized())
+        st = SimState(0.0, symmetrized(SpectralField(lat, c)))
         c0 = abs(st.field.coeffs[1, j, 0])
         from strata.symbols import damping_integral
 
@@ -609,7 +685,7 @@ class TestRunAndDiagnostics:
             for iz in (1, lat.nz - 1):
                 c[0, j, iz] = 1.0
                 c[0, lat.ny - j, iz] = 1.0
-        st = SimState(0.0, SpectralField(lat, c).symmetrized())
+        st = SimState(0.0, symmetrized(SpectralField(lat, c)))
         ts, l2s = [], []
         for _ in range(200):
             st = step_linear(st, 0.5)
@@ -632,7 +708,7 @@ class TestRunAndDiagnostics:
         lat = Lattice(8, 16, 8)
         c = np.zeros(lat.shape, complex)
         c[1, 1, 1] = 1.0
-        st = SimState(0.0, SpectralField(lat, c).symmetrized())
+        st = SimState(0.0, symmetrized(SpectralField(lat, c)))
         ts, u1 = [], []
         dt = 2.5
         for _ in range(200):
@@ -671,7 +747,7 @@ class TestRunAndDiagnostics:
         live[0, :, 1] = True
         live[0, :, lat.nz - 1] = True
         c[live] = sig[live] ** 2
-        st = SimState(0.0, SpectralField(lat, c).symmetrized())
+        st = SimState(0.0, symmetrized(SpectralField(lat, c)))
         ts, env = [], []
         for _ in range(400):
             st = step_linear(st, 0.5)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _hermitian import symmetrized
 from strata.cli import main
 from strata.lattice import Lattice, SpectralField
 from strata.simulate import SimState
@@ -25,7 +26,7 @@ def _random_state(nx=4, ny=8, nz=4, seed=0, t=3.5):
     lat = Lattice(nx, ny, nz)
     rng = np.random.default_rng(seed)
     c = rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape)
-    return SimState(t, SpectralField(lat, c).symmetrized())
+    return SimState(t, symmetrized(SpectralField(lat, c)))
 
 
 class TestCheckpoint:
@@ -181,6 +182,45 @@ output_every = 1.0
         assert "config error" in capsys.readouterr().err
         assert main(["linear", str(tmp_path / "missing.ini")]) == 2
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("lattice", "ly", "nan"),
+        ("run", "epsilon", "nan"),
+        ("run", "dt", "nan"),
+        ("run", "t_end", "inf"),
+        ("run", "output_every", "inf"),
+        ("run", "dealias", "nan"),
+        ("run", "checkpoint_every", "inf"),
+        ("init", "lambda_in", "inf"),
+        ("weights", "c_star", "nan"),
+        ("weights", "s", "nan"),
+        ("weights", "lambda_inf", "inf"),
+        ("weights", "delta_tilde", "nan"),
+        ("weights", "a", "nan"),
+        ("weights", "sigmas", "212, 182, 152, 122, 92, 62, inf"),
+    ])
+    def test_non_finite_config_exit_2(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "res"
+        assert main(["linear", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key} must be finite" in err
+        assert not out.exists()     # rejected before the manifest is written
+
+    @pytest.mark.parametrize("text", [
+        "[lattice]\nnx = 2\nny = 2\nnz = 2\n[init]\nrecipe = multimode\n",
+        # (1, 1, 1) lies outside the 3-mode kept set of a 0.2 dealias mask
+        "[lattice]\nnx = 8\nny = 16\nnz = 8\n[run]\ndealias = 0.2\n"
+        "[init]\nrecipe = single\n",
+    ], ids=["2x2x2-multimode", "single-outside-dealias"])
+    def test_empty_initial_field_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(text)
+        out = tmp_path / "res"
+        assert main(["linear", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "linear_diagnostics.csv").exists()
+
     def test_unknown_flag_is_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["linear", "--frobnicate"])
@@ -250,6 +290,12 @@ output_every = 1.0
         ["totalgrowth", "--iota-max", "1"],
         ["ratios", "--cstar", "0"],
         ["ratios", "--samples", "0"],
+        ["totalgrowth", "--cstar", "inf"],
+        ["ratios", "--cstar", "1", "nan"],
+        ["table", "--iota", "nan"],
+        ["table", "--iota=-inf"],
+        ["totalgrowth", "--iota-max", "inf"],
+        ["totalgrowth", "--iota-max", "nan"],
     ])
     def test_weights_argument_errors_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "w"

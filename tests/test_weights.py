@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _hermitian import symmetrized
 from strata.lattice import Lattice, SpectralField, iota
 from strata.weights import (
     _SWEEP_CHUNK,
@@ -185,6 +186,10 @@ class TestParams:
             WeightParams(sigmas=(182, 152, 122, 92, 62, 32, 1))    # last < 2
         with pytest.raises(ValueError):
             WeightParams(c_star=-1.0)
+        for bad in (dict(c_star=math.inf), dict(lambda_inf=math.nan), dict(delta_tilde=math.inf),
+                    dict(sigmas=(212, 182, 152, 122, 92, 62, math.nan))):
+            with pytest.raises(ValueError, match="finite"):
+                WeightParams(**bad)
 
     def test_sigma_ladder_index(self):
         assert P.sigma(1) == P.sigmas[0]
@@ -397,7 +402,7 @@ class TestGevreyNorm:
         lat = Lattice(8, 8, 8)
         rng = np.random.default_rng(9)
         c = rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape)
-        f = SpectralField(lat, c).symmetrized()
+        f = symmetrized(SpectralField(lat, c))
         vals = [gevrey_log_norm(f, 4.0, t, P) for t in np.linspace(0, 30, 40)]
         assert all(b <= a + 1e-13 for a, b in zip(vals, vals[1:]))
 
@@ -405,7 +410,7 @@ class TestGevreyNorm:
         lat = Lattice(16, 16, 16)
         rng = np.random.default_rng(2)
         c = rng.normal(size=lat.shape) * 1e-3
-        f = SpectralField(lat, c.astype(complex)).symmetrized()
+        f = symmetrized(SpectralField(lat, c.astype(complex)))
         ln = gevrey_log_norm(f, P.sigma(1), 0.0, P, use_j=True)
         assert math.isfinite(ln)
         assert ln > 100.0  # far beyond float64 in linear space
