@@ -196,7 +196,21 @@ def _cmd_run(args) -> int:
 # --- toy models -----------------------------------------------------------
 
 
+def _check_toy_args(args) -> None:
+    """Reject out-of-range toy arguments before any output is written."""
+    if not 1 <= args.k <= 10:    # E(sqrt(100)), the smallest eta of the orr sweep
+        raise ConfigError(f"--k must lie in 1..10, got {args.k}")
+    if not (math.isfinite(args.kappa) and math.isfinite(args.epsilon)):
+        raise ConfigError(f"--kappa and --epsilon must be finite, "
+                          f"got {args.kappa}, {args.epsilon}")
+    if not 0.0 < args.tmax < math.inf:
+        raise ConfigError(f"--tmax must be positive and finite, got {args.tmax}")
+    if not all(0.0 <= m < math.inf for m in args.m):
+        raise ConfigError(f"--m values must be nonnegative and finite, got {args.m}")
+
+
 def _cmd_toy(args) -> int:
+    _check_toy_args(args)
     out = _outdir(args)
     seed = args.seed if args.seed is not None else 0
     name = f"toy_{args.model}.csv"

@@ -43,6 +43,7 @@ __all__ = [
     "log_a_multiplier",
     "LatticeWeights",
     "lattice_weights",
+    "log_l2_from_logs",
     "log_weighted_l2",
     "gevrey_norm",
     "gevrey_log_norm",
@@ -368,9 +369,6 @@ class LatticeWeights:
     def log_w(self, t: float) -> np.ndarray:
         return self._eval(t, deriv=False)
 
-    def w(self, t: float) -> np.ndarray:
-        return np.exp(self.log_w(t))
-
     def log_j(self, t: float) -> np.ndarray:
         return -self.log_w(t)
 
@@ -390,21 +388,25 @@ def masked_log(x: np.ndarray) -> np.ndarray:
     return np.where(pos, np.log(np.where(pos, x, 1.0)), -math.inf)
 
 
-def log_weighted_l2(lattice: Lattice, coeffs: np.ndarray, logw: np.ndarray,
-                     mask: np.ndarray | None = None) -> float:
-    """log of sqrt(delta_eta * sum |exp(logw) c|^2), stable for huge weights."""
-    mag = np.abs(coeffs)
-    if mask is not None:
-        mag = np.where(mask, mag, 0.0)
-    nonzero = mag > 0
-    if not np.any(nonzero):
-        return -math.inf
-    m = masked_log(mag) + logw
+def log_l2_from_logs(lattice: Lattice, m: np.ndarray) -> float:
+    """log of sqrt(delta_eta * sum exp(2 m)), shifted by max m so huge weights stay finite.
+
+    A mode with m = -inf (c = 0 or outside the mask) drops out; all -inf gives -inf.
+    """
     top = float(np.max(m))
     if not math.isfinite(top):
         return -math.inf
-    s = float(np.sum(np.exp(2.0 * (m[nonzero] - top))))
+    s = float(np.sum(np.exp(2.0 * (m - top))))
     return top + 0.5 * (math.log(s) + math.log(lattice.delta_eta))
+
+
+def log_weighted_l2(lattice: Lattice, coeffs: np.ndarray, logw: np.ndarray,
+                    mask: np.ndarray | None = None) -> float:
+    """log of sqrt(delta_eta * sum |exp(logw) c|^2) over ``mask``, stable for huge weights."""
+    m = masked_log(np.abs(coeffs)) + logw
+    if mask is not None:
+        m = np.where(mask, m, -math.inf)
+    return log_l2_from_logs(lattice, m)
 
 
 def gevrey_log_norm(fieldv: SpectralField, sigma: float, t: float, p: WeightParams,
@@ -424,9 +426,7 @@ def gevrey_norm(fieldv: SpectralField, sigma: float, t: float, p: WeightParams,
                 use_j: bool = False, use_b: bool = False,
                 mask: np.ndarray | None = None) -> float:
     ln = gevrey_log_norm(fieldv, sigma, t, p, use_j, use_b, mask)
-    if ln == -math.inf:
-        return 0.0
-    return math.exp(ln) if ln < 709.0 else math.inf
+    return math.exp(ln) if ln < 709.0 else math.inf    # exp(-inf) = 0 for the zero field
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,219 @@
+import math
+
+import numpy as np
+import pytest
+
+from strata.config import SimConfig
+from strata.diagnostics import DiagnosticRow, compute_row, log10p_from_log
+from strata.lattice import Lattice, SpectralField
+from strata.simulate import SimState, init_field, run_simulation, step_linear
+from strata.symbols import velocity_symbol
+from strata.weights import (
+    WeightParams,
+    b_multiplier,
+    lambda_dot,
+    lambda_t,
+    lattice_weights,
+    masked_log,
+)
+
+# Columns computed by the same arithmetic as the reference; the u2 split sums
+# index 0 and the rest separately, so it agrees to rounding only.
+EXACT = ("t", "early", "u1_l2", "u3_l2", "theta_l2", "mass_mode", "reality_err")
+
+
+def _reference_log_weighted_l2(lattice, coeffs, logw, mask=None):
+    """The masked per-call log-sum-exp that every weighted column once took."""
+    mag = np.abs(coeffs)
+    if mask is not None:
+        mag = np.where(mask, mag, 0.0)
+    nonzero = mag > 0
+    if not np.any(nonzero):
+        return -math.inf
+    m = masked_log(mag) + logw
+    top = float(np.max(m))
+    if not math.isfinite(top):
+        return -math.inf
+    s = float(np.sum(np.exp(2.0 * (m[nonzero] - top))))
+    return top + 0.5 * (math.log(s) + math.log(lattice.delta_eta))
+
+
+def _reference_row(state, p: WeightParams) -> DiagnosticRow:
+    """One hand-written call per column: the oracle for compute_row's column table."""
+    log_weighted_l2 = _reference_log_weighted_l2
+    fieldv: SpectralField = state.field
+    lat = fieldv.lattice
+    t = state.t
+    c = fieldv.coeffs
+    ljt = 0.5 * math.log1p(t * t)
+    lam = lambda_t(t, p)
+    lw = lattice_weights(lat, p)
+    deta = lat.delta_eta
+
+    # velocity L2 norms via Plancherel on the original-frame symbols
+    v1, v2, v3 = velocity_symbol(t, lat.kx, lat.eta, lat.alpha)
+    zero = np.broadcast_to(lat.kx == 0, lat.shape)
+
+    def _l2(mag2):
+        return math.sqrt(deta * float(np.sum(mag2)))
+
+    abs2 = np.abs(c) ** 2
+    u1_l2 = _l2(v1**2 * abs2)
+    u3_l2 = _l2(v3**2 * abs2)
+    u2_zero = _l2(np.where(zero, v2**2 * abs2, 0.0))
+    u2_nonzero = _l2(np.where(zero, 0.0, v2**2 * abs2))
+
+    # weighted ladder, all in log space
+    gev_exp = lam * lat.l1 ** p.s
+    log_j = lw.log_j(t)
+    log_b = np.log(b_multiplier(lat.eta, lat.alpha))
+    zero_mask = zero
+    znz_mask = zero & np.broadcast_to(lat.alpha != 0, lat.shape)
+
+    def _ladder(sigma, tweight, use_j=False, use_b=False, mask=None):
+        logw = gev_exp + sigma * lat.log_brackets
+        if use_j:
+            logw = logw + log_j
+        if use_b:
+            logw = logw + log_b
+        ln = log_weighted_l2(lat, c, logw, mask)
+        if ln != -math.inf:
+            ln = ln + tweight * ljt
+        return log10p_from_log(ln)
+
+    s1, s2, s3, s4, s5, s6, s7 = p.sigmas
+    gev_s1 = _ladder(s1, -1.5, use_j=True)
+    gevb0_s1m2 = _ladder(s1 - 2.0, 0.0, use_j=True, use_b=True, mask=zero_mask)
+    gev0_s2 = _ladder(s2, 1.5, mask=znz_mask)
+    gev_s3 = _ladder(s3, -0.5)
+    gev0_s4 = _ladder(s4, 2.5, mask=znz_mask)
+    gev_s5 = _ladder(s5, 0.0)
+    gev0_s6 = _ladder(s6, 3.0, mask=znz_mask)
+
+    # sup over eta of the z- and x-averaged mode at sigma7
+    dz_col = np.abs(c[0, :, 0])
+    eta_1d = lat.eta.ravel()
+    sup_arg = (masked_log(dz_col) + lam * np.abs(eta_1d) ** p.s
+               + 0.5 * s7 * np.log1p(eta_1d**2))
+    sup0_s7 = log10p_from_log(float(np.max(sup_arg)))
+
+    # CK terms at sigma1 (with J), bracketed time factor <t>^-3
+    log_a1 = gev_exp + s1 * lat.log_brackets + log_j
+    half_log_l1s = 0.5 * p.s * masked_log(lat.l1)
+    ln_ck_lam = log_weighted_l2(lat, c, log_a1 + half_log_l1s)
+    if ln_ck_lam != -math.inf:
+        # -lambda_dot * <t>^-3 * (weighted norm)^2, assembled in logs
+        ln_ck_lam = math.log(-lambda_dot(t, p)) - 3.0 * ljt + 2.0 * ln_ck_lam
+    ck_lambda = log10p_from_log(ln_ck_lam)
+
+    ratio = lw.dlogw_dt(t)
+    half_log_ratio = 0.5 * masked_log(ratio)
+    ln_ck_w = log_weighted_l2(lat, c, log_a1 + half_log_ratio)
+    if ln_ck_w != -math.inf:
+        ln_ck_w = 2.0 * ln_ck_w - 3.0 * ljt
+    ck_w = log10p_from_log(ln_ck_w)
+
+    return DiagnosticRow(
+        t=t,
+        early=int(t <= 10.0),
+        u1_l2=u1_l2,
+        u2_zero_l2=u2_zero,
+        u2_nonzero_l2=u2_nonzero,
+        u3_l2=u3_l2,
+        theta_l2=fieldv.l2(),
+        mass_mode=abs(complex(c[0, 0, 0])),
+        reality_err=fieldv.reality_defect(),
+        gev_s1_l10=gev_s1,
+        gevb0_s1m2_l10=gevb0_s1m2,
+        gev0_s2_l10=gev0_s2,
+        gev_s3_l10=gev_s3,
+        gev0_s4_l10=gev0_s4,
+        gev_s5_l10=gev_s5,
+        gev0_s6_l10=gev0_s6,
+        sup0_s7_l10=sup0_s7,
+        ck_lambda_l10=ck_lambda,
+        ck_w_l10=ck_w,
+    )
+
+
+def _assert_rows_agree(state, params):
+    got, ref = compute_row(state, params), _reference_row(state, params)
+    for name, g, r in zip(DiagnosticRow.header(), got.values(), ref.values()):
+        if name in EXACT:
+            assert g == r, (state.t, name)
+        else:
+            assert abs(g - r) <= 1e-12 * abs(r), (state.t, name, g, r)
+
+
+def _run_states(cfg):
+    states = []
+    run_simulation(cfg, on_row=states.append)
+    return states
+
+
+def test_default_lattice_linear_states_match_reference():
+    cfg = SimConfig()
+    start = init_field(cfg)
+    for t in (0.0, 1.0, 5.0, 20.0, 100.0):
+        _assert_rows_agree(step_linear(start, t) if t else start, cfg.weight_params)
+
+
+@pytest.mark.parametrize("cfg", [
+    # criterion-7 desk configuration, cut to 20 steps
+    SimConfig(mode="nonlinear", epsilon=1e-3, dt=0.1, t_end=2.0, output_every=1.0, seed=0),
+    # one +-f pair: the k = 0 columns see no mass
+    SimConfig(nx=8, ny=16, nz=8, recipe="single", dt=0.1, t_end=20.0, output_every=5.0),
+    SimConfig(nx=8, ny=16, nz=8, epsilon=0.0, dt=0.1, t_end=1.0),
+], ids=["criterion7-20-steps", "single-8x16x8", "zero-epsilon"])
+def test_run_states_match_reference(cfg):
+    for state in _run_states(cfg):
+        _assert_rows_agree(state, cfg.weight_params)
+
+
+def test_single_pair_columns_in_closed_form():
+    # mode f = (1, delta_eta, 1) and its mirror: |iota| = 1, so w = 1 and d_t w = 0;
+    # each weighted norm is sqrt(2 delta_eta) |c| e^(lambda|f|_1^s) <f>^sigma <t>^p
+    cfg = SimConfig(nx=8, ny=16, nz=8, recipe="single", dt=0.1, t_end=20.0,
+                    output_every=5.0)
+    p = cfg.weight_params
+    s1, _, s3, _, s5, _, _ = p.sigmas
+    deta = cfg.lattice.delta_eta
+    l1 = 2.0 + deta
+    bracket = math.sqrt(3.0 + deta * deta)
+    for state in _run_states(cfg):
+        c = state.field.coeffs
+        assert np.count_nonzero(c) == 2 and abs(c[-1, -1, -1]) == abs(c[1, 1, 1])
+        t = state.t
+        row = compute_row(state, p)
+
+        def norm(sigma, t_exp):
+            return (math.sqrt(2.0 * deta) * abs(c[1, 1, 1]) * math.exp(lambda_t(t, p) * l1**p.s)
+                    * bracket**sigma * (1.0 + t * t) ** (0.5 * t_exp))
+
+        assert row.gev_s1_l10 == pytest.approx(math.log10(1.0 + norm(s1, -1.5)), rel=1e-12)
+        assert row.gev_s3_l10 == pytest.approx(math.log10(1.0 + norm(s3, -0.5)), rel=1e-12)
+        assert row.gev_s5_l10 == pytest.approx(math.log10(1.0 + norm(s5, 0.0)), rel=1e-12)
+        ck_lambda = -lambda_dot(t, p) * l1**p.s * norm(s1, -1.5) ** 2
+        assert row.ck_lambda_l10 == pytest.approx(math.log10(1.0 + ck_lambda), rel=1e-12)
+        for name in ("gevb0_s1m2_l10", "gev0_s2_l10", "gev0_s4_l10", "gev0_s6_l10",
+                     "sup0_s7_l10", "ck_w_l10"):
+            assert getattr(row, name) == 0.0, (t, name)
+
+
+@pytest.mark.parametrize("t", [0.0, 3.0, 50.0])
+def test_alpha_zero_pair_columns_in_closed_form(t):
+    # the k = 0, alpha = 0 pair (0, +-delta_eta, 0): |iota| < 1, so J = 1; it
+    # belongs to the B-weighted zero-mode column and the sup column only
+    lat, p, amp = Lattice(8, 16, 8), WeightParams(), 1e-3
+    c = np.zeros(lat.shape, complex)
+    c[0, 1, 0] = c[0, -1, 0] = amp
+    row = compute_row(SimState(t, SpectralField(lat, c)), p)
+    deta, s1, s7 = lat.delta_eta, p.sigma(1), p.sigma(7)
+    gev = math.exp(lambda_t(t, p) * deta**p.s)
+    b_norm = (math.sqrt(2.0 * deta) * amp * gev * (1.0 + deta * deta) ** (0.5 * s1 - 1.0)
+              * math.sqrt(1.0 + deta))
+    assert row.gevb0_s1m2_l10 == pytest.approx(math.log10(1.0 + b_norm), rel=1e-12)
+    sup = amp * gev * (1.0 + deta * deta) ** (0.5 * s7)
+    assert row.sup0_s7_l10 == pytest.approx(math.log10(1.0 + sup), rel=1e-12)
+    for name in ("gev0_s2_l10", "gev0_s4_l10", "gev0_s6_l10", "ck_w_l10"):
+        assert getattr(row, name) == 0.0, name

@@ -644,7 +644,9 @@ class TestRunAndDiagnostics:
         run_simulation(cfg, on_row=lambda s: rows.append(compute_row(s, params)))
         for row in rows:
             assert row.u1_l2 == 0.0 and row.theta_l2 == 0.0
-            assert row.gev_s1_l10 == 0.0 and row.sup0_s7_l10 == 0.0
+            for name, val in zip(row.header(), row.values()):
+                if name.endswith("_l10"):
+                    assert val == 0.0, name
 
     def test_orr_transient_envelope(self):
         # single-mode (1, eta, 0) linear run: measured U2 envelope matches the

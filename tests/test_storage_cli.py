@@ -303,6 +303,25 @@ output_every = 1.0
         assert "config error" in capsys.readouterr().err
         assert not out.exists()     # rejected before the manifest is written
 
+    @pytest.mark.parametrize("argv", [
+        ["orr", "--k", "0"],
+        ["orr", "--k", "11"],
+        ["orr", "--kappa", "nan"],
+        ["liftup", "--epsilon", "inf"],
+        ["zeromode", "--tmax", "nan"],
+        ["zeromode", "--tmax", "-1"],
+        ["zeromode", "--tmax", "0"],
+        ["liftup", "--tmax", "inf"],
+        ["semigroup", "--m", "nan"],
+        ["semigroup", "--m", "-1"],
+        ["semigroup", "--m", "0", "inf"],
+    ])
+    def test_toy_argument_errors_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "toy"
+        assert main(["toy", *argv, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()     # rejected before the manifest is written
+
     def test_toy_liftup_prints_exponent(self, tmp_path, capsys):
         out = tmp_path / "toy"
         assert main(["toy", "liftup", "--out", str(out)]) == 0
