@@ -7,12 +7,17 @@ nonnegative, monotone, log10(x) for large x, and 0.0 when no mode of the
 mask carries mass.  Velocity L2 norms are stored as-is.  Weighted values
 mean something only for t > 10; earlier rows are flagged by ``early``, and
 time weights use the bracket <t> so the t = 0 row stays finite.
+
+Every column but theta_l2, mass_mode and reality_err reduces over the modes
+that carry mass only, whose constants are built once per support; w_k and
+d/dt log w_k come from one stacked weight evaluation per row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,6 +88,17 @@ class DiagnosticRow:
         return [getattr(self, f.name) for f in fields(self)]
 
 
+@lru_cache(maxsize=1)
+def _support(lat, p: WeightParams, bits: bytes):
+    """Per-mode constants of the flat modes set in ``bits``; flat order puts k = 0 first."""
+    idx = np.flatnonzero(np.unpackbits(np.frombuffer(bits, np.uint8), count=lat.size))
+    ix, iy, iz = np.unravel_index(idx, lat.shape)
+    f = lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz]
+    l1 = lat.l1.ravel()[idx]
+    return (f, lattice_weights(lat, p).tables.modes(f[0], lat.iota_vals.ravel()[idx]),
+            l1**p.s, p.s * masked_log(l1), lat.log_brackets.ravel()[idx], iz[ix == 0])
+
+
 def compute_row(state, p: WeightParams) -> DiagnosticRow:
     fieldv: SpectralField = state.field
     lat = fieldv.lattice
@@ -90,13 +106,20 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
     c = fieldv.coeffs
     ljt = 0.5 * math.log1p(t * t)
     lam = lambda_t(t, p)
-    lw = lattice_weights(lat, p)
+
+    # the modes that carry mass: the others add 0 to every sum
+    mag = np.abs(c).ravel()
+    occupied = mag != 0
+    (k, eta, alpha), w_modes, l1s, s_log_l1, log_br, iz0 = _support(
+        lat, p, np.packbits(occupied).tobytes())
+    mag = mag[occupied]
+    log_w, dlog_w, _ = lattice_weights(lat, p).tables.mode_weights(t, *w_modes)
 
     # velocity L2 norms via Plancherel on the original-frame symbols
-    v1, v2, v3 = velocity_symbol(t, lat.kx, lat.eta, lat.alpha)
-    mag = np.abs(c)
+    v1, v2, v3 = velocity_symbol(t, k, eta, alpha)
     abs2 = mag**2
     u2_sq = v2**2 * abs2
+    zero = np.s_[:iz0.size]    # the k = 0 modes
 
     def _l2(mag2):
         return math.sqrt(lat.delta_eta * float(np.sum(mag2)))
@@ -105,8 +128,8 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
         "t": t,
         "early": int(t <= 10.0),
         "u1_l2": _l2(v1**2 * abs2),
-        "u2_zero_l2": _l2(u2_sq[0]),       # index 0 holds the k = 0 modes
-        "u2_nonzero_l2": _l2(u2_sq[1:]),
+        "u2_zero_l2": _l2(u2_sq[zero]),
+        "u2_nonzero_l2": _l2(u2_sq[iz0.size:]),
         "u3_l2": _l2(v3**2 * abs2),
         "theta_l2": fieldv.l2(),
         "mass_mode": abs(complex(c[0, 0, 0])),
@@ -115,15 +138,14 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
 
     # weighted columns, all in log space on the one log|c|
     log_c = masked_log(mag)
-    del v1, v2, v3, mag, abs2, u2_sq    # dead here; the loop below sets the row's peak memory
-    gev_exp = lam * lat.l1 ** p.s
+    gev_exp = lam * l1s
     s1, s2, s3, s4, s5, s6, s7 = p.sigmas
-    log_a1 = gev_exp + s1 * lat.log_brackets + lw.log_j(t)    # A^sigma1 with J
+    log_a1 = gev_exp + s1 * log_br - log_w    # A^sigma1 with J = 1/w
     # B <f>^-2 on the k = 0 modes, turning log_a1 into A^(sigma1-2) J B there
-    log_b = np.log(b_multiplier(lat.eta[0], lat.alpha[0])) - 2.0 * lat.log_brackets[0]
-    ck_lambda = 0.5 * (p.s * masked_log(lat.l1) + math.log(-lambda_dot(t, p)))
-    ck_w = 0.5 * masked_log(lw.dlogw_dt(t))
-    znz = np.s_[0, :, 1:]    # k = 0, alpha != 0
+    log_b = np.log(b_multiplier(eta[zero], alpha[zero])) - 2.0 * log_br[zero]
+    ck_lambda = 0.5 * (s_log_l1 + math.log(-lambda_dot(t, p)))
+    ck_w = 0.5 * masked_log(dlog_w)
+    znz, dz = np.flatnonzero(iz0), np.flatnonzero(iz0 == 0)    # k = 0, alpha != 0 / = 0
 
     # One row per column: (sigma, extra log weight, modes, t_exp, power) is
     # ||<t>^t_exp A c||^power over the modes, with log A = log_a1 (sigma None)
@@ -131,7 +153,7 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
     # terms are -lambda_dot <t>^-3 ||A |f|_1^(s/2) c||^2 and <t>^-3 ||A sqrt(d_t w/w) c||^2.
     table = {
         "gev_s1_l10": (None, 0.0, ..., -1.5, 1),
-        "gevb0_s1m2_l10": (None, log_b, 0, 0.0, 1),
+        "gevb0_s1m2_l10": (None, log_b, zero, 0.0, 1),
         "gev0_s2_l10": (s2, 0.0, znz, 1.5, 1),
         "gev_s3_l10": (s3, 0.0, ..., -0.5, 1),
         "gev0_s4_l10": (s4, 0.0, znz, 2.5, 1),
@@ -141,15 +163,12 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
         "ck_w_l10": (None, ck_w, ..., -1.5, 2),
     }
     for name, (sigma, extra, modes, t_exp, power) in table.items():
-        logw = (log_a1[modes] if sigma is None
-                else gev_exp[modes] + sigma * lat.log_brackets[modes])
+        logw = log_a1[modes] if sigma is None else gev_exp[modes] + sigma * log_br[modes]
         ln = log_l2_from_logs(lat, log_c[modes] + (logw + extra))
         cols[name] = log10p_from_log(power * (ln + t_exp * ljt))
 
     # sup over eta of the z- and x-averaged mode at sigma7
-    eta_1d = lat.eta.ravel()
-    sup_arg = (log_c[0, :, 0] + lam * np.abs(eta_1d) ** p.s
-               + 0.5 * s7 * np.log1p(eta_1d**2))
-    cols["sup0_s7_l10"] = log10p_from_log(float(np.max(sup_arg)))
+    sup_arg = log_c[dz] + lam * np.abs(eta[dz]) ** p.s + 0.5 * s7 * np.log1p(eta[dz] ** 2)
+    cols["sup0_s7_l10"] = log10p_from_log(float(np.max(sup_arg, initial=-math.inf)))
 
     return DiagnosticRow(**cols)

@@ -114,14 +114,24 @@ def init_field(cfg: SimConfig) -> SimState:
     return SimState(0.0, fieldv)
 
 
+@lru_cache(maxsize=2)
+def _antiderivative(lat: Lattice, t: float) -> np.ndarray:
+    """Read-only ``damping_antiderivative`` at t on the whole lattice.
+
+    Two entries hold a linear run's G(0) while G(t) changes at each row.
+    """
+    g = damping_antiderivative(t, lat.kx, lat.eta, lat.alpha)
+    g.flags.writeable = False
+    return g
+
+
 def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
     """Per-mode exp(-integral of the damping coefficient over [t0, t1]).
 
     Formed as exp(G(t0) - G(t1)) from ``damping_antiderivative``; the mean
     mode and an empty interval give factor 1 exactly.
     """
-    return np.exp(damping_antiderivative(t0, lat.kx, lat.eta, lat.alpha)
-                  - damping_antiderivative(t1, lat.kx, lat.eta, lat.alpha))
+    return np.exp(_antiderivative(lat, t0) - _antiderivative(lat, t1))
 
 
 def step_linear(state: SimState, dt: float) -> SimState:

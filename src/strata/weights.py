@@ -8,11 +8,11 @@ frequency iota can accumulate.
 
 Resonance-selection rule: the mode-selected weight w_k uses w_R if and only
 if k != 0, sign k = sign iota and |k| is the index of the resonant interval
-that contains t; it uses w_NR otherwise, and w = 1 for |iota| <= 1.  The rule
-lives in ``_mode_weights``, which every array evaluation of w_k goes through.
-On each smooth piece log w is a sum of constant multiples of logs of
-functions linear in t, so d/dt log w is evaluated in closed form
-(``WeightTable._pieces``).
+that contains t; it uses w_NR otherwise, and w = 1 for |iota| <= 1.  Every
+evaluation of w goes through one stacked evaluation (``_TableStack``): the
+piecewise formulas run once over the padded tables of the distinct
+|iota| > 1, at one time or one time per mode, and the rule is applied per
+mode by gathering; d/dt log w comes in closed form from the same call.
 
 A^sigma combines 1/w with a Gevrey exponential and a Sobolev bracket;
 because sigma runs into the hundreds all norm computations are done in log
@@ -175,60 +175,13 @@ class WeightTable:
     def floor_value(self) -> float:
         return math.exp(self.log_floor)
 
-    def interval_index(self, t):
-        """Index ell of the interval [t_ell, t_{ell-1}] containing t; 0 outside [t_E, 2|iota|).
-
-        Array-valued.  A t that lands exactly on an interior breakpoint
-        belongs to the earlier-time interval and t_E to interval E; the
-        piecewise values agree there anyway.
-        """
-        t = np.asarray(t, dtype=float)
-        E = self.ell_max
-        # t_ell[:0:-1] runs upward from t_E to t_1; count the t_ell >= t.
-        ell = np.minimum(E + 1 - np.searchsorted(self.t_ell[:0:-1], t), E)
-        return np.where((t >= self.t_ell[0]) | (t < self.t_ell[E]), 0, ell)
-
-    def _pieces(self, t, deriv: bool = False):
-        """Interval index, w_NR part and w_R - w_NR part of log w (or of d/dt log w).
-
-        On interval ell with peak p let L = 1 + b(t-p) on the right half and
-        L = 1 + a(p-t) on the left half.  log w_NR is c* log((ell^2/iota) L)
-        plus the anchor at t_{ell-1}, resp. -(1+c*) log L plus the anchor at
-        p, and w_R adds log((ell^2/iota) L).  The closed-form derivatives are
-        c* b/L, resp. (1+c*) a/L, for w_NR and +b/L, resp. -a/L, for the
-        resonant part; both vanish where w is constant (t >= 2|iota|, t <= t_E).
-        """
-        t = np.asarray(t, dtype=float)
-        ell = self.interval_index(t)
-        inside = ell > 0
-        i = np.maximum(ell, 1)    # any valid interval outside; masked below
-        p = self.peaks[i - 1]
-        right = t >= p
-        coef = np.where(right, self.b_ell[i], self.a_ell[i])
-        lin = 1.0 + coef * np.abs(t - p)
-        if deriv:
-            rate = np.where(inside & (t > self.t_ell[-1]), coef / lin, 0.0)
-            nr_rate = np.where(right, self.c_star, 1.0 + self.c_star) * rate
-            return ell, nr_rate, np.where(right, rate, -rate)
-        scale = i * i / self.iota
-        nr = np.where(right, self.c_star * np.log(scale * lin) + self.lv_break[i - 1],
-                      -(1.0 + self.c_star) * np.log(lin) + self.lv_peak[i])
-        nr = np.where(inside, nr, np.where(t < self.t_ell[0], self.log_floor, 0.0))
-        return ell, nr, np.where(inside, np.log(scale) + np.log(lin), 0.0)
-
-    def log_wnr(self, t):
-        return self._pieces(t)[1][()]
-
-    def log_wr(self, t):
-        """Resonant branch; coincides with w_NR outside the critical intervals."""
-        _, nr, lift = self._pieces(t)
-        return (lift + nr)[()]
-
     def wnr(self, t):
-        return np.exp(self.log_wnr(t))
+        return np.exp(_TableStack(self.iota, self.c_star).pieces(0, t)[1][0])[()]
 
     def wr(self, t):
-        return np.exp(self.log_wr(t))
+        """Resonant branch; coincides with w_NR outside the critical intervals."""
+        nr, lift = _TableStack(self.iota, self.c_star).pieces(0, t)[1]
+        return np.exp(lift + nr)[()]
 
     def continuity_defect(self) -> float:
         """Largest relative mismatch of adjacent piece formulas at the breakpoints.
@@ -285,42 +238,97 @@ def w_r(t: float, iota_val: float, p: WeightParams) -> float:
     return weight_table(abs(float(iota_val)), p.c_star).wr(t)
 
 
-def _iota_groups(k: np.ndarray, iv: np.ndarray) -> list:
-    """Flat modes with |iota| > 1 grouped by |iota|: (|iota|, indices, k, iota)."""
-    vals, inverse = np.unique(np.abs(iv), return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    splits = np.cumsum(np.bincount(inverse))[:-1]
-    return [(float(val), idx, k[idx], iv[idx])
-            for val, idx in zip(vals, np.split(order, splits)) if val > 1.0]
+class _TableStack:
+    """The tables of the distinct |iota| > 1 among ``iv``, padded into one array per field.
 
-
-def _mode_weights(t, groups: list, n: int, c_star: float, deriv: bool = False):
-    """log w_k (d/dt log w_k when ``deriv``) of n flat modes, and the w_R mask.
-
-    Applies the resonance-selection rule of the module docstring group by
-    group; ``t`` is one time for all modes or one time per mode, and modes
-    outside ``groups`` (|iota| <= 1) keep w = 1.
+    Row r is the table of vals[r], column ell its interval ell; breakpoints
+    are padded with +inf, so counting those below t finds a row's interval.
+    The last row, beyond 2|iota| at every t, gives w = 1 to |iota| <= 1.
     """
-    out = np.zeros(n)
-    uses_r = np.zeros(n, dtype=bool)
-    for val, idx, k, iv in groups:
-        tg = t if np.ndim(t) == 0 else t[idx]
-        table = weight_table(val, c_star)
-        if np.all(tg >= table.t_ell[0]) or deriv and np.all(tg <= table.t_ell[-1]):
-            continue    # w = 1 from t = 2|iota| on, and w is frozen up to t_E
-        ell, nr, lift = table._pieces(tg, deriv)
-        use = (k * iv > 0) & (np.abs(k) == ell) & table.resonant[ell]
-        out[idx] = np.where(use, lift, 0.0) + nr
-        uses_r[idx] = use
-    return out, uses_r
+
+    def __init__(self, iv, c_star: float):
+        vals = np.unique(np.abs(iv))
+        self.vals = vals = vals[vals > 1.0]
+        tables = [weight_table(v, c_star) for v in vals.tolist()]
+        width = 1 + max((tab.ell_max for tab in tables), default=1)
+
+        def pad(name, fill):
+            out = np.full((len(tables) + 1, width), fill)
+            for row, tab in zip(out, tables):
+                row[:getattr(tab, name).size] = getattr(tab, name)
+            return out
+
+        self.c_star = float(c_star)
+        self.iota = np.append(vals, 1.0)
+        self.t_ell = pad("t_ell", math.inf)
+        self.t_ell[-1, 0] = -math.inf
+        self.peaks, self.b_ell, self.a_ell, self.lv_break, self.lv_peak = (
+            pad(name, 0.0) for name in ("peaks", "b_ell", "a_ell", "lv_break", "lv_peak"))
+        self.resonant = pad("resonant", False)
+        self.ell_max = np.array([tab.ell_max for tab in tables] + [0])
+        self.t_last = self.t_ell[np.arange(len(tables) + 1), self.ell_max]
+        self.log_floor = np.array([tab.log_floor for tab in tables] + [0.0])
+
+    def pieces(self, row, t):
+        """Interval index, the (w_NR, w_R - w_NR) parts of log w, and of d/dt log w.
+
+        At the pairs (row, t), which broadcast.  The index is 0 outside
+        [t_E, 2|iota|); a t on an interior breakpoint takes the earlier-time
+        interval.  On interval ell with peak p, L = 1 + b(t-p) on the right
+        half and 1 + a(p-t) on the left.  log w_NR is c* log((ell^2/iota) L)
+        plus the anchor at t_{ell-1}, resp. -(1+c*) log L plus the anchor at p;
+        w_R adds log((ell^2/iota) L).  The derivatives are c* b/L, resp.
+        (1+c*) a/L, and +b/L, resp. -a/L; both vanish where w is constant.
+        """
+        t = np.asarray(t, dtype=float)
+        top, last, c = self.t_ell[row, 0], self.t_last[row], self.c_star
+        E = self.ell_max[row]
+        below = sum(self.t_ell[row, j] < t for j in range(1, self.t_ell.shape[1]))
+        ell = np.where((t >= top) | (t < last), 0, np.minimum(E + 1 - below, E))
+        inside = ell > 0
+        i = np.maximum(ell, 1)    # any valid interval outside; masked below
+        p = self.peaks[row, i - 1]
+        right = t >= p
+        coef = np.where(right, self.b_ell[row, i], self.a_ell[row, i])
+        lin = 1.0 + coef * np.abs(t - p)
+        rate = np.where(inside & (t > last), coef / lin, 0.0)
+        scale = i * i / self.iota[row]
+        nr = np.where(right, c * np.log(scale * lin) + self.lv_break[row, i - 1],
+                      -(1.0 + c) * np.log(lin) + self.lv_peak[row, i])
+        nr = np.where(inside, nr, np.where(t < top, self.log_floor[row], 0.0))
+        return (ell, (nr, np.where(inside, np.log(scale) + np.log(lin), 0.0)),
+                (np.where(right, c, 1.0 + c) * rate, np.where(right, rate, -rate)))
+
+    def modes(self, k, iv):
+        """(row, key) of the modes (k, iota), whose |iota| > 1 must be rows; the key
+        is the resonant interval index whose w_R the mode takes: |k| if k iota > 0, else 0."""
+        a = np.abs(iv)
+        return (np.where(a > 1.0, np.searchsorted(self.vals, a), self.vals.size),
+                np.where(k * iv > 0, np.abs(k), 0))
+
+    def mode_weights(self, t, row, key):
+        """log w_k, d/dt log w_k and the w_R mask of the modes given by ``modes``.
+
+        The selection rule of the module docstring; one time is evaluated
+        once per row and gathered, one time per mode at each mode's row.
+        """
+        scalar = np.ndim(t) == 0
+        at = np.arange(self.iota.size) if scalar else row
+        ell, (nr, lift), (d_nr, d_lift) = self.pieces(at, t)
+        takes_r = np.where(self.resonant[at, ell], ell, -1)
+        branches = (0.0 + nr, lift + nr, 0.0 + d_nr, d_lift + d_nr)    # 0.0 + x: no -0.0
+        if scalar:
+            takes_r, branches = takes_r[row], [x[row] for x in branches]
+        use = key == takes_r
+        return (np.where(use, branches[1], branches[0]),
+                np.where(use, branches[3], branches[2]), use)
 
 
 def log_w_k(t, k, eta, alpha, p: WeightParams):
     """log of the mode-selected weight; array-valued, the arguments broadcast."""
     t, k, iv = np.broadcast_arrays(t, k, iota(k, eta, alpha))
-    out, _ = _mode_weights(t.ravel(), _iota_groups(k.ravel(), iv.ravel()), k.size,
-                           p.c_star)
-    return out.reshape(k.shape)[()]
+    tables = _TableStack(iv, p.c_star)
+    return tables.mode_weights(t, *tables.modes(k, iv))[0][()]
 
 
 def w_k(t: float, k: int, eta: float, alpha: float, p: WeightParams) -> float:
@@ -349,32 +357,25 @@ def a_multiplier(sigma: float, t: float, k: int, eta: float, alpha: float,
 
 
 class LatticeWeights:
-    """Vectorized w_k evaluation over a full lattice.
-
-    Lattice points are grouped by |iota|; each group shares one scalar
-    weight table, so an evaluation at time t costs one table lookup per
-    distinct |iota| plus flat array writes.
-    """
+    """Vectorized w_k evaluation over a lattice, from one stack of its weight tables."""
 
     def __init__(self, lattice: Lattice, params: WeightParams):
         self.lattice = lattice
-        self.params = params
-        kk = np.broadcast_to(lattice.kx, lattice.shape).ravel()
-        self._groups = _iota_groups(kk, lattice.iota_vals.ravel())
+        self.tables = _TableStack(lattice.iota_vals, params.c_star)
 
-    def _eval(self, t: float, deriv: bool) -> np.ndarray:
-        out, _ = _mode_weights(t, self._groups, self.lattice.size, self.params.c_star, deriv)
-        return out.reshape(self.lattice.shape)
+    def _eval(self, t: float):
+        lat = self.lattice
+        return self.tables.mode_weights(t, *self.tables.modes(lat.kx, lat.iota_vals))
 
     def log_w(self, t: float) -> np.ndarray:
-        return self._eval(t, deriv=False)
+        return self._eval(t)[0]
 
     def log_j(self, t: float) -> np.ndarray:
         return -self.log_w(t)
 
     def dlogw_dt(self, t: float) -> np.ndarray:
         """Closed-form d/dt log w_k: nonnegative, zero where w is constant."""
-        return self._eval(t, deriv=True)
+        return self._eval(t)[1]
 
 
 @lru_cache(maxsize=8)
@@ -391,41 +392,33 @@ def masked_log(x: np.ndarray) -> np.ndarray:
 def log_l2_from_logs(lattice: Lattice, m: np.ndarray) -> float:
     """log of sqrt(delta_eta * sum exp(2 m)), shifted by max m so huge weights stay finite.
 
-    A mode with m = -inf (c = 0 or outside the mask) drops out; all -inf gives -inf.
+    A mode with m = -inf (c = 0) drops out; all -inf, or no modes, gives -inf.
     """
-    top = float(np.max(m))
+    top = float(np.max(m, initial=-math.inf))
     if not math.isfinite(top):
         return -math.inf
     s = float(np.sum(np.exp(2.0 * (m - top))))
     return top + 0.5 * (math.log(s) + math.log(lattice.delta_eta))
 
 
-def log_weighted_l2(lattice: Lattice, coeffs: np.ndarray, logw: np.ndarray,
-                    mask: np.ndarray | None = None) -> float:
-    """log of sqrt(delta_eta * sum |exp(logw) c|^2) over ``mask``, stable for huge weights."""
-    m = masked_log(np.abs(coeffs)) + logw
-    if mask is not None:
-        m = np.where(mask, m, -math.inf)
-    return log_l2_from_logs(lattice, m)
+def log_weighted_l2(lattice: Lattice, coeffs: np.ndarray, logw: np.ndarray) -> float:
+    """log of sqrt(delta_eta * sum |exp(logw) c|^2), stable for huge weights."""
+    return log_l2_from_logs(lattice, masked_log(np.abs(coeffs)) + logw)
 
 
 def gevrey_log_norm(fieldv: SpectralField, sigma: float, t: float, p: WeightParams,
-                    use_j: bool = False, use_b: bool = False,
-                    mask: np.ndarray | None = None) -> float:
-    """log of the Gevrey-Sobolev norm; -inf for the zero field."""
+                    use_j: bool = False) -> float:
+    """log of the Gevrey-Sobolev norm, times J when ``use_j``; -inf for the zero field."""
     lat = fieldv.lattice
     logw = lambda_t(t, p) * lat.l1 ** p.s + sigma * lat.log_brackets
     if use_j:
         logw = logw + lattice_weights(lat, p).log_j(t)
-    if use_b:
-        logw = logw + np.log(b_multiplier(lat.eta, lat.alpha))
-    return log_weighted_l2(lat, fieldv.coeffs, logw, mask)
+    return log_weighted_l2(lat, fieldv.coeffs, logw)
 
 
 def gevrey_norm(fieldv: SpectralField, sigma: float, t: float, p: WeightParams,
-                use_j: bool = False, use_b: bool = False,
-                mask: np.ndarray | None = None) -> float:
-    ln = gevrey_log_norm(fieldv, sigma, t, p, use_j, use_b, mask)
+                use_j: bool = False) -> float:
+    ln = gevrey_log_norm(fieldv, sigma, t, p, use_j)
     return math.exp(ln) if ln < 709.0 else math.inf    # exp(-inf) = 0 for the zero field
 
 
@@ -524,12 +517,11 @@ def _lemma_log_ratios(lemma: str, t: np.ndarray, f1: tuple, f2: tuple, p: Weight
     df = np.abs(f1[0] - f2[0]) + np.abs(f1[1] - f2[1]) + np.abs(f1[2] - f2[2])
     mu = p.mu
 
-    def weights(k, iv):
-        if lemma == "rNR":
-            k = np.zeros(n, dtype=int)   # k = 0 selects w_NR
-        return _mode_weights(t, _iota_groups(k, iv), n, p.c_star)
-
-    (lw1, in1), (lw2, in2) = weights(f1[0], i1), weights(f2[0], i2)
+    # one stack for both members of the pairs, one evaluation per member; k = 0 selects w_NR
+    tables = _TableStack(np.concatenate([i1, i2]), p.c_star)
+    (lw1, _, in1), (lw2, _, in2) = (
+        tables.mode_weights(t, *tables.modes(0 if lemma == "rNR" else f[0], iv))
+        for f, iv in ((f1, i1), (f2, i2)))
     with np.errstate(divide="ignore", invalid="ignore"):
         if lemma == "rNR":
             return lw1 - lw2 - mu * np.sqrt(df), np.ones(n, dtype=bool)

@@ -9,7 +9,9 @@ from strata.lattice import Lattice, SpectralField
 from strata.simulate import SimState, init_field, run_simulation, step_linear
 from strata.symbols import velocity_symbol
 from strata.weights import (
+    LatticeWeights,
     WeightParams,
+    _TableStack,
     b_multiplier,
     lambda_dot,
     lambda_t,
@@ -17,9 +19,10 @@ from strata.weights import (
     masked_log,
 )
 
-# Columns computed by the same arithmetic as the reference; the u2 split sums
-# index 0 and the rest separately, so it agrees to rounding only.
-EXACT = ("t", "early", "u1_l2", "u3_l2", "theta_l2", "mass_mode", "reality_err")
+# Columns computed by the same arithmetic as the reference.  The velocity and
+# weighted columns sum over the modes that carry mass only, in another order,
+# so they agree to rounding only.
+EXACT = ("t", "early", "theta_l2", "mass_mode", "reality_err")
 
 
 def _reference_log_weighted_l2(lattice, coeffs, logw, mask=None):
@@ -168,6 +171,68 @@ def test_default_lattice_linear_states_match_reference():
 def test_run_states_match_reference(cfg):
     for state in _run_states(cfg):
         _assert_rows_agree(state, cfg.weight_params)
+
+
+def _whole_lattice(lat, rng):
+    return rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape)
+
+
+def _zero_plane(lat, rng):
+    c = np.zeros(lat.shape, complex)
+    c[0] = _whole_lattice(lat, rng)[0]
+    return c
+
+
+def _one_mode(lat, rng):
+    c = np.zeros(lat.shape, complex)
+    c[1, 2, -1] = rng.normal() + 1j * rng.normal()
+    return c
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (6, 10, 8)])
+@pytest.mark.parametrize("make", [_whole_lattice, _zero_plane, _one_mode],
+                         ids=["whole-lattice", "k0-only", "one-mode"])
+def test_supports_match_reference(shape, make):
+    # non-Hermitian fields: the mean mode, the Nyquist indices and unpaired
+    # modes carry mass, and the k = 0 or k != 0 columns can have none
+    lat = Lattice(*shape)
+    c = 1e-3 * make(lat, np.random.default_rng(sum(shape)))
+    for t in (0.0, 1.3, 3.7, 20.0):
+        _assert_rows_agree(SimState(t, SpectralField(lat, c)), WeightParams())
+
+
+def test_nan_mode_matches_reference():
+    # a NaN coefficient reaches the velocity norms and drops out of the weighted columns
+    lat = Lattice(4, 4, 4)
+    c = np.zeros(lat.shape, complex)
+    c[1, 1, 1], c[2, 0, 1] = 1e-3, np.nan
+    state = SimState(1.0, SpectralField(lat, c))
+    got, ref = compute_row(state, WeightParams()), _reference_row(state, WeightParams())
+    np.testing.assert_allclose(got.values(), ref.values(), rtol=1e-12, equal_nan=True)
+
+
+def test_rows_make_one_stacked_weight_evaluation(monkeypatch):
+    def refuse(self, t):
+        raise AssertionError("a row evaluated the full-lattice weights")
+
+    monkeypatch.setattr(LatticeWeights, "log_w", refuse)
+    monkeypatch.setattr(LatticeWeights, "dlogw_dt", refuse)
+    pieces, calls, rows = _TableStack.pieces, [], []
+
+    def counted(self, row, t):
+        calls.append(t)
+        return pieces(self, row, t)
+
+    monkeypatch.setattr(_TableStack, "pieces", counted)
+    cfg = SimConfig(t_end=20.0)
+
+    def on_row(state):
+        calls.clear()
+        compute_row(state, cfg.weight_params)
+        rows.append(calls == [state.t])
+
+    run_simulation(cfg, on_row=on_row)
+    assert len(rows) == 21 and all(rows)
 
 
 def test_single_pair_columns_in_closed_form():

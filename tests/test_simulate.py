@@ -21,6 +21,7 @@ from strata.simulate import (
     step_nonlinear,
 )
 from strata.symbols import (
+    damping_antiderivative,
     damping_coeff,
     semigroup,
     transport_symbol,
@@ -337,6 +338,15 @@ class TestLinearStep:
         f = linear_decay_factors(lat, 1.0, 3.0)
         assert np.all(f <= 1.0) and np.all(f > 0.0)
         assert f[0, 0, 0] == 1.0
+
+    def test_cached_antiderivative_gives_the_uncached_factors(self):
+        lat = Lattice(8, 16, 8)
+        for t0, t1 in ((0.0, 0.5), (0.0, 7.3), (0.5, 7.3), (0.0, 7.3)):
+            expect = np.exp(damping_antiderivative(t0, lat.kx, lat.eta, lat.alpha)
+                            - damping_antiderivative(t1, lat.kx, lat.eta, lat.alpha))
+            assert linear_decay_factors(lat, t0, t1).tobytes() == expect.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            simulate._antiderivative(lat, 0.0)[0, 0, 0] = 1.0
 
 
 class TestNonlinearRHS:

@@ -11,6 +11,7 @@ from strata.weights import (
     _SWEEP_CHUNK,
     LatticeWeights,
     WeightParams,
+    _TableStack,
     _draw_samples,
     _lemma_log_ratios,
     a_multiplier,
@@ -20,6 +21,7 @@ from strata.weights import (
     gevrey_norm,
     lambda_t,
     lattice_weights,
+    log_l2_from_logs,
     log_w_k,
     ratio_lemma_sweep,
     total_growth_check,
@@ -131,6 +133,74 @@ def _reference_dlogw_dt(lattice, p, t):
         else:
             out[idx] = d_nr
     return out.reshape(lattice.shape)
+
+
+# The per-|iota|-group array evaluation that the stacked tables replaced,
+# kept verbatim (the table methods as functions of the table) as the bitwise
+# oracle for ``_TableStack``.
+
+
+def _reference_table_interval_index(table, t):
+    t = np.asarray(t, dtype=float)
+    E = table.ell_max
+    # t_ell[:0:-1] runs upward from t_E to t_1; count the t_ell >= t.
+    ell = np.minimum(E + 1 - np.searchsorted(table.t_ell[:0:-1], t), E)
+    return np.where((t >= table.t_ell[0]) | (t < table.t_ell[E]), 0, ell)
+
+
+def _reference_pieces(table, t, deriv=False):
+    t = np.asarray(t, dtype=float)
+    ell = _reference_table_interval_index(table, t)
+    inside = ell > 0
+    i = np.maximum(ell, 1)    # any valid interval outside; masked below
+    p = table.peaks[i - 1]
+    right = t >= p
+    coef = np.where(right, table.b_ell[i], table.a_ell[i])
+    lin = 1.0 + coef * np.abs(t - p)
+    if deriv:
+        rate = np.where(inside & (t > table.t_ell[-1]), coef / lin, 0.0)
+        nr_rate = np.where(right, table.c_star, 1.0 + table.c_star) * rate
+        return ell, nr_rate, np.where(right, rate, -rate)
+    scale = i * i / table.iota
+    nr = np.where(right, table.c_star * np.log(scale * lin) + table.lv_break[i - 1],
+                  -(1.0 + table.c_star) * np.log(lin) + table.lv_peak[i])
+    nr = np.where(inside, nr, np.where(t < table.t_ell[0], table.log_floor, 0.0))
+    return ell, nr, np.where(inside, np.log(scale) + np.log(lin), 0.0)
+
+
+def _reference_iota_groups(k, iv):
+    """Flat modes with |iota| > 1 grouped by |iota|: (|iota|, indices, k, iota)."""
+    vals, inverse = np.unique(np.abs(iv), return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    splits = np.cumsum(np.bincount(inverse))[:-1]
+    return [(float(val), idx, k[idx], iv[idx])
+            for val, idx in zip(vals, np.split(order, splits)) if val > 1.0]
+
+
+def _reference_mode_weights(t, groups, n, c_star, deriv=False):
+    """log w_k (d/dt log w_k when ``deriv``) of n flat modes, and the w_R mask."""
+    out = np.zeros(n)
+    uses_r = np.zeros(n, dtype=bool)
+    for val, idx, k, iv in groups:
+        tg = t if np.ndim(t) == 0 else t[idx]
+        table = weight_table(val, c_star)
+        if np.all(tg >= table.t_ell[0]) or deriv and np.all(tg <= table.t_ell[-1]):
+            continue    # w = 1 from t = 2|iota| on, and w is frozen up to t_E
+        ell, nr, lift = _reference_pieces(table, tg, deriv)
+        use = (k * iv > 0) & (np.abs(k) == ell) & table.resonant[ell]
+        out[idx] = np.where(use, lift, 0.0) + nr
+        uses_r[idx] = use
+    return out, uses_r
+
+
+def _assert_stack_matches_groups(stack, t, k, iv, groups):
+    """Stacked log w, d/dt log w and w_R mask equal the grouped ones bit for bit."""
+    log_w, uses_r = _reference_mode_weights(t, groups, k.size, stack.c_star)
+    dlog_w, _ = _reference_mode_weights(t, groups, k.size, stack.c_star, deriv=True)
+    stacked = stack.mode_weights(t, *stack.modes(k, iv))
+    for got, ref in zip(stacked, (log_w, dlog_w, uses_r)):
+        assert got.tobytes() == ref.tobytes(), t
+    return log_w, dlog_w
 
 
 def _reference_lemma_log_ratio(lemma, t, f1, f2, p):
@@ -549,6 +619,35 @@ class TestBatchedSweep:
         wt = rep.worst_tuple
         _, at_worst = _reference_lemma_log_ratio(lemma, wt[0], wt[1:4], wt[4:], P)
         assert at_worst == pytest.approx(best, abs=1e-12)
+
+
+class TestStackedTables:
+    @pytest.mark.parametrize("shape", [(32, 128, 32), (8, 16, 8)])
+    def test_lattice_matches_grouped_reference(self, shape):
+        lat = Lattice(*shape)
+        k = np.broadcast_to(lat.kx, lat.shape).ravel()
+        iv = lat.iota_vals.ravel()
+        vals = np.unique(np.abs(iv))
+        tables = [weight_table(v, P.c_star) for v in vals[vals > 1.0].tolist()]
+        # t_ell[0] is 2|iota|
+        marks = np.concatenate([np.concatenate([tab.t_ell, tab.peaks]) for tab in tables])
+        lw = lattice_weights(lat, P)
+        groups = _reference_iota_groups(k, iv)
+        for t in np.unique(np.concatenate([marks, [0.0, 0.5, 7.3, 100.0]])).tolist():
+            log_w, dlog_w = _assert_stack_matches_groups(lw.tables, t, k, iv, groups)
+            assert lw.log_w(t).tobytes() == log_w.tobytes()
+            assert lw.dlogw_dt(t).tobytes() == dlog_w.tobytes()
+
+    @pytest.mark.parametrize("lemma", ["rNR", "ratioJ", "shortTime"])
+    def test_sweep_chunk_matches_grouped_reference(self, lemma):
+        t, f1, f2 = _draw_samples(np.random.default_rng(8), _SWEEP_CHUNK, lemma)
+        for f in (f1, f2):
+            iv = iota(*f)
+            _assert_stack_matches_groups(_TableStack(iv, P.c_star), t, f[0], iv,
+                                         _reference_iota_groups(f[0], iv))
+
+    def test_log_l2_of_no_modes(self):
+        assert log_l2_from_logs(Lattice(4, 4, 4), np.empty(0)) == -math.inf
 
 
 class TestSweeps:
