@@ -286,10 +286,11 @@ def _check_weights_args(args) -> None:
     """Reject out-of-range weights arguments before any output is written."""
     if not all(0.0 < cs < math.inf for cs in args.cstar):
         raise ConfigError(f"--cstar values must be positive and finite, got {args.cstar}")
-    if args.action == "table" and not 1.0 < abs(args.iota) < math.inf:
-        raise ConfigError(f"--iota must satisfy 1 < |iota| < inf, got {args.iota}")
-    if args.action == "totalgrowth" and not 1.0 < args.iota_max < math.inf:
-        raise ConfigError(f"--iota-max must satisfy 1 < iota_max < inf, got {args.iota_max}")
+    # the table of |iota| has E(sqrt|iota|) intervals: at most 1e4 under this cap
+    if args.action == "table" and not 1.0 < abs(args.iota) <= 1e8:
+        raise ConfigError(f"--iota must satisfy 1 < |iota| <= 1e8, got {args.iota}")
+    if args.action == "totalgrowth" and not 1.0 < args.iota_max <= 1e8:
+        raise ConfigError(f"--iota-max must satisfy 1 < iota_max <= 1e8, got {args.iota_max}")
     if args.action == "ratios" and args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .lattice import efloor
 from .symbols import zero_mode_rate
+from .weights import weight_table
 
 __all__ = [
     "GrowthFit",
@@ -90,16 +90,16 @@ def orr_toy_integrate(k: int, eta: float, kappa: float,
         theta_NR' = kappa * |eta| / (k^2 (1 + |t - eta/k|^2)) * theta_R
 
     from unit data at the interval's left endpoint; returns the terminal
-    amplitudes (|theta_R|, |theta_NR|).
+    amplitudes (|theta_R|, |theta_NR|).  The interval [t_k, t_{k-1}] and its
+    peak |eta|/k are those of the weight table of |eta|, which must exceed 1.
     """
     if k < 1 or eta * k <= 0:
         raise ValueError("need k >= 1 and eta*k > 0")
-    if k > efloor(math.sqrt(abs(eta))):
-        raise ValueError(f"k={k} exceeds E(sqrt|eta|) for eta={eta}: no critical interval")
     ae = abs(eta)
-    t_k = ae / k - ae / (2.0 * k * (k + 1.0))
-    t_km1 = 2.0 * ae if k == 1 else ae / (k - 1.0) - ae / (2.0 * (k - 1.0) * k)
-    tc = ae / k
+    table = weight_table(ae, 1.0)    # the breakpoints do not depend on c_star
+    if k > table.ell_max:
+        raise ValueError(f"k={k} exceeds E(sqrt|eta|) for eta={eta}: no critical interval")
+    t_k, t_km1, tc = table.t_ell[k], table.t_ell[k - 1], table.peaks[k - 1]
 
     c_r = kappa * k * k / ae
     c_nr = kappa * ae / (k * k)

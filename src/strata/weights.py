@@ -8,10 +8,11 @@ frequency iota can accumulate.
 
 Resonance-selection rule: the mode-selected weight w_k uses w_R if and only
 if k != 0, sign k = sign iota and |k| is the index of the resonant interval
-that contains t; it uses w_NR otherwise, and w = 1 for |iota| <= 1.  Every
-evaluation of w goes through one stacked evaluation (``_TableStack``): the
-piecewise formulas run once over the padded tables of the distinct
-|iota| > 1, at one time or one time per mode, and the rule is applied per
+that contains t; it uses w_NR otherwise, and w = 1 for |iota| <= 1.  The
+interval tables are built once, as one stack (``_TableStack``) over the
+distinct |iota| > 1, and the ``WeightTable`` of a single |iota| is its
+one-row view.  Every evaluation of w runs the piecewise formulas once over
+such a stack, at one time or one time per mode, and applies the rule per
 mode by gathering; d/dt log w comes in closed form from the same call.
 
 A^sigma combines 1/w with a Gevrey exponential and a Sobolev bracket;
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, SpectralField, efloor, iota
+from .lattice import Lattice, SpectralField, iota
 
 __all__ = [
     "WeightParams",
@@ -128,59 +129,35 @@ class WeightTable:
     and w_R = (ell^2/iota)(1 + {b or a}|t-p|) * w_NR on the respective halves.
     Below t_E the weight is frozen.  The interval with index ell is resonant
     when 2*sqrt(iota) <= t_ell.
+
+    The table is the one-row view of a ``_TableStack``, which builds every
+    table: its fields are row 0 of the stack's, of length E + 1 (the peaks,
+    indexed from ell = 1, of length E).
     """
 
     def __init__(self, iota_abs: float, c_star: float):
         if iota_abs <= 1.0:
             raise ValueError("weight tables are only built for |iota| > 1")
-        I = float(iota_abs)
-        self.iota = I
+        self.iota = float(iota_abs)
         self.c_star = float(c_star)
-        E = efloor(math.sqrt(I))
-        self.ell_max = E
-
-        # Breakpoints t_ell and peaks p_ell, ell = 1..E.
-        self.t_ell = np.empty(E + 1)
-        self.t_ell[0] = 2.0 * I
-        ells = np.arange(1, E + 1, dtype=float)
-        self.t_ell[1:] = I / ells - I / (2.0 * ells * (ells + 1.0))
-        self.peaks = I / ells
-
-        self.b_ell = np.empty(E + 1)
-        self.a_ell = np.empty(E + 1)
-        self.b_ell[0] = self.a_ell[0] = np.nan
-        for ell in range(1, E + 1):
-            decr = 1.0 - ell * ell / I
-            self.b_ell[ell] = (1.0 - 1.0 / I) if ell == 1 else (2.0 * (ell - 1.0) / ell) * decr
-            self.a_ell[ell] = (2.0 * (ell + 1.0) / ell) * decr
-
-        # Backward sweep for the anchor values of log w_NR.  1/w grows like
-        # exp(mu/2 sqrt(iota)), which overflows float64 well before
-        # iota = 1e4 at larger c_star, so logs are the primary representation.
-        self.lv_break = np.empty(E + 1)   # log w_NR at t_ell
-        self.lv_peak = np.empty(E + 1)    # log w_NR at iota/ell
-        self.lv_break[0] = 0.0
-        self.lv_peak[0] = np.nan
-        for ell in range(1, E + 1):
-            self.lv_peak[ell] = self.c_star * math.log(ell * ell / I) + self.lv_break[ell - 1]
-            depth = 1.0 + self.a_ell[ell] * (self.peaks[ell - 1] - self.t_ell[ell])
-            self.lv_break[ell] = -(1.0 + self.c_star) * math.log(depth) + self.lv_peak[ell]
-
-        self.log_floor = self.lv_break[E]
-        two_sqrt = 2.0 * math.sqrt(I)
-        self.resonant = np.zeros(E + 1, dtype=bool)
-        self.resonant[1:] = self.t_ell[1:] >= two_sqrt
+        self._stack = stack = _TableStack(self.iota, self.c_star)
+        E = self.ell_max = int(stack.ell_max[0])
+        self.t_ell, self.b_ell, self.a_ell, self.lv_break, self.lv_peak, self.resonant = (
+            getattr(stack, name)[0, :E + 1]
+            for name in ("t_ell", "b_ell", "a_ell", "lv_break", "lv_peak", "resonant"))
+        self.peaks = stack.peaks[0, 1:E + 1]
+        self.log_floor = stack.log_floor[0]
 
     @property
     def floor_value(self) -> float:
         return math.exp(self.log_floor)
 
     def wnr(self, t):
-        return np.exp(_TableStack(self.iota, self.c_star).pieces(0, t)[1][0])[()]
+        return np.exp(self._stack.pieces(0, t)[1][0])[()]
 
     def wr(self, t):
         """Resonant branch; coincides with w_NR outside the critical intervals."""
-        nr, lift = _TableStack(self.iota, self.c_star).pieces(0, t)[1]
+        nr, lift = self._stack.pieces(0, t)[1]
         return np.exp(lift + nr)[()]
 
     def continuity_defect(self) -> float:
@@ -239,35 +216,54 @@ def w_r(t: float, iota_val: float, p: WeightParams) -> float:
 
 
 class _TableStack:
-    """The tables of the distinct |iota| > 1 among ``iv``, padded into one array per field.
+    """The tables of the distinct |iota| > 1 among ``iv``, built at once, one array per field.
 
-    Row r is the table of vals[r], column ell its interval ell; breakpoints
-    are padded with +inf, so counting those below t finds a row's interval.
-    The last row, beyond 2|iota| at every t, gives w = 1 to |iota| <= 1.
+    Row r is the table of vals[r], column ell its interval ell; column 0
+    holds t_0 = 2|iota|, the anchor log w_NR(t_0) = 0 and nan in the other
+    fields.  Breakpoints past a row's E are +inf, so counting those below t
+    finds a row's interval.  The last row, beyond 2|iota| at every t, gives
+    w = 1 to |iota| <= 1.
     """
 
     def __init__(self, iv, c_star: float):
         vals = np.unique(np.abs(iv))
+        if vals.size and not np.isfinite(vals[-1]):    # nan sorts last, inf just before it
+            raise ValueError(f"weight tables need a finite |iota|, got {vals[-1]}")
         self.vals = vals = vals[vals > 1.0]
-        tables = [weight_table(v, c_star) for v in vals.tolist()]
-        width = 1 + max((tab.ell_max for tab in tables), default=1)
-
-        def pad(name, fill):
-            out = np.full((len(tables) + 1, width), fill)
-            for row, tab in zip(out, tables):
-                row[:getattr(tab, name).size] = getattr(tab, name)
-            return out
-
-        self.c_star = float(c_star)
+        self.c_star = c = float(c_star)
         self.iota = np.append(vals, 1.0)
-        self.t_ell = pad("t_ell", math.inf)
-        self.t_ell[-1, 0] = -math.inf
-        self.peaks, self.b_ell, self.a_ell, self.lv_break, self.lv_peak = (
-            pad(name, 0.0) for name in ("peaks", "b_ell", "a_ell", "lv_break", "lv_peak"))
-        self.resonant = pad("resonant", False)
-        self.ell_max = np.array([tab.ell_max for tab in tables] + [0])
-        self.t_last = self.t_ell[np.arange(len(tables) + 1), self.ell_max]
-        self.log_floor = np.array([tab.log_floor for tab in tables] + [0.0])
+        E = np.floor(np.sqrt(vals)).astype(int)
+        ell = np.arange(1.0, 1 + E.max(initial=1))
+        I = vals[:, None]
+        on = ell <= E[:, None]
+        peaks = I / ell
+        t_ell = peaks - I / (2.0 * ell * (ell + 1.0))
+        decr = 1.0 - ell * ell / I
+        b_ell = np.where(ell == 1.0, 1.0, 2.0 * (ell - 1.0) / ell) * decr
+        a_ell = (2.0 * (ell + 1.0) / ell) * decr
+        # Backward sweep for the anchors of log w_NR: from t_{ell-1} to the peak
+        # it changes by c* log(ell^2/iota), from the peak to t_ell by
+        # -(1+c*) log(depth); both factors are 1 past E, where depth can be <= 0.
+        # 1/w grows like exp(mu/2 sqrt(iota)), which overflows float64 well
+        # before iota = 1e4 at larger c_star, so logs are the primary representation.
+        steps = np.empty((vals.size, ell.size, 2))
+        steps[..., 0], steps[..., 1] = ell * ell / I, 1.0 + a_ell * (peaks - t_ell)
+        steps = np.log(np.where(on[..., None], steps, 1.0)) * (c, -(1.0 + c))
+        lv = np.cumsum(steps.reshape(vals.size, 2 * ell.size), axis=1)
+
+        fields = np.zeros((6, vals.size + 1, ell.size + 1))
+        fields[:, :-1, 1:] = (np.where(on, t_ell, math.inf), peaks, b_ell, a_ell,
+                              lv[:, 0::2], lv[:, 1::2])
+        fields[0, :-1, 0] = 2.0 * vals
+        fields[1:5, :-1, 0] = math.nan
+        fields[0, -1] = math.inf
+        fields[0, -1, 0] = -math.inf
+        self.t_ell, self.peaks, self.b_ell, self.a_ell, self.lv_peak, self.lv_break = fields
+        self.resonant = np.zeros(fields.shape[1:], dtype=bool)
+        self.resonant[:-1, 1:] = on & (t_ell >= 2.0 * np.sqrt(I))
+        self.ell_max = np.append(E, 0)
+        at_floor = np.arange(vals.size + 1), self.ell_max
+        self.t_last, self.log_floor = self.t_ell[at_floor], self.lv_break[at_floor]
 
     def pieces(self, row, t):
         """Interval index, the (w_NR, w_R - w_NR) parts of log w, and of d/dt log w.
@@ -283,11 +279,11 @@ class _TableStack:
         t = np.asarray(t, dtype=float)
         top, last, c = self.t_ell[row, 0], self.t_last[row], self.c_star
         E = self.ell_max[row]
-        below = sum(self.t_ell[row, j] < t for j in range(1, self.t_ell.shape[1]))
+        below = (self.t_ell[row, 1:] < t[..., None]).sum(axis=-1)
         ell = np.where((t >= top) | (t < last), 0, np.minimum(E + 1 - below, E))
         inside = ell > 0
         i = np.maximum(ell, 1)    # any valid interval outside; masked below
-        p = self.peaks[row, i - 1]
+        p = self.peaks[row, i]
         right = t >= p
         coef = np.where(right, self.b_ell[row, i], self.a_ell[row, i])
         lin = 1.0 + coef * np.abs(t - p)
@@ -449,17 +445,14 @@ def total_growth_check(iota_max: float, p: WeightParams, n_grid: int = 400,
     grid = set(np.geomspace(1.001, iota_max, n_grid).tolist())
     grid.update(float(i) for i in range(2, min(101, int(iota_max) + 1)))
     grid.update([float(iota_max)])
-    mu = p.mu
-    worst_log_k, worst_iota = -math.inf, 0.0
-    for iv in sorted(grid):
-        if iv <= 1.0:
-            continue
-        log_growth = -weight_table(iv, p.c_star).log_floor
-        log_k = log_growth - 0.5 * mu * math.sqrt(iv)
-        if log_k > worst_log_k:
-            worst_log_k, worst_iota = log_k, iv
-    worst_k = math.exp(worst_log_k) if worst_log_k < 700.0 else math.inf
-    return TotalGrowthReport(p.c_star, mu, iota_max, worst_k, worst_iota,
+    vals = np.array(sorted(grid))
+    # stacks of 32 values keep memory flat: their rows have up to E(sqrt(iota_max)) columns
+    log_growth = -np.concatenate([_TableStack(vals[i:i + 32], p.c_star).log_floor[:-1]
+                                  for i in range(0, vals.size, 32)])
+    log_k = log_growth - 0.5 * p.mu * np.sqrt(vals)
+    i = int(np.argmax(log_k))
+    worst_k = math.exp(log_k[i]) if log_k[i] < 700.0 else math.inf
+    return TotalGrowthReport(p.c_star, p.mu, iota_max, worst_k, float(vals[i]),
                              worst_k <= k_cap)
 
 

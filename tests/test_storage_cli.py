@@ -296,6 +296,9 @@ output_every = 1.0
         ["table", "--iota=-inf"],
         ["totalgrowth", "--iota-max", "inf"],
         ["totalgrowth", "--iota-max", "nan"],
+        ["table", "--iota", "1.5e8"],
+        ["table", "--iota=-1e30"],
+        ["totalgrowth", "--iota-max", "1e30"],
     ])
     def test_weights_argument_errors_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "w"

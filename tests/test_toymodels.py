@@ -95,6 +95,9 @@ class TestOrrToy:
             orr_toy_integrate(1, -100.0, 1.0)      # eta k <= 0
         with pytest.raises(ValueError):
             orr_toy_integrate(4, 10.0, 1.0)        # k > E(sqrt eta)
+        for eta in (1.0, 0.5):
+            with pytest.raises(ValueError):
+                orr_toy_integrate(1, eta, 1.0)     # no weight table for |eta| <= 1
 
     def test_narrow_interval_bounded(self):
         # |eta| ~ k^2 means an O(1)-wide interval and O(exp(c kappa)) growth

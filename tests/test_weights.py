@@ -1,4 +1,6 @@
 import math
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _hermitian import symmetrized
-from strata.lattice import Lattice, SpectralField, iota
+from strata.lattice import Lattice, SpectralField, efloor, iota
 from strata.weights import (
     _SWEEP_CHUNK,
     LatticeWeights,
     WeightParams,
+    WeightTable,
     _TableStack,
     _draw_samples,
     _lemma_log_ratios,
@@ -32,6 +35,57 @@ from strata.weights import (
 )
 
 P = WeightParams()
+
+
+# The per-|iota| table builder with scalar loops that the stacked builder
+# replaced, kept verbatim as its oracle and as the table source of every
+# reference below.
+
+
+class _ReferenceTable:
+    def __init__(self, iota_abs: float, c_star: float):
+        if iota_abs <= 1.0:
+            raise ValueError("weight tables are only built for |iota| > 1")
+        I = float(iota_abs)
+        self.iota = I
+        self.c_star = float(c_star)
+        E = efloor(math.sqrt(I))
+        self.ell_max = E
+
+        # Breakpoints t_ell and peaks p_ell, ell = 1..E.
+        self.t_ell = np.empty(E + 1)
+        self.t_ell[0] = 2.0 * I
+        ells = np.arange(1, E + 1, dtype=float)
+        self.t_ell[1:] = I / ells - I / (2.0 * ells * (ells + 1.0))
+        self.peaks = I / ells
+
+        self.b_ell = np.empty(E + 1)
+        self.a_ell = np.empty(E + 1)
+        self.b_ell[0] = self.a_ell[0] = np.nan
+        for ell in range(1, E + 1):
+            decr = 1.0 - ell * ell / I
+            self.b_ell[ell] = (1.0 - 1.0 / I) if ell == 1 else (2.0 * (ell - 1.0) / ell) * decr
+            self.a_ell[ell] = (2.0 * (ell + 1.0) / ell) * decr
+
+        # Backward sweep for the anchor values of log w_NR.  1/w grows like
+        # exp(mu/2 sqrt(iota)), which overflows float64 well before
+        # iota = 1e4 at larger c_star, so logs are the primary representation.
+        self.lv_break = np.empty(E + 1)   # log w_NR at t_ell
+        self.lv_peak = np.empty(E + 1)    # log w_NR at iota/ell
+        self.lv_break[0] = 0.0
+        self.lv_peak[0] = np.nan
+        for ell in range(1, E + 1):
+            self.lv_peak[ell] = self.c_star * math.log(ell * ell / I) + self.lv_break[ell - 1]
+            depth = 1.0 + self.a_ell[ell] * (self.peaks[ell - 1] - self.t_ell[ell])
+            self.lv_break[ell] = -(1.0 + self.c_star) * math.log(depth) + self.lv_peak[ell]
+
+        self.log_floor = self.lv_break[E]
+        two_sqrt = 2.0 * math.sqrt(I)
+        self.resonant = np.zeros(E + 1, dtype=bool)
+        self.resonant[1:] = self.t_ell[1:] >= two_sqrt
+
+
+_reference_table = lru_cache(maxsize=None)(_ReferenceTable)
 
 
 # Scalar reference implementations: the per-call weight code that the
@@ -77,7 +131,7 @@ def _reference_log_wr(table, t):
 def _reference_resonant(t, k, iota_val, p):
     if k == 0 or abs(iota_val) <= 1.0 or k * iota_val <= 0:
         return False
-    table = weight_table(abs(float(iota_val)), p.c_star)
+    table = _reference_table(abs(float(iota_val)), p.c_star)
     ell = _reference_interval_index(table, t)
     return bool(ell) and bool(table.resonant[ell]) and ell == abs(k)
 
@@ -85,7 +139,7 @@ def _reference_resonant(t, k, iota_val, p):
 def _reference_select(t, k, iota_val, p):
     if abs(iota_val) <= 1.0:
         return 0.0
-    table = weight_table(abs(float(iota_val)), p.c_star)
+    table = _reference_table(abs(float(iota_val)), p.c_star)
     if _reference_resonant(t, k, iota_val, p):
         return _reference_log_wr(table, t)
     return _reference_log_wnr(table, t)
@@ -117,7 +171,7 @@ def _reference_dlogw_dt(lattice, p, t):
         if val <= 1.0:
             continue
         idx = np.nonzero(np.abs(iv) == val)[0]
-        table = weight_table(float(val), p.c_star)
+        table = _reference_table(float(val), p.c_star)
         lo, hi = _reference_piece_bounds(table, t)
         if not math.isfinite(hi) or hi <= table.t_ell[table.ell_max]:
             continue
@@ -183,7 +237,7 @@ def _reference_mode_weights(t, groups, n, c_star, deriv=False):
     uses_r = np.zeros(n, dtype=bool)
     for val, idx, k, iv in groups:
         tg = t if np.ndim(t) == 0 else t[idx]
-        table = weight_table(val, c_star)
+        table = _reference_table(val, c_star)
         if np.all(tg >= table.t_ell[0]) or deriv and np.all(tg <= table.t_ell[-1]):
             continue    # w = 1 from t = 2|iota| on, and w is frozen up to t_E
         ell, nr, lift = _reference_pieces(table, tg, deriv)
@@ -299,6 +353,13 @@ class TestIntervalTable:
     def test_small_iota_empty(self):
         assert critical_times(1.0, P) is None
         assert critical_times(-0.5, P) is None
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_iota_rejected(self, bad):
+        for call in (lambda: weight_table(bad, 1.0), lambda: w_nr(1.0, bad, P),
+                     lambda: log_w_k(1.0, 0, 0.0, bad, P)):    # iota(0, 0, bad) = bad
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
     def test_sign_symmetry(self):
         ts = np.linspace(0, 25, 101)
@@ -536,7 +597,7 @@ class TestAgainstScalarReference:
         cols = [(t, k, eta, al)]
         for j in range(5, 161):
             eta_j = 0.25 * j * (-1) ** j
-            ts = _breakpoint_times(weight_table(abs(eta_j), c_star))
+            ts = _breakpoint_times(_reference_table(abs(eta_j), c_star))
             for kk in (-2, -1, 0, 1, 2):
                 cols.append((ts, np.full(ts.size, kk), np.full(ts.size, eta_j),
                              np.zeros(ts.size, dtype=int)))
@@ -557,7 +618,7 @@ class TestAgainstScalarReference:
         iv = lat.iota_vals.ravel().tolist()
         pairs = set(zip(kk, iv))
         vals = sorted({abs(v) for v in iv if abs(v) > 1.0})
-        times = np.concatenate([_breakpoint_times(weight_table(v, c_star)) for v in vals]
+        times = np.concatenate([_breakpoint_times(_reference_table(v, c_star)) for v in vals]
                                + [np.random.default_rng(3).uniform(0.0, 90.0, 20)])
         for t in times.tolist():
             ref = {pair: _reference_select(t, *pair, p) for pair in pairs}
@@ -570,7 +631,8 @@ class TestAgainstScalarReference:
         lat = Lattice(4, 32, 4, ly=0.8 * math.pi)
         lw = LatticeWeights(lat, p)
         abs_iota = np.abs(lat.iota_vals.ravel())
-        marks = {v: np.concatenate([weight_table(v, c_star).t_ell, weight_table(v, c_star).peaks])
+        marks = {v: np.concatenate([_reference_table(v, c_star).t_ell,
+                                    _reference_table(v, c_star).peaks])
                  for v in np.unique(abs_iota) if v > 1.0}
         times = np.concatenate([np.linspace(0.05, 85.0, 150), *marks.values()])
         h = 1e-6
@@ -621,14 +683,63 @@ class TestBatchedSweep:
         assert at_worst == pytest.approx(best, abs=1e-12)
 
 
+def _stack_rows(stack):
+    """Each row of a stack read as the table of its |iota|: the fields up to
+    column E, the peaks from column 1; the columns past E must be inert."""
+    for row, val in enumerate(stack.vals.tolist()):
+        E = int(stack.ell_max[row])
+        assert np.all(stack.t_ell[row, E + 1:] == math.inf)
+        assert not stack.resonant[row, E + 1:].any()
+        yield val, SimpleNamespace(
+            ell_max=E, log_floor=stack.log_floor[row], peaks=stack.peaks[row, 1:E + 1],
+            **{name: getattr(stack, name)[row, :E + 1]
+               for name in ("t_ell", "b_ell", "a_ell", "resonant", "lv_break", "lv_peak")})
+
+
+def _assert_table_matches_reference(got, ref):
+    """Breakpoints, peaks, coefficients and resonance flags bit for bit; the log
+    w_NR anchors, a running sum in both builders, within 1e-13 max(1, |x|)."""
+    assert got.ell_max == ref.ell_max
+    for name in ("t_ell", "peaks", "b_ell", "a_ell", "resonant"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    for name in ("lv_break", "lv_peak", "log_floor"):
+        x, y = np.asarray(getattr(got, name)), np.asarray(getattr(ref, name))
+        assert x.shape == y.shape and np.array_equal(np.isnan(x), np.isnan(y)), name
+        x, y = np.nan_to_num(x), np.nan_to_num(y)
+        assert np.all(np.abs(x - y) <= 1e-13 * np.maximum(1.0, np.abs(y))), name
+
+
 class TestStackedTables:
+    @pytest.mark.parametrize("c_star", [0.5, 1.0, 2.0])
+    def test_builder_matches_reference_tables(self, c_star):
+        stacks = [_TableStack(Lattice(*shape).iota_vals, c_star)
+                  for shape in ((32, 128, 32), (8, 16, 8))]
+        for lemma in ("rNR", "ratioJ", "shortTime"):
+            _, f1, f2 = _draw_samples(np.random.default_rng(8), _SWEEP_CHUNK, lemma)
+            stacks.append(_TableStack(np.concatenate([iota(*f1), iota(*f2)]), c_star))
+        # the grid of total_growth_check(1e4)
+        grid = set(np.geomspace(1.001, 1e4, 400).tolist()) | set(map(float, range(2, 101)))
+        stacks.append(_TableStack(np.array(sorted(grid | {1e4})), c_star))
+        for stack in stacks:
+            for val, table in _stack_rows(stack):
+                _assert_table_matches_reference(table, _ReferenceTable(val, c_star))
+        for val in (1e6, 1e8):
+            _assert_table_matches_reference(WeightTable(val, c_star), _ReferenceTable(val, c_star))
+
+    def test_stacks_build_without_the_table_cache(self):
+        weight_table.cache_clear()
+        LatticeWeights(Lattice(32, 128, 32), P)
+        for lemma in ("rNR", "ratioJ", "shortTime"):
+            ratio_lemma_sweep(lemma, _SWEEP_CHUNK, P)
+        assert weight_table.cache_info().currsize == 0
+
     @pytest.mark.parametrize("shape", [(32, 128, 32), (8, 16, 8)])
     def test_lattice_matches_grouped_reference(self, shape):
         lat = Lattice(*shape)
         k = np.broadcast_to(lat.kx, lat.shape).ravel()
         iv = lat.iota_vals.ravel()
         vals = np.unique(np.abs(iv))
-        tables = [weight_table(v, P.c_star) for v in vals[vals > 1.0].tolist()]
+        tables = [_reference_table(v, P.c_star) for v in vals[vals > 1.0].tolist()]
         # t_ell[0] is 2|iota|
         marks = np.concatenate([np.concatenate([tab.t_ell, tab.peaks]) for tab in tables])
         lw = lattice_weights(lat, P)
