@@ -8,6 +8,10 @@
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical abort.
 All commands honor --out (or $STRATA_OUT), --seed, --quiet.
+
+Every command but fit writes its files through one ``_RunRecord``: the
+manifest comes first and lists in ``outputs`` each file written, CSVs,
+checkpoints and plot script, also after a numerical abort.
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ from .weights import WeightParams, ratio_lemma_sweep, total_growth_check, weight
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
+
+# the arguments each toy model and weights action reads, recorded in its manifest
+_TOY_ARGS = {"orr": ("k", "kappa"), "zeromode": ("tmax",), "liftup": ("tmax", "epsilon"),
+             "semigroup": ("m",)}
+_WEIGHTS_ARGS = {"table": ("iota",), "totalgrowth": ("iota_max",),
+                 "ratios": ("lemma", "samples")}
 
 
 def main(argv=None) -> int:
@@ -79,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_cmd_run, mode=name)
 
     p = sub.add_parser("toy", help="toy-model reports")
-    p.add_argument("model", choices=["orr", "zeromode", "liftup", "semigroup"])
+    p.add_argument("model", choices=list(_TOY_ARGS))
     p.add_argument("--kappa", type=float, default=1.0, help="orr: coupling strength")
     p.add_argument("--k", type=int, default=1, help="orr: resonant wavenumber")
     p.add_argument("--tmax", type=float, default=1e3, help="zeromode/liftup horizon")
@@ -90,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_toy)
 
     p = sub.add_parser("weights", help="weight tables and lemma sweeps")
-    p.add_argument("action", choices=["table", "totalgrowth", "ratios"])
+    p.add_argument("action", choices=list(_WEIGHTS_ARGS))
     p.add_argument("--iota", type=float, default=10.0)
     p.add_argument("--iota-max", type=float, default=1e4)
     p.add_argument("--cstar", type=float, nargs="+", default=[1.0])
@@ -112,27 +122,56 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _outdir(args) -> str:
-    out = args.out or os.environ.get("STRATA_OUT") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _say(args, msg: str) -> None:
     if not getattr(args, "quiet", False):
         print(msg)
 
 
-def _start_manifest(args, command: str, seed: int, config_text: str,
-                    outputs: list[str], extra: dict | None = None):
-    out = _outdir(args)
-    manifest = RunManifest(command=command, seed=seed, version=__version__,
-                           config_text=config_text, outputs=outputs,
-                           extra=extra or {})
-    manifest.stamp_start()
-    path = os.path.join(out, RunManifest.name_for(command))
-    manifest.write(path)
-    return manifest, path
+class _RunRecord:
+    """The output directory and manifest of one command, written before any result.
+
+    Each file written through the record is added to ``outputs`` in the order written.
+    """
+
+    def __init__(self, args, command: str, seed: int, config_text: str,
+                 extra: dict | None = None):
+        self.out = args.out or os.environ.get("STRATA_OUT") or "."
+        self.name = RunManifest.name_for(command)
+        os.makedirs(self.out, exist_ok=True)
+        self.manifest = RunManifest(command=command, seed=seed, version=__version__,
+                                    config_text=config_text, extra=extra or {})
+        self.manifest.stamp_start()
+        self.manifest.write(os.path.join(self.out, self.name))
+
+    def csv(self, name: str, header: list[str], rows) -> None:
+        write_csv(os.path.join(self.out, name), header, rows, manifest_name=self.name)
+        self.manifest.outputs.append(name)
+
+    def checkpoint(self, name: str, state) -> None:
+        save_checkpoint(os.path.join(self.out, name), state)
+        self.manifest.outputs.append(name)
+
+    def plot_script(self, csv_name: str, columns=None) -> None:
+        tag = self.manifest.command
+        with open(os.path.join(self.out, f"plot_{tag}.py"), "w", encoding="utf-8") as fh:
+            fh.write(_PLOT_TEMPLATE.format(csv_name=csv_name, columns=columns or [],
+                                           png_name=f"{tag}.png"))
+        self.manifest.outputs.append(f"plot_{tag}.py")
+
+    def finish(self, completed: bool = True) -> None:
+        """Rewrite the manifest; only a completed run gets its ``finished`` stamp."""
+        if completed:
+            self.manifest.stamp_finish()
+        self.manifest.write(os.path.join(self.out, self.name))
+
+
+def _settings(section: str, args, names) -> str:
+    """The ``[section]`` text of the named arguments, lists space-joined."""
+    lines = [f"[{section}]"]
+    for name in names:
+        val = getattr(args, name)
+        lines.append(f"{name} = {' '.join(map(str, val)) if isinstance(val, list) else val}")
+    return "\n".join(lines) + "\n"
 
 
 # --- run commands ---------------------------------------------------------
@@ -142,22 +181,14 @@ def _cmd_run(args) -> int:
     if args.print_defaults:
         print(default_config_text(), end="")
         return _EXIT_OK
-    overrides: dict = {"mode": args.mode}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.config is not None:
-        cfg = SimConfig.from_file(args.config, overrides)
-    else:
-        cfg = SimConfig.from_text("", overrides)
-
-    out = _outdir(args)
+    overrides = {key: val for key, val in
+                 (("mode", args.mode), ("seed", args.seed), ("threads", args.threads))
+                 if val is not None}
+    cfg = (SimConfig.from_file(args.config, overrides) if args.config is not None
+           else SimConfig.from_text("", overrides))
     csv_name = f"{args.mode}_diagnostics.csv"
-    extra = {"sigma_min_resolved": f"{cfg.lattice.sigma_min_resolved():.6e}"}
-    manifest, manifest_path = _start_manifest(
-        args, args.mode, cfg.seed, cfg.to_text(), [csv_name], extra)
-
+    record = _RunRecord(args, args.mode, cfg.seed, cfg.to_text(),
+                        {"sigma_min_resolved": f"{cfg.lattice.sigma_min_resolved():.6e}"})
     params = cfg.weight_params
     rows: list[DiagnosticRow] = []
 
@@ -165,30 +196,24 @@ def _cmd_run(args) -> int:
         rows.append(compute_row(state, params))
 
     def on_checkpoint(state):
-        name = f"{args.mode}_t{state.t:08.2f}.ckpt"
-        save_checkpoint(os.path.join(out, name), state)
-        manifest.outputs.append(name)
+        record.checkpoint(f"{args.mode}_t{state.t:08.2f}.ckpt", state)
 
     try:
-        final = run_simulation(cfg, on_row=on_row, on_checkpoint=on_checkpoint)
+        final, abort = run_simulation(cfg, on_row=on_row, on_checkpoint=on_checkpoint), None
     except NumericalAbort as exc:
-        if rows:
-            write_csv(os.path.join(out, csv_name), DiagnosticRow.header(),
-                      [r.values() for r in rows], manifest_name=RunManifest.name_for(args.mode))
-        if exc.state is not None:
-            save_checkpoint(os.path.join(out, f"{args.mode}_abort.ckpt"), exc.state)
-        raise
-
-    write_csv(os.path.join(out, csv_name), DiagnosticRow.header(),
-              [r.values() for r in rows], manifest_name=RunManifest.name_for(args.mode))
-    final_name = f"{args.mode}_final.ckpt"
+        final, abort = exc.state, exc
+    if rows or abort is None:
+        record.csv(csv_name, DiagnosticRow.header(), [r.values() for r in rows])
+    if abort is not None:
+        # the partial rows and the offending state stay for inspection; finished stays empty
+        if final is not None:
+            record.checkpoint(f"{args.mode}_abort.ckpt", final)
+        record.finish(completed=False)
+        raise abort
     if args.mode == "nonlinear":
-        save_checkpoint(os.path.join(out, final_name), final)
-        manifest.outputs.append(final_name)
-    _emit_plot_script(out, args.mode, csv_name,
-                      ["u1_l2", "u2_zero_l2", "u2_nonzero_l2", "u3_l2"])
-    manifest.stamp_finish()
-    manifest.write(manifest_path)
+        record.checkpoint(f"{args.mode}_final.ckpt", final)
+    record.plot_script(csv_name, ["u1_l2", "u2_zero_l2", "u2_nonzero_l2", "u3_l2"])
+    record.finish()
     _say(args, f"{args.mode} run complete: t={final.t:g}, {len(rows)} rows -> {csv_name}")
     return _EXIT_OK
 
@@ -211,40 +236,29 @@ def _check_toy_args(args) -> None:
 
 def _cmd_toy(args) -> int:
     _check_toy_args(args)
-    out = _outdir(args)
-    seed = args.seed if args.seed is not None else 0
-    name = f"toy_{args.model}.csv"
-    summary_name = f"toy_{args.model}_summary.csv"
-    manifest, mpath = _start_manifest(args, f"toy_{args.model}", seed,
-                                      f"[toy]\nmodel = {args.model}\n",
-                                      [name, summary_name])
-    mn = RunManifest.name_for(f"toy_{args.model}")
+    command = f"toy_{args.model}"
+    record = _RunRecord(args, command, args.seed or 0,
+                        _settings("toy", args, ("model",) + _TOY_ARGS[args.model]))
     summary = []  # rows of (model, params, fitted_exponent, r2, constant)
 
     if args.model == "orr":
         etas = np.geomspace(100.0, 1e5, 13)
-        rows = []
+        header, rows = ["eta", "k", "kappa", "amp_resonant", "amp_nonresonant"], []
         for eta in etas:
             ar, anr = orr_toy_integrate(args.k, float(eta), args.kappa)
             rows.append([float(eta), args.k, args.kappa, ar, anr])
         fit = fit_loglog_slope(etas, [r[4] for r in rows], min_r2=0.99)
-        write_csv(os.path.join(out, name),
-                  ["eta", "k", "kappa", "amp_resonant", "amp_nonresonant"], rows,
-                  manifest_name=mn)
         summary.append(["orr", f"k={args.k} kappa={args.kappa:g}",
                         fit.exponent, fit.r2, rows[-1][4]])
         _say(args, f"orr toy: amp_nonresonant ~ eta^{fit.exponent:.3f} (r2={fit.r2:.5f})")
 
     elif args.model == "zeromode":
-        rows = []
+        header, rows = ["eta", "alpha", "sigma", "constant", "sup_weighted"], []
         for eta in range(0, 10):
             for alpha in range(1, 11):
                 rep = zero_mode_decay_bound(float(eta), alpha, args.tmax)
                 rows.append([eta, alpha, rep.sigma, rep.constant, rep.sup_weighted])
         cmax = max(r[3] for r in rows)
-        write_csv(os.path.join(out, name),
-                  ["eta", "alpha", "sigma", "constant", "sup_weighted"], rows,
-                  manifest_name=mn)
         summary.append(["zeromode", f"tmax={args.tmax:g} grid=10x10", "", "", cmax])
         _say(args, f"zero-mode decay: uniform constant {cmax:.3f} over {len(rows)} frequencies")
 
@@ -253,29 +267,25 @@ def _cmd_toy(args) -> int:
         etas = np.arange(0.5, 40.01, 0.25)
         alphas = range(1, 15)
         env, fit = liftup_growth(args.epsilon, etas, alphas, t_grid)
-        rows = [[float(t), float(v)] for t, v in zip(t_grid, env)]
-        write_csv(os.path.join(out, name), ["t", "envelope"], rows, manifest_name=mn)
+        header, rows = ["t", "envelope"], [[float(t), float(v)] for t, v in zip(t_grid, env)]
         summary.append(["liftup", f"epsilon={args.epsilon:g}",
                         fit.exponent, fit.r2, float(env[-1])])
         _say(args, f"lift-up envelope exponent: {fit.exponent:.4f} (r2={fit.r2:.5f})")
 
     else:  # semigroup
         grid = [(e, a) for e in range(2, 12) for a in range(1, 11)]
-        rows = []
+        header, rows = ["m", "constant", "spread"], []
         for m in args.m:
             rep = semigroup_bound_check(grid, m)
             rows.append([m, rep.c_max, rep.spread])
             summary.append(["semigroup", f"m={m:g}", "", "", rep.c_max])
             _say(args, f"semigroup m={m}: C={rep.c_max:.4f}, spread={rep.spread:.3%}")
-        write_csv(os.path.join(out, name), ["m", "constant", "spread"], rows,
-                  manifest_name=mn)
 
-    write_csv(os.path.join(out, summary_name),
-              ["model", "params", "fitted_exponent", "r2", "constant"], summary,
-              manifest_name=mn)
-    _emit_plot_script(out, f"toy_{args.model}", name, None)
-    manifest.stamp_finish()
-    manifest.write(mpath)
+    record.csv(f"{command}.csv", header, rows)
+    record.csv(f"{command}_summary.csv",
+               ["model", "params", "fitted_exponent", "r2", "constant"], summary)
+    record.plot_script(f"{command}.csv")
+    record.finish()
     return _EXIT_OK
 
 
@@ -297,15 +307,12 @@ def _check_weights_args(args) -> None:
 
 def _cmd_weights(args) -> int:
     _check_weights_args(args)
-    out = _outdir(args)
-    seed = args.seed if args.seed is not None else 0
-    settings = f"[weights]\ncstar = {' '.join(map(str, args.cstar))}\n"
+    record = _RunRecord(args, f"weights_{args.action}", args.seed or 0,
+                        _settings("weights", args, ("cstar",) + _WEIGHTS_ARGS[args.action]))
+    rows = []
 
     if args.action == "table":
-        name = f"weights_table_iota{args.iota:g}.csv"
-        manifest, mpath = _start_manifest(args, "weights_table", seed,
-                                          f"{settings}iota = {args.iota}\n", [name])
-        rows = []
+        name, header = f"weights_table_iota{args.iota:g}.csv", ["c_star", "t", "w_nr", "w_r"]
         for cs in args.cstar:
             table = weight_table(abs(args.iota), cs)
             ts = sorted(set(np.concatenate([
@@ -313,44 +320,32 @@ def _cmd_weights(args) -> int:
                 np.linspace(0.0, 2.2 * abs(args.iota), 45)]).tolist()))
             for t in ts:
                 rows.append([cs, t, table.wnr(t), table.wr(t)])
-        write_csv(os.path.join(out, name), ["c_star", "t", "w_nr", "w_r"], rows,
-                  manifest_name=RunManifest.name_for("weights_table"))
         _say(args, f"weight table for iota={args.iota:g} -> {name}")
 
     elif args.action == "totalgrowth":
         name = "weights_totalgrowth.csv"
-        manifest, mpath = _start_manifest(args, "weights_totalgrowth", seed,
-                                          f"{settings}iota_max = {args.iota_max}\n", [name])
-        rows = []
+        header = ["c_star", "mu", "iota_max", "constant", "worst_iota", "passed"]
         for cs in args.cstar:
             rep = total_growth_check(args.iota_max, WeightParams(c_star=cs))
             rows.append([cs, rep.mu, rep.iota_max, rep.constant, rep.worst_iota,
                          int(rep.passed)])
             _say(args, f"total growth c_star={cs}: K={rep.constant:.4g} "
                        f"(worst iota {rep.worst_iota:.4g}) pass={rep.passed}")
-        write_csv(os.path.join(out, name),
-                  ["c_star", "mu", "iota_max", "constant", "worst_iota", "passed"],
-                  rows, manifest_name=RunManifest.name_for("weights_totalgrowth"))
 
     else:  # ratios
         name = "weights_ratio_sweeps.csv"
-        manifest, mpath = _start_manifest(
-            args, "weights_ratios", seed,
-            f"{settings}lemma = {args.lemma}\nsamples = {args.samples}\n", [name])
+        header = ["lemma", "samples", "empirical_constant", "worst_tuple", "c_star"]
         lemmas = ["rNR", "ratioJ", "shortTime"] if args.lemma == "all" else [args.lemma]
-        rows = []
         for lem in lemmas:
             for cs in args.cstar:
-                rep = ratio_lemma_sweep(lem, args.samples, WeightParams(c_star=cs), seed=seed)
+                rep = ratio_lemma_sweep(lem, args.samples, WeightParams(c_star=cs),
+                                        seed=args.seed or 0)
                 rows.append(rep.csv_row() + [cs])
                 _say(args, f"{lem} (c_star={cs}): constant {rep.empirical_constant:.4e} "
                            f"over {rep.samples_used} admissible samples")
-        write_csv(os.path.join(out, name),
-                  ["lemma", "samples", "empirical_constant", "worst_tuple", "c_star"], rows,
-                  manifest_name=RunManifest.name_for("weights_ratios"))
 
-    manifest.stamp_finish()
-    manifest.write(mpath)
+    record.csv(name, header, rows)
+    record.finish()
     return _EXIT_OK
 
 
@@ -414,13 +409,6 @@ plt.legend()
 plt.tight_layout()
 plt.savefig({png_name!r}, dpi=150)
 '''
-
-
-def _emit_plot_script(out: str, tag: str, csv_name: str, columns) -> None:
-    script = _PLOT_TEMPLATE.format(csv_name=csv_name, columns=columns or [],
-                                   png_name=f"{tag}.png")
-    with open(os.path.join(out, f"plot_{tag}.py"), "w", encoding="utf-8") as fh:
-        fh.write(script)
 
 
 if __name__ == "__main__":

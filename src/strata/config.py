@@ -157,20 +157,16 @@ class SimConfig:
         return cls.from_text(text, overrides)
 
 
-_INT_KEYS = {"nx", "ny", "nz", "seed", "init_kmax", "threads"}
-_STR_KEYS = {"mode", "recipe"}
+# each field's annotation, as text under postponed evaluation, picks its parser
+_FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
+_PARSERS = {"int": int, "str": str, "float": float,
+            "tuple[float, ...]": lambda raw: tuple(float(x) for x in raw.replace(",", " ").split())}
 
 
 def _parse_value(name: str, raw: str):
     raw = raw.strip()
     try:
-        if name in _STR_KEYS:
-            return raw
-        if name in _INT_KEYS:
-            return int(raw)
-        if name == "sigmas":
-            return tuple(float(x) for x in raw.replace(",", " ").split())
-        return float(raw)
+        return _PARSERS[_FIELD_TYPES[name]](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
 

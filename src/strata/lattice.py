@@ -55,25 +55,26 @@ def iota(k, eta, alpha):
 
     Returns eta when |eta| is (weakly) largest, k when |k| is strictly
     largest, and alpha otherwise; ties between alpha and k go to alpha.
-    Exactly one branch applies to every frequency.
+    Exactly one branch applies to every frequency, which must be finite.
     """
     ak, ae, aa = np.abs(k), np.abs(eta), np.abs(alpha)
+    if not np.isfinite(np.maximum(np.maximum(ak, ae), aa)).all():   # the max keeps a NaN
+        raise ValueError("iota needs finite k, eta and alpha")
     out = np.where((ae >= ak) & (ae >= aa), eta,
                    np.where((ak > ae) & (ak > aa), k, alpha))
     return float(out) if out.ndim == 0 else out
 
 
 def iota_lipschitz_ok(f1: tuple[float, float, float],
-                      f2: tuple[float, float, float],
-                      slack: float = 1e-9) -> bool:
+                      f2: tuple[float, float, float]) -> bool:
     """Check ||iota(f1)| - |iota(f2)|| <= |f1 - f2| in the l1 norm.
 
-    ``slack`` absorbs rounding in the eta differences for lattices whose
-    delta_eta is not a binary fraction.
+    A relative slack of 1e-9 absorbs rounding in the eta differences for
+    lattices whose delta_eta is not a binary fraction.
     """
     lhs = abs(abs(iota(*f1)) - abs(iota(*f2)))
     rhs = l1_norm(f1[0] - f2[0], f1[1] - f2[1], f1[2] - f2[2])
-    return lhs <= rhs + slack * (1.0 + rhs)
+    return lhs <= rhs + 1e-9 * (1.0 + rhs)
 
 
 @dataclass(frozen=True)
@@ -199,21 +200,18 @@ class SpectralField:
         return cls(lattice, np.zeros(lattice.shape, dtype=np.complex128))
 
     @classmethod
-    def from_physical(cls, lattice: Lattice, values: np.ndarray,
-                      workers: int = 1) -> "SpectralField":
-        coeffs = _fft.fftn(np.asarray(values, dtype=np.float64),
-                           workers=workers) / lattice.size
-        return cls(lattice, coeffs)
+    def from_physical(cls, lattice: Lattice, values: np.ndarray) -> "SpectralField":
+        return cls(lattice, _fft.fftn(np.asarray(values, dtype=np.float64)) / lattice.size)
 
-    def to_physical(self, workers: int = 1) -> np.ndarray:
-        return np.real(_fft.ifftn(self.coeffs, workers=workers) * self.lattice.size)
+    def to_physical(self) -> np.ndarray:
+        return np.real(_fft.ifftn(self.coeffs) * self.lattice.size)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.lattice, self.coeffs.copy())
 
-    def reality_defect(self, workers: int = 1) -> float:
+    def reality_defect(self) -> float:
         """Relative size of the imaginary part of the inverse transform."""
-        phys = _fft.ifftn(self.coeffs, workers=workers) * self.lattice.size
+        phys = _fft.ifftn(self.coeffs) * self.lattice.size
         scale = float(np.max(np.abs(phys)))
         if scale == 0.0:
             return 0.0

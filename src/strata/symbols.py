@@ -149,7 +149,7 @@ class SymbolBoundReport:
 
 
 def nonzero_mode_decay_bound_check(k: int, eta: float, alpha: float,
-                                   t_grid, c_max: float | None = None) -> SymbolBoundReport:
+                                   t_grid) -> SymbolBoundReport:
     """Verify the <t>^-3 / <t>^-4 symbol decay bounds for a k != 0 frequency.
 
     Checks |v1|<t>^3 <= C<f>^3, |v2|<t>^4 <= C<f>^6, |v3|<t>^3 <= C<f>^4 and
@@ -168,5 +168,4 @@ def nonzero_mode_decay_bound_check(k: int, eta: float, alpha: float,
     c3 = float(np.max(v3 * jt**3)) / br**4
     cu = float(np.max(umag * jt**3)) / br**6
     c = max(c1, c2, c3, cu)
-    passed = math.isfinite(c) and (c_max is None or c <= c_max)
-    return SymbolBoundReport(c, c1, c2, c3, cu, passed)
+    return SymbolBoundReport(c, c1, c2, c3, cu, math.isfinite(c))

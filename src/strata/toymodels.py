@@ -136,8 +136,8 @@ def zero_mode_solution(t: float, sigma: float, theta0: float = 1.0,
 
 
 def zero_mode_decay_bound(eta: float, alpha: int, t_max: float,
-                          theta0: float = 1.0, n_t: int = 80) -> ZeroModeReport:
-    """Solve the damped zero-mode model and report its <t>^3 decay constant."""
+                          n_t: int = 80) -> ZeroModeReport:
+    """Report the <t>^3 decay constant of the damped zero-mode model from theta0 = 1."""
     if alpha == 0:
         raise ValueError("the zero-mode damping vanishes at alpha = 0")
     sigma = zero_mode_rate(eta, alpha)
@@ -145,10 +145,10 @@ def zero_mode_decay_bound(eta: float, alpha: int, t_max: float,
     ts = np.concatenate(([0.0], ts))
     sup, t_at = 0.0, 0.0
     for t in ts:
-        val = (1.0 + t * t) ** 1.5 * abs(zero_mode_solution(float(t), sigma, theta0))
+        val = (1.0 + t * t) ** 1.5 * abs(zero_mode_solution(float(t), sigma))
         if val > sup:
             sup, t_at = val, float(t)
-    constant = sup * sigma**3 / (abs(theta0) + 1.0)
+    constant = sup * sigma**3 / 2.0     # / (|theta0| + 1) at theta0 = 1
     return ZeroModeReport(sigma, constant, sup, t_at)
 
 
@@ -176,11 +176,10 @@ def _semigroup_integral(sigma: float, m: float, horizon: float) -> float:
     return val
 
 
-def semigroup_bound_check(grid, m: float, horizon_factor: float = 200.0,
-                          n_t: int = 24) -> SemigroupBoundReport:
+def semigroup_bound_check(grid, m: float, n_t: int = 24) -> SemigroupBoundReport:
     """Evaluate the semigroup moment bound over a frequency grid.
 
-    For each (eta, alpha != 0) the supremum over t <= horizon_factor/sigma of
+    For each (eta, alpha != 0) the supremum over t <= 200/sigma of
     sigma * int_10^t (sigma <t-tau>)^m S(t-tau) dtau is computed; the report
     carries the per-frequency constants and their relative spread.
     """
@@ -191,7 +190,7 @@ def semigroup_bound_check(grid, m: float, horizon_factor: float = 200.0,
         if alpha == 0:
             raise ValueError("alpha = 0 has no semigroup decay")
         sigma = zero_mode_rate(eta, alpha)
-        horizons = np.geomspace(1.0, horizon_factor / sigma, n_t)
+        horizons = np.geomspace(1.0, 200.0 / sigma, n_t)
         best = max(_semigroup_integral(sigma, m, h) for h in horizons)
         consts.append(best)
     consts = np.asarray(consts)

@@ -433,9 +433,9 @@ class TotalGrowthReport:
         return self.passed
 
 
-def total_growth_check(iota_max: float, p: WeightParams, n_grid: int = 400,
-                       k_cap: float = 10.0) -> TotalGrowthReport:
-    """Sweep the total-growth bound 1/w(0,iota) <= K e^{(mu/2) sqrt(iota)}.
+def total_growth_check(iota_max: float, p: WeightParams,
+                       n_grid: int = 400) -> TotalGrowthReport:
+    """Sweep the total-growth bound 1/w(0,iota) <= K e^{(mu/2) sqrt(iota)}; K <= 10 passes.
 
     Uses a log grid on (1, iota_max] plus the integers below 100 where the
     interval structure changes fastest.
@@ -453,7 +453,7 @@ def total_growth_check(iota_max: float, p: WeightParams, n_grid: int = 400,
     i = int(np.argmax(log_k))
     worst_k = math.exp(log_k[i]) if log_k[i] < 700.0 else math.inf
     return TotalGrowthReport(p.c_star, p.mu, iota_max, worst_k, float(vals[i]),
-                             worst_k <= k_cap)
+                             worst_k <= 10.0)
 
 
 @dataclass
@@ -479,20 +479,20 @@ class RatioSweepReport:
 _SWEEP_CHUNK = 4096
 
 
-def _draw_samples(rng: np.random.Generator, n: int, lemma: str, delta_eta: float = 0.25):
+def _draw_samples(rng: np.random.Generator, n: int, lemma: str):
     """n sample tuples (t, f1, f2) for one ratio estimate; f = (k, eta, alpha) arrays.
 
-    |k|, |alpha| <= 40 and |eta| <= 160 delta_eta; half the pairs are
-    near-diagonal so that the low-separation support conditions of the
-    ratio estimates get exercised.  t is uniform on the lemma's time window.
+    |k|, |alpha| <= 40 and |eta| <= 160 delta_eta with delta_eta = 0.25; half
+    the pairs are near-diagonal so that the low-separation support conditions
+    of the ratio estimates get exercised.  t is uniform on the lemma's time window.
     """
     box, near_box = np.array([40, 160, 40]), np.array([3, 12, 3])
     f2 = rng.integers(-box, box + 1, size=(n, 3))
     near = rng.uniform(size=n) < 0.5
     f1 = np.where(near[:, None], f2 + rng.integers(-near_box, near_box + 1, size=(n, 3)),
                   rng.integers(-box, box + 1, size=(n, 3)))
-    f1 = (f1[:, 0], delta_eta * f1[:, 1], f1[:, 2])
-    f2 = (f2[:, 0], delta_eta * f2[:, 1], f2[:, 2])
+    f1 = (f1[:, 0], 0.25 * f1[:, 1], f1[:, 2])
+    f2 = (f2[:, 0], 0.25 * f2[:, 1], f2[:, 2])
     a1, a2 = np.abs(iota(*f1)), np.abs(iota(*f2))
     if lemma == "rNR":
         lo, hi = 0.0, 2.0 * np.maximum(np.maximum(a1, a2), 1.0) + 5.0

@@ -1,4 +1,5 @@
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 
 import strata.simulate as simulate
 from _hermitian import hermitian_defect, symmetrized
-from strata.config import ConfigError, SimConfig
+from strata.config import ConfigError, SimConfig, default_config_text
 from strata.diagnostics import compute_row
 from strata.lattice import Lattice, SpectralField
 from strata.simulate import (
@@ -219,6 +220,15 @@ class TestConfig:
             SimConfig(lambda_in=0.1)   # breaks lambda(0) < 0.9 lambda_in
         with pytest.raises(ConfigError):
             SimConfig(dt=0.3, t_end=1.0)   # t_end not on the step grid
+
+    def test_parsed_values_have_their_annotated_types(self):
+        cfg = SimConfig.from_text(default_config_text())
+        for name, hint in typing.get_type_hints(SimConfig).items():
+            val = getattr(cfg, name)
+            if typing.get_origin(hint) is tuple:     # sigmas: tuple[float, ...]
+                assert type(val) is tuple and all(type(v) is float for v in val), name
+            else:
+                assert type(val) is hint, name
 
     def test_overrides(self):
         cfg = SimConfig.from_text("", {"mode": "nonlinear", "seed": 7})

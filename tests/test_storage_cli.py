@@ -1,3 +1,4 @@
+import configparser
 import math
 import os
 import struct
@@ -409,3 +410,50 @@ output_every = 1.0
         # the partial diagnostics and the abort state are dumped for inspection
         assert (out / "nonlinear_abort.ckpt").exists()
         assert (out / "nonlinear_diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("argv, recorded", [
+        (["orr", "--k", "2", "--kappa", "0.5"], ["model = orr", "k = 2", "kappa = 0.5"]),
+        (["zeromode", "--tmax", "50"], ["model = zeromode", "tmax = 50.0"]),
+        (["liftup", "--tmax", "500", "--epsilon", "0.01"],
+         ["model = liftup", "tmax = 500.0", "epsilon = 0.01"]),
+        (["semigroup", "--m", "0", "1.5"], ["model = semigroup", "m = 0.0 1.5"]),
+    ], ids=["orr", "zeromode", "liftup", "semigroup"])
+    def test_toy_manifest_records_model_arguments(self, tmp_path, argv, recorded):
+        out = tmp_path / "toy"
+        assert main(["toy", *argv, "--out", str(out), "--quiet"]) == 0
+        text = (out / f"toy_{argv[0]}_manifest.ini").read_text()
+        config = text.split("[config]\n")[1].splitlines()
+        assert [ln for ln in config if ln and not ln.startswith("#")] == recorded
+
+    ABORT_CFG = ("[lattice]\nnx = 8\nny = 16\nnz = 8\n[init]\nrecipe = random\ninit_kmax = 2\n"
+                 "[run]\nepsilon = 200.0\ndt = 5.0\nt_end = 50.0\noutput_every = 5.0\n")
+    EMPTY_CFG = "[lattice]\nnx = 2\nny = 2\nnz = 2\n[init]\nrecipe = multimode\n"
+
+    @pytest.mark.parametrize("argv, cfg_text, code", [
+        (["linear"], CFG, 0),
+        (["nonlinear"], CFG, 0),
+        (["nonlinear"], CFG + "checkpoint_every = 1.0\n", 0),
+        (["nonlinear"], ABORT_CFG, 3),
+        (["linear"], EMPTY_CFG, 2),
+        (["toy", "orr", "--k", "1", "--kappa", "1.0"], None, 0),
+        (["toy", "zeromode", "--tmax", "1e4"], None, 0),
+        (["toy", "liftup"], None, 0),
+        (["toy", "semigroup", "--m", "0", "1.5", "2.5", "3"], None, 0),
+        (["weights", "table", "--iota", "10", "--cstar", "0.5", "1", "2"], None, 0),
+        (["weights", "totalgrowth", "--cstar", "0.5", "1", "2"], None, 0),
+        (["weights", "ratios", "--samples", "500", "--seed", "7"], None, 0),
+    ], ids=["linear", "nonlinear", "nonlinear-checkpoints", "nonlinear-abort",
+            "linear-empty-field", "toy-orr", "toy-zeromode", "toy-liftup", "toy-semigroup",
+            "weights-table", "weights-totalgrowth", "weights-ratios"])
+    def test_manifest_lists_exactly_the_files_written(self, tmp_path, argv, cfg_text, code):
+        out = tmp_path / "res"
+        if cfg_text is not None:
+            (tmp_path / "run.ini").write_text(cfg_text)
+            argv = [*argv, str(tmp_path / "run.ini")]
+        assert main([*argv, "--out", str(out), "--quiet"]) == code
+        (manifest,) = out.glob("*_manifest.ini")
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(manifest.read_text())
+        outputs = [name for name in parser["run"]["outputs"].split(", ") if name]
+        assert sorted(p.name for p in out.iterdir()) == sorted(outputs + [manifest.name])
+        assert bool(parser["run"]["finished"]) == (code == 0)   # stamped on success only

@@ -357,7 +357,9 @@ class TestIntervalTable:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_iota_rejected(self, bad):
         for call in (lambda: weight_table(bad, 1.0), lambda: w_nr(1.0, bad, P),
-                     lambda: log_w_k(1.0, 0, 0.0, bad, P)):    # iota(0, 0, bad) = bad
+                     lambda: log_w_k(1.0, 0, 0.0, bad, P),     # iota(0, 0, bad) = bad
+                     lambda: iota(3, bad, 0),
+                     lambda: log_w_k(1.0, 3, bad, 0, P)):      # was w = 1 for a NaN eta
             with pytest.raises(ValueError, match="finite"):
                 call()
 
