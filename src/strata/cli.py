@@ -294,6 +294,8 @@ def _cmd_toy(args) -> int:
 
 def _check_weights_args(args) -> None:
     """Reject out-of-range weights arguments before any output is written."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if not all(0.0 < cs < math.inf for cs in args.cstar):
         raise ConfigError(f"--cstar values must be positive and finite, got {args.cstar}")
     # the table of |iota| has E(sqrt|iota|) intervals: at most 1e4 under this cap

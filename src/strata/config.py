@@ -74,6 +74,8 @@ class SimConfig:
             raise ConfigError("epsilon must be nonnegative")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         try:
             lat = self.lattice
             wp = self.weight_params

@@ -129,12 +129,8 @@ class Lattice:
         return np.abs(self.kx) + np.abs(self.eta) + np.abs(self.alpha)
 
     @cached_property
-    def brackets(self) -> np.ndarray:
-        return np.sqrt(1.0 + self.kx**2 + self.eta**2 + self.alpha**2)
-
-    @cached_property
     def log_brackets(self) -> np.ndarray:
-        return np.log(self.brackets)
+        return np.log(np.sqrt(1.0 + self.kx**2 + self.eta**2 + self.alpha**2))
 
     @cached_property
     def iota_vals(self) -> np.ndarray:

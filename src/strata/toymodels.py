@@ -161,10 +161,6 @@ class SemigroupBoundReport:
     c_max: float
     spread: float              # (max - min) / min over the frequency grid
 
-    @property
-    def uniform_within(self) -> float:
-        return self.spread
-
 
 def _semigroup_integral(sigma: float, m: float, horizon: float) -> float:
     # sigma * int_0^H (sigma sqrt(1+u^2))^m e^(-sigma u) du, via x = sigma*u

@@ -196,23 +196,20 @@ def weight_table(iota_abs: float, c_star: float) -> WeightTable:
 
 
 def critical_times(iota_val: float, p: WeightParams | None = None) -> WeightTable | None:
-    """Interval table for |iota| > 1; None when |iota| <= 1 (weight identically 1)."""
-    c_star = p.c_star if p is not None else 1.0
+    """Cached interval table for |iota| > 1; None when |iota| <= 1 (weight identically 1)."""
     if abs(iota_val) <= 1.0:
         return None
-    return weight_table(abs(float(iota_val)), c_star)
+    return weight_table(abs(float(iota_val)), p.c_star if p is not None else 1.0)
 
 
 def w_nr(t: float, iota_val: float, p: WeightParams) -> float:
-    if abs(iota_val) <= 1.0:
-        return 1.0
-    return weight_table(abs(float(iota_val)), p.c_star).wnr(t)
+    table = critical_times(iota_val, p)
+    return 1.0 if table is None else table.wnr(t)
 
 
 def w_r(t: float, iota_val: float, p: WeightParams) -> float:
-    if abs(iota_val) <= 1.0:
-        return 1.0
-    return weight_table(abs(float(iota_val)), p.c_star).wr(t)
+    table = critical_times(iota_val, p)
+    return 1.0 if table is None else table.wr(t)
 
 
 class _TableStack:
@@ -321,9 +318,17 @@ class _TableStack:
 
 
 def log_w_k(t, k, eta, alpha, p: WeightParams):
-    """log of the mode-selected weight; array-valued, the arguments broadcast."""
+    """log of the mode-selected weight; array-valued, the arguments broadcast.
+
+    A scalar call reads the stack held by the cached ``weight_table`` of its |iota|.
+    """
     t, k, iv = np.broadcast_arrays(t, k, iota(k, eta, alpha))
-    tables = _TableStack(iv, p.c_star)
+    if iv.ndim:
+        tables = _TableStack(iv, p.c_star)
+    elif (table := critical_times(iv[()], p)) is None:
+        return 0.0
+    else:
+        tables = table._stack
     return tables.mode_weights(t, *tables.modes(k, iv))[0][()]
 
 
@@ -366,9 +371,6 @@ class LatticeWeights:
     def log_w(self, t: float) -> np.ndarray:
         return self._eval(t)[0]
 
-    def log_j(self, t: float) -> np.ndarray:
-        return -self.log_w(t)
-
     def dlogw_dt(self, t: float) -> np.ndarray:
         """Closed-form d/dt log w_k: nonnegative, zero where w is constant."""
         return self._eval(t)[1]
@@ -402,19 +404,19 @@ def log_weighted_l2(lattice: Lattice, coeffs: np.ndarray, logw: np.ndarray) -> f
     return log_l2_from_logs(lattice, masked_log(np.abs(coeffs)) + logw)
 
 
-def gevrey_log_norm(fieldv: SpectralField, sigma: float, t: float, p: WeightParams,
-                    use_j: bool = False) -> float:
-    """log of the Gevrey-Sobolev norm, times J when ``use_j``; -inf for the zero field."""
+def gevrey_log_norm(fieldv: SpectralField, sigma: float, t: float, p: WeightParams) -> float:
+    """log of the Gevrey-Sobolev norm, with no J; -inf for the zero field.
+
+    J enters a norm only in the ladder columns of ``diagnostics.compute_row``.
+    """
     lat = fieldv.lattice
     logw = lambda_t(t, p) * lat.l1 ** p.s + sigma * lat.log_brackets
-    if use_j:
-        logw = logw + lattice_weights(lat, p).log_j(t)
     return log_weighted_l2(lat, fieldv.coeffs, logw)
 
 
-def gevrey_norm(fieldv: SpectralField, sigma: float, t: float, p: WeightParams,
-                use_j: bool = False) -> float:
-    ln = gevrey_log_norm(fieldv, sigma, t, p, use_j)
+def gevrey_norm(fieldv: SpectralField, sigma: float, t: float, p: WeightParams) -> float:
+    """The Gevrey-Sobolev norm of ``gevrey_log_norm`` (no J); inf past float64."""
+    ln = gevrey_log_norm(fieldv, sigma, t, p)
     return math.exp(ln) if ln < 709.0 else math.inf    # exp(-inf) = 0 for the zero field
 
 

@@ -68,15 +68,15 @@ def _reference_row(state, p: WeightParams) -> DiagnosticRow:
 
     # weighted ladder, all in log space
     gev_exp = lam * lat.l1 ** p.s
-    log_j = lw.log_j(t)
+    log_inv_w = -lw.log_w(t)    # log J, J = 1/w
     log_b = np.log(b_multiplier(lat.eta, lat.alpha))
     zero_mask = zero
     znz_mask = zero & np.broadcast_to(lat.alpha != 0, lat.shape)
 
-    def _ladder(sigma, tweight, use_j=False, use_b=False, mask=None):
+    def _ladder(sigma, tweight, with_j=False, use_b=False, mask=None):
         logw = gev_exp + sigma * lat.log_brackets
-        if use_j:
-            logw = logw + log_j
+        if with_j:
+            logw = logw + log_inv_w
         if use_b:
             logw = logw + log_b
         ln = log_weighted_l2(lat, c, logw, mask)
@@ -85,8 +85,8 @@ def _reference_row(state, p: WeightParams) -> DiagnosticRow:
         return log10p_from_log(ln)
 
     s1, s2, s3, s4, s5, s6, s7 = p.sigmas
-    gev_s1 = _ladder(s1, -1.5, use_j=True)
-    gevb0_s1m2 = _ladder(s1 - 2.0, 0.0, use_j=True, use_b=True, mask=zero_mask)
+    gev_s1 = _ladder(s1, -1.5, with_j=True)
+    gevb0_s1m2 = _ladder(s1 - 2.0, 0.0, with_j=True, use_b=True, mask=zero_mask)
     gev0_s2 = _ladder(s2, 1.5, mask=znz_mask)
     gev_s3 = _ladder(s3, -0.5)
     gev0_s4 = _ladder(s4, 2.5, mask=znz_mask)
@@ -101,7 +101,7 @@ def _reference_row(state, p: WeightParams) -> DiagnosticRow:
     sup0_s7 = log10p_from_log(float(np.max(sup_arg)))
 
     # CK terms at sigma1 (with J), bracketed time factor <t>^-3
-    log_a1 = gev_exp + s1 * lat.log_brackets + log_j
+    log_a1 = gev_exp + s1 * lat.log_brackets + log_inv_w
     half_log_l1s = 0.5 * p.s * masked_log(lat.l1)
     ln_ck_lam = log_weighted_l2(lat, c, log_a1 + half_log_l1s)
     if ln_ck_lam != -math.inf:

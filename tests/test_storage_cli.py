@@ -208,6 +208,18 @@ output_every = 1.0
         assert "config error" in err and f"{key} must be finite" in err
         assert not out.exists()     # rejected before the manifest is written
 
+    @pytest.mark.parametrize("text, flags", [
+        ("[init]\nseed = -5\n", []),
+        ("", ["--seed", "-1"]),
+    ], ids=["config-file", "flag"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, text, flags):
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(text)
+        out = tmp_path / "res"
+        assert main(["linear", str(cfg), *flags, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()     # rejected before the manifest is written
+
     @pytest.mark.parametrize("text", [
         "[lattice]\nnx = 2\nny = 2\nnz = 2\n[init]\nrecipe = multimode\n",
         # (1, 1, 1) lies outside the 3-mode kept set of a 0.2 dealias mask
@@ -300,6 +312,7 @@ output_every = 1.0
         ["table", "--iota", "1.5e8"],
         ["table", "--iota=-1e30"],
         ["totalgrowth", "--iota-max", "1e30"],
+        ["ratios", "--seed", "-1"],
     ])
     def test_weights_argument_errors_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "w"

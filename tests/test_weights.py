@@ -26,6 +26,7 @@ from strata.weights import (
     lattice_weights,
     log_l2_from_logs,
     log_w_k,
+    log_weighted_l2,
     ratio_lemma_sweep,
     total_growth_check,
     w_k,
@@ -544,7 +545,10 @@ class TestGevreyNorm:
         rng = np.random.default_rng(2)
         c = rng.normal(size=lat.shape) * 1e-3
         f = symmetrized(SpectralField(lat, c.astype(complex)))
-        ln = gevrey_log_norm(f, P.sigma(1), 0.0, P, use_j=True)
+        # the A^sigma1 weight, with J = 1/w
+        log_a = (lambda_t(0.0, P) * lat.l1 ** P.s + P.sigma(1) * lat.log_brackets
+                 - lattice_weights(lat, P).log_w(0.0))
+        ln = log_weighted_l2(lat, f.coeffs, log_a)
         assert math.isfinite(ln)
         assert ln > 100.0  # far beyond float64 in linear space
 
@@ -607,6 +611,12 @@ class TestAgainstScalarReference:
         tuples = [(float(a), int(b), float(c), int(d)) for a, b, c, d in zip(t, k, eta, al)]
         expect = np.array([_reference_log_w_k(*x, p) for x in tuples])
         assert np.max(np.abs(log_w_k(t, k, eta, al, p) - expect)) <= 1e-14
+        # a scalar call, which reads the cached table of its |iota|, equals the array path
+        # bitwise; on a subsample of both parts, and at |iota| <= 1
+        few = tuples[:n:10] + tuples[n::8] + [(0.5, 1, 0.25, 0), (3.0, -1, -0.75, 1),
+                                               (0.0, 0, 0.0, 0), (7.0, 1, 1.0, -1)]
+        array = log_w_k(*(np.array(c) for c in zip(*few)), p)
+        assert np.array([log_w_k(*x, p) for x in few]).tobytes() == array.tobytes()
         # both branches are exercised
         resonant = sum(_reference_resonant(a, b, iota(b, c, d), p) for a, b, c, d in tuples)
         assert 1000 < resonant < len(tuples) // 2
@@ -734,6 +744,24 @@ class TestStackedTables:
         for lemma in ("rNR", "ratioJ", "shortTime"):
             ratio_lemma_sweep(lemma, _SWEEP_CHUNK, P)
         assert weight_table.cache_info().currsize == 0
+
+    def test_scalar_calls_build_no_stack_on_a_warm_cache(self, monkeypatch):
+        modes = [(3.7, 2, 10.0, 1), (0.5, -1, -7.25, 3), (40.0, 3, 0.0, -30), (9.0, 0, 0.5, 1)]
+        for x in modes:
+            w_k(*x, P)    # warms the weight_table cache; the last mode has |iota| <= 1
+        init, builds = _TableStack.__init__, []
+
+        def counted(self, iv, c_star):
+            builds.append(np.abs(iv).max())
+            init(self, iv, c_star)
+
+        monkeypatch.setattr(_TableStack, "__init__", counted)
+        for x in modes:
+            log_w_k(*x, P)
+            w_k(*x, P)
+        assert builds == []
+        log_w_k(np.array([3.7]), 2, 10.0, 1, P)    # an array call builds its own stack
+        assert builds == [10.0]
 
     @pytest.mark.parametrize("shape", [(32, 128, 32), (8, 16, 8)])
     def test_lattice_matches_grouped_reference(self, shape):
