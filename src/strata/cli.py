@@ -223,6 +223,8 @@ def _cmd_run(args) -> int:
 
 def _check_toy_args(args) -> None:
     """Reject out-of-range toy arguments before any output is written."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if not 1 <= args.k <= 10:    # E(sqrt(100)), the smallest eta of the orr sweep
         raise ConfigError(f"--k must lie in 1..10, got {args.k}")
     if not (math.isfinite(args.kappa) and math.isfinite(args.epsilon)):

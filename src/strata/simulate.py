@@ -31,7 +31,7 @@ import scipy.fft as _fft
 
 from .config import ConfigError, SimConfig
 from .lattice import Lattice, SpectralField
-from .symbols import damping_antiderivative, transport_symbol
+from .symbols import _Antiderivative, damping_antiderivative, transport_symbol
 
 __all__ = [
     "SimState",
@@ -179,6 +179,7 @@ class _Core:
         self.eta = lat.eta.ravel()[iy]
         self.alpha = lat.alpha.ravel()[iz]
         self.grad = (1j * self.k, 1j * self.eta, 1j * self.alpha)
+        self.g = _Antiderivative(self.k, self.eta, self.alpha)
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs.ravel()[self.full_idx]
@@ -269,8 +270,7 @@ def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None,
     # symbols and damping antiderivatives once per distinct stage time
     t_mid, t_end = t + 0.5 * h, t + h
     u_a, u_b, u_c = (transport_symbol(s, core.k, core.eta, core.alpha) for s in (t, t_mid, t_end))
-    g_a, g_b, g_c = (damping_antiderivative(s, core.k, core.eta, core.alpha)
-                     for s in (t, t_mid, t_end))
+    g_a, g_b, g_c = (core.g(s) for s in (t, t_mid, t_end))
     e_half = np.exp(g_a - g_b)
     e_back = np.exp(g_b - g_c)
     e_full = e_half * e_back

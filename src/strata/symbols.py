@@ -87,6 +87,30 @@ def zero_mode_rate(eta, alpha):
     return out if out.ndim else float(out)
 
 
+class _Antiderivative:
+    """``damping_antiderivative`` on fixed modes, with its t-independent parts formed once.
+
+    Calling it with t gives G(t) on those modes.
+    """
+
+    def __init__(self, k, eta, alpha):
+        k, eta, alpha = (np.asarray(a, dtype=float) for a in (k, eta, alpha))
+        self.shear = k != 0
+        self.ks = np.where(self.shear, k, 1.0)
+        self.eta = eta
+        self.b = self.ks * self.ks + alpha * alpha
+        self.sq = np.sqrt(self.b)
+        self.scale = -2.0 * self.ks
+        self.rate = zero_mode_rate(eta, alpha)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        u = self.eta - self.ks * t
+        out = np.where(self.shear, (u / (self.b + u * u) + np.arctan(u / self.sq) / self.sq)
+                       / self.scale, self.rate * t)
+        return out if out.ndim else float(out)
+
+
 def damping_antiderivative(t, k, eta, alpha):
     """Antiderivative G in t of the damping coefficient, one per mode.
 
@@ -95,22 +119,15 @@ def damping_antiderivative(t, k, eta, alpha):
     F(u) = u/(2(b+u^2)) + arctan(u/sqrt(b))/(2 sqrt(b)); for k = 0,
     G = zero_mode_rate * t, which is 0 at the mean mode.
     """
-    t, k, eta, alpha = (np.asarray(a, dtype=float) for a in (t, k, eta, alpha))
-    shear = k != 0
-    ks = np.where(shear, k, 1.0)
-    b = ks * ks + alpha * alpha
-    sq = np.sqrt(b)
-    u = eta - ks * t
-    out = np.where(shear, (u / (b + u * u) + np.arctan(u / sq) / sq) / (-2.0 * ks),
-                   zero_mode_rate(eta, alpha) * t)
-    return out if out.ndim else float(out)
+    return _Antiderivative(k, eta, alpha)(t)
 
 
 def damping_integral(t0, t1, k, eta, alpha):
     """Exact integral of the damping coefficient over [t0, t1], t0 <= t1."""
     if np.any(np.asarray(t1) < np.asarray(t0)):
         raise ValueError("damping_integral requires t0 <= t1")
-    return damping_antiderivative(t1, k, eta, alpha) - damping_antiderivative(t0, k, eta, alpha)
+    g = _Antiderivative(k, eta, alpha)
+    return g(t1) - g(t0)
 
 
 def semigroup(t, eta, alpha):

@@ -4,6 +4,9 @@ Covers the 2x2 resonance system on a critical interval, the damped
 zero-mode model with algebraically decaying forcing, the envelope of the
 streamwise lift-up integral, and the uniform semigroup bound, plus the
 log-log slope fitting these drivers report through.
+
+``import strata`` loads numpy and ``scipy.fft``; ``scipy.integrate`` loads at
+the first toy integration.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .symbols import zero_mode_rate
 from .weights import weight_table
@@ -95,6 +97,8 @@ def orr_toy_integrate(k: int, eta: float, kappa: float,
     """
     if k < 1 or eta * k <= 0:
         raise ValueError("need k >= 1 and eta*k > 0")
+    from scipy.integrate import solve_ivp
+
     ae = abs(eta)
     table = weight_table(ae, 1.0)    # the breakpoints do not depend on c_star
     if k > table.ell_max:
@@ -130,6 +134,8 @@ def zero_mode_solution(t: float, sigma: float, theta0: float = 1.0,
     hom = theta0 * math.exp(-sigma * t)
     if not forced or t == 0.0:
         return hom
+    from scipy.integrate import quad
+
     val, _ = quad(lambda tau: math.exp(-sigma * (t - tau)) * (1.0 + tau * tau) ** -1.5,
                   0.0, t, epsabs=tol, epsrel=tol, limit=200)
     return hom + val
@@ -164,6 +170,8 @@ class SemigroupBoundReport:
 
 def _semigroup_integral(sigma: float, m: float, horizon: float) -> float:
     # sigma * int_0^H (sigma sqrt(1+u^2))^m e^(-sigma u) du, via x = sigma*u
+    from scipy.integrate import quad
+
     def integrand(x):
         return (sigma * sigma + x * x) ** (m / 2.0) * math.exp(-x)
 

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +18,26 @@ def test_every_export_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_import_leaves_scipy_integrate_to_the_first_toy_integration():
+    # structural start-up check: a fresh interpreter, so no other test has loaded it
+    script = (
+        "import sys\n"
+        "import strata, strata.cli\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "rep = strata.zero_mode_decay_bound(3.0, 1, 1e3)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "print(repr((rep.sigma, rep.constant, rep.sup_weighted, rep.t_at_sup)))\n"
+    )
+    src = str(Path(strata.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after, values = proc.stdout.splitlines()
+    assert before == "False"
+    assert after == "True"
+    rep = strata.zero_mode_decay_bound(3.0, 1, 1e3)
+    assert values == repr((rep.sigma, rep.constant, rep.sup_weighted, rep.t_at_sup))

@@ -483,6 +483,15 @@ class TestPairing:
         c = _random_masked_field(lat, keep, seed=shape[0]).coeffs
         assert core.unpack(core.pack(c)).tobytes() == c.tobytes()
 
+    @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
+    def test_core_antiderivative_is_the_symbols_one(self, shape):
+        # the parts the core forms once must give G bitwise, shear and k = 0 modes alike
+        lat = Lattice(*shape)
+        core = simulate._Core(lat, lat.dealias_mask())
+        for t in (0.0, 0.05, 2.0, 37.3, 100.0):
+            want = damping_antiderivative(t, core.k, core.eta, core.alpha)
+            assert core.g(t).tobytes() == want.tobytes(), t
+
 
 class TestNonlinearStep:
     def test_reduces_to_linear_for_zero_field(self):

@@ -332,6 +332,7 @@ output_every = 1.0
         ["semigroup", "--m", "nan"],
         ["semigroup", "--m", "-1"],
         ["semigroup", "--m", "0", "inf"],
+        ["liftup", "--seed", "-1"],
     ])
     def test_toy_argument_errors_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "toy"
