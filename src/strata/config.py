@@ -81,6 +81,10 @@ class SimConfig:
             wp = self.weight_params
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # the exact rescale makes sum |c|^2 at most epsilon^2 / delta_eta
+        if not math.isfinite(self.epsilon * self.epsilon / lat.delta_eta):
+            raise ConfigError(f"epsilon = {self.epsilon} is too large: epsilon^2 / delta_eta "
+                              "overflows float64")
         if wp.lambda_inf + wp.delta_tilde >= 0.9 * self.lambda_in:
             raise ConfigError(
                 "lambda_inf + delta_tilde must stay below 0.9 * lambda_in "

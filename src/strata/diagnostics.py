@@ -8,9 +8,16 @@ mask carries mass.  Velocity L2 norms are stored as-is.  Weighted values
 mean something only for t > 10; earlier rows are flagged by ``early``, and
 time weights use the bracket <t> so the t = 0 row stays finite.
 
-Every column but theta_l2, mass_mode and reality_err reduces over the modes
-that carry mass only, whose constants are built once per support; w_k and
-d/dt log w_k come from one stacked weight evaluation per row.
+Every column but theta_l2, mass_mode and reality_err reduces over one mode
+set, whose constants are built once: the modes that carry mass, or, for a
+linear run's state (one with a core, see ``simulate``), the core's packed
+modes with each alpha > 0 one counted twice.  w_k and d/dt log w_k come from
+one stacked weight evaluation per row.
+
+reality_err is max|Im theta| / max|theta|.  Without a core it comes from a
+full c2c transform; with one, from the alpha = 0 plane alone, the only place
+a defect can live, and it is exactly 0.0 when that plane pairs exactly, as a
+linear run's does.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft as _fft
 
 from .lattice import SpectralField
 from .symbols import velocity_symbol
@@ -89,14 +97,45 @@ class DiagnosticRow:
 
 
 @lru_cache(maxsize=1)
-def _support(lat, p: WeightParams, bits: bytes):
-    """Per-mode constants of the flat modes set in ``bits``; flat order puts k = 0 first."""
-    idx = np.flatnonzero(np.unpackbits(np.frombuffer(bits, np.uint8), count=lat.size))
+def _support(lat, p: WeightParams, modes):
+    """Per-mode constants of a mode set in flat order (k = 0 first), and multiplicities m.
+
+    ``modes`` is the packed bits of a flat mode set (m = 1), or a
+    ``simulate._Core`` whose packed modes stand for the whole field: m = 2
+    for alpha > 0, whose partner is implied, and 1 on the alpha = 0 plane.
+    """
+    if isinstance(modes, bytes):
+        idx = np.flatnonzero(np.unpackbits(np.frombuffer(modes, np.uint8), count=lat.size))
+        m, half_log_m = 1.0, 0.0
+    else:
+        idx = modes.full_idx
+        m = np.where(modes.upper, 2.0, 1.0)
+        half_log_m = 0.5 * np.log(m)
     ix, iy, iz = np.unravel_index(idx, lat.shape)
     f = lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz]
     l1 = lat.l1.ravel()[idx]
     return (f, lattice_weights(lat, p).tables.modes(f[0], lat.iota_vals.ravel()[idx]),
-            l1**p.s, p.s * masked_log(l1), lat.log_brackets.ravel()[idx], iz[ix == 0])
+            l1**p.s, p.s * masked_log(l1), lat.log_brackets.ravel()[idx], iz[ix == 0],
+            m, half_log_m)
+
+
+def _paired_reality_defect(fieldv: SpectralField) -> float:
+    """``reality_defect`` of a field whose alpha != 0 modes pair exactly.
+
+    Only the alpha = 0 plane can then be non-real, so Im theta is the 2-D
+    transform of that plane's anti-Hermitian part (c(f) - conj c(-f))/2,
+    constant along z, and Re theta is one ``irfftn`` of the alpha >= 0
+    half-spectrum.  A plane that pairs exactly gives 0.0.
+    """
+    lat, c = fieldv.lattice, fieldv.coeffs
+    plane = c[:, :, 0]
+    mirror = np.roll(plane[::-1, ::-1], 1, axis=(0, 1))    # c(-f) on the plane
+    im = np.imag(_fft.ifftn(0.5 * (plane - np.conj(mirror)), norm="forward"))
+    peak_im = float(np.max(np.abs(im)))
+    if peak_im == 0.0:
+        return 0.0
+    re = _fft.irfftn(c[:, :, : lat.nz // 2 + 1], s=lat.shape, norm="forward")
+    return peak_im / float(np.max(np.hypot(re, im[:, :, None])))
 
 
 def compute_row(state, p: WeightParams) -> DiagnosticRow:
@@ -107,17 +146,23 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
     ljt = 0.5 * math.log1p(t * t)
     lam = lambda_t(t, p)
 
-    # the modes that carry mass: the others add 0 to every sum
-    mag = np.abs(c).ravel()
-    occupied = mag != 0
-    (k, eta, alpha), w_modes, l1s, s_log_l1, log_br, iz0 = _support(
-        lat, p, np.packbits(occupied).tobytes())
-    mag = mag[occupied]
+    if state.core is None:
+        # the modes that carry mass: the others add 0 to every sum
+        mag = np.abs(c).ravel()
+        occupied = mag != 0
+        modes, mag = np.packbits(occupied).tobytes(), mag[occupied]
+        reality = fieldv.reality_defect()
+    else:
+        modes, mag = state.core, np.abs(state.core.pack(c))
+        reality = _paired_reality_defect(fieldv)
+    (k, eta, alpha), w_modes, l1s, s_log_l1, log_br, iz0, m, half_log_m = _support(
+        lat, p, modes)
     log_w, dlog_w, _ = lattice_weights(lat, p).tables.mode_weights(t, *w_modes)
 
     # velocity L2 norms via Plancherel on the original-frame symbols
     v1, v2, v3 = velocity_symbol(t, k, eta, alpha)
     abs2 = mag**2
+    abs2 *= m
     u2_sq = v2**2 * abs2
     zero = np.s_[:iz0.size]    # the k = 0 modes
 
@@ -133,11 +178,12 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
         "u3_l2": _l2(v3**2 * abs2),
         "theta_l2": fieldv.l2(),
         "mass_mode": abs(complex(c[0, 0, 0])),
-        "reality_err": fieldv.reality_defect(),
+        "reality_err": reality,
     }
 
     # weighted columns, all in log space on the one log|c|
     log_c = masked_log(mag)
+    log_c += half_log_m
     gev_exp = lam * l1s
     s1, s2, s3, s4, s5, s6, s7 = p.sigmas
     log_a1 = gev_exp + s1 * log_br - log_w    # A^sigma1 with J = 1/w

@@ -7,9 +7,10 @@ so its dual variable ``eta`` runs over integer multiples of
 real scalar on the full (k, eta, alpha) lattice, so c(-f) = conj c(f).
 The solver forms one member of each +-f pair and writes the other as its
 conjugate (``simulate._Core.unpack``).  On the self-conjugate alpha = 0
-plane both members are stored, so a rounding-level departure from the
-pairing there is carried rather than repaired, and ``reality_defect``
-still reports it.
+plane both members are stored, so a departure from the pairing there is
+carried rather than repaired.  ``reality_defect`` measures it with a full
+c2c transform, for any field; a linear run's diagnostics measure it on the
+alpha = 0 plane alone, where it can live (``diagnostics.compute_row``).
 """
 
 from __future__ import annotations

@@ -13,11 +13,19 @@ field and the nonlinear step work on the kept modes of the rfft
 half-spectrum (the dealias mask without Nyquist indices): one member of
 each +-f pair is formed, and ``_Core.unpack`` writes the other as its
 conjugate, so no step repairs Hermitian symmetry.  On the self-conjugate
-alpha = 0 plane both members are stored, and ``reality_err`` still reports
-a rounding-level defect there.  In the nonlinear step the symbols and the
-antiderivative G are evaluated on the kept modes once per distinct stage
-time, and each RK stage's product is formed with six ``irfftn`` and one
-``rfftn`` on a zero-padded half-spectrum.
+alpha = 0 plane both members are stored, and a departure from the pairing
+there is carried, not repaired.
+
+A linear run's states carry that kept-mode structure (``SimState.core``),
+so ``step_linear`` evaluates G on the packed modes only and
+``diagnostics.compute_row`` reduces over them and checks reality on the
+alpha = 0 plane alone.  Nonlinear runs, loaded checkpoints and hand-built
+states carry no core and take the full-lattice paths.
+
+In the nonlinear step the symbols and the antiderivative G are evaluated
+on the kept modes once per distinct stage time, and each RK stage's product
+is formed with six ``irfftn`` and one ``rfftn`` on a zero-padded
+half-spectrum.
 """
 
 from __future__ import annotations
@@ -47,11 +55,18 @@ __all__ = [
 
 @dataclass
 class SimState:
+    """A field at time t, with the ``_Core`` of the kept modes it is real on, if any.
+
+    With a core the field is zero off the core's packed modes, and each
+    alpha < 0 mode is the exact conjugate of its packed partner.
+    """
+
     t: float
     field: SpectralField
+    core: _Core | None = None
 
     def copy(self) -> "SimState":
-        return SimState(self.t, self.field.copy())
+        return SimState(self.t, self.field.copy(), self.core)
 
 
 class NumericalAbort(RuntimeError):
@@ -118,7 +133,8 @@ def init_field(cfg: SimConfig) -> SimState:
 def _antiderivative(lat: Lattice, t: float) -> np.ndarray:
     """Read-only ``damping_antiderivative`` at t on the whole lattice.
 
-    Two entries hold a linear run's G(0) while G(t) changes at each row.
+    Two entries hold G at a fixed start while the end time changes, or a
+    step's end G for the next step, when a state without a core is stepped.
     """
     g = damping_antiderivative(t, lat.kx, lat.eta, lat.alpha)
     g.flags.writeable = False
@@ -135,11 +151,20 @@ def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
 
 
 def step_linear(state: SimState, dt: float) -> SimState:
+    """The exact linear solution dt after ``state``, keeping its core.
+
+    With a core, G is evaluated on the packed modes only; it is even under
+    f -> -f, so the unpacked partners equal the full-lattice product.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    lat = state.field.lattice
-    factors = linear_decay_factors(lat, state.t, state.t + dt)
-    return SimState(state.t + dt, SpectralField(lat, state.field.coeffs * factors))
+    lat, core, t1 = state.field.lattice, state.core, state.t + dt
+    if core is None:
+        coeffs = state.field.coeffs * linear_decay_factors(lat, state.t, t1)
+    else:
+        coeffs = core.unpack(core.pack(state.field.coeffs)
+                             * np.exp(core.g(state.t) - core.g(t1)))
+    return SimState(t1, SpectralField(lat, coeffs), core)
 
 
 class _Core:
@@ -294,11 +319,14 @@ def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):
 
     Returns the final state, at ``round(t_end/dt) * dt``.  A linear run takes
     no time steps: each state is the exact solution ``step_linear(start, t)``
-    from the initial state, so ``dt`` only sets the time grid.
+    from the initial state, so ``dt`` only sets the time grid; its states
+    carry the cached core of the dealias mask.  Nonlinear states carry none.
     ``on_checkpoint(state)`` fires every ``checkpoint_every`` time units in
     nonlinear mode when configured; linear runs never checkpoint.
     """
     state = init_field(cfg)
+    if cfg.mode == "linear":
+        state.core = _core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
     n_steps = round(cfg.t_end / cfg.dt)
     out_stride = max(1, round(cfg.output_every / cfg.dt))
 

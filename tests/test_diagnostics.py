@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import strata.simulate as simulate
+from _hermitian import hermitian_defect
 from strata.config import SimConfig
 from strata.diagnostics import DiagnosticRow, compute_row, log10p_from_log
 from strata.lattice import Lattice, SpectralField
@@ -21,7 +23,9 @@ from strata.weights import (
 
 # Columns computed by the same arithmetic as the reference.  The velocity and
 # weighted columns sum over the modes that carry mass only, in another order,
-# so they agree to rounding only.
+# so they agree to rounding only.  A state with a core (a linear run's) takes
+# reality_err from its alpha = 0 plane instead of the reference's c2c
+# transform; it is checked against the pairing oracle.
 EXACT = ("t", "early", "theta_l2", "mass_mode", "reality_err")
 
 
@@ -142,7 +146,10 @@ def _reference_row(state, p: WeightParams) -> DiagnosticRow:
 def _assert_rows_agree(state, params):
     got, ref = compute_row(state, params), _reference_row(state, params)
     for name, g, r in zip(DiagnosticRow.header(), got.values(), ref.values()):
-        if name in EXACT:
+        if name == "reality_err" and state.core is not None:
+            # c(-f) = conj c(f) exactly, so theta is exactly real
+            assert hermitian_defect(state.field) == 0.0 and g == 0.0, (state.t, g)
+        elif name in EXACT:
             assert g == r, (state.t, name)
         else:
             assert abs(g - r) <= 1e-12 * abs(r), (state.t, name, g, r)
@@ -164,13 +171,54 @@ def test_default_lattice_linear_states_match_reference():
 @pytest.mark.parametrize("cfg", [
     # criterion-7 desk configuration, cut to 20 steps
     SimConfig(mode="nonlinear", epsilon=1e-3, dt=0.1, t_end=2.0, output_every=1.0, seed=0),
+    # the default linear run, every 20th row: each alpha > 0 packed mode counts twice
+    SimConfig(output_every=20.0),
     # one +-f pair: the k = 0 columns see no mass
     SimConfig(nx=8, ny=16, nz=8, recipe="single", dt=0.1, t_end=20.0, output_every=5.0),
     SimConfig(nx=8, ny=16, nz=8, epsilon=0.0, dt=0.1, t_end=1.0),
-], ids=["criterion7-20-steps", "single-8x16x8", "zero-epsilon"])
+], ids=["criterion7-20-steps", "default-linear", "single-8x16x8", "zero-epsilon"])
 def test_run_states_match_reference(cfg):
-    for state in _run_states(cfg):
+    states = _run_states(cfg)
+    # linear runs hand on_row states with the core of their dealias mask, nonlinear runs none
+    core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
+    assert all(s.core is (core if cfg.mode == "linear" else None) for s in states)
+    for state in states:
         _assert_rows_agree(state, cfg.weight_params)
+
+
+def _with_core(cfg, t):
+    """A linear run's state at t, with the core of the config's dealias mask."""
+    start = simulate.init_field(cfg)
+    start.core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
+    return step_linear(start, t) if t else start
+
+
+@pytest.mark.parametrize("cfg", [SimConfig(), SimConfig(nx=8, ny=16, nz=8, init_kmax=2)],
+                         ids=["default", "8x16x8"])
+@pytest.mark.parametrize("where, size", [
+    ((1, 2, 0), 1e-6j), ((1, 2, 0), 0.3), ((0, 0, 0), 2e-3j), ((-3, 5, 0), 50.0 + 5.0j),
+], ids=["small-imag", "real", "mean-mode", "dominant"])
+def test_plane_reality_err_matches_the_c2c_defect(cfg, where, size):
+    # a defect on the alpha = 0 plane, partner untouched: the plane's transform
+    # sees what the full c2c transform of the field sees
+    state = _with_core(cfg, 5.0)
+    c = state.field.coeffs
+    c[where] += size * np.max(np.abs(c))
+    got = compute_row(state, cfg.weight_params).reality_err
+    ref = state.field.reality_defect()
+    assert ref > 1e-9
+    assert got == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(), SimConfig(nx=8, ny=16, nz=8, dealias=1.0),
+    SimConfig(nx=8, ny=16, nz=8, epsilon=0.0),
+], ids=["default", "dealias-one", "zero-field"])
+def test_plane_reality_err_is_zero_on_exactly_real_states(cfg):
+    for t in (0.0, 3.0, 50.0):
+        state = _with_core(cfg, t)
+        assert hermitian_defect(state.field) == 0.0
+        assert compute_row(state, cfg.weight_params).reality_err == 0.0
 
 
 def _whole_lattice(lat, rng):

@@ -230,6 +230,15 @@ class TestConfig:
             else:
                 assert type(val) is hint, name
 
+    def test_epsilon_bounded_by_the_rescale(self):
+        # sum |c|^2 <= epsilon^2 / delta_eta, which must stay finite
+        SimConfig(epsilon=1e150)
+        for eps in (1e160, 1e300):
+            with pytest.raises(ConfigError, match="epsilon"):
+                SimConfig(epsilon=eps)
+        with pytest.raises(ConfigError, match="epsilon"):
+            SimConfig(epsilon=1e10, ly=1e300)    # delta_eta = 2 pi / ly is tiny
+
     def test_overrides(self):
         cfg = SimConfig.from_text("", {"mode": "nonlinear", "seed": 7})
         assert cfg.mode == "nonlinear" and cfg.seed == 7
@@ -327,6 +336,20 @@ class TestLinearStep:
         c[0, 0, 0] = 3.0
         st = step_linear(SimState(0.0, SpectralField(lat, c)), 2.0)
         assert st.field.coeffs[0, 0, 0] == 3.0
+
+    def test_packed_propagator_equals_the_full_lattice_one(self):
+        # G on the packed modes, partners written by unpack: the full-lattice
+        # product's values bit for bit, and the core rides along
+        cfg = SimConfig()
+        start = init_field(cfg)
+        core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
+        cored = SimState(0.0, start.field, core)
+        for t in (0.5, 1.0, 5.0, 20.0, 100.0):
+            got, ref = step_linear(cored, t), step_linear(start, t)
+            assert got.core is core and ref.core is None
+            assert got.t == ref.t
+            assert np.array_equal(got.field.coeffs, ref.field.coeffs), t
+        assert cored.copy().core is core
 
     @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
     @pytest.mark.parametrize("t0,t1", [(0.0, 0.05), (0.0, 37.3), (3.7, 3.75),

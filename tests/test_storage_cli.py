@@ -208,6 +208,28 @@ output_every = 1.0
         assert "config error" in err and f"{key} must be finite" in err
         assert not out.exists()     # rejected before the manifest is written
 
+    @pytest.mark.parametrize("mode, epsilon", [("linear", "1e160"), ("nonlinear", "1e300")])
+    def test_epsilon_past_the_rescale_bound_exit_2(self, tmp_path, capsys, mode, epsilon):
+        # epsilon^2 / delta_eta overflows: before the bound, linear wrote inf/NaN
+        # columns with exit 0 and nonlinear a NaN t = 0 row before its abort
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(f"[run]\nepsilon = {epsilon}\n")
+        out = tmp_path / "res"
+        assert main([mode, str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "epsilon" in err
+        assert not out.exists()     # rejected before the manifest is written
+
+    def test_large_epsilon_inside_the_bound_gives_finite_rows(self, tmp_path):
+        cfg = tmp_path / "big.ini"
+        cfg.write_text("[run]\nepsilon = 1e150\n")
+        out = tmp_path / "res"
+        assert main(["linear", str(cfg), "--out", str(out), "--quiet"]) == 0
+        cols = read_csv_columns(out / "linear_diagnostics.csv")
+        assert len(cols["t"]) == 101
+        for name, vals in cols.items():
+            assert all(math.isfinite(float(v)) for v in vals), name
+
     @pytest.mark.parametrize("text, flags", [
         ("[init]\nseed = -5\n", []),
         ("", ["--seed", "-1"]),
