@@ -195,8 +195,12 @@ def _cmd_run(args) -> int:
     def on_row(state):
         rows.append(compute_row(state, params))
 
+    # two decimals, or as many as tell apart checkpoints closer than 0.01
+    places = (max(2, math.ceil(-math.log10(cfg.checkpoint_every)))
+              if cfg.checkpoint_every > 0 else 2)
+
     def on_checkpoint(state):
-        record.checkpoint(f"{args.mode}_t{state.t:08.2f}.ckpt", state)
+        record.checkpoint(f"{args.mode}_t{state.t:0{places + 6}.{places}f}.ckpt", state)
 
     try:
         final, abort = run_simulation(cfg, on_row=on_row, on_checkpoint=on_checkpoint), None

@@ -8,16 +8,18 @@ mask carries mass.  Velocity L2 norms are stored as-is.  Weighted values
 mean something only for t > 10; earlier rows are flagged by ``early``, and
 time weights use the bracket <t> so the t = 0 row stays finite.
 
-Every column but theta_l2, mass_mode and reality_err reduces over one mode
-set, whose constants are built once: the modes that carry mass, or, for a
-linear run's state (one with a core, see ``simulate``), the core's packed
-modes with each alpha > 0 one counted twice.  w_k and d/dt log w_k come from
-one stacked weight evaluation per row.
+Every column but mass_mode and reality_err reduces over one mode set,
+whose constants are built once: the modes that carry mass, or, for a linear
+run's state (one with a core, see ``simulate``), the core's packed modes
+with each alpha > 0 one counted twice.  A state with a core is read through
+its packed coefficients only, so its row builds no full-lattice array.  w_k
+and d/dt log w_k come from one stacked weight evaluation per row.
 
 reality_err is max|Im theta| / max|theta|.  Without a core it comes from a
-full c2c transform; with one, from the alpha = 0 plane alone, the only place
-a defect can live, and it is exactly 0.0 when that plane pairs exactly, as a
-linear run's does.
+full c2c transform.  With one, only the alpha = 0 plane can be non-real: the
+row is exactly 0.0 when the plane's stored members pair exactly (checked on
+the packed values, no transform), as a linear run's do, and otherwise it
+comes from that plane's transform.
 """
 
 from __future__ import annotations
@@ -138,23 +140,40 @@ def _paired_reality_defect(fieldv: SpectralField) -> float:
     return peak_im / float(np.max(np.hypot(re, im[:, :, None])))
 
 
+def _cored_reality_defect(state) -> float:
+    """reality_err of a state with a core, with no transform when it is exactly 0.0.
+
+    A state that holds only packed values is non-real only where the stored
+    alpha = 0 members fail to pair, which is checked on the packed array.
+    Otherwise, or once its field has been read (and so may have been edited
+    anywhere), the plane's transform gives the value.
+    """
+    core, c = state.core, state.packed
+    if state.holds_packed and np.array_equal(c[core.plane_pair], np.conj(c[core.plane])):
+        return 0.0
+    return _paired_reality_defect(state.field)
+
+
 def compute_row(state, p: WeightParams) -> DiagnosticRow:
-    fieldv: SpectralField = state.field
-    lat = fieldv.lattice
-    t = state.t
-    c = fieldv.coeffs
+    core, t = state.core, state.t
     ljt = 0.5 * math.log1p(t * t)
     lam = lambda_t(t, p)
 
-    if state.core is None:
+    if core is None:
+        fieldv: SpectralField = state.field
+        lat, c = fieldv.lattice, fieldv.coeffs
         # the modes that carry mass: the others add 0 to every sum
         mag = np.abs(c).ravel()
         occupied = mag != 0
         modes, mag = np.packbits(occupied).tobytes(), mag[occupied]
+        mass = abs(complex(c[0, 0, 0]))
         reality = fieldv.reality_defect()
     else:
-        modes, mag = state.core, np.abs(state.core.pack(c))
-        reality = _paired_reality_defect(fieldv)
+        # reality first: a defect reads the field, which then holds the state
+        reality = _cored_reality_defect(state)
+        lat, c = core.lattice, state.packed
+        modes, mag = core, np.abs(c)
+        mass = abs(complex(c[core.mean[0]])) if core.mean.size else 0.0
     (k, eta, alpha), w_modes, l1s, s_log_l1, log_br, iz0, m, half_log_m = _support(
         lat, p, modes)
     log_w, dlog_w, _ = lattice_weights(lat, p).tables.mode_weights(t, *w_modes)
@@ -176,8 +195,8 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
         "u2_zero_l2": _l2(u2_sq[zero]),
         "u2_nonzero_l2": _l2(u2_sq[iz0.size:]),
         "u3_l2": _l2(v3**2 * abs2),
-        "theta_l2": fieldv.l2(),
-        "mass_mode": abs(complex(c[0, 0, 0])),
+        "theta_l2": fieldv.l2() if core is None else _l2(abs2),
+        "mass_mode": mass,
         "reality_err": reality,
     }
 

@@ -16,22 +16,23 @@ conjugate, so no step repairs Hermitian symmetry.  On the self-conjugate
 alpha = 0 plane both members are stored, and a departure from the pairing
 there is carried, not repaired.
 
-A linear run's states carry that kept-mode structure (``SimState.core``),
-so ``step_linear`` evaluates G on the packed modes only and
-``diagnostics.compute_row`` reduces over them and checks reality on the
-alpha = 0 plane alone.  Nonlinear runs, loaded checkpoints and hand-built
-states carry no core and take the full-lattice paths.
+A linear run's states carry that kept-mode structure (``SimState.core``)
+and hold only their packed coefficients, from the initial values to the
+last row: ``step_linear`` maps packed to packed with G on the packed modes
+(G at the start time cached on the core), and ``diagnostics.compute_row``
+reduces over them.  A state's ``field`` is built from its packed values
+only when something reads it.  Nonlinear runs, loaded checkpoints and
+hand-built states carry no core and take the full-lattice paths.
 
-In the nonlinear step the symbols and the antiderivative G are evaluated
-on the kept modes once per distinct stage time, and each RK stage's product
-is formed with six ``irfftn`` and one ``rfftn`` on a zero-padded
-half-spectrum.
+In the nonlinear step the transport symbols and the antiderivative G are
+evaluated on the kept modes once per distinct stage time, from parts the
+core forms once, and each RK stage's product is formed with six ``irfftn``
+and one ``rfftn`` on a zero-padded half-spectrum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +40,7 @@ import scipy.fft as _fft
 
 from .config import ConfigError, SimConfig
 from .lattice import Lattice, SpectralField
-from .symbols import _Antiderivative, damping_antiderivative, transport_symbol
+from .symbols import _Antiderivative, _Transport, damping_antiderivative, transport_symbol
 
 __all__ = [
     "SimState",
@@ -53,20 +54,46 @@ __all__ = [
 ]
 
 
-@dataclass
 class SimState:
     """A field at time t, with the ``_Core`` of the kept modes it is real on, if any.
 
     With a core the field is zero off the core's packed modes, and each
-    alpha < 0 mode is the exact conjugate of its packed partner.
+    alpha < 0 mode is the exact conjugate of its packed partner.  Such a
+    state may hold only its packed coefficients: ``field`` is then built
+    from them when first read, and from that read on the field is the
+    state, so ``packed`` sees any edit made to it.
     """
 
-    t: float
-    field: SpectralField
-    core: _Core | None = None
+    def __init__(self, t: float, field: SpectralField | None = None,
+                 core: _Core | None = None, packed: np.ndarray | None = None):
+        if (field is None) == (packed is None) or (packed is not None and core is None):
+            raise ValueError("a state holds a field, or packed coefficients with their core")
+        self.t = t
+        self.core = core
+        self._field = field
+        self._packed = packed
+
+    @property
+    def field(self) -> SpectralField:
+        if self._field is None:
+            self._field = SpectralField(self.core.lattice, self.core.unpack(self._packed))
+            self._packed = None
+        return self._field
+
+    @property
+    def holds_packed(self) -> bool:
+        """True while the state is its packed coefficients: its field was never read."""
+        return self._field is None
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The core's packed coefficients, read from the field once it has been built."""
+        return self.core.pack(self._field.coeffs) if self._packed is None else self._packed
 
     def copy(self) -> "SimState":
-        return SimState(self.t, self.field.copy(), self.core)
+        if self._field is None:
+            return SimState(self.t, core=self.core, packed=self._packed.copy())
+        return SimState(self.t, self._field.copy(), self.core)
 
 
 class NumericalAbort(RuntimeError):
@@ -88,11 +115,20 @@ def init_field(cfg: SimConfig) -> SimState:
     the sigma=0 Gevrey norm at radius lambda_in equals epsilon exactly.  A
     recipe that puts nothing on the kept modes is a ``ConfigError``.
     """
+    # built uncached, so its index arrays do not outlive the call
+    core = _Core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
+    kept, scale = _init_kept(cfg, core)
+    fieldv = SpectralField(cfg.lattice, core.unpack(kept))
+    fieldv.coeffs *= scale
+    return SimState(0.0, fieldv)
+
+
+def _init_kept(cfg: SimConfig, core: _Core) -> tuple[np.ndarray, float]:
+    """``init_field``'s packed values before the rescale, and the rescale factor."""
     lat = cfg.lattice
     coeffs = np.zeros(lat.shape, dtype=np.complex128)
     if cfg.epsilon == 0.0:
-        return SimState(0.0, SpectralField(lat, coeffs))
-
+        return core.pack(coeffs), 0.0
     decay = np.exp(-cfg.lambda_in * lat.l1 ** cfg.s)
     support = np.ones(lat.shape, dtype=bool)
     if cfg.init_kmax > 0:
@@ -114,19 +150,16 @@ def init_field(cfg: SimConfig) -> SimState:
         amps = rng.uniform(0.5, 1.0, size=lat.shape)
         coeffs = np.where(support, amps * decay * np.exp(1j * phases), 0.0)
 
-    # built uncached, so its index arrays do not outlive the call
-    core = _Core(lat, lat.dealias_mask(cfg.dealias))
     kept = 0.5 * (core.pack(coeffs) + np.conj(coeffs.ravel()[core.neg_idx]))
     kept[core.mean] = 0.0
     if not np.any(kept):
         raise ConfigError(f"init recipe {cfg.recipe!r} puts nothing on the kept modes")
-    fieldv = SpectralField(lat, core.unpack(kept))
 
-    # exact rescale of the radius-lambda_in Gevrey norm to epsilon
-    weighted = np.exp(cfg.lambda_in * lat.l1 ** cfg.s) * np.abs(fieldv.coeffs)
+    # exact rescale of the radius-lambda_in Gevrey norm to epsilon, summed
+    # over the whole lattice
+    weighted = np.exp(cfg.lambda_in * lat.l1 ** cfg.s) * np.abs(core.unpack(kept))
     norm = math.sqrt(lat.delta_eta * float(np.sum(weighted**2)))
-    fieldv.coeffs *= cfg.epsilon / norm
-    return SimState(0.0, fieldv)
+    return kept, cfg.epsilon / norm
 
 
 @lru_cache(maxsize=2)
@@ -153,18 +186,19 @@ def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
 def step_linear(state: SimState, dt: float) -> SimState:
     """The exact linear solution dt after ``state``, keeping its core.
 
-    With a core, G is evaluated on the packed modes only; it is even under
-    f -> -f, so the unpacked partners equal the full-lattice product.
+    With a core, G is evaluated on the packed modes only and the result
+    holds packed coefficients; G is even under f -> -f, so the unpacked
+    partners equal the full-lattice product.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    lat, core, t1 = state.field.lattice, state.core, state.t + dt
+    core, t1 = state.core, state.t + dt
     if core is None:
+        lat = state.field.lattice
         coeffs = state.field.coeffs * linear_decay_factors(lat, state.t, t1)
-    else:
-        coeffs = core.unpack(core.pack(state.field.coeffs)
-                             * np.exp(core.g(state.t) - core.g(t1)))
-    return SimState(t1, SpectralField(lat, coeffs), core)
+        return SimState(t1, SpectralField(lat, coeffs))
+    return SimState(t1, core=core,
+                    packed=state.packed * np.exp(core.g_start(state.t) - core.g(t1)))
 
 
 class _Core:
@@ -185,6 +219,7 @@ class _Core:
         nx, ny, nz = lat.shape
         keep = np.ones(lat.shape, dtype=bool) if mask is None else mask.copy()
         keep[nx // 2] = keep[:, ny // 2] = keep[:, :, nz // 2] = False
+        self.lattice = lat
         self.shape = lat.shape
         self.size = lat.size
         self.half_shape = (nx, ny, nz // 2 + 1)
@@ -200,11 +235,24 @@ class _Core:
                 or np.count_nonzero(keep) != self.full_idx.size + self.mirror_idx.size):
             raise ValueError("dealias mask must keep -f whenever it keeps f")
         self.mean = np.flatnonzero(self.full_idx == 0)
+        # packed positions of the alpha = 0 members and of their partners -f
+        self.plane = np.flatnonzero(~self.upper)
+        self.plane_pair = np.searchsorted(self.full_idx, self.neg_idx[self.plane])
         self.k = lat.kx.ravel()[ix]
         self.eta = lat.eta.ravel()[iy]
         self.alpha = lat.alpha.ravel()[iz]
         self.grad = (1j * self.k, 1j * self.eta, 1j * self.alpha)
         self.g = _Antiderivative(self.k, self.eta, self.alpha)
+        self.u = _Transport(self.k, self.eta, self.alpha)
+        self._g_start = (None, None)
+
+    def g_start(self, t: float) -> np.ndarray:
+        """Read-only G at t, kept for the last t asked: a linear run's start time."""
+        if self._g_start[0] != t:
+            g = self.g(t)
+            g.flags.writeable = False
+            self._g_start = (t, g)
+        return self._g_start[1]
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs.ravel()[self.full_idx]
@@ -292,21 +340,22 @@ def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None,
     work = core.workspace()
     c0 = core.pack(state.field.coeffs)
 
-    # symbols and damping antiderivatives once per distinct stage time
+    # symbols and damping antiderivatives once per distinct stage time, each
+    # symbol set formed when its stage comes, so fewer arrays are live at once
     t_mid, t_end = t + 0.5 * h, t + h
-    u_a, u_b, u_c = (transport_symbol(s, core.k, core.eta, core.alpha) for s in (t, t_mid, t_end))
-    g_a, g_b, g_c = (core.g(s) for s in (t, t_mid, t_end))
-    e_half = np.exp(g_a - g_b)
-    e_back = np.exp(g_b - g_c)
+    g_mid = core.g(t_mid)
+    e_half = np.exp(core.g(t) - g_mid)
+    e_back = np.exp(g_mid - core.g(t_end))
     e_full = e_half * e_back
 
-    k1 = core.rhs(c0, u_a, work, workers)
+    k1 = core.rhs(c0, core.u(t), work, workers)
     theta_a = e_half * (c0 + 0.5 * h * k1)
-    k2 = core.rhs(theta_a, u_b, work, workers)
+    u_mid = core.u(t_mid)
+    k2 = core.rhs(theta_a, u_mid, work, workers)
     theta_b = e_half * c0 + 0.5 * h * k2
-    k3 = core.rhs(theta_b, u_b, work, workers)
+    k3 = core.rhs(theta_b, u_mid, work, workers)
     theta_c = e_full * c0 + h * e_back * k3
-    k4 = core.rhs(theta_c, u_c, work, workers)
+    k4 = core.rhs(theta_c, core.u(t_end), work, workers)
 
     c1 = e_full * c0 + (h / 6.0) * (e_full * k1 + 2.0 * e_back * (k2 + k3) + k4)
     if not np.all(np.isfinite(c1)):
@@ -320,13 +369,17 @@ def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):
     Returns the final state, at ``round(t_end/dt) * dt``.  A linear run takes
     no time steps: each state is the exact solution ``step_linear(start, t)``
     from the initial state, so ``dt`` only sets the time grid; its states
-    carry the cached core of the dealias mask.  Nonlinear states carry none.
+    carry the cached core of the dealias mask and hold packed coefficients,
+    from ``init_field``'s values on.  Nonlinear states carry no core.
     ``on_checkpoint(state)`` fires every ``checkpoint_every`` time units in
     nonlinear mode when configured; linear runs never checkpoint.
     """
-    state = init_field(cfg)
     if cfg.mode == "linear":
-        state.core = _core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
+        core = _core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
+        kept, scale = _init_kept(cfg, core)
+        state = SimState(0.0, core=core, packed=kept * scale)
+    else:
+        state = init_field(cfg)
     n_steps = round(cfg.t_end / cfg.dt)
     out_stride = max(1, round(cfg.output_every / cfg.dt))
 

@@ -57,18 +57,38 @@ def velocity_symbol(t, k, eta, alpha):
     return v1, v2, v3
 
 
+class _Transport:
+    """``transport_symbol`` on fixed modes, with its t-independent parts formed once.
+
+    Calling it with t gives (u1, u2, u3) on those modes, bit for bit, since
+    every t-dependent operation is evaluated in ``_couette``'s order.
+    """
+
+    def __init__(self, k, eta, alpha):
+        self.k, self.eta, self.alpha = np.broadcast_arrays(
+            *(np.asarray(a, dtype=float) for a in (k, eta, alpha)))
+        self.kk = self.k * self.k
+        self.aa = self.alpha * self.alpha
+        self.ka = self.kk + self.aa
+
+    def __call__(self, t):
+        em = self.eta - self.k * t
+        D = self.kk + em * em + self.aa
+        keep = D > 0
+        inv2 = 1.0 / np.where(keep, D, 1.0) ** 2
+        u1 = np.where(keep, (t * self.ka + self.k * em) * inv2, 0.0)
+        u2 = np.where(keep, -self.ka * inv2, 0.0)
+        u3 = np.where(keep, em * self.alpha * inv2, 0.0)
+        return u1, u2, u3
+
+
 def transport_symbol(t, k, eta, alpha):
     """Moving-frame velocity multipliers (u1, u2, u3) applied to theta-hat.
 
     u = (t(k^2+a^2) + k(eta-kt), -(k^2+a^2), (eta-kt)a) / D^2, zero at the
     mean mode.  At k = 0 this is (t a^2, -a^2, eta a) / (eta^2+a^2)^2.
     """
-    k, alpha, em, keep, inv2 = _couette(t, k, eta, alpha)
-    ka = k * k + alpha * alpha
-    u1 = np.where(keep, (t * ka + k * em) * inv2, 0.0)
-    u2 = np.where(keep, -ka * inv2, 0.0)
-    u3 = np.where(keep, em * alpha * inv2, 0.0)
-    return u1, u2, u3
+    return _Transport(k, eta, alpha)(t)
 
 
 def damping_coeff(t, k, eta, alpha):

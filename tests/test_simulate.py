@@ -22,6 +22,7 @@ from strata.simulate import (
     step_nonlinear,
 )
 from strata.symbols import (
+    _couette,
     damping_antiderivative,
     damping_coeff,
     semigroup,
@@ -351,6 +352,59 @@ class TestLinearStep:
             assert np.array_equal(got.field.coeffs, ref.field.coeffs), t
         assert cored.copy().core is core
 
+    def test_run_states_hold_the_packed_product(self):
+        # each row's state holds packed values until read, and the field built
+        # from them is core.unpack of pack(start) * exp(G(0) - G(t)) bit for bit
+        cfg = SimConfig(output_every=10.0)
+        core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
+        start = init_field(cfg).field.coeffs
+        states = []
+        final = run_simulation(cfg, on_row=states.append)
+        assert final is states[-1] and [s.t for s in states] == [10.0 * i for i in range(11)]
+        for st in states:
+            assert st.core is core and st.holds_packed
+            want = core.unpack(core.pack(start) * np.exp(core.g(0.0) - core.g(st.t)))
+            assert st.field.coeffs.tobytes() == want.tobytes(), st.t
+            assert not st.holds_packed
+            assert st.packed.tobytes() == core.pack(want).tobytes()
+
+    def test_copy_of_a_packed_state_is_independent(self):
+        cfg = SimConfig(nx=8, ny=16, nz=8, t_end=1.0)
+        core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
+        st = run_simulation(cfg)
+        before = st.packed.copy()
+        dup = st.copy()
+        assert dup.core is core and dup.holds_packed and dup.t == st.t
+        dup.packed[:] = 7.0
+        assert st.packed.tobytes() == before.tobytes()
+        st.packed[0] = -1.0
+        assert dup.packed[0] == 7.0
+        # a copy of a state whose field was read copies the field
+        fieldwise = dup.copy()
+        fieldwise.field.coeffs[...] = 0.0
+        assert not np.any(fieldwise.packed)    # the read field holds the state
+        assert dup.holds_packed and np.all(dup.packed == 7.0)
+        again = fieldwise.copy()
+        again.field.coeffs[0, 0, 0] = 1.0
+        assert fieldwise.field.coeffs[0, 0, 0] == 0.0
+
+    def test_a_state_holds_a_field_or_packed_values_with_their_core(self):
+        lat = Lattice(4, 4, 4)
+        core = simulate._core(lat, None)
+        packed = np.zeros(core.full_idx.size, complex)
+        for kwargs in ({}, {"packed": packed},
+                       {"field": SpectralField.zeros(lat), "core": core, "packed": packed}):
+            with pytest.raises(ValueError):
+                SimState(0.0, **kwargs)
+
+    def test_start_time_antiderivative_is_cached_on_the_core(self):
+        lat = Lattice(8, 16, 8)
+        core = simulate._Core(lat, lat.dealias_mask())
+        g0 = core.g_start(0.0)
+        assert core.g_start(0.0) is g0 and not g0.flags.writeable
+        assert g0.tobytes() == core.g(0.0).tobytes()
+        assert core.g_start(1.5).tobytes() == core.g(1.5).tobytes()
+
     @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
     @pytest.mark.parametrize("t0,t1", [(0.0, 0.05), (0.0, 37.3), (3.7, 3.75),
                                        (99.95, 100.0), (2.0, 2.0)])
@@ -514,6 +568,30 @@ class TestPairing:
         for t in (0.0, 0.05, 2.0, 37.3, 100.0):
             want = damping_antiderivative(t, core.k, core.eta, core.alpha)
             assert core.g(t).tobytes() == want.tobytes(), t
+
+    @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
+    def test_core_transport_is_the_symbols_one(self, shape):
+        # the parts the core forms once must give u bitwise, against the public
+        # symbol and against the one-shot spelling on symbols._couette
+        lat = Lattice(*shape)
+        core = simulate._Core(lat, lat.dealias_mask())
+        for t in (0.0, 0.05, 2.0, 37.3, 100.0):
+            k, alpha, em, keep, inv2 = _couette(t, core.k, core.eta, core.alpha)
+            ka = k * k + alpha * alpha
+            oneshot = (np.where(keep, (t * ka + k * em) * inv2, 0.0),
+                       np.where(keep, -ka * inv2, 0.0),
+                       np.where(keep, em * alpha * inv2, 0.0))
+            public = transport_symbol(t, core.k, core.eta, core.alpha)
+            for got, want, ref in zip(core.u(t), public, oneshot):
+                assert got.tobytes() == want.tobytes() == ref.tobytes(), t
+
+    @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0, None])
+    def test_plane_pair_is_the_partner_on_the_alpha_zero_plane(self, shape, fraction):
+        lat = Lattice(*shape)
+        core = simulate._Core(lat, None if fraction is None else lat.dealias_mask(fraction))
+        assert np.array_equal(core.plane, np.flatnonzero(core.alpha == 0))
+        assert np.array_equal(core.full_idx[core.plane_pair], core.neg_idx[core.plane])
 
 
 class TestNonlinearStep:

@@ -167,6 +167,28 @@ output_every = 1.0
         final = load_checkpoint(out / "nonlinear_final.ckpt")
         assert final.t == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("dt, every, names", [
+        (0.001, 0.001, ["t00000.001", "t00000.002", "t00000.003"]),
+        (0.005, 0.01, ["t00000.01"]),
+        (0.01, 0.02, ["t00000.02"]),
+    ], ids=["spacing-0.001", "spacing-0.01", "spacing-0.02"])
+    def test_checkpoint_names_are_unique(self, tmp_path, dt, every, names):
+        # spacings below 0.01 get more decimals; from 0.01 on the names keep two
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[lattice]\nnx = 8\nny = 16\nnz = 8\n"
+                       f"[run]\nmode = nonlinear\ndt = {dt}\nt_end = {3 * dt}\n"
+                       f"output_every = {dt}\ncheckpoint_every = {every}\n")
+        out = tmp_path / "res"
+        assert main(["nonlinear", str(cfg), "--out", str(out), "--quiet"]) == 0
+        want = [f"nonlinear_{n}.ckpt" for n in names]
+        assert sorted(p.name for p in out.glob("*_t*.ckpt")) == want
+        for name in want:
+            assert load_checkpoint(out / name).t == pytest.approx(float(name[11:-5]))
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string((out / "nonlinear_manifest.ini").read_text())
+        outputs = parser["run"]["outputs"].split(", ")
+        assert [n for n in outputs if n.endswith(".ckpt")] == want + ["nonlinear_final.ckpt"]
+
     def test_zero_epsilon_run(self, tmp_path):
         cfg = tmp_path / "zero.ini"
         cfg.write_text("[lattice]\nnx = 8\nny = 16\nnz = 8\n"
