@@ -368,7 +368,10 @@ def _numeric_column(cols: dict, name: str, path: str) -> np.ndarray:
 
 
 def _cmd_fit(args) -> int:
-    cols = read_csv_columns(args.csv)
+    try:
+        cols = read_csv_columns(args.csv)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.column not in cols:
         raise ConfigError(f"column {args.column!r} not in {args.csv} "
                           f"(have {sorted(cols)})")

@@ -64,6 +64,8 @@ class SimConfig:
             raise ConfigError("dt and t_end must be positive")
         if self.output_every <= 0:
             raise ConfigError("output_every must be positive")
+        if self.checkpoint_every < 0:
+            raise ConfigError("checkpoint_every must be >= 0 (0 = final checkpoint only)")
         for name in ("t_end", "output_every", "checkpoint_every"):
             val = getattr(self, name)
             if val > 0 and abs(val / self.dt - round(val / self.dt)) > 1e-9:

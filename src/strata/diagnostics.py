@@ -8,18 +8,20 @@ mask carries mass.  Velocity L2 norms are stored as-is.  Weighted values
 mean something only for t > 10; earlier rows are flagged by ``early``, and
 time weights use the bracket <t> so the t = 0 row stays finite.
 
-Every column but mass_mode and reality_err reduces over one mode set,
-whose constants are built once: the modes that carry mass, or, for a linear
-run's state (one with a core, see ``simulate``), the core's packed modes
-with each alpha > 0 one counted twice.  A state with a core is read through
-its packed coefficients only, so its row builds no full-lattice array.  w_k
-and d/dt log w_k come from one stacked weight evaluation per row.
+Every column but mass_mode, reality_err and theta_l2 reduces over one
+mode set, whose constants are built once: the modes that carry mass, or,
+for a run's state (one with a core, see ``simulate``), the core's packed
+modes with each alpha > 0 one counted twice.  w_k and d/dt log w_k come
+from one stacked weight evaluation per row.
 
-reality_err is max|Im theta| / max|theta|.  Without a core it comes from a
-full c2c transform.  With one, only the alpha = 0 plane can be non-real: the
-row is exactly 0.0 when the plane's stored members pair exactly (checked on
-the packed values, no transform), as a linear run's do, and otherwise it
-comes from that plane's transform.
+reality_err is max|Im theta| / max|theta|, from a full c2c transform
+(``SpectralField.reality_defect``), with one exception: a state with a core
+can be non-real only on its alpha = 0 plane, so its row is exactly 0.0,
+with no transform, when that plane pairs exactly.  theta_l2 is the field's
+``l2`` whenever the state holds a field after that step, so it equals the
+l2 of a checkpoint of the state bit for bit; a state that still holds only
+packed values, whose row then builds no full-lattice array, sums them with
+their multiplicities.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as _fft
 
 from .lattice import SpectralField
 from .symbols import velocity_symbol
@@ -121,37 +122,19 @@ def _support(lat, p: WeightParams, modes):
             m, half_log_m)
 
 
-def _paired_reality_defect(fieldv: SpectralField) -> float:
-    """``reality_defect`` of a field whose alpha != 0 modes pair exactly.
+def _plane_pairs(state) -> bool:
+    """True when the alpha = 0 plane of a state with a core pairs exactly, c(-f) = conj c(f).
 
-    Only the alpha = 0 plane can then be non-real, so Im theta is the 2-D
-    transform of that plane's anti-Hermitian part (c(f) - conj c(-f))/2,
-    constant along z, and Re theta is one ``irfftn`` of the alpha >= 0
-    half-spectrum.  A plane that pairs exactly gives 0.0.
+    The alpha != 0 modes of such a state pair by construction, so theta is
+    then exactly real.  A state that holds packed values is checked on its
+    stored plane members; a field, which may have been edited off the kept
+    modes, on its whole plane.
     """
-    lat, c = fieldv.lattice, fieldv.coeffs
-    plane = c[:, :, 0]
-    mirror = np.roll(plane[::-1, ::-1], 1, axis=(0, 1))    # c(-f) on the plane
-    im = np.imag(_fft.ifftn(0.5 * (plane - np.conj(mirror)), norm="forward"))
-    peak_im = float(np.max(np.abs(im)))
-    if peak_im == 0.0:
-        return 0.0
-    re = _fft.irfftn(c[:, :, : lat.nz // 2 + 1], s=lat.shape, norm="forward")
-    return peak_im / float(np.max(np.hypot(re, im[:, :, None])))
-
-
-def _cored_reality_defect(state) -> float:
-    """reality_err of a state with a core, with no transform when it is exactly 0.0.
-
-    A state that holds only packed values is non-real only where the stored
-    alpha = 0 members fail to pair, which is checked on the packed array.
-    Otherwise, or once its field has been read (and so may have been edited
-    anywhere), the plane's transform gives the value.
-    """
-    core, c = state.core, state.packed
-    if state.holds_packed and np.array_equal(c[core.plane_pair], np.conj(c[core.plane])):
-        return 0.0
-    return _paired_reality_defect(state.field)
+    if state.holds_packed:
+        core, c = state.core, state.packed
+        return np.array_equal(c[core.plane_pair], np.conj(c[core.plane]))
+    plane = state.field.coeffs[:, :, 0]
+    return np.array_equal(np.roll(plane[::-1, ::-1], 1, axis=(0, 1)), np.conj(plane))
 
 
 def compute_row(state, p: WeightParams) -> DiagnosticRow:
@@ -159,18 +142,17 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
     ljt = 0.5 * math.log1p(t * t)
     lam = lambda_t(t, p)
 
+    # reality first: a defect reads the field, which then holds the state
+    paired = core is not None and _plane_pairs(state)
+    reality = 0.0 if paired else state.field.reality_defect()
     if core is None:
-        fieldv: SpectralField = state.field
-        lat, c = fieldv.lattice, fieldv.coeffs
+        lat, c = state.field.lattice, state.field.coeffs
         # the modes that carry mass: the others add 0 to every sum
         mag = np.abs(c).ravel()
         occupied = mag != 0
         modes, mag = np.packbits(occupied).tobytes(), mag[occupied]
         mass = abs(complex(c[0, 0, 0]))
-        reality = fieldv.reality_defect()
     else:
-        # reality first: a defect reads the field, which then holds the state
-        reality = _cored_reality_defect(state)
         lat, c = core.lattice, state.packed
         modes, mag = core, np.abs(c)
         mass = abs(complex(c[core.mean[0]])) if core.mean.size else 0.0
@@ -195,7 +177,7 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
         "u2_zero_l2": _l2(u2_sq[zero]),
         "u2_nonzero_l2": _l2(u2_sq[iz0.size:]),
         "u3_l2": _l2(v3**2 * abs2),
-        "theta_l2": fieldv.l2() if core is None else _l2(abs2),
+        "theta_l2": _l2(abs2) if state.holds_packed else state.field.l2(),
         "mass_mode": mass,
         "reality_err": reality,
     }

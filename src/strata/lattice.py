@@ -9,8 +9,9 @@ The solver forms one member of each +-f pair and writes the other as its
 conjugate (``simulate._Core.unpack``).  On the self-conjugate alpha = 0
 plane both members are stored, so a departure from the pairing there is
 carried rather than repaired.  ``reality_defect`` measures it with a full
-c2c transform, for any field; a linear run's diagnostics measure it on the
-alpha = 0 plane alone, where it can live (``diagnostics.compute_row``).
+c2c transform, for any field; a run's diagnostics skip the transform when
+the alpha = 0 plane, the only place it can live, pairs exactly
+(``diagnostics.compute_row``).
 """
 
 from __future__ import annotations

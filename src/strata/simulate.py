@@ -16,13 +16,15 @@ conjugate, so no step repairs Hermitian symmetry.  On the self-conjugate
 alpha = 0 plane both members are stored, and a departure from the pairing
 there is carried, not repaired.
 
-A linear run's states carry that kept-mode structure (``SimState.core``)
-and hold only their packed coefficients, from the initial values to the
-last row: ``step_linear`` maps packed to packed with G on the packed modes
-(G at the start time cached on the core), and ``diagnostics.compute_row``
-reduces over them.  A state's ``field`` is built from its packed values
-only when something reads it.  Nonlinear runs, loaded checkpoints and
-hand-built states carry no core and take the full-lattice paths.
+Every state a run makes carries that kept-mode structure (``SimState.core``,
+the cached core of the dealias mask).  A linear run's states hold only their
+packed coefficients from the start, a nonlinear run's from its first step
+on: ``step_linear`` maps packed to packed with G on the packed modes (G at
+the start time cached on the core), ``step_nonlinear`` advances the packed
+values, and ``diagnostics.compute_row`` reduces over them.  A state's
+``field`` is built from its packed values only when something reads it.
+Loaded checkpoints and hand-built states carry no core and take the
+full-lattice paths.
 
 In the nonlinear step the transport symbols and the antiderivative G are
 evaluated on the kept modes once per distinct stage time, from parts the
@@ -105,7 +107,7 @@ class NumericalAbort(RuntimeError):
 
 
 def init_field(cfg: SimConfig) -> SimState:
-    """Build the initial spectral field for a run.
+    """Build the initial spectral field for a run, with the cached core of its dealias mask.
 
     Every recipe sets full-lattice coefficients c with amplitudes decaying
     like exp(-lambda_in |f|_1^s).  The field takes 0.5 * (c(f) + conj c(-f))
@@ -115,20 +117,11 @@ def init_field(cfg: SimConfig) -> SimState:
     the sigma=0 Gevrey norm at radius lambda_in equals epsilon exactly.  A
     recipe that puts nothing on the kept modes is a ``ConfigError``.
     """
-    # built uncached, so its index arrays do not outlive the call
-    core = _Core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
-    kept, scale = _init_kept(cfg, core)
-    fieldv = SpectralField(cfg.lattice, core.unpack(kept))
-    fieldv.coeffs *= scale
-    return SimState(0.0, fieldv)
-
-
-def _init_kept(cfg: SimConfig, core: _Core) -> tuple[np.ndarray, float]:
-    """``init_field``'s packed values before the rescale, and the rescale factor."""
     lat = cfg.lattice
+    core = _core(lat, lat.dealias_mask(cfg.dealias))
     coeffs = np.zeros(lat.shape, dtype=np.complex128)
     if cfg.epsilon == 0.0:
-        return core.pack(coeffs), 0.0
+        return SimState(0.0, SpectralField(lat, coeffs), core)
     decay = np.exp(-cfg.lambda_in * lat.l1 ** cfg.s)
     support = np.ones(lat.shape, dtype=bool)
     if cfg.init_kmax > 0:
@@ -154,24 +147,13 @@ def _init_kept(cfg: SimConfig, core: _Core) -> tuple[np.ndarray, float]:
     kept[core.mean] = 0.0
     if not np.any(kept):
         raise ConfigError(f"init recipe {cfg.recipe!r} puts nothing on the kept modes")
+    fieldv = SpectralField(lat, core.unpack(kept))
 
     # exact rescale of the radius-lambda_in Gevrey norm to epsilon, summed
     # over the whole lattice
-    weighted = np.exp(cfg.lambda_in * lat.l1 ** cfg.s) * np.abs(core.unpack(kept))
-    norm = math.sqrt(lat.delta_eta * float(np.sum(weighted**2)))
-    return kept, cfg.epsilon / norm
-
-
-@lru_cache(maxsize=2)
-def _antiderivative(lat: Lattice, t: float) -> np.ndarray:
-    """Read-only ``damping_antiderivative`` at t on the whole lattice.
-
-    Two entries hold G at a fixed start while the end time changes, or a
-    step's end G for the next step, when a state without a core is stepped.
-    """
-    g = damping_antiderivative(t, lat.kx, lat.eta, lat.alpha)
-    g.flags.writeable = False
-    return g
+    weighted = np.exp(cfg.lambda_in * lat.l1 ** cfg.s) * np.abs(fieldv.coeffs)
+    fieldv.coeffs *= cfg.epsilon / math.sqrt(lat.delta_eta * float(np.sum(weighted**2)))
+    return SimState(0.0, fieldv, core)
 
 
 def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
@@ -180,7 +162,8 @@ def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
     Formed as exp(G(t0) - G(t1)) from ``damping_antiderivative``; the mean
     mode and an empty interval give factor 1 exactly.
     """
-    return np.exp(_antiderivative(lat, t0) - _antiderivative(lat, t1))
+    return np.exp(damping_antiderivative(t0, lat.kx, lat.eta, lat.alpha)
+                  - damping_antiderivative(t1, lat.kx, lat.eta, lat.alpha))
 
 
 def step_linear(state: SimState, dt: float) -> SimState:
@@ -329,16 +312,17 @@ def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None,
     the scheme reduces to step_linear when the nonlinear term vanishes and
     retains classical 4th-order accuracy otherwise.  The step works on the
     packed kept modes (see nonlinear_rhs); content outside them is dropped.
+    A state that carries the mask's core is read through its packed values;
+    the result carries that core and holds packed values.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    lat = state.field.lattice
     t, h = state.t, dt
-    if not np.all(np.isfinite(state.field.coeffs.view(np.float64))):
+    core = _core(state.field.lattice if state.core is None else state.core.lattice, mask)
+    c0 = state.packed if state.core is core else core.pack(state.field.coeffs)
+    if not np.all(np.isfinite(c0)):
         raise NumericalAbort(f"non-finite state at t={t:.6g}", state)
-    core = _core(lat, mask)
     work = core.workspace()
-    c0 = core.pack(state.field.coeffs)
 
     # symbols and damping antiderivatives once per distinct stage time, each
     # symbol set formed when its stage comes, so fewer arrays are live at once
@@ -360,26 +344,25 @@ def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None,
     c1 = e_full * c0 + (h / 6.0) * (e_full * k1 + 2.0 * e_back * (k2 + k3) + k4)
     if not np.all(np.isfinite(c1)):
         raise NumericalAbort(f"non-finite state at t={t_end:.6g}", state)
-    return SimState(t_end, SpectralField(lat, core.unpack(c1)))
+    return SimState(t_end, core=core, packed=c1)
 
 
 def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):
     """Drive a full run; calls ``on_row(state)`` at t=0 and every output time.
 
-    Returns the final state, at ``round(t_end/dt) * dt``.  A linear run takes
-    no time steps: each state is the exact solution ``step_linear(start, t)``
-    from the initial state, so ``dt`` only sets the time grid; its states
-    carry the cached core of the dealias mask and hold packed coefficients,
-    from ``init_field``'s values on.  Nonlinear states carry no core.
+    Returns the final state, at ``round(t_end/dt) * dt``.  Every state
+    carries the cached core of the dealias mask.  A linear run takes no time
+    steps: each state is the exact solution ``step_linear(start, t)`` from
+    the initial state, so ``dt`` only sets the time grid, and each holds
+    packed coefficients from ``init_field``'s values on.  A nonlinear run
+    starts from ``init_field``'s field and then holds the packed values of
+    each ``step_nonlinear``.
     ``on_checkpoint(state)`` fires every ``checkpoint_every`` time units in
     nonlinear mode when configured; linear runs never checkpoint.
     """
+    state = init_field(cfg)
     if cfg.mode == "linear":
-        core = _core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
-        kept, scale = _init_kept(cfg, core)
-        state = SimState(0.0, core=core, packed=kept * scale)
-    else:
-        state = init_field(cfg)
+        state = SimState(0.0, core=state.core, packed=state.packed)
     n_steps = round(cfg.t_end / cfg.dt)
     out_stride = max(1, round(cfg.output_every / cfg.dt))
 

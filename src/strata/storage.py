@@ -115,7 +115,11 @@ def _render(v):
 
 
 def read_csv_columns(path) -> dict[str, list[str]]:
-    """Read a CSV written by :func:`write_csv`, skipping comment lines."""
+    """Read a CSV written by :func:`write_csv`, skipping comment lines.
+
+    A file with no header row, or a non-empty row whose field count is not
+    the header's, is a ``ValueError``.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(lines)
@@ -124,7 +128,10 @@ def read_csv_columns(path) -> dict[str, list[str]]:
     except StopIteration:
         raise ValueError(f"{path} has no header row") from None
     cols: dict[str, list[str]] = {name: [] for name in header}
-    for row in reader:
+    for n, row in enumerate(reader, 1):
+        if row and len(row) != len(header):
+            raise ValueError(f"{path}: data row {n} has {len(row)} fields, "
+                             f"the header {len(header)}")
         for name, val in zip(header, row):
             cols[name].append(val)
     return cols

@@ -9,7 +9,6 @@ from _hermitian import hermitian_defect
 from strata.config import SimConfig
 from strata.diagnostics import (
     DiagnosticRow,
-    _paired_reality_defect,
     compute_row,
     log10p_from_log,
 )
@@ -29,10 +28,11 @@ from strata.weights import (
 
 # Columns computed by the same arithmetic as the reference.  The velocity and
 # weighted columns sum over the modes that carry mass only, in another order,
-# so they agree to rounding only.  A state with a core (a linear run's) takes
-# reality_err from its alpha = 0 plane instead of the reference's c2c
-# transform, checked against the pairing oracle, and theta_l2 from its packed
-# modes with multiplicity, which agrees to rounding only.
+# so they agree to rounding only.  A state with a core (a run's) takes
+# reality_err = 0.0 without the reference's c2c transform when its alpha = 0
+# plane pairs exactly, checked against the pairing oracle.  While it holds
+# only packed values, it takes theta_l2 from them with multiplicity, which
+# agrees to rounding only.
 EXACT = ("t", "early", "theta_l2", "mass_mode", "reality_err")
 
 
@@ -151,12 +151,15 @@ def _reference_row(state, p: WeightParams) -> DiagnosticRow:
 
 
 def _assert_rows_agree(state, params):
-    got, ref = compute_row(state, params), _reference_row(state, params)
+    got = compute_row(state, params)
+    packed = state.holds_packed    # the row read no field, so theta_l2 summed packed values
+    ref = _reference_row(state, params)
+    # c(-f) = conj c(f) exactly, so theta is exactly real
+    real = state.core is not None and hermitian_defect(state.field) == 0.0
     for name, g, r in zip(DiagnosticRow.header(), got.values(), ref.values()):
-        if name == "reality_err" and state.core is not None:
-            # c(-f) = conj c(f) exactly, so theta is exactly real
-            assert hermitian_defect(state.field) == 0.0 and g == 0.0, (state.t, g)
-        elif name in EXACT and not (name == "theta_l2" and state.core is not None):
+        if name == "reality_err" and real:
+            assert g == 0.0, (state.t, g)
+        elif name in EXACT and not (name == "theta_l2" and packed):
             assert g == r, (state.t, name)
         else:
             assert abs(g - r) <= 1e-12 * abs(r), (state.t, name, g, r)
@@ -186,9 +189,9 @@ def test_default_lattice_linear_states_match_reference():
 ], ids=["criterion7-20-steps", "default-linear", "single-8x16x8", "zero-epsilon"])
 def test_run_states_match_reference(cfg):
     states = _run_states(cfg)
-    # linear runs hand on_row states with the core of their dealias mask, nonlinear runs none
+    # every run hands on_row states with the core of its dealias mask
     core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
-    assert all(s.core is (core if cfg.mode == "linear" else None) for s in states)
+    assert all(s.core is core for s in states)
     for state in states:
         _assert_rows_agree(state, cfg.weight_params)
 
@@ -196,7 +199,7 @@ def test_run_states_match_reference(cfg):
 def _with_core(cfg, t):
     """A linear run's state at t, with the core of the config's dealias mask."""
     start = simulate.init_field(cfg)
-    start.core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
+    assert start.core is simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
     return step_linear(start, t) if t else start
 
 
@@ -206,15 +209,15 @@ def _with_core(cfg, t):
     ((1, 2, 0), 1e-6j), ((1, 2, 0), 0.3), ((0, 0, 0), 2e-3j), ((-3, 5, 0), 50.0 + 5.0j),
 ], ids=["small-imag", "real", "mean-mode", "dominant"])
 def test_plane_reality_err_matches_the_c2c_defect(cfg, where, size):
-    # a defect on the alpha = 0 plane, partner untouched: the plane's transform
-    # sees what the full c2c transform of the field sees
+    # a defect on the alpha = 0 plane, partner untouched, on or off the kept
+    # modes: the row takes the c2c transform of the field
     state = _with_core(cfg, 5.0)
     c = state.field.coeffs
     c[where] += size * np.max(np.abs(c))
     got = compute_row(state, cfg.weight_params).reality_err
     ref = state.field.reality_defect()
     assert ref > 1e-9
-    assert got == pytest.approx(ref, rel=1e-9)
+    assert got == ref
 
 
 @pytest.mark.parametrize("cfg", [
@@ -277,7 +280,7 @@ def test_linear_rows_make_no_transform_and_no_unpack(monkeypatch):
 
 @pytest.mark.parametrize("where", [(1, 2), (0, 0), (-3, 5)], ids=["pair", "mean", "negative-k"])
 def test_perturbed_packed_plane_gets_the_plane_defect(where):
-    # a packed state whose alpha = 0 plane fails to pair takes the plane's
+    # a packed state whose alpha = 0 plane fails to pair takes the c2c
     # transform, as a state whose field was read does
     cfg = SimConfig(output_every=50.0)
     state = _packed_run_states(cfg)[1]
@@ -288,8 +291,7 @@ def test_perturbed_packed_plane_gets_the_plane_defect(where):
     assert state.holds_packed
     plain = SpectralField(lat, core.unpack(state.packed))
     got = compute_row(state, cfg.weight_params).reality_err
-    assert got == _paired_reality_defect(plain)
-    assert got == pytest.approx(plain.reality_defect(), rel=1e-9) and got > 1e-9
+    assert got == plain.reality_defect() and got > 1e-9
 
 
 def _whole_lattice(lat, rng):

@@ -221,6 +221,8 @@ class TestConfig:
             SimConfig(lambda_in=0.1)   # breaks lambda(0) < 0.9 lambda_in
         with pytest.raises(ConfigError):
             SimConfig(dt=0.3, t_end=1.0)   # t_end not on the step grid
+        with pytest.raises(ConfigError, match="checkpoint_every"):
+            SimConfig(**SMALL, mode="nonlinear", checkpoint_every=-0.1)
 
     def test_parsed_values_have_their_annotated_types(self):
         cfg = SimConfig.from_text(default_config_text())
@@ -342,11 +344,12 @@ class TestLinearStep:
         # G on the packed modes, partners written by unpack: the full-lattice
         # product's values bit for bit, and the core rides along
         cfg = SimConfig()
-        start = init_field(cfg)
+        cored = init_field(cfg)
         core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
-        cored = SimState(0.0, start.field, core)
+        assert cored.core is core
+        plain = SimState(0.0, cored.field.copy())
         for t in (0.5, 1.0, 5.0, 20.0, 100.0):
-            got, ref = step_linear(cored, t), step_linear(start, t)
+            got, ref = step_linear(cored, t), step_linear(plain, t)
             assert got.core is core and ref.core is None
             assert got.t == ref.t
             assert np.array_equal(got.field.coeffs, ref.field.coeffs), t
@@ -432,8 +435,6 @@ class TestLinearStep:
             expect = np.exp(damping_antiderivative(t0, lat.kx, lat.eta, lat.alpha)
                             - damping_antiderivative(t1, lat.kx, lat.eta, lat.alpha))
             assert linear_decay_factors(lat, t0, t1).tobytes() == expect.tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            simulate._antiderivative(lat, 0.0)[0, 0, 0] = 1.0
 
 
 class TestNonlinearRHS:
@@ -685,6 +686,47 @@ class TestNonlinearStep:
         st = SimState(0.0, SpectralField(lat, c))
         with pytest.raises(NumericalAbort):
             step_nonlinear(st, 0.1, lat.dealias_mask())
+
+    def test_run_states_carry_the_core_and_hold_packed_values(self):
+        # init_field's state holds its field; every later one holds only the
+        # packed values of its step until something reads its field
+        cfg = SimConfig(**SMALL, epsilon=0.1, init_kmax=2, mode="nonlinear",
+                        output_every=0.2, checkpoint_every=0.5)
+        core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
+        rows, ckpts = [], []
+        final = run_simulation(cfg, on_row=rows.append, on_checkpoint=ckpts.append)
+        assert [s.t for s in rows] == pytest.approx([0.2 * i for i in range(6)])
+        assert final is rows[-1] and [s.t for s in ckpts] == [0.5, 1.0]
+        assert all(s.core is core for s in rows + ckpts)
+        assert not rows[0].holds_packed
+        assert all(s.holds_packed for s in rows[1:] + ckpts)
+
+    def test_packed_step_makes_no_unpack(self, monkeypatch):
+        cfg = SimConfig(**SMALL, epsilon=0.1, init_kmax=2, mode="nonlinear")
+        mask = cfg.lattice.dealias_mask()
+        st = step_nonlinear(init_field(cfg), 0.1, mask)
+        want = step_nonlinear(st.copy(), 0.1, mask).packed
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a packed step unpacked")
+
+        monkeypatch.setattr(simulate._Core, "unpack", forbidden)
+        got = step_nonlinear(st, 0.1, mask)
+        assert got.holds_packed and got.core is st.core
+        assert got.packed.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+    def test_stepping_with_a_core_equals_stepping_without(self, fraction):
+        # the packed values a state carries are the ones packing its field gives
+        cfg = SimConfig(**SMALL, epsilon=0.1, recipe="random", mode="nonlinear",
+                        dealias=fraction)
+        lat, mask = cfg.lattice, cfg.lattice.dealias_mask(fraction)
+        st = init_field(cfg)
+        for _ in range(3):
+            plain = SimState(st.t, SpectralField(lat, st.core.unpack(st.packed)))
+            st, ref = step_nonlinear(st, 0.1, mask), step_nonlinear(plain, 0.1, mask)
+            assert ref.core is st.core and st.t == ref.t
+            assert st.packed.tobytes() == ref.packed.tobytes()
 
     def test_linear_limit_in_epsilon(self):
         # nonlinear correction scales linearly in epsilon relative to the state

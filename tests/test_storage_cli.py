@@ -167,6 +167,26 @@ output_every = 1.0
         final = load_checkpoint(out / "nonlinear_final.ckpt")
         assert final.t == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("recipe, dealias", [
+        ("single", 2.0 / 3.0), ("multimode", 2.0 / 3.0), ("random", 2.0 / 3.0), ("random", 1.0),
+    ], ids=["single", "multimode", "random", "dealias-one"])
+    def test_last_theta_l2_is_the_final_checkpoint_l2(self, tmp_path, recipe, dealias):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[lattice]\nnx = 8\nny = 16\nnz = 8\n"
+                       "[run]\nmode = nonlinear\nepsilon = 0.1\ndt = 0.1\nt_end = 1.0\n"
+                       f"output_every = 0.5\ndealias = {dealias}\n[init]\nrecipe = {recipe}\n")
+        out = tmp_path / "res"
+        assert main(["nonlinear", str(cfg), "--out", str(out), "--quiet"]) == 0
+        theta = read_csv_columns(out / "nonlinear_diagnostics.csv")["theta_l2"]
+        assert float(theta[-1]) == load_checkpoint(out / "nonlinear_final.ckpt").field.l2()
+
+    def test_negative_checkpoint_spacing_exit_2(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, extra="checkpoint_every = -0.1\n")
+        out = tmp_path / "res"
+        assert main(["nonlinear", cfg, "--out", str(out)]) == 2
+        assert "checkpoint_every" in capsys.readouterr().err
+        assert not out.exists()     # rejected before the manifest is written
+
     @pytest.mark.parametrize("dt, every, names", [
         (0.001, 0.001, ["t00000.001", "t00000.002", "t00000.003"]),
         (0.005, 0.01, ["t00000.01"]),
@@ -430,6 +450,15 @@ output_every = 1.0
         assert main(["fit", str(out / "series.csv"), *argv]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "'label'" in err
+
+    @pytest.mark.parametrize("text", ["", "# manifest=m.ini\n", "t,y\n1,2\n2\n3,4\n",
+                                      "t,y\n1,2,3\n"],
+                             ids=["empty", "comment-only", "short-row", "long-row"])
+    def test_fit_malformed_csv_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["fit", str(path), "--column", "y"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_toy_orr_report(self, tmp_path, capsys):
         out = tmp_path / "orr"
