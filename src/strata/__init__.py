@@ -2,6 +2,12 @@
 
 __version__ = "0.1.0"
 
+# numpy loads these at their first use; every run command uses them (np.unique
+# reads numpy.ma), so they load with the package rather than inside a command
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .config import ConfigError, SimConfig, default_config_text
 from .diagnostics import DiagnosticRow, compute_row, theta_distance_log
 from .lattice import Lattice, SpectralField, bracket, efloor, iota, l1_norm

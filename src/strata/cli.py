@@ -17,6 +17,7 @@ checkpoints and plot script, also after a numerical abort.
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401  (argparse's gettext loads it at main's first parser)
 import math
 import os
 import sys
@@ -84,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", nargs="?", default=None, help="config file (key = value sections)")
         p.add_argument("--print-defaults", action="store_true",
                        help="print the default config and exit")
-        p.add_argument("--threads", type=int, default=None, help="cap FFT worker threads")
         common(p)
         p.set_defaults(func=_cmd_run, mode=name)
 
@@ -181,9 +181,9 @@ def _cmd_run(args) -> int:
     if args.print_defaults:
         print(default_config_text(), end="")
         return _EXIT_OK
-    overrides = {key: val for key, val in
-                 (("mode", args.mode), ("seed", args.seed), ("threads", args.threads))
-                 if val is not None}
+    overrides = {"mode": args.mode}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     cfg = (SimConfig.from_file(args.config, overrides) if args.config is not None
            else SimConfig.from_text("", overrides))
     csv_name = f"{args.mode}_diagnostics.csv"

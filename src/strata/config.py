@@ -37,7 +37,6 @@ class SimConfig:
     output_every: float = 1.0
     dealias: float = 2.0 / 3.0
     checkpoint_every: float = 0.0     # 0 = final checkpoint only
-    threads: int = 1
     # [init]
     recipe: str = "random"            # single | multimode | random
     seed: int = 0
@@ -74,8 +73,6 @@ class SimConfig:
             raise ConfigError("dealias fraction must lie in (0, 1]")
         if self.epsilon < 0:
             raise ConfigError("epsilon must be nonnegative")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         try:
@@ -111,7 +108,7 @@ class SimConfig:
     _SECTIONS = {
         "lattice": ("nx", "ny", "nz", "ly"),
         "run": ("mode", "epsilon", "dt", "t_end", "output_every", "dealias",
-                "checkpoint_every", "threads"),
+                "checkpoint_every"),
         "init": ("recipe", "seed", "lambda_in", "init_kmax"),
         "weights": ("c_star", "s", "lambda_inf", "delta_tilde", "a", "sigmas"),
     }

@@ -9,9 +9,9 @@ The solver forms one member of each +-f pair and writes the other as its
 conjugate (``simulate._Core.unpack``).  On the self-conjugate alpha = 0
 plane both members are stored, so a departure from the pairing there is
 carried rather than repaired.  ``reality_defect`` measures it with a full
-c2c transform, for any field; a run's diagnostics skip the transform when
-the alpha = 0 plane, the only place it can live, pairs exactly
-(``diagnostics.compute_row``).
+c2c ``numpy.fft`` transform, for any field; a run's diagnostics skip the
+transform when the alpha = 0 plane, the only place it can live, pairs
+exactly (``diagnostics.compute_row``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as _fft
 
 from .symbols import zero_mode_rate
 
@@ -199,17 +198,17 @@ class SpectralField:
 
     @classmethod
     def from_physical(cls, lattice: Lattice, values: np.ndarray) -> "SpectralField":
-        return cls(lattice, _fft.fftn(np.asarray(values, dtype=np.float64)) / lattice.size)
+        return cls(lattice, np.fft.fftn(np.asarray(values, dtype=np.float64)) / lattice.size)
 
     def to_physical(self) -> np.ndarray:
-        return np.real(_fft.ifftn(self.coeffs) * self.lattice.size)
+        return np.real(np.fft.ifftn(self.coeffs) * self.lattice.size)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.lattice, self.coeffs.copy())
 
     def reality_defect(self) -> float:
         """Relative size of the imaginary part of the inverse transform."""
-        phys = _fft.ifftn(self.coeffs) * self.lattice.size
+        phys = np.fft.ifftn(self.coeffs) * self.lattice.size
         scale = float(np.max(np.abs(phys)))
         if scale == 0.0:
             return 0.0

@@ -28,8 +28,12 @@ full-lattice paths.
 
 In the nonlinear step the transport symbols and the antiderivative G are
 evaluated on the kept modes once per distinct stage time, from parts the
-core forms once, and each RK stage's product is formed with six ``irfftn``
-and one ``rfftn`` on a zero-padded half-spectrum.
+core forms once.  Each RK stage's product is formed with six inverse and
+one forward ``numpy.fft`` transform, pruned to the 1-D lines that carry
+content: the kept modes fill a box of signed indices |i| < c per axis, and
+the zero padding around it is neither read nor written on x and y (the
+zero-padded pseudo-spectral product of Canuto, Hussaini, Quarteroni & Zang,
+*Spectral Methods*, 2006, skipping the lines Orszag's 2/3 rule leaves empty).
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as _fft
 
 from .config import ConfigError, SimConfig
 from .lattice import Lattice, SpectralField
@@ -205,9 +208,19 @@ class _Core:
         self.lattice = lat
         self.shape = lat.shape
         self.size = lat.size
-        self.half_shape = (nx, ny, nz // 2 + 1)
         ix, iy, iz = np.nonzero(keep[:, :, : nz // 2 + 1])
-        self.half_idx = np.ravel_multi_index((ix, iy, iz), self.half_shape)
+        # the transforms' box: signed indices -(c-1)..c-1 on x and y, stored
+        # as 0..c-1 then n-c+1..n-1, and 0..c_z-1 on z.  box_idx places the
+        # packed modes in it, and is None when they fill it, as for every
+        # dealias mask
+        cx, cy = (int(np.minimum(i, n - i).max(initial=0)) + 1
+                  for i, n in ((ix, nx), (iy, ny)))
+        self.cut = (cx, cy, int(iz.max(initial=0)) + 1)
+        self.box_shape = (2 * cx - 1, 2 * cy - 1, self.cut[2])
+        box_idx = np.ravel_multi_index(
+            (np.where(ix < cx, ix, ix - nx + 2 * cx - 1),
+             np.where(iy < cy, iy, iy - ny + 2 * cy - 1), iz), self.box_shape)
+        self.box_idx = None if box_idx.size == math.prod(self.box_shape) else box_idx
         self.full_idx = np.ravel_multi_index((ix, iy, iz), lat.shape)
         self.neg_idx = np.ravel_multi_index((-ix % nx, -iy % ny, -iz % nz), lat.shape)
         self.upper = iz > 0
@@ -246,18 +259,39 @@ class _Core:
         out[self.mirror_idx] = np.conj(packed[self.upper])
         return out.reshape(self.shape)
 
-    def workspace(self) -> np.ndarray:
-        """Zero half-spectrum; rhs writes only the kept modes, so it stays zero-padded."""
-        return np.zeros(self.half_shape, dtype=np.complex128)
+    def workspace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Zero buffers of the inverse passes: the box, then the box widened
+        to the lattice on x, then on x and y.  rhs writes only the box
+        positions of packed modes and the kept ranges, so they stay zero-padded.
+        """
+        nx, ny, _ = self.shape
+        _, by, bz = self.box_shape
+        return (np.zeros(self.box_shape, dtype=np.complex128),
+                np.zeros((nx, by, bz), dtype=np.complex128),
+                np.zeros((nx, ny, bz), dtype=np.complex128))
 
-    def rhs(self, c: np.ndarray, u, work: np.ndarray, workers: int) -> np.ndarray:
+    def rhs(self, c: np.ndarray, u, work) -> np.ndarray:
         """Packed -(u . grad theta) for packed c and symbols u; mean mode zeroed."""
-        flat = work.reshape(-1)
+        nx, ny, nz = self.shape
+        cx, cy, cz = self.cut
+        box, wide_x, wide_xy = work
 
-        # norm="forward": theta(x) = sum_f c(f) exp(i f.x) without scaling
+        # 1-D passes over the lines that carry content; norm="forward":
+        # theta(x) = sum_f c(f) exp(i f.x) without scaling.  The upper ranges
+        # start at n-c+1, not -(c-1), which is the whole axis for c = 1
         def phys(vals):
-            flat[self.half_idx] = vals
-            return _fft.irfftn(work, s=self.shape, workers=workers, norm="forward")
+            if self.box_idx is None:
+                b = vals.reshape(self.box_shape)
+            else:
+                b = box
+                b.reshape(-1)[self.box_idx] = vals
+            wide_x[:cx] = b[:cx]
+            wide_x[nx - cx + 1:] = b[cx:]
+            a = np.fft.ifft(wide_x, axis=0, norm="forward")
+            wide_xy[:, :cy] = a[:, :cy]
+            wide_xy[:, ny - cy + 1:] = a[:, cy:]
+            a = np.fft.ifft(wide_xy, axis=1, norm="forward")
+            return np.fft.irfft(a, n=nz, axis=2, norm="forward")
 
         # overflow here surfaces as a NumericalAbort from the stepper's
         # finiteness check rather than as a warning storm
@@ -267,7 +301,13 @@ class _Core:
             adv = (phys(u1 * c) * phys(g1 * c)
                    + phys(u2 * c) * phys(g2 * c)
                    + phys(u3 * c) * phys(g3 * c))
-            out = -_fft.rfftn(adv, workers=workers, norm="forward").reshape(-1)[self.half_idx]
+            f = np.fft.fft(np.fft.rfft(adv, axis=2, norm="forward")[..., :cz],
+                           axis=1, norm="forward")
+            f = np.fft.fft(np.concatenate((f[:, :cy], f[:, ny - cy + 1:]), axis=1),
+                           axis=0, norm="forward")
+            out = -np.concatenate((f[:cx], f[nx - cx + 1:])).reshape(-1)
+        if self.box_idx is not None:
+            out = out[self.box_idx]
         out[self.mean] = 0.0
         return out
 
@@ -288,8 +328,7 @@ def _core(lat: Lattice, mask: np.ndarray | None) -> _Core:
     return _cached_core(lat, mask.tobytes())
 
 
-def nonlinear_rhs(state: SimState, mask: np.ndarray | None = None,
-                  workers: int = 1) -> np.ndarray:
+def nonlinear_rhs(state: SimState, mask: np.ndarray | None = None) -> np.ndarray:
     """Spectral coefficients of -(u . grad theta), dealiased, mean mode zeroed.
 
     u is the moving-frame transport velocity and grad is the plain
@@ -301,11 +340,10 @@ def nonlinear_rhs(state: SimState, mask: np.ndarray | None = None,
     core = _core(state.field.lattice, mask)
     u = transport_symbol(state.t, core.k, core.eta, core.alpha)
     c = core.pack(state.field.coeffs)
-    return core.unpack(core.rhs(c, u, core.workspace(), workers))
+    return core.unpack(core.rhs(c, u, core.workspace()))
 
 
-def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None,
-                   workers: int = 1) -> SimState:
+def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None) -> SimState:
     """One Lawson (integrating-factor) RK4 step of the full equation.
 
     The linear damping is applied through its exact per-mode propagator, so
@@ -332,14 +370,14 @@ def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None,
     e_back = np.exp(g_mid - core.g(t_end))
     e_full = e_half * e_back
 
-    k1 = core.rhs(c0, core.u(t), work, workers)
+    k1 = core.rhs(c0, core.u(t), work)
     theta_a = e_half * (c0 + 0.5 * h * k1)
     u_mid = core.u(t_mid)
-    k2 = core.rhs(theta_a, u_mid, work, workers)
+    k2 = core.rhs(theta_a, u_mid, work)
     theta_b = e_half * c0 + 0.5 * h * k2
-    k3 = core.rhs(theta_b, u_mid, work, workers)
+    k3 = core.rhs(theta_b, u_mid, work)
     theta_c = e_full * c0 + h * e_back * k3
-    k4 = core.rhs(theta_c, core.u(t_end), work, workers)
+    k4 = core.rhs(theta_c, core.u(t_end), work)
 
     c1 = e_full * c0 + (h / 6.0) * (e_full * k1 + 2.0 * e_back * (k2 + k3) + k4)
     if not np.all(np.isfinite(c1)):
@@ -383,7 +421,7 @@ def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):
     ckpt_stride = (max(1, round(cfg.checkpoint_every / cfg.dt))
                    if cfg.checkpoint_every > 0 else 0)
     for i in range(1, n_steps + 1):
-        state = step_nonlinear(state, cfg.dt, mask, cfg.threads)
+        state = step_nonlinear(state, cfg.dt, mask)
         # keep t exactly on the uniform grid to avoid drift in long runs
         state.t = i * cfg.dt
         if on_row is not None and i % out_stride == 0:

@@ -5,8 +5,8 @@ zero-mode model with algebraically decaying forcing, the envelope of the
 streamwise lift-up integral, and the uniform semigroup bound, plus the
 log-log slope fitting these drivers report through.
 
-``import strata`` loads numpy and ``scipy.fft``; ``scipy.integrate`` loads at
-the first toy integration.
+``import strata`` loads numpy and no ``scipy`` module; ``scipy.integrate``
+loads at the first toy integration.
 """
 
 from __future__ import annotations

@@ -513,21 +513,40 @@ class TestNonlinearRHS:
         got = nonlinear_rhs(st, mask)
         assert np.max(np.abs(got - oracle)) < 1e-13 * max(np.max(np.abs(oracle)), 1.0)
 
-    @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
+    @staticmethod
+    def _assert_matches_reference(lat, mask, seed):
+        ref_mask = _without_nyquist(lat, mask)
+        fieldv = _random_masked_field(lat, mask, seed)
+        for t in (0.0, 3.7, 50.0):
+            st = SimState(t, fieldv)
+            got, ref = nonlinear_rhs(st, mask), _reference_rhs(st, ref_mask)
+            # relative to the reference, and exact where the reference is 0
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), t
+
+    # (2, 16, 2) keeps index 0 alone on x and z, where the product is 0
+    # identically; (2, 16, 8) and (8, 2, 8) keep it alone on x or on y
+    @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32), (2, 16, 2), (2, 16, 8),
+                                       (8, 2, 8)])
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.75, 0.9, 1.0])
     def test_matches_full_lattice_reference(self, shape, fraction):
         # below 1 the masks hold no Nyquist index and the reference is the
         # unchanged full-lattice pipeline; at 1 the kept set drops Nyquist
         lat = Lattice(*shape)
         mask = lat.dealias_mask(fraction)
-        ref_mask = _without_nyquist(lat, mask)
         if fraction < 1.0:
-            assert np.array_equal(ref_mask, mask)
-        fieldv = _random_masked_field(lat, mask, seed=shape[0] + round(10 * fraction))
-        for t in (0.0, 3.7, 50.0):
-            st = SimState(t, fieldv)
-            got = nonlinear_rhs(st, mask)
-            assert _rel_err(got, _reference_rhs(st, ref_mask)) <= 1e-12, t
+            assert np.array_equal(_without_nyquist(lat, mask), mask)
+        self._assert_matches_reference(lat, mask, seed=shape[0] + round(10 * fraction))
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+    def test_matches_full_lattice_reference_off_the_box(self, fraction):
+        # without the x = +-1 planes the packed modes do not fill the box of
+        # the pruned transforms, so they are scattered into it
+        lat = Lattice(8, 16, 8)
+        mask = lat.dealias_mask(fraction)
+        mask[[1, -1]] = False
+        assert simulate._core(lat, mask).box_idx is not None
+        assert simulate._core(lat, lat.dealias_mask(fraction)).box_idx is None
+        self._assert_matches_reference(lat, mask, seed=21)
 
     def test_rejects_asymmetric_mask(self):
         lat = Lattice(8, 16, 8)

@@ -303,12 +303,13 @@ output_every = 1.0
             main(["linear", "--frobnicate"])
         assert exc.value.code == 2
 
-    def test_threads_flag(self, tmp_path):
-        cfg = self._write_cfg(tmp_path)
+    def test_threads_key_is_an_unknown_config_key(self, tmp_path, capsys):
+        # numpy.fft takes no worker count, so no config key sets one
+        cfg = self._write_cfg(tmp_path, "threads = 2\n")
         out = tmp_path / "thr"
-        assert main(["nonlinear", cfg, "--out", str(out), "--threads", "2",
-                     "--quiet"]) == 0
-        assert (out / "nonlinear_diagnostics.csv").exists()
+        assert main(["nonlinear", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "unknown key 'threads'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_strata_out_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STRATA_OUT", str(tmp_path / "envout"))
