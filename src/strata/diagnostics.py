@@ -1,18 +1,22 @@
 """Per-output-time diagnostics: velocity norms, the weighted norm ladder, CK terms.
 
 The ladder norms carry Sobolev exponents in the hundreds and overflow
-float64, so every weighted column is one log-sum-exp of log|c| + log A over
-the column's modes (``log_l2_from_logs``), stored as log10(1 + x): finite,
-nonnegative, monotone, log10(x) for large x, and 0.0 when no mode of the
-mask carries mass.  Velocity L2 norms are stored as-is.  Weighted values
-mean something only for t > 10; earlier rows are flagged by ``early``, and
-time weights use the bracket <t> so the t = 0 row stays finite.
+float64, so every weighted column is one log-sum-exp of log(m|c|^2) +
+2 log A over the column's modes, shifted by that column's own max, and
+stored as log10(1 + x): finite, nonnegative, monotone, log10(x) for large
+x, and 0.0 when no mode of the column carries mass.  Velocity L2 norms are
+stored as-is, as sums of m|c|^2 / D^4 against squared symbols, with
+D = k^2 + (eta - kt)^2 + alpha^2.  Weighted values mean something only for
+t > 10; earlier rows are flagged by ``early``, and time weights use the
+bracket <t> so the t = 0 row stays finite.
 
-Every column but mass_mode, reality_err and theta_l2 reduces over one
-mode set, whose constants are built once: the modes that carry mass, or,
-for a run's state (one with a core, see ``simulate``), the core's packed
-modes with each alpha > 0 one counted twice.  w_k and d/dt log w_k come
-from one stacked weight evaluation per row.
+Every column but mass_mode, reality_err and theta_l2 reduces over one mode
+set: the modes that carry mass (m = 1), or, for a run's state (one with a
+core, see ``simulate``), the core's packed modes with each alpha > 0 one
+counted twice (m = 2).  What a row needs that does not depend on t is built
+once per mode set, as its row plan.  w_k and d/dt log w_k are evaluated
+once per row on the plan's groups, the distinct (|iota| row, resonant key)
+pairs of its modes, and gathered to the modes.
 
 reality_err is max|Im theta| / max|theta|, from a full c2c transform
 (``SpectralField.reality_defect``), with one exception: a state with a core
@@ -33,14 +37,14 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import SpectralField
-from .symbols import velocity_symbol
+from .symbols import velocity_symbol  # noqa: F401  (the benchmark tracer wraps it here)
 from .weights import (
     WeightParams,
     b_multiplier,
     lambda_dot,
     lambda_t,
     lattice_weights,
-    log_l2_from_logs,
+    log_sum_exp,
     log_weighted_l2,
     masked_log,
 )
@@ -99,27 +103,57 @@ class DiagnosticRow:
         return [getattr(self, f.name) for f in fields(self)]
 
 
-@lru_cache(maxsize=1)
-def _support(lat, p: WeightParams, modes):
-    """Per-mode constants of a mode set in flat order (k = 0 first), and multiplicities m.
+class _RowPlan:
+    """The t-independent part of a row over one mode set, in flat order (k = 0 first).
 
     ``modes`` is the packed bits of a flat mode set (m = 1), or a
     ``simulate._Core`` whose packed modes stand for the whole field: m = 2
     for alpha > 0, whose partner is implied, and 1 on the alpha = 0 plane.
+    Log weights are doubled, as they enter log(m|c|^2 A^2).
     """
-    if isinstance(modes, bytes):
-        idx = np.flatnonzero(np.unpackbits(np.frombuffer(modes, np.uint8), count=lat.size))
-        m, half_log_m = 1.0, 0.0
-    else:
-        idx = modes.full_idx
-        m = np.where(modes.upper, 2.0, 1.0)
-        half_log_m = 0.5 * np.log(m)
-    ix, iy, iz = np.unravel_index(idx, lat.shape)
-    f = lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz]
-    l1 = lat.l1.ravel()[idx]
-    return (f, lattice_weights(lat, p).tables.modes(f[0], lat.iota_vals.ravel()[idx]),
-            l1**p.s, p.s * masked_log(l1), lat.log_brackets.ravel()[idx], iz[ix == 0],
-            m, half_log_m)
+
+    def __init__(self, lat, p: WeightParams, modes):
+        if isinstance(modes, bytes):
+            idx = np.flatnonzero(np.unpackbits(np.frombuffer(modes, np.uint8), count=lat.size))
+            self.m = 1.0
+        else:
+            idx = modes.full_idx
+            self.m = np.where(modes.upper, 2.0, 1.0)
+        ix, iy, iz = np.unravel_index(idx, lat.shape)
+        k, eta, alpha = lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz]
+        l1, log_br = lat.l1.ravel()[idx], lat.log_brackets.ravel()[idx]
+        s1, s2, s3, s4, s5, s6, s7 = p.sigmas
+
+        # velocity sums; D = k^2 + (eta - kt)^2 + alpha^2 is formed as
+        # (eta - kt)^2 + d0, where d0 is inf at the mean mode so that q = 0 there
+        self.k, self.eta, self.kk, self.aa = k, eta, k * k, alpha * alpha
+        ka = self.kk + self.aa
+        self.ka2 = ka * ka
+        self.d0 = np.where(idx == 0, math.inf, ka)
+
+        # the ladder: 2 |f|_1^s (times lambda), 2 sigma log<f>, s log|f|_1 for
+        # the lambda CK term, and each mode's weight group
+        self.two_l1s = 2.0 * l1**p.s
+        self.s_log_l1 = p.s * masked_log(l1)
+        self.a1, self.a3, self.a5 = (2.0 * s * log_br for s in (s1, s3, s5))
+        self.tables = lattice_weights(lat, p).tables
+        row, key = self.tables.modes(k, lat.iota_vals.ravel()[idx])
+        width = int(key.max(initial=0)) + 1
+        codes, group = np.unique(row * width + key.astype(np.intp), return_inverse=True)
+        self.groups, self.group = (codes // width, codes % width), group
+
+        # the k = 0 modes: B <f>^-2, turning A^sigma1 J into A^(sigma1-2) J B;
+        # the alpha != 0 ones at sigma 2, 4, 6; the alpha = 0 ones at sigma 7
+        self.n0 = n0 = int(np.count_nonzero(ix == 0))
+        self.b0 = 2.0 * (np.log(b_multiplier(eta[:n0], alpha[:n0])) - 2.0 * log_br[:n0])
+        self.znz, self.dz = np.flatnonzero(iz[:n0] != 0), np.flatnonzero(iz[:n0] == 0)
+        self.a246 = [2.0 * s * log_br[self.znz] for s in (s2, s4, s6)]
+        self.a7 = s7 * np.log1p(eta[self.dz] ** 2)
+        self.scratch = np.empty((4, idx.size))
+
+
+# the row plan of the last (lattice, weight parameters, mode set) asked
+_support = lru_cache(maxsize=1)(_RowPlan)
 
 
 def _plane_pairs(state) -> bool:
@@ -139,83 +173,87 @@ def _plane_pairs(state) -> bool:
 
 def compute_row(state, p: WeightParams) -> DiagnosticRow:
     core, t = state.core, state.t
-    ljt = 0.5 * math.log1p(t * t)
-    lam = lambda_t(t, p)
 
     # reality first: a defect reads the field, which then holds the state
     paired = core is not None and _plane_pairs(state)
     reality = 0.0 if paired else state.field.reality_defect()
     if core is None:
-        lat, c = state.field.lattice, state.field.coeffs
+        lat, flat = state.field.lattice, state.field.coeffs.ravel()
         # the modes that carry mass: the others add 0 to every sum
-        mag = np.abs(c).ravel()
-        occupied = mag != 0
-        modes, mag = np.packbits(occupied).tobytes(), mag[occupied]
-        mass = abs(complex(c[0, 0, 0]))
+        occupied = flat != 0
+        modes, c = np.packbits(occupied).tobytes(), flat[occupied]
+        mass = abs(complex(flat[0]))
     else:
-        lat, c = core.lattice, state.packed
-        modes, mag = core, np.abs(c)
+        lat, c, modes = core.lattice, state.packed, core
         mass = abs(complex(c[core.mean[0]])) if core.mean.size else 0.0
-    (k, eta, alpha), w_modes, l1s, s_log_l1, log_br, iz0, m, half_log_m = _support(
-        lat, p, modes)
-    log_w, dlog_w, _ = lattice_weights(lat, p).tables.mode_weights(t, *w_modes)
+    plan = _support(lat, p, modes)
+    q, log_c2, x, y = plan.scratch
+    n0, deta = plan.n0, lat.delta_eta
+    log_w, dlog_w, _ = plan.tables.mode_weights(t, *plan.groups)
+
+    # m|c|^2 and its log; the log from |c| instead when a |c|^2 underflowed,
+    # overflowed or is NaN, so that a NaN drops out as a zero does
+    try:
+        with np.errstate(under="raise"):
+            np.add(np.square(c.real, out=q), np.square(c.imag, out=x), out=q)
+        normal = True
+    except FloatingPointError:
+        np.add(np.square(c.real, out=q), np.square(c.imag, out=x), out=q)
+        normal = False
+    q *= plan.m
+    total = float(q.sum())
+    if normal and math.isfinite(total):
+        with np.errstate(divide="ignore"):
+            np.log(q, out=log_c2)
+    else:
+        np.add(2.0 * masked_log(np.abs(c)), np.log(plan.m), out=log_c2)
 
     # velocity L2 norms via Plancherel on the original-frame symbols
-    v1, v2, v3 = velocity_symbol(t, k, eta, alpha)
-    abs2 = mag**2
-    abs2 *= m
-    u2_sq = v2**2 * abs2
-    zero = np.s_[:iz0.size]    # the k = 0 modes
+    em2 = np.subtract(plan.eta, np.multiply(plan.k, t, out=x), out=x)
+    em2 *= em2
+    d2 = np.add(em2, plan.d0, out=y)
+    d2 *= d2
+    q /= d2
+    q /= d2                                         # m|c|^2 / D^4
+    em2 *= q
+    sums = {"u1_l2": np.dot(plan.kk, em2), "u2_zero_l2": np.dot(plan.ka2[:n0], q[:n0]),
+            "u2_nonzero_l2": np.dot(plan.ka2[n0:], q[n0:]), "u3_l2": np.dot(plan.aa, em2),
+            "theta_l2": total}
+    cols = {name: math.sqrt(deta * float(s)) for name, s in sums.items()}
+    if not state.holds_packed:
+        cols["theta_l2"] = state.field.l2()
+    cols.update(t=t, early=int(t <= 10.0), mass_mode=mass, reality_err=reality)
 
-    def _l2(mag2):
-        return math.sqrt(lat.delta_eta * float(np.sum(mag2)))
+    # Weighted columns: ||<t>^t_exp A c||^power from ln2, the log-sum-exp of
+    # log(m|c|^2 A^2) over the column's modes.  log A is lambda|f|_1^s +
+    # sigma log<f>, minus log w with J; the CK terms are -lambda_dot <t>^-3
+    # ||A^sigma1 |f|_1^(s/2) c||^2 and <t>^-3 ||A^sigma1 sqrt(d_t w/w) c||^2.
+    ljt, log_deta = 0.5 * math.log1p(t * t), math.log(deta)
 
-    cols = {
-        "t": t,
-        "early": int(t <= 10.0),
-        "u1_l2": _l2(v1**2 * abs2),
-        "u2_zero_l2": _l2(u2_sq[zero]),
-        "u2_nonzero_l2": _l2(u2_sq[iz0.size:]),
-        "u3_l2": _l2(v3**2 * abs2),
-        "theta_l2": _l2(abs2) if state.holds_packed else state.field.l2(),
-        "mass_mode": mass,
-        "reality_err": reality,
-    }
+    def col(ln2, t_exp, power=1):
+        return log10p_from_log(power * (0.5 * (ln2 + log_deta) + t_exp * ljt))
 
-    # weighted columns, all in log space on the one log|c|
-    log_c = masked_log(mag)
-    log_c += half_log_m
-    gev_exp = lam * l1s
-    s1, s2, s3, s4, s5, s6, s7 = p.sigmas
-    log_a1 = gev_exp + s1 * log_br - log_w    # A^sigma1 with J = 1/w
-    # B <f>^-2 on the k = 0 modes, turning log_a1 into A^(sigma1-2) J B there
-    log_b = np.log(b_multiplier(eta[zero], alpha[zero])) - 2.0 * log_br[zero]
-    ck_lambda = 0.5 * (s_log_l1 + math.log(-lambda_dot(t, p)))
-    ck_w = 0.5 * masked_log(dlog_w)
-    znz, dz = np.flatnonzero(iz0), np.flatnonzero(iz0 == 0)    # k = 0, alpha != 0 / = 0
-
-    # One row per column: (sigma, extra log weight, modes, t_exp, power) is
-    # ||<t>^t_exp A c||^power over the modes, with log A = log_a1 (sigma None)
-    # or lambda|f|_1^s + sigma log<f>, plus the extra on those modes.  The CK
-    # terms are -lambda_dot <t>^-3 ||A |f|_1^(s/2) c||^2 and <t>^-3 ||A sqrt(d_t w/w) c||^2.
-    table = {
-        "gev_s1_l10": (None, 0.0, ..., -1.5, 1),
-        "gevb0_s1m2_l10": (None, log_b, zero, 0.0, 1),
-        "gev0_s2_l10": (s2, 0.0, znz, 1.5, 1),
-        "gev_s3_l10": (s3, 0.0, ..., -0.5, 1),
-        "gev0_s4_l10": (s4, 0.0, znz, 2.5, 1),
-        "gev_s5_l10": (s5, 0.0, ..., 0.0, 1),
-        "gev0_s6_l10": (s6, 0.0, znz, 3.0, 1),
-        "ck_lambda_l10": (None, ck_lambda, ..., -1.5, 2),
-        "ck_w_l10": (None, ck_w, ..., -1.5, 2),
-    }
-    for name, (sigma, extra, modes, t_exp, power) in table.items():
-        logw = log_a1[modes] if sigma is None else gev_exp[modes] + sigma * log_br[modes]
-        ln = log_l2_from_logs(lat, log_c[modes] + (logw + extra))
-        cols[name] = log10p_from_log(power * (ln + t_exp * ljt))
-
+    lg = np.multiply(plan.two_l1s, lambda_t(t, p), out=x)
+    lg += log_c2                                   # no Sobolev weight, no J
+    zero_nz, zero_z = lg[plan.znz], lg[plan.dz]
+    s2, s4, s6 = (log_sum_exp(zero_nz + a) for a in plan.a246)
+    cols.update(gev0_s2_l10=col(s2, 1.5), gev0_s4_l10=col(s4, 2.5), gev0_s6_l10=col(s6, 3.0),
+                gev_s3_l10=col(log_sum_exp(np.add(lg, plan.a3, out=y)), -0.5),
+                gev_s5_l10=col(log_sum_exp(np.add(lg, plan.a5, out=y)), 0.0))
     # sup over eta of the z- and x-averaged mode at sigma7
-    sup_arg = log_c[dz] + lam * np.abs(eta[dz]) ** p.s + 0.5 * s7 * np.log1p(eta[dz] ** 2)
-    cols["sup0_s7_l10"] = log10p_from_log(float(np.max(sup_arg, initial=-math.inf)))
+    cols["sup0_s7_l10"] = log10p_from_log(
+        0.5 * float((zero_z + plan.a7).max(initial=-math.inf)))
 
+    lg += plan.a1
+    lg -= np.take(2.0 * log_w, plan.group, out=y)    # A^sigma1 with J = 1/w
+    cols["gevb0_s1m2_l10"] = col(log_sum_exp(lg[:n0] + plan.b0), 0.0)
+    cols["gev_s1_l10"] = col(log_sum_exp(lg, out=y), -1.5)
+    # -lambda_dot = 0 (it underflows for a tiny delta_tilde) gives 0.0, as no mass does
+    ck = -lambda_dot(t, p)
+    cols["ck_lambda_l10"] = 0.0 if ck == 0.0 else col(
+        log_sum_exp(np.add(lg, plan.s_log_l1, out=y)) + math.log(ck), -1.5, 2)
+    # d_t w = 0 on every mode (as past the last critical time) gives 0.0
+    cols["ck_w_l10"] = 0.0 if not np.any(dlog_w > 0) else col(
+        log_sum_exp(np.add(lg, np.take(masked_log(dlog_w), plan.group, out=y), out=y)),
+        -1.5, 2)
     return DiagnosticRow(**cols)

@@ -387,16 +387,22 @@ def masked_log(x: np.ndarray) -> np.ndarray:
     return np.where(pos, np.log(np.where(pos, x, 1.0)), -math.inf)
 
 
+def log_sum_exp(x: np.ndarray, out: np.ndarray | None = None) -> float:
+    """log sum exp(x), shifted by max x so huge terms stay finite; -inf when x has no
+    finite max (no terms, all -inf, or an inf).  ``out`` (default x) takes exp(x - max)."""
+    top = float(x.max(initial=-math.inf))
+    if not math.isfinite(top):
+        return -math.inf
+    out = np.subtract(x, top, out=x if out is None else out)
+    return top + math.log(float(np.exp(out, out=out).sum()))
+
+
 def log_l2_from_logs(lattice: Lattice, m: np.ndarray) -> float:
-    """log of sqrt(delta_eta * sum exp(2 m)), shifted by max m so huge weights stay finite.
+    """log of sqrt(delta_eta * sum exp(2 m)), stable for huge weights.
 
     A mode with m = -inf (c = 0) drops out; all -inf, or no modes, gives -inf.
     """
-    top = float(np.max(m, initial=-math.inf))
-    if not math.isfinite(top):
-        return -math.inf
-    s = float(np.sum(np.exp(2.0 * (m - top))))
-    return top + 0.5 * (math.log(s) + math.log(lattice.delta_eta))
+    return 0.5 * (log_sum_exp(2.0 * np.asarray(m, dtype=float)) + math.log(lattice.delta_eta))
 
 
 def log_weighted_l2(lattice: Lattice, coeffs: np.ndarray, logw: np.ndarray) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft as _fft
 
+import strata.diagnostics as diagnostics
 import strata.simulate as simulate
 from _hermitian import hermitian_defect
 from strata.config import SimConfig
@@ -183,10 +184,14 @@ def test_default_lattice_linear_states_match_reference():
     SimConfig(mode="nonlinear", epsilon=1e-3, dt=0.1, t_end=2.0, output_every=1.0, seed=0),
     # the default linear run, every 20th row: each alpha > 0 packed mode counts twice
     SimConfig(output_every=20.0),
+    # its rows to t = 22.5: inside resonant intervals, then past the last
+    # critical time (test_oracle_rows_cover_the_resonant_and_the_late_regime)
+    SimConfig(t_end=22.5, output_every=2.5),
     # one +-f pair: the k = 0 columns see no mass
     SimConfig(nx=8, ny=16, nz=8, recipe="single", dt=0.1, t_end=20.0, output_every=5.0),
     SimConfig(nx=8, ny=16, nz=8, epsilon=0.0, dt=0.1, t_end=1.0),
-], ids=["criterion7-20-steps", "default-linear", "single-8x16x8", "zero-epsilon"])
+], ids=["criterion7-20-steps", "default-linear", "default-linear-resonant", "single-8x16x8",
+        "zero-epsilon"])
 def test_run_states_match_reference(cfg):
     states = _run_states(cfg)
     # every run hands on_row states with the core of its dealias mask
@@ -332,28 +337,86 @@ def test_nan_mode_matches_reference():
     np.testing.assert_allclose(got.values(), ref.values(), rtol=1e-12, equal_nan=True)
 
 
+def test_oracle_rows_cover_the_resonant_and_the_late_regime():
+    # the default-linear-resonant rows of test_run_states_match_reference:
+    # some rows have modes on w_R with d/dt log w > 0, and the last row is
+    # past every critical time, where d/dt log w = 0 and ck_w is exactly 0.0
+    cfg = SimConfig(t_end=22.5, output_every=2.5)
+    states = _run_states(cfg)
+    core, lat, p = states[0].core, cfg.lattice, cfg.weight_params
+    tables = lattice_weights(lat, p).tables
+    modes = tables.modes(core.k, lat.iota_vals.ravel()[core.full_idx])
+    rising = [np.any(use & (d > 0)) for _, d, use in
+              (tables.mode_weights(s.t, *modes) for s in states)]
+    assert sum(rising) >= 5
+    assert not np.any(tables.mode_weights(states[-1].t, *modes)[1])
+    assert compute_row(states[-1], p).ck_w_l10 == 0.0
+
+
+def test_coreless_rows_follow_a_changing_occupied_set():
+    # a field without a core, edited between rows: a new occupied set builds
+    # its plan, the same set reuses it, and every row matches the reference
+    lat, p = Lattice(6, 10, 8), WeightParams()
+    c = 1e-3 * _whole_lattice(lat, np.random.default_rng(5))
+    cut = np.where(np.abs(lat.kx) + np.abs(lat.alpha) > 3, 0.0, c)
+    diagnostics._support.cache_clear()
+    for coeffs, builds in ((c, 1), (cut, 2), (cut, 2), (c, 3)):
+        for t in (7.0, 30.0):
+            _assert_rows_agree(SimState(t, SpectralField(lat, coeffs.copy())), p)
+        assert diagnostics._support.cache_info().misses == builds
+
+
+def test_weighted_columns_survive_squares_below_the_normal_range():
+    # |c| ~ 1e-160 squares to a subnormal with a few digits left, yet the
+    # sigma_1 weights keep such modes in the ladder: their log comes from |c|
+    lat, p = Lattice(6, 10, 8), WeightParams()
+    c = 1e-160 * _whole_lattice(lat, np.random.default_rng(2))
+    got, ref = (f(SimState(2.0, SpectralField(lat, c)), p) for f in (compute_row, _reference_row))
+    assert got.gev_s1_l10 > 0.0
+    for name, g, r in zip(DiagnosticRow.header(), got.values(), ref.values()):
+        if name.endswith("_l10"):
+            assert abs(g - r) <= 1e-12 * abs(r), (name, g, r)
+
+
 def test_rows_make_one_stacked_weight_evaluation(monkeypatch):
     def refuse(self, t):
         raise AssertionError("a row evaluated the full-lattice weights")
 
     monkeypatch.setattr(LatticeWeights, "log_w", refuse)
     monkeypatch.setattr(LatticeWeights, "dlogw_dt", refuse)
-    pieces, calls, rows = _TableStack.pieces, [], []
+    pieces, mode_weights, calls, rows = _TableStack.pieces, _TableStack.mode_weights, [], []
 
     def counted(self, row, t):
-        calls.append(t)
+        calls.append((t, np.size(row)))
         return pieces(self, row, t)
 
+    def asked(self, t, row, key):
+        calls.append(np.size(row))
+        return mode_weights(self, t, row, key)
+
     monkeypatch.setattr(_TableStack, "pieces", counted)
+    monkeypatch.setattr(_TableStack, "mode_weights", asked)
     cfg = SimConfig(t_end=20.0)
+    lat = cfg.lattice
+    core = simulate._core(lat, lat.dealias_mask(cfg.dealias))
+    tables = lattice_weights(lat, cfg.weight_params).tables
+    # the distinct (row, key) pairs of the packed modes' weights: 249 of 19 635
+    groups = np.unique(np.stack(tables.modes(core.k, lat.iota_vals.ravel()[core.full_idx])),
+                       axis=1).shape[1]
+    assert groups < core.k.size
 
     def on_row(state):
         calls.clear()
         compute_row(state, cfg.weight_params)
-        rows.append(calls == [state.t])
+        # one evaluation of the stack's rows at the row's time, asked for the groups
+        rows.append(calls == [groups, (state.t, tables.iota.size)])
 
+    diagnostics._support.cache_clear()
     run_simulation(cfg, on_row=on_row)
     assert len(rows) == 21 and all(rows)
+    # the row plan is built once, at the first row
+    info = diagnostics._support.cache_info()
+    assert (info.misses, info.hits) == (1, 20)
 
 
 def test_single_pair_columns_in_closed_form():

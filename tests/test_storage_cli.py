@@ -272,6 +272,19 @@ output_every = 1.0
         for name, vals in cols.items():
             assert all(math.isfinite(float(v)) for v in vals), name
 
+    def test_vanishing_lambda_dot_gives_zero_ck_lambda(self, tmp_path):
+        # a valid delta_tilde so small that lambda_dot underflows to -0.0
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text("[lattice]\nnx = 8\nny = 16\nnz = 8\n[weights]\ndelta_tilde = 5e-324\n")
+        out = tmp_path / "res"
+        assert main(["linear", str(cfg), "--out", str(out), "--quiet"]) == 0
+        cols = read_csv_columns(out / "linear_diagnostics.csv")
+        assert len(cols["t"]) == 101
+        for name, vals in cols.items():
+            assert all(math.isfinite(float(v)) for v in vals), name
+        assert all(float(v) == 0.0 for v in cols["ck_lambda_l10"])
+        assert any(float(v) > 0.0 for v in cols["gev_s1_l10"])
+
     @pytest.mark.parametrize("text, flags", [
         ("[init]\nseed = -5\n", []),
         ("", ["--seed", "-1"]),
