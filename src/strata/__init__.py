@@ -9,7 +9,7 @@ import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .config import ConfigError, SimConfig, default_config_text
-from .diagnostics import DiagnosticRow, compute_row, theta_distance_log
+from .diagnostics import DiagnosticRow, compute_row
 from .lattice import Lattice, SpectralField, bracket, efloor, iota, l1_norm
 from .simulate import (
     NumericalAbort,
@@ -68,7 +68,6 @@ __all__ = [
     "default_config_text",
     "DiagnosticRow",
     "compute_row",
-    "theta_distance_log",
     "Lattice",
     "SpectralField",
     "bracket",

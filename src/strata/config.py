@@ -120,7 +120,7 @@ class SimConfig:
             for name in names:
                 val = getattr(self, name)
                 if name == "sigmas":
-                    val = ", ".join(f"{v:g}" for v in val)
+                    val = ", ".join(f"{v:.17g}" for v in val)
                 out.write(f"{name} = {val}\n")
             out.write("\n")
         return out.getvalue()

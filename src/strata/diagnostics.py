@@ -11,21 +11,19 @@ t > 10; earlier rows are flagged by ``early``, and time weights use the
 bracket <t> so the t = 0 row stays finite.
 
 Every column but mass_mode, reality_err and theta_l2 reduces over one mode
-set: the modes that carry mass (m = 1), or, for a run's state (one with a
-core, see ``simulate``), the core's packed modes with each alpha > 0 one
-counted twice (m = 2).  What a row needs that does not depend on t is built
-once per mode set, as its row plan.  w_k and d/dt log w_k are evaluated
-once per row on the plan's groups, the distinct (|iota| row, resonant key)
-pairs of its modes, and gathered to the modes.
+set: the modes that carry mass (m = 1), or, for a packed run state (see
+``simulate``), the core's stored members, each counted twice for its
+implied partner (m = 2) but the mean mode.  What a row needs that does not
+depend on t is built once per mode set, as its row plan.  w_k and d/dt log
+w_k are evaluated once per row on the plan's groups, the distinct (|iota|
+row, resonant key) pairs of its modes, and gathered to the modes.  The
+sup0_s7 column is a max over single modes, so it reads |c|^2 without m.
 
-reality_err is max|Im theta| / max|theta|, from a full c2c transform
-(``SpectralField.reality_defect``), with one exception: a state with a core
-can be non-real only on its alpha = 0 plane, so its row is exactly 0.0,
-with no transform, when that plane pairs exactly.  theta_l2 is the field's
-``l2`` whenever the state holds a field after that step, so it equals the
-l2 of a checkpoint of the state bit for bit; a state that still holds only
-packed values, whose row then builds no full-lattice array, sums them with
-their multiplicities.
+A packed state is exactly real by construction, so its reality_err is 0.0
+with no check; a field without a core takes max|Im theta| / max|theta|
+from a full c2c transform (``SpectralField.reality_defect``).  theta_l2 is
+the field's ``l2``: for a packed state, the nonzero m|c|^2 in packed order,
+which is the same sum as ``l2`` of the unpacked field, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import SpectralField
 from .symbols import velocity_symbol  # noqa: F401  (the benchmark tracer wraps it here)
 from .weights import (
     WeightParams,
@@ -45,25 +42,11 @@ from .weights import (
     lambda_t,
     lattice_weights,
     log_sum_exp,
-    log_weighted_l2,
+    log_weighted_l2,  # noqa: F401  (the benchmark tracer wraps it here)
     masked_log,
 )
 
-__all__ = ["DiagnosticRow", "compute_row", "log10p_from_log", "theta_distance_log"]
-
-
-def theta_distance_log(a: SpectralField, b: SpectralField, sigma: float,
-                       p: WeightParams) -> float:
-    """log of the Gevrey-Sobolev distance at the limiting radius lambda_inf.
-
-    Measures Cauchy convergence of the sheared-frame scalar: the distance
-    between states at increasing times shrinks as the profile settles.
-    """
-    if a.lattice != b.lattice:
-        raise ValueError("states live on different lattices")
-    lat = a.lattice
-    logw = p.lambda_inf * lat.l1 ** p.s + sigma * lat.log_brackets
-    return log_weighted_l2(lat, a.coeffs - b.coeffs, logw)
+__all__ = ["DiagnosticRow", "compute_row", "log10p_from_log"]
 
 
 def log10p_from_log(ln_x: float) -> float:
@@ -108,8 +91,8 @@ class _RowPlan:
 
     ``modes`` is the packed bits of a flat mode set (m = 1), or a
     ``simulate._Core`` whose packed modes stand for the whole field: m = 2
-    for alpha > 0, whose partner is implied, and 1 on the alpha = 0 plane.
-    Log weights are doubled, as they enter log(m|c|^2 A^2).
+    for each stored member, whose partner is implied, and 1 for the mean
+    mode.  Log weights are doubled, as they enter log(m|c|^2 A^2).
     """
 
     def __init__(self, lat, p: WeightParams, modes):
@@ -118,7 +101,7 @@ class _RowPlan:
             self.m = 1.0
         else:
             idx = modes.full_idx
-            self.m = np.where(modes.upper, 2.0, 1.0)
+            self.m = np.where(idx == 0, 1.0, 2.0)
         ix, iy, iz = np.unravel_index(idx, lat.shape)
         k, eta, alpha = lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz]
         l1, log_br = lat.l1.ravel()[idx], lat.log_brackets.ravel()[idx]
@@ -156,27 +139,8 @@ class _RowPlan:
 _support = lru_cache(maxsize=1)(_RowPlan)
 
 
-def _plane_pairs(state) -> bool:
-    """True when the alpha = 0 plane of a state with a core pairs exactly, c(-f) = conj c(f).
-
-    The alpha != 0 modes of such a state pair by construction, so theta is
-    then exactly real.  A state that holds packed values is checked on its
-    stored plane members; a field, which may have been edited off the kept
-    modes, on its whole plane.
-    """
-    if state.holds_packed:
-        core, c = state.core, state.packed
-        return np.array_equal(c[core.plane_pair], np.conj(c[core.plane]))
-    plane = state.field.coeffs[:, :, 0]
-    return np.array_equal(np.roll(plane[::-1, ::-1], 1, axis=(0, 1)), np.conj(plane))
-
-
 def compute_row(state, p: WeightParams) -> DiagnosticRow:
     core, t = state.core, state.t
-
-    # reality first: a defect reads the field, which then holds the state
-    paired = core is not None and _plane_pairs(state)
-    reality = 0.0 if paired else state.field.reality_defect()
     if core is None:
         lat, flat = state.field.lattice, state.field.coeffs.ravel()
         # the modes that carry mass: the others add 0 to every sum
@@ -201,7 +165,7 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
         np.add(np.square(c.real, out=q), np.square(c.imag, out=x), out=q)
         normal = False
     q *= plan.m
-    total = float(q.sum())
+    total = float(np.sum(q[q != 0]))               # l2's sum, see the module docstring
     if normal and math.isfinite(total):
         with np.errstate(divide="ignore"):
             np.log(q, out=log_c2)
@@ -220,8 +184,12 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
             "u2_nonzero_l2": np.dot(plan.ka2[n0:], q[n0:]), "u3_l2": np.dot(plan.aa, em2),
             "theta_l2": total}
     cols = {name: math.sqrt(deta * float(s)) for name, s in sums.items()}
-    if not state.holds_packed:
+    # a packed state is exactly real; a field without a core may be neither
+    # real nor summed in l2's order
+    reality = 0.0
+    if core is None:
         cols["theta_l2"] = state.field.l2()
+        reality = state.field.reality_defect()
     cols.update(t=t, early=int(t <= 10.0), mass_mode=mass, reality_err=reality)
 
     # Weighted columns: ||<t>^t_exp A c||^power from ln2, the log-sum-exp of
@@ -234,8 +202,10 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
         return log10p_from_log(power * (0.5 * (ln2 + log_deta) + t_exp * ljt))
 
     lg = np.multiply(plan.two_l1s, lambda_t(t, p), out=x)
+    # the sup is over single modes: log|c|^2 without m
+    zero_z = 2.0 * masked_log(np.abs(c[plan.dz])) + lg[plan.dz]
     lg += log_c2                                   # no Sobolev weight, no J
-    zero_nz, zero_z = lg[plan.znz], lg[plan.dz]
+    zero_nz = lg[plan.znz]
     s2, s4, s6 = (log_sum_exp(zero_nz + a) for a in plan.a246)
     cols.update(gev0_s2_l10=col(s2, 1.5), gev0_s4_l10=col(s4, 2.5), gev0_s6_l10=col(s6, 3.0),
                 gev_s3_l10=col(log_sum_exp(np.add(lg, plan.a3, out=y)), -0.5),

@@ -5,13 +5,14 @@ The unbounded vertical direction is truncated to a box of period ``ly``,
 so its dual variable ``eta`` runs over integer multiples of
 ``delta_eta = 2*pi/ly``.  A field is the complex Fourier coefficients of a
 real scalar on the full (k, eta, alpha) lattice, so c(-f) = conj c(f).
-The solver forms one member of each +-f pair and writes the other as its
-conjugate (``simulate._Core.unpack``).  On the self-conjugate alpha = 0
-plane both members are stored, so a departure from the pairing there is
-carried rather than repaired.  ``reality_defect`` measures it with a full
-c2c ``numpy.fft`` transform, for any field; a run's diagnostics skip the
-transform when the alpha = 0 plane, the only place it can live, pairs
-exactly (``diagnostics.compute_row``).
+``Lattice.pairs`` names one stored member of each +-f pair, in one
+canonical order; the solver keeps only those members (``simulate._Core``)
+and writes each partner as the conjugate, so its fields are real by
+construction.  ``SpectralField.l2`` sums over the same pairs in the same
+order, so a run's diagnostic row reproduces it bit for bit from the stored
+members alone.  ``reality_defect`` measures a departure from reality with a
+full c2c ``numpy.fft`` transform; only fields built without that structure
+(hand-built or loaded) need it.
 """
 
 from __future__ import annotations
@@ -137,6 +138,25 @@ class Lattice:
     def iota_vals(self) -> np.ndarray:
         return iota(self.kx, self.eta, self.alpha)
 
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of one member f of each +-f pair, in canonical order, and of -f.
+
+        The members are the rfft half-spectrum's modes (alpha index 0..nz/2)
+        in flat order, so the k = 0 modes come first.  On the two
+        self-conjugate planes, alpha = 0 and alpha = nz/2, the member is the
+        one whose flat index is not above its partner's; a self-conjugate f
+        (the mean mode, the Nyquist corners) is its own partner.  Read-only.
+        """
+        nx, ny, nz = self.shape
+        ix, iy, iz = np.indices((nx, ny, nz // 2 + 1)).reshape(3, -1)
+        f = np.ravel_multi_index((ix, iy, iz), self.shape)
+        neg = np.ravel_multi_index((-ix % nx, -iy % ny, -iz % nz), self.shape)
+        member = (iz % (nz // 2) != 0) | (f <= neg)
+        f, neg = f[member], neg[member]
+        f.flags.writeable = neg.flags.writeable = False
+        return f, neg
+
     def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
         """Boolean mask keeping |index| <= cut on each axis, cut ~ fraction * n/2.
 
@@ -196,13 +216,6 @@ class SpectralField:
     def zeros(cls, lattice: Lattice) -> "SpectralField":
         return cls(lattice, np.zeros(lattice.shape, dtype=np.complex128))
 
-    @classmethod
-    def from_physical(cls, lattice: Lattice, values: np.ndarray) -> "SpectralField":
-        return cls(lattice, np.fft.fftn(np.asarray(values, dtype=np.float64)) / lattice.size)
-
-    def to_physical(self) -> np.ndarray:
-        return np.real(np.fft.ifftn(self.coeffs) * self.lattice.size)
-
     def copy(self) -> "SpectralField":
         return SpectralField(self.lattice, self.coeffs.copy())
 
@@ -215,5 +228,16 @@ class SpectralField:
         return float(np.max(np.abs(np.imag(phys)))) / scale
 
     def l2(self) -> float:
-        """Delta_eta-weighted l2 norm of the coefficients (Plancherel convention)."""
-        return math.sqrt(self.lattice.delta_eta * float(np.sum(np.abs(self.coeffs) ** 2)))
+        """Delta_eta-weighted l2 norm of the coefficients (Plancherel convention).
+
+        The sum runs over ``Lattice.pairs`` in its order: |c(f)|^2 + |c(-f)|^2
+        for each member f (|c(f)|^2 alone when f is self-conjugate), with
+        |c|^2 = re^2 + im^2 and the terms that are exactly 0 left out.  A real
+        field's terms are 2|c(f)|^2, so the same sum over a run state's stored
+        members (``diagnostics.compute_row``) gives this value bit for bit.
+        """
+        f, neg = self.lattice.pairs
+        c = self.coeffs.ravel()
+        abs2 = np.square(c.real) + np.square(c.imag)
+        terms = abs2[f] + np.where(f == neg, 0.0, abs2[neg])
+        return math.sqrt(self.lattice.delta_eta * float(np.sum(terms[terms != 0])))

@@ -8,32 +8,34 @@ time stepper (Lawson RK4 on top of the exact factor).  Every damping factor
 over [t0, t1] is exp(G(t0) - G(t1)) with the one per-mode antiderivative
 G = ``symbols.damping_antiderivative``.
 
-A state is a full-lattice ``SpectralField`` of a real scalar.  The initial
-field and the nonlinear step work on the kept modes of the rfft
-half-spectrum (the dealias mask without Nyquist indices): one member of
-each +-f pair is formed, and ``_Core.unpack`` writes the other as its
-conjugate, so no step repairs Hermitian symmetry.  On the self-conjugate
-alpha = 0 plane both members are stored, and a departure from the pairing
-there is carried, not repaired.
+A state is real by construction.  The initial field and the nonlinear step
+work on the kept modes (the dealias mask without Nyquist indices), and of
+each +-f pair among them only one member is stored, the one
+``Lattice.pairs`` names; on the self-conjugate alpha = 0 plane too, where
+the mean mode is its own partner.  ``_Core.unpack`` writes every partner as
+the conjugate, so no step checks or repairs Hermitian symmetry.
 
-Every state a run makes carries that kept-mode structure (``SimState.core``,
-the cached core of the dealias mask).  A linear run's states hold only their
-packed coefficients from the start, a nonlinear run's from its first step
-on: ``step_linear`` maps packed to packed with G on the packed modes (G at
-the start time cached on the core), ``step_nonlinear`` advances the packed
-values, and ``diagnostics.compute_row`` reduces over them.  A state's
-``field`` is built from its packed values only when something reads it.
-Loaded checkpoints and hand-built states carry no core and take the
-full-lattice paths.
+A ``SimState`` is either a ``SpectralField`` with no core (a loaded
+checkpoint, a hand-built field) or the packed stored members with their
+``_Core``, the cached core of a dealias mask.  Every state a run makes is
+packed, from ``init_field`` on: ``step_linear`` maps packed to packed with G
+on the packed modes (G at the start time cached on the core),
+``step_nonlinear`` advances the packed values, and
+``diagnostics.compute_row`` reduces over them.  A packed state's field is
+unpacked once, when first read, and is read-only.
 
 In the nonlinear step the transport symbols and the antiderivative G are
 evaluated on the kept modes once per distinct stage time, from parts the
 core forms once.  Each RK stage's product is formed with six inverse and
 one forward ``numpy.fft`` transform, pruned to the 1-D lines that carry
-content: the kept modes fill a box of signed indices |i| < c per axis, and
-the zero padding around it is neither read nor written on x and y (the
-zero-padded pseudo-spectral product of Canuto, Hussaini, Quarteroni & Zang,
-*Spectral Methods*, 2006, skipping the lines Orszag's 2/3 rule leaves empty).
+content: the kept modes have signed y and z indices below cuts c_y and c_z,
+so the x pass runs over those (y, z) lines only and the y pass over those z
+planes only (the zero-padded pseudo-spectral product of Canuto, Hussaini,
+Quarteroni & Zang, *Spectral Methods*, 2006, skipping the lines Orszag's
+2/3 rule leaves empty).  The stored members, and the conjugates of the
+alpha = 0 ones at their partners, are written straight into the x pass's
+buffer, and the forward pass reads the packed modes back from the same
+positions.
 """
 
 from __future__ import annotations
@@ -60,45 +62,36 @@ __all__ = [
 
 
 class SimState:
-    """A field at time t, with the ``_Core`` of the kept modes it is real on, if any.
+    """A field at time t: a ``SpectralField`` with no core, or packed values with their core.
 
-    With a core the field is zero off the core's packed modes, and each
-    alpha < 0 mode is the exact conjugate of its packed partner.  Such a
-    state may hold only its packed coefficients: ``field`` is then built
-    from them when first read, and from that read on the field is the
-    state, so ``packed`` sees any edit made to it.
+    A packed state holds the stored member of each +-f pair of the core's
+    kept modes, so it is exactly real.  Its values are read-only, and so is
+    its field, which is unpacked from them when first read.
     """
 
     def __init__(self, t: float, field: SpectralField | None = None,
                  core: _Core | None = None, packed: np.ndarray | None = None):
-        if (field is None) == (packed is None) or (packed is not None and core is None):
+        if (field is None) == (packed is None) or (core is None) != (packed is None):
             raise ValueError("a state holds a field, or packed coefficients with their core")
+        if packed is not None:
+            packed.flags.writeable = False
         self.t = t
         self.core = core
+        self.packed = packed
         self._field = field
-        self._packed = packed
 
     @property
     def field(self) -> SpectralField:
         if self._field is None:
-            self._field = SpectralField(self.core.lattice, self.core.unpack(self._packed))
-            self._packed = None
+            coeffs = self.core.unpack(self.packed)
+            coeffs.flags.writeable = False
+            self._field = SpectralField(self.core.lattice, coeffs)
         return self._field
 
-    @property
-    def holds_packed(self) -> bool:
-        """True while the state is its packed coefficients: its field was never read."""
-        return self._field is None
-
-    @property
-    def packed(self) -> np.ndarray:
-        """The core's packed coefficients, read from the field once it has been built."""
-        return self.core.pack(self._field.coeffs) if self._packed is None else self._packed
-
     def copy(self) -> "SimState":
-        if self._field is None:
-            return SimState(self.t, core=self.core, packed=self._packed.copy())
-        return SimState(self.t, self._field.copy(), self.core)
+        if self.core is None:
+            return SimState(self.t, self._field.copy())
+        return SimState(self.t, core=self.core, packed=self.packed.copy())
 
 
 class NumericalAbort(RuntimeError):
@@ -110,21 +103,21 @@ class NumericalAbort(RuntimeError):
 
 
 def init_field(cfg: SimConfig) -> SimState:
-    """Build the initial spectral field for a run, with the cached core of its dealias mask.
+    """The packed initial state of a run, on the cached core of its dealias mask.
 
     Every recipe sets full-lattice coefficients c with amplitudes decaying
-    like exp(-lambda_in |f|_1^s).  The field takes 0.5 * (c(f) + conj c(-f))
-    on one member f of each +-f pair of the nonlinear step's kept modes
-    (the dealias mask without the Nyquist indices), zeroes the mean mode,
-    and writes the other member as its conjugate; it is then rescaled so
-    the sigma=0 Gevrey norm at radius lambda_in equals epsilon exactly.  A
-    recipe that puts nothing on the kept modes is a ``ConfigError``.
+    like exp(-lambda_in |f|_1^s).  Each stored member f of the nonlinear
+    step's kept modes (the dealias mask without the Nyquist indices) takes
+    0.5 * (c(f) + conj c(-f)), and the mean mode 0; the values are then
+    rescaled so the sigma=0 Gevrey norm at radius lambda_in of the whole
+    real field equals epsilon exactly.  A recipe that puts nothing on the
+    kept modes is a ``ConfigError``.
     """
     lat = cfg.lattice
     core = _core(lat, lat.dealias_mask(cfg.dealias))
     coeffs = np.zeros(lat.shape, dtype=np.complex128)
     if cfg.epsilon == 0.0:
-        return SimState(0.0, SpectralField(lat, coeffs), core)
+        return SimState(0.0, core=core, packed=core.pack(coeffs))
     decay = np.exp(-cfg.lambda_in * lat.l1 ** cfg.s)
     support = np.ones(lat.shape, dtype=bool)
     if cfg.init_kmax > 0:
@@ -150,13 +143,12 @@ def init_field(cfg: SimConfig) -> SimState:
     kept[core.mean] = 0.0
     if not np.any(kept):
         raise ConfigError(f"init recipe {cfg.recipe!r} puts nothing on the kept modes")
-    fieldv = SpectralField(lat, core.unpack(kept))
 
     # exact rescale of the radius-lambda_in Gevrey norm to epsilon, summed
     # over the whole lattice
-    weighted = np.exp(cfg.lambda_in * lat.l1 ** cfg.s) * np.abs(fieldv.coeffs)
-    fieldv.coeffs *= cfg.epsilon / math.sqrt(lat.delta_eta * float(np.sum(weighted**2)))
-    return SimState(0.0, fieldv, core)
+    weighted = np.exp(cfg.lambda_in * lat.l1 ** cfg.s) * np.abs(core.unpack(kept))
+    kept *= cfg.epsilon / math.sqrt(lat.delta_eta * float(np.sum(weighted**2)))
+    return SimState(0.0, core=core, packed=kept)
 
 
 def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
@@ -188,17 +180,15 @@ def step_linear(state: SimState, dt: float) -> SimState:
 
 
 class _Core:
-    """The kept modes of one lattice and mask, packed from the rfft half-spectrum.
+    """The kept modes of one lattice and mask, packed as one member of each +-f pair.
 
-    The half-spectrum (nx, ny, nz//2+1) holds the modes with alpha >= 0; a
-    real field's alpha < 0 modes are the conjugates of their partners.  The
-    kept set is the mask without each axis's Nyquist index n/2, where the
-    gradient symbol i*k has no Hermitian partner.  On the self-conjugate
-    alpha = 0 plane both members of a pair are stored, so a reality defect
-    there is carried through a step instead of being repaired.
-
-    ``neg_idx`` is the one place the pairing is written: the flat
-    full-lattice index of -f for each packed mode f.
+    The kept set is the mask without each axis's Nyquist index n/2, where
+    the gradient symbol i*k has no Hermitian partner.  The packed modes are
+    the members ``Lattice.pairs`` names that the kept set holds, in its
+    order (so the k = 0 modes come first): every alpha > 0 mode, and one
+    member of each pair on the alpha = 0 plane, where the mean mode is its
+    own partner.  ``neg_idx`` is the flat full-lattice index of -f for each
+    packed f.
     """
 
     def __init__(self, lat: Lattice, mask: np.ndarray | None):
@@ -208,38 +198,42 @@ class _Core:
         self.lattice = lat
         self.shape = lat.shape
         self.size = lat.size
-        ix, iy, iz = np.nonzero(keep[:, :, : nz // 2 + 1])
-        # the transforms' box: signed indices -(c-1)..c-1 on x and y, stored
-        # as 0..c-1 then n-c+1..n-1, and 0..c_z-1 on z.  box_idx places the
-        # packed modes in it, and is None when they fill it, as for every
-        # dealias mask
-        cx, cy = (int(np.minimum(i, n - i).max(initial=0)) + 1
-                  for i, n in ((ix, nx), (iy, ny)))
-        self.cut = (cx, cy, int(iz.max(initial=0)) + 1)
-        self.box_shape = (2 * cx - 1, 2 * cy - 1, self.cut[2])
-        box_idx = np.ravel_multi_index(
-            (np.where(ix < cx, ix, ix - nx + 2 * cx - 1),
-             np.where(iy < cy, iy, iy - ny + 2 * cy - 1), iz), self.box_shape)
-        self.box_idx = None if box_idx.size == math.prod(self.box_shape) else box_idx
-        self.full_idx = np.ravel_multi_index((ix, iy, iz), lat.shape)
-        self.neg_idx = np.ravel_multi_index((-ix % nx, -iy % ny, -iz % nz), lat.shape)
-        self.upper = iz > 0
-        self.mirror_idx = self.neg_idx[self.upper]
-        # symmetric iff -f is kept for every packed f and the alpha < 0 modes
-        # kept are exactly the mirrors of the packed alpha > 0 ones
-        if (not keep.ravel()[self.neg_idx].all()
-                or np.count_nonzero(keep) != self.full_idx.size + self.mirror_idx.size):
-            raise ValueError("dealias mask must keep -f whenever it keeps f")
+        members, partners = lat.pairs
+        kept = keep.ravel()[members]
+        self.full_idx, self.neg_idx = members[kept], partners[kept]
         self.mean = np.flatnonzero(self.full_idx == 0)
-        # packed positions of the alpha = 0 members and of their partners -f
-        self.plane = np.flatnonzero(~self.upper)
-        self.plane_pair = np.searchsorted(self.full_idx, self.neg_idx[self.plane])
+        # symmetric iff -f is kept for every packed f and nothing else is kept
+        if (not keep.ravel()[self.neg_idx].all()
+                or np.count_nonzero(keep) != 2 * self.full_idx.size - self.mean.size):
+            raise ValueError("dealias mask must keep -f whenever it keeps f")
+        ix, iy, iz = np.unravel_index(self.full_idx, lat.shape)
+        self.plane = np.flatnonzero(iz == 0)
         self.k = lat.kx.ravel()[ix]
         self.eta = lat.eta.ravel()[iy]
         self.alpha = lat.alpha.ravel()[iz]
-        self.grad = (1j * self.k, 1j * self.eta, 1j * self.alpha)
+        # the transforms' box: signed indices -(c-1)..c-1 on x and y, stored
+        # as 0..c-1 then n-c+1..n-1, and 0..c_z-1 on z.  The symbols u and grad
+        # are formed on the whole box (``box`` holds its wavenumbers), the
+        # coefficients in the x pass's layout, which spans all of x: x_idx
+        # places the packed modes there, x_mirror the partners of the alpha = 0
+        # ones
+        cx, cy = (int(np.minimum(i, n - i).max(initial=0)) + 1
+                  for i, n in ((ix, nx), (iy, ny)))
+        self.cut = (cx, cy, int(iz.max(initial=0)) + 1)
+        self.x_shape = (nx, 2 * cy - 1, self.cut[2])
+        box_shape = (2 * cx - 1, *self.x_shape[1:])
+        self.box = (lat.kx[np.r_[:cx, nx - cx + 1:nx]], lat.eta[:, np.r_[:cy, ny - cy + 1:ny]],
+                    lat.alpha[..., :self.cut[2]])
+        self.grad = tuple(np.broadcast_to(1j * v, box_shape) for v in self.box)
+        self.u = _Transport(*self.box)
+
+        def x_at(jx, jy, jz):
+            return np.ravel_multi_index((jx, np.where(jy < cy, jy, jy - ny + 2 * cy - 1), jz),
+                                        self.x_shape)
+
+        self.x_idx = x_at(ix, iy, iz)
+        self.x_mirror = x_at(-ix[self.plane] % nx, -iy[self.plane] % ny, 0)
         self.g = _Antiderivative(self.k, self.eta, self.alpha)
-        self.u = _Transport(self.k, self.eta, self.alpha)
         self._g_start = (None, None)
 
     def g_start(self, t: float) -> np.ndarray:
@@ -251,42 +245,49 @@ class _Core:
         return self._g_start[1]
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs.ravel()[self.full_idx]
+        """The stored members; the mean mode, its own partner, keeps its real part."""
+        out = coeffs.ravel()[self.full_idx]
+        out[self.mean] = out[self.mean].real
+        return out
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """The real field: each partner the conjugate, then the members (the mean is its own).
+
+        Adding +0 makes the conjugate of a zero +0, as the symmetrization
+        0.5 * (c(f) + conj c(-f)) gives.
+        """
         out = np.zeros(self.size, dtype=np.complex128)
+        out[self.neg_idx] = np.conj(packed) + 0.0
         out[self.full_idx] = packed
-        out[self.mirror_idx] = np.conj(packed[self.upper])
         return out.reshape(self.shape)
 
     def workspace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Zero buffers of the inverse passes: the box, then the box widened
-        to the lattice on x, then on x and y.  rhs writes only the box
-        positions of packed modes and the kept ranges, so they stay zero-padded.
+        """Zero buffers in the x pass's layout, for the coefficients and for
+        the pass's input, then the latter widened to the lattice on y.  rhs
+        writes only the positions of packed modes and their alpha = 0
+        partners, the box's x ranges and the kept y ranges, so they stay
+        zero-padded.
         """
         nx, ny, _ = self.shape
-        _, by, bz = self.box_shape
-        return (np.zeros(self.box_shape, dtype=np.complex128),
-                np.zeros((nx, by, bz), dtype=np.complex128),
-                np.zeros((nx, ny, bz), dtype=np.complex128))
+        return (np.zeros(self.x_shape, dtype=np.complex128),
+                np.zeros(self.x_shape, dtype=np.complex128),
+                np.zeros((nx, ny, self.cut[2]), dtype=np.complex128))
 
     def rhs(self, c: np.ndarray, u, work) -> np.ndarray:
-        """Packed -(u . grad theta) for packed c and symbols u; mean mode zeroed."""
+        """Packed -(u . grad theta) for packed c and symbols u on the box; mean mode zeroed."""
         nx, ny, nz = self.shape
         cx, cy, cz = self.cut
-        box, wide_x, wide_xy = work
+        coeffs, wide_x, wide_xy = work
+        flat = coeffs.reshape(-1)
+        flat[self.x_mirror] = np.conj(c[self.plane])
+        flat[self.x_idx] = c      # after the mirrors: the mean mode is its own
 
         # 1-D passes over the lines that carry content; norm="forward":
         # theta(x) = sum_f c(f) exp(i f.x) without scaling.  The upper ranges
         # start at n-c+1, not -(c-1), which is the whole axis for c = 1
-        def phys(vals):
-            if self.box_idx is None:
-                b = vals.reshape(self.box_shape)
-            else:
-                b = box
-                b.reshape(-1)[self.box_idx] = vals
-            wide_x[:cx] = b[:cx]
-            wide_x[nx - cx + 1:] = b[cx:]
+        def phys(symbol):
+            np.multiply(symbol[:cx], coeffs[:cx], out=wide_x[:cx])
+            np.multiply(symbol[cx:], coeffs[nx - cx + 1:], out=wide_x[nx - cx + 1:])
             a = np.fft.ifft(wide_x, axis=0, norm="forward")
             wide_xy[:, :cy] = a[:, :cy]
             wide_xy[:, ny - cy + 1:] = a[:, cy:]
@@ -298,16 +299,13 @@ class _Core:
         with np.errstate(over="ignore", invalid="ignore"):
             u1, u2, u3 = u
             g1, g2, g3 = self.grad
-            adv = (phys(u1 * c) * phys(g1 * c)
-                   + phys(u2 * c) * phys(g2 * c)
-                   + phys(u3 * c) * phys(g3 * c))
+            adv = phys(u1) * phys(g1) + phys(u2) * phys(g2) + phys(u3) * phys(g3)
             f = np.fft.fft(np.fft.rfft(adv, axis=2, norm="forward")[..., :cz],
                            axis=1, norm="forward")
             f = np.fft.fft(np.concatenate((f[:, :cy], f[:, ny - cy + 1:]), axis=1),
                            axis=0, norm="forward")
-            out = -np.concatenate((f[:cx], f[nx - cx + 1:])).reshape(-1)
-        if self.box_idx is not None:
-            out = out[self.box_idx]
+            out = f.reshape(-1)[self.x_idx]
+            np.negative(out, out=out)
         out[self.mean] = 0.0
         return out
 
@@ -338,7 +336,7 @@ def nonlinear_rhs(state: SimState, mask: np.ndarray | None = None) -> np.ndarray
     kept set: the mask (all modes if None) without the Nyquist indices.
     """
     core = _core(state.field.lattice, mask)
-    u = transport_symbol(state.t, core.k, core.eta, core.alpha)
+    u = transport_symbol(state.t, *core.box)
     c = core.pack(state.field.coeffs)
     return core.unpack(core.rhs(c, u, core.workspace()))
 
@@ -349,9 +347,9 @@ def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None) -
     The linear damping is applied through its exact per-mode propagator, so
     the scheme reduces to step_linear when the nonlinear term vanishes and
     retains classical 4th-order accuracy otherwise.  The step works on the
-    packed kept modes (see nonlinear_rhs); content outside them is dropped.
-    A state that carries the mask's core is read through its packed values;
-    the result carries that core and holds packed values.
+    packed kept modes (see nonlinear_rhs); content outside them is dropped,
+    and so is the partner of each stored member, which the result writes as
+    the member's conjugate.  The result is packed on the mask's core.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -388,19 +386,15 @@ def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None) -
 def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):
     """Drive a full run; calls ``on_row(state)`` at t=0 and every output time.
 
-    Returns the final state, at ``round(t_end/dt) * dt``.  Every state
-    carries the cached core of the dealias mask.  A linear run takes no time
-    steps: each state is the exact solution ``step_linear(start, t)`` from
-    the initial state, so ``dt`` only sets the time grid, and each holds
-    packed coefficients from ``init_field``'s values on.  A nonlinear run
-    starts from ``init_field``'s field and then holds the packed values of
-    each ``step_nonlinear``.
+    Returns the final state, at ``round(t_end/dt) * dt``.  Every state is
+    packed on the cached core of the dealias mask.  A linear run takes no
+    time steps: each state is the exact solution ``step_linear(start, t)``
+    from ``init_field``'s state, so ``dt`` only sets the time grid.  A
+    nonlinear run advances ``init_field``'s state by ``step_nonlinear``.
     ``on_checkpoint(state)`` fires every ``checkpoint_every`` time units in
     nonlinear mode when configured; linear runs never checkpoint.
     """
     state = init_field(cfg)
-    if cfg.mode == "linear":
-        state = SimState(0.0, core=state.core, packed=state.packed)
     n_steps = round(cfg.t_end / cfg.dt)
     out_stride = max(1, round(cfg.output_every / cfg.dt))
 

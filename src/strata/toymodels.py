@@ -49,7 +49,7 @@ def fit_loglog_slope(t, values, window: tuple[float, float] | None = None,
     """Least-squares slope of log(value) against log(t).
 
     Requires finite times and at least 8 finite, strictly positive points
-    inside ``window``.  When ``min_r2`` is set (the default), a fit below
+    inside ``window``, at two or more distinct times.  When ``min_r2`` is set (the default), a fit below
     that quality raises :class:`FitError` instead of silently returning a
     misfit; pass None to inspect poor fits.
     """
@@ -67,6 +67,8 @@ def fit_loglog_slope(t, values, window: tuple[float, float] | None = None,
         raise FitError(f"power-law fit requires finite values in window {window}")
     if np.any(v <= 0) or np.any(t <= 0):
         raise FitError("power-law fit requires strictly positive times and values")
+    if np.all(t == t[0]):
+        raise FitError(f"power-law fit needs two distinct times in window {window}")
     x = np.log(t)
     y = np.log(v)
     slope, intercept = np.polyfit(x, y, 1)

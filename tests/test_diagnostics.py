@@ -29,11 +29,10 @@ from strata.weights import (
 
 # Columns computed by the same arithmetic as the reference.  The velocity and
 # weighted columns sum over the modes that carry mass only, in another order,
-# so they agree to rounding only.  A state with a core (a run's) takes
-# reality_err = 0.0 without the reference's c2c transform when its alpha = 0
-# plane pairs exactly, checked against the pairing oracle.  While it holds
-# only packed values, it takes theta_l2 from them with multiplicity, which
-# agrees to rounding only.
+# so they agree to rounding only.  A packed state (a run's) is exactly real,
+# checked against the pairing oracle, and takes reality_err = 0.0 without the
+# reference's c2c transform; its theta_l2, summed over the stored members
+# with multiplicity, is the field's l2 bit for bit.
 EXACT = ("t", "early", "theta_l2", "mass_mode", "reality_err")
 
 
@@ -153,14 +152,11 @@ def _reference_row(state, p: WeightParams) -> DiagnosticRow:
 
 def _assert_rows_agree(state, params):
     got = compute_row(state, params)
-    packed = state.holds_packed    # the row read no field, so theta_l2 summed packed values
     ref = _reference_row(state, params)
-    # c(-f) = conj c(f) exactly, so theta is exactly real
-    real = state.core is not None and hermitian_defect(state.field) == 0.0
     for name, g, r in zip(DiagnosticRow.header(), got.values(), ref.values()):
-        if name == "reality_err" and real:
-            assert g == 0.0, (state.t, g)
-        elif name in EXACT and not (name == "theta_l2" and packed):
+        if name == "reality_err" and state.core is not None:
+            assert g == 0.0 and hermitian_defect(state.field) == 0.0, (state.t, g)
+        elif name in EXACT:
             assert g == r, (state.t, name)
         else:
             assert abs(g - r) <= 1e-12 * abs(r), (state.t, name, g, r)
@@ -182,7 +178,7 @@ def test_default_lattice_linear_states_match_reference():
 @pytest.mark.parametrize("cfg", [
     # criterion-7 desk configuration, cut to 20 steps
     SimConfig(mode="nonlinear", epsilon=1e-3, dt=0.1, t_end=2.0, output_every=1.0, seed=0),
-    # the default linear run, every 20th row: each alpha > 0 packed mode counts twice
+    # the default linear run, every 20th row: each packed mode but the mean counts twice
     SimConfig(output_every=20.0),
     # its rows to t = 22.5: inside resonant intervals, then past the last
     # critical time (test_oracle_rows_cover_the_resonant_and_the_late_regime)
@@ -194,18 +190,16 @@ def test_default_lattice_linear_states_match_reference():
         "zero-epsilon"])
 def test_run_states_match_reference(cfg):
     states = _run_states(cfg)
-    # every run hands on_row states with the core of its dealias mask
+    # every run hands on_row packed states with the core of its dealias mask
     core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
-    assert all(s.core is core for s in states)
+    assert all(s.core is core and s.packed is not None for s in states)
     for state in states:
         _assert_rows_agree(state, cfg.weight_params)
 
 
-def _with_core(cfg, t):
-    """A linear run's state at t, with the core of the config's dealias mask."""
-    start = simulate.init_field(cfg)
-    assert start.core is simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
-    return step_linear(start, t) if t else start
+def _unpacked(state):
+    """The same field as a packed state, as a state without a core: editable."""
+    return SimState(state.t, SpectralField(state.core.lattice, state.core.unpack(state.packed)))
 
 
 @pytest.mark.parametrize("cfg", [SimConfig(), SimConfig(nx=8, ny=16, nz=8, init_kmax=2)],
@@ -215,8 +209,8 @@ def _with_core(cfg, t):
 ], ids=["small-imag", "real", "mean-mode", "dominant"])
 def test_plane_reality_err_matches_the_c2c_defect(cfg, where, size):
     # a defect on the alpha = 0 plane, partner untouched, on or off the kept
-    # modes: the row takes the c2c transform of the field
-    state = _with_core(cfg, 5.0)
+    # modes: a field without a core takes the c2c transform
+    state = _unpacked(step_linear(init_field(cfg), 5.0))
     c = state.field.coeffs
     c[where] += size * np.max(np.abs(c))
     got = compute_row(state, cfg.weight_params).reality_err
@@ -230,73 +224,121 @@ def test_plane_reality_err_matches_the_c2c_defect(cfg, where, size):
     SimConfig(nx=8, ny=16, nz=8, epsilon=0.0),
 ], ids=["default", "dealias-one", "zero-field"])
 def test_plane_reality_err_is_zero_on_exactly_real_states(cfg):
+    start = init_field(cfg)
     for t in (0.0, 3.0, 50.0):
-        state = _with_core(cfg, t)
+        state = step_linear(start, t) if t else start
         assert hermitian_defect(state.field) == 0.0
         assert compute_row(state, cfg.weight_params).reality_err == 0.0
 
 
-def _packed_run_states(cfg):
-    """A linear run's on_row states, each still holding only its packed values."""
-    states = _run_states(cfg)
-    assert all(s.holds_packed for s in states)
+def _nonlinear_states(cfg, steps, mask=None):
+    """init_field's state and the next ``steps`` nonlinear steps, all packed."""
+    mask = cfg.lattice.dealias_mask(cfg.dealias) if mask is None else mask
+    states = [init_field(cfg)]
+    for _ in range(steps):
+        states.append(simulate.step_nonlinear(states[-1], cfg.dt, mask))
     return states
+
+
+def _holey_mask(lat):
+    # symmetric, but without the x = +-1 planes: holes inside the cut box
+    mask = lat.dealias_mask()
+    mask[[1, -1]] = False
+    return mask
+
+
+_NONLINEAR = [
+    (SimConfig(mode="nonlinear", epsilon=1e-3, seed=5), 4, None),
+    (SimConfig(nx=8, ny=16, nz=8, mode="nonlinear", epsilon=0.5, dealias=1.0), 6, None),
+    (SimConfig(nx=8, ny=16, nz=8, mode="nonlinear", epsilon=0.5, init_kmax=2), 6, None),
+    (SimConfig(nx=8, ny=16, nz=8, mode="nonlinear", epsilon=0.5), 6, _holey_mask),
+    (SimConfig(nx=16, ny=32, nz=12, mode="nonlinear", epsilon=0.5, init_kmax=3), 4, None),
+]
+_NONLINEAR_IDS = ["default", "dealias-one", "8x16x8", "holey-mask", "16x32x12"]
+
+
+@pytest.mark.parametrize("cfg, steps, mask", _NONLINEAR, ids=_NONLINEAR_IDS)
+def test_nonlinear_states_are_real_by_construction(cfg, steps, mask):
+    states = _nonlinear_states(cfg, steps, None if mask is None else mask(cfg.lattice))
+    assert all(s.packed is not None for s in states)
+    for state in states:
+        assert hermitian_defect(state.field) == 0.0, state.t
+
+
+@pytest.mark.parametrize("cfg, steps, mask", _NONLINEAR, ids=_NONLINEAR_IDS)
+def test_packed_theta_l2_is_the_field_l2(cfg, steps, mask):
+    # the row sums the stored members in l2's order: the tie check_nonlinear needs
+    for state in _nonlinear_states(cfg, steps, None if mask is None else mask(cfg.lattice)):
+        assert compute_row(state, cfg.weight_params).theta_l2 == state.field.l2(), state.t
 
 
 @pytest.mark.parametrize("cfg", [
     SimConfig(output_every=25.0), SimConfig(nx=8, ny=16, nz=8, recipe="single", t_end=20.0,
                                             output_every=5.0),
-], ids=["default", "single-8x16x8"])
+    SimConfig(mode="nonlinear", epsilon=1e-3, t_end=0.3, output_every=0.1, seed=5),
+    SimConfig(nx=8, ny=16, nz=8, mode="nonlinear", epsilon=0.5, t_end=1.0, output_every=0.5),
+], ids=["default", "single-8x16x8", "nonlinear-default", "nonlinear-8x16x8"])
 def test_packed_rows_match_the_field_rows(cfg):
     # the packed row, the same state without a core and the reference agree:
-    # bitwise where the arithmetic is shared, else to the file's tolerance
-    for state in _packed_run_states(cfg):
+    # bitwise where the arithmetic is shared, else to the file's tolerance.
+    # sup0_s7 is a max over single modes, so no multiplicity may enter it
+    for state in _run_states(cfg):
         got = compute_row(state, cfg.weight_params)
-        plain = SimState(state.t, SpectralField(cfg.lattice, state.core.unpack(state.packed)))
+        plain = _unpacked(state)
         want, ref = compute_row(plain, cfg.weight_params), _reference_row(plain, cfg.weight_params)
         assert got.reality_err == 0.0 and want.reality_err == ref.reality_err
+        assert got.sup0_s7_l10 == want.sup0_s7_l10, state.t
         for name, g, w, r in zip(DiagnosticRow.header(), got.values(), want.values(),
                                  ref.values()):
             if name == "reality_err":
                 continue
-            if name in EXACT and name != "theta_l2":
+            if name in EXACT:
                 assert g == w == r, (state.t, name)
             else:
                 assert abs(g - w) <= 1e-12 * abs(w), (state.t, name, g, w)
                 assert abs(g - r) <= 1e-12 * abs(r), (state.t, name, g, r)
 
 
-def test_linear_rows_make_no_transform_and_no_unpack(monkeypatch):
-    cfg = SimConfig(output_every=50.0)
-    start, *rows = _packed_run_states(cfg)
-    want = [compute_row(s.copy(), cfg.weight_params) for s in (start, *rows)]
+def _assert_rows_make_no_transform_and_no_unpack(monkeypatch, cfg):
+    states = _run_states(cfg)
+    want = [compute_row(s, cfg.weight_params) for s in states]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a linear row transformed or unpacked")
+        raise AssertionError("a run's row transformed or unpacked")
 
-    for name in _fft.__all__:
-        if callable(getattr(_fft, name)):
-            monkeypatch.setattr(_fft, name, forbidden)
+    for module in (np.fft, _fft):
+        for name in module.__all__:
+            if callable(getattr(module, name)):
+                monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(simulate._Core, "unpack", forbidden)
-    got = [compute_row(start, cfg.weight_params)]
-    got += [compute_row(step_linear(start, s.t), cfg.weight_params) for s in rows]
+    got = [compute_row(SimState(s.t, core=s.core, packed=s.packed), cfg.weight_params)
+           for s in states]
     assert [g.values() for g in got] == [w.values() for w in want]
 
 
-@pytest.mark.parametrize("where", [(1, 2), (0, 0), (-3, 5)], ids=["pair", "mean", "negative-k"])
-def test_perturbed_packed_plane_gets_the_plane_defect(where):
-    # a packed state whose alpha = 0 plane fails to pair takes the c2c
-    # transform, as a state whose field was read does
+def test_linear_rows_make_no_transform_and_no_unpack(monkeypatch):
+    _assert_rows_make_no_transform_and_no_unpack(monkeypatch, SimConfig(output_every=50.0))
+
+
+def test_nonlinear_rows_make_no_transform_and_no_unpack(monkeypatch):
+    cfg = SimConfig(mode="nonlinear", epsilon=1e-3, t_end=0.2, output_every=0.1)
+    _assert_rows_make_no_transform_and_no_unpack(monkeypatch, cfg)
+
+
+@pytest.mark.parametrize("where", [(1, 2), (0, 3), (-3, 5)], ids=["pair", "zero-k", "negative-k"])
+def test_perturbed_packed_plane_stays_real(where):
+    # an edit to a stored alpha = 0 member is an edit to its partner too
     cfg = SimConfig(output_every=50.0)
-    state = _packed_run_states(cfg)[1]
+    state = _run_states(cfg)[1]
     core, lat = state.core, cfg.lattice
     flat = np.ravel_multi_index((*where, 0), lat.shape, mode="wrap")
-    (pos,) = np.flatnonzero(core.full_idx == flat)
-    state.packed[pos] += 1e-3j * np.max(np.abs(state.packed))
-    assert state.holds_packed
-    plain = SpectralField(lat, core.unpack(state.packed))
-    got = compute_row(state, cfg.weight_params).reality_err
-    assert got == plain.reality_defect() and got > 1e-9
+    pos = np.flatnonzero((core.full_idx == flat) | (core.neg_idx == flat))
+    packed = state.packed.copy()
+    packed[pos] += 1e-3j * np.max(np.abs(packed))
+    edited = SimState(state.t, core=core, packed=packed)
+    assert hermitian_defect(edited.field) == 0.0
+    assert compute_row(edited, cfg.weight_params).reality_err == 0.0
+    assert edited.field.reality_defect() < 1e-15
 
 
 def _whole_lattice(lat, rng):

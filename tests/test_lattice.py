@@ -150,13 +150,30 @@ class TestSpectralField:
         assert hermitian_defect(f) < 1e-12
         assert f.reality_defect() < 1e-10
 
-    def test_physical_roundtrip(self):
-        lat = Lattice(8, 8, 8)
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=lat.shape)
-        f = SpectralField.from_physical(lat, values)
-        assert hermitian_defect(f) < 1e-12
-        assert np.allclose(f.to_physical(), values, atol=1e-12)
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 8, 2), (8, 16, 8), (32, 128, 32)])
+    def test_pairs_name_one_member_of_every_pair(self, shape):
+        lat = Lattice(*shape)
+        f, neg = lat.pairs
+        assert not (f.flags.writeable or neg.flags.writeable)
+        assert np.all(np.diff(f) > 0)           # flat order: the k = 0 modes first
+        flip = np.roll(np.flip(np.arange(lat.size).reshape(shape)), 1, axis=(0, 1, 2))
+        assert np.array_equal(neg, flip.ravel()[f])
+        # the eight self-conjugate modes are their own partners; every other
+        # mode is a member or a member's partner, once
+        own = f == neg
+        assert np.count_nonzero(own) == 8 and f[own][0] == 0
+        seen = np.concatenate((f, neg[~own]))
+        assert np.array_equal(np.sort(seen), np.arange(lat.size))
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_l2_is_the_plancherel_norm(self, hermitian):
+        lat = Lattice(8, 16, 8)
+        rng = np.random.default_rng(4)
+        c = rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape)
+        c[rng.random(lat.shape) < 0.3] = 0.0
+        f = symmetrized(SpectralField(lat, c)) if hermitian else SpectralField(lat, c)
+        want = math.sqrt(lat.delta_eta * float(np.sum(np.abs(f.coeffs) ** 2)))
+        assert f.l2() == pytest.approx(want, rel=1e-14)
 
     def test_zero_field_defects(self):
         f = SpectralField.zeros(Lattice(4, 4, 4))

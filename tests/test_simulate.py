@@ -7,6 +7,7 @@ import scipy.fft as _fft
 from scipy.integrate import quad
 
 import strata.simulate as simulate
+from _distance import theta_distance_log
 from _hermitian import hermitian_defect, symmetrized
 from strata.config import ConfigError, SimConfig, default_config_text
 from strata.diagnostics import compute_row
@@ -204,6 +205,12 @@ class TestConfig:
         back = SimConfig.from_text(cfg.to_text())
         assert back == cfg
 
+    def test_text_roundtrip_keeps_every_sigma_digit(self):
+        cfg = SimConfig(sigmas=(212.00000000000003, 182.0, 152.0, 122.0, 92.0, 62.0,
+                                31.999999999999996))
+        assert SimConfig.from_text(cfg.to_text()) == cfg
+        assert "sigmas = 212, 182, 152, 122, 92, 62, 32\n" in SimConfig().to_text()
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             SimConfig.from_text("[run]\nwarp_speed = 9\n")
@@ -356,46 +363,44 @@ class TestLinearStep:
         assert cored.copy().core is core
 
     def test_run_states_hold_the_packed_product(self):
-        # each row's state holds packed values until read, and the field built
-        # from them is core.unpack of pack(start) * exp(G(0) - G(t)) bit for bit
+        # each row's state holds pack(start) * exp(G(0) - G(t)) bit for bit, and
+        # its field, unpacked from those values once, is read-only
         cfg = SimConfig(output_every=10.0)
         core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
-        start = init_field(cfg).field.coeffs
+        start = init_field(cfg).packed
         states = []
         final = run_simulation(cfg, on_row=states.append)
         assert final is states[-1] and [s.t for s in states] == [10.0 * i for i in range(11)]
         for st in states:
-            assert st.core is core and st.holds_packed
-            want = core.unpack(core.pack(start) * np.exp(core.g(0.0) - core.g(st.t)))
-            assert st.field.coeffs.tobytes() == want.tobytes(), st.t
-            assert not st.holds_packed
-            assert st.packed.tobytes() == core.pack(want).tobytes()
+            assert st.core is core
+            want = start * np.exp(core.g(0.0) - core.g(st.t))
+            assert st.packed.tobytes() == want.tobytes(), st.t
+            assert st.field is st.field and not st.field.coeffs.flags.writeable
+            assert st.field.coeffs.tobytes() == core.unpack(want).tobytes(), st.t
 
     def test_copy_of_a_packed_state_is_independent(self):
         cfg = SimConfig(nx=8, ny=16, nz=8, t_end=1.0)
         core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
         st = run_simulation(cfg)
-        before = st.packed.copy()
         dup = st.copy()
-        assert dup.core is core and dup.holds_packed and dup.t == st.t
-        dup.packed[:] = 7.0
-        assert st.packed.tobytes() == before.tobytes()
-        st.packed[0] = -1.0
-        assert dup.packed[0] == 7.0
-        # a copy of a state whose field was read copies the field
-        fieldwise = dup.copy()
-        fieldwise.field.coeffs[...] = 0.0
-        assert not np.any(fieldwise.packed)    # the read field holds the state
-        assert dup.holds_packed and np.all(dup.packed == 7.0)
-        again = fieldwise.copy()
+        assert dup.core is core and dup.t == st.t and dup.packed is not st.packed
+        assert dup.packed.tobytes() == st.packed.tobytes()
+        # a packed state is read-only, values and field alike
+        for arr in (st.packed, dup.packed, st.field.coeffs):
+            with pytest.raises(ValueError):
+                arr.flat[1] = 7.0
+        # a state without a core holds its own field, and a copy holds another
+        plain = SimState(st.t, st.field.copy())
+        again = plain.copy()
         again.field.coeffs[0, 0, 0] = 1.0
-        assert fieldwise.field.coeffs[0, 0, 0] == 0.0
+        assert plain.field.coeffs[0, 0, 0] == 0.0 and again.core is None
 
     def test_a_state_holds_a_field_or_packed_values_with_their_core(self):
         lat = Lattice(4, 4, 4)
         core = simulate._core(lat, None)
         packed = np.zeros(core.full_idx.size, complex)
-        for kwargs in ({}, {"packed": packed},
+        for kwargs in ({}, {"packed": packed}, {"core": core},
+                       {"field": SpectralField.zeros(lat), "core": core},
                        {"field": SpectralField.zeros(lat), "core": core, "packed": packed}):
             with pytest.raises(ValueError):
                 SimState(0.0, **kwargs)
@@ -539,13 +544,13 @@ class TestNonlinearRHS:
 
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
     def test_matches_full_lattice_reference_off_the_box(self, fraction):
-        # without the x = +-1 planes the packed modes do not fill the box of
-        # the pruned transforms, so they are scattered into it
+        # without the x = +-1 planes the packed modes leave holes inside the
+        # cuts of the pruned transforms
         lat = Lattice(8, 16, 8)
         mask = lat.dealias_mask(fraction)
         mask[[1, -1]] = False
-        assert simulate._core(lat, mask).box_idx is not None
-        assert simulate._core(lat, lat.dealias_mask(fraction)).box_idx is None
+        holey, whole = simulate._core(lat, mask), simulate._core(lat, lat.dealias_mask(fraction))
+        assert holey.cut == whole.cut and holey.full_idx.size < whole.full_idx.size
         self._assert_matches_reference(lat, mask, seed=21)
 
     def test_rejects_asymmetric_mask(self):
@@ -568,8 +573,10 @@ class TestPairing:
         keep = _without_nyquist(lat, np.ones(lat.shape, bool) if mask is None else mask)
         kept = np.zeros(lat.size, dtype=bool)
         kept[core.full_idx] = True
-        kept[core.mirror_idx] = True
+        kept[core.neg_idx] = True
         assert np.array_equal(kept.reshape(lat.shape), keep)
+        # one member of each pair is packed: only the mean is its own partner
+        assert np.array_equal(np.intersect1d(core.full_idx, core.neg_idx), [0])
         # -f of every flat index, from a flip of the whole lattice
         neg = np.roll(np.flip(np.arange(lat.size).reshape(lat.shape)), 1, axis=(0, 1, 2))
         neg = neg.ravel()
@@ -591,27 +598,34 @@ class TestPairing:
 
     @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
     def test_core_transport_is_the_symbols_one(self, shape):
-        # the parts the core forms once must give u bitwise, against the public
-        # symbol and against the one-shot spelling on symbols._couette
+        # the parts the core forms once must give u bitwise on the transforms'
+        # box, against the public symbol and against the one-shot spelling on
+        # symbols._couette
         lat = Lattice(*shape)
         core = simulate._Core(lat, lat.dealias_mask())
+        box = [np.broadcast_to(v, core.grad[0].shape) for v in core.box]
         for t in (0.0, 0.05, 2.0, 37.3, 100.0):
-            k, alpha, em, keep, inv2 = _couette(t, core.k, core.eta, core.alpha)
+            k, alpha, em, keep, inv2 = _couette(t, *box)
             ka = k * k + alpha * alpha
             oneshot = (np.where(keep, (t * ka + k * em) * inv2, 0.0),
                        np.where(keep, -ka * inv2, 0.0),
                        np.where(keep, em * alpha * inv2, 0.0))
-            public = transport_symbol(t, core.k, core.eta, core.alpha)
+            public = transport_symbol(t, *core.box)
             for got, want, ref in zip(core.u(t), public, oneshot):
                 assert got.tobytes() == want.tobytes() == ref.tobytes(), t
 
     @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0, None])
     def test_plane_pair_is_the_partner_on_the_alpha_zero_plane(self, shape, fraction):
+        # the partner of a packed alpha = 0 mode is on that plane and is not
+        # packed itself, but for the mean mode, its own partner
         lat = Lattice(*shape)
         core = simulate._Core(lat, None if fraction is None else lat.dealias_mask(fraction))
         assert np.array_equal(core.plane, np.flatnonzero(core.alpha == 0))
-        assert np.array_equal(core.full_idx[core.plane_pair], core.neg_idx[core.plane])
+        partners = core.neg_idx[core.plane]
+        assert np.all(partners % lat.nz == 0)
+        packed = np.isin(partners, core.full_idx)
+        assert np.array_equal(partners[packed], [0])
 
 
 class TestNonlinearStep:
@@ -669,17 +683,21 @@ class TestNonlinearStep:
         assert st.t == ref.t
         assert _rel_err(st.field.coeffs, ref.field.coeffs) <= 1e-12
 
-    def test_reality_defect_on_self_conjugate_plane_survives(self):
-        # both members of an alpha = 0 pair are stored, so a defect there is
-        # carried by the step and reality_err keeps reporting it
+    @pytest.mark.parametrize("where", [(1, 2, 0), (-3, 5, 0), (0, 0, 0)],
+                             ids=["member", "partner", "mean"])
+    def test_stepping_a_plane_defect_gives_a_real_state(self, where):
+        # a field without a core may fail to pair on the alpha = 0 plane; the
+        # step keeps one member of each pair and the mean's real part, so it
+        # returns an exactly real state
         cfg = SimConfig(**SMALL, epsilon=0.1, recipe="random", init_kmax=2,
                         mode="nonlinear")
-        st = init_field(cfg)
-        c = st.field.coeffs
-        c[1, 2, 0] += 1j * np.max(np.abs(c))    # partner c[-1, -2, 0] untouched
-        assert st.field.reality_defect() > 1e-6
+        c = init_field(cfg).field.coeffs.copy()
+        c[where] += 1j * np.max(np.abs(c))    # partner untouched
+        st = SimState(0.0, SpectralField(cfg.lattice, c))
+        assert hermitian_defect(st.field) > 0.1 and st.field.reality_defect() > 1e-6
         out = step_nonlinear(st, 0.1, cfg.lattice.dealias_mask())
-        assert out.field.reality_defect() > 1e-6
+        assert hermitian_defect(out.field) == 0.0
+        assert out.field.reality_defect() < 1e-14
 
     def test_dealias_one_run(self):
         # the fraction-1 mask keeps the Nyquist indices; init and the step drop them
@@ -707,8 +725,7 @@ class TestNonlinearStep:
             step_nonlinear(st, 0.1, lat.dealias_mask())
 
     def test_run_states_carry_the_core_and_hold_packed_values(self):
-        # init_field's state holds its field; every later one holds only the
-        # packed values of its step until something reads its field
+        # init_field's state and every step's are packed on the mask's core
         cfg = SimConfig(**SMALL, epsilon=0.1, init_kmax=2, mode="nonlinear",
                         output_every=0.2, checkpoint_every=0.5)
         core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
@@ -716,9 +733,7 @@ class TestNonlinearStep:
         final = run_simulation(cfg, on_row=rows.append, on_checkpoint=ckpts.append)
         assert [s.t for s in rows] == pytest.approx([0.2 * i for i in range(6)])
         assert final is rows[-1] and [s.t for s in ckpts] == [0.5, 1.0]
-        assert all(s.core is core for s in rows + ckpts)
-        assert not rows[0].holds_packed
-        assert all(s.holds_packed for s in rows[1:] + ckpts)
+        assert all(s.core is core and s.packed is not None for s in rows + ckpts)
 
     def test_packed_step_makes_no_unpack(self, monkeypatch):
         cfg = SimConfig(**SMALL, epsilon=0.1, init_kmax=2, mode="nonlinear")
@@ -731,7 +746,7 @@ class TestNonlinearStep:
 
         monkeypatch.setattr(simulate._Core, "unpack", forbidden)
         got = step_nonlinear(st, 0.1, mask)
-        assert got.holds_packed and got.core is st.core
+        assert got.core is st.core
         assert got.packed.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
@@ -917,7 +932,6 @@ class TestRunAndDiagnostics:
 
     def test_cauchy_convergence_of_profile(self):
         # the sheared-frame scalar settles: distances between dyadic times shrink
-        from strata.diagnostics import theta_distance_log
         cfg = SimConfig(nx=8, ny=16, nz=8, epsilon=1e-3, dt=0.1, t_end=64.0,
                         output_every=8.0, recipe="random", init_kmax=2)
         params = cfg.weight_params

@@ -453,6 +453,16 @@ output_every = 1.0
         assert main(["fit", str(out / "series.csv"), "--column", "y"]) == 2
         assert "fit error" in capsys.readouterr().err
 
+    def test_fit_constant_time_column_exit_2(self, tmp_path, capsys):
+        # one distinct time cannot carry a slope, however constant the values
+        out = tmp_path / "fit5"
+        out.mkdir()
+        write_csv(out / "series.csv", ["t", "v"], [[3.0, 5.0]] * 8)
+        assert main(["fit", str(out / "series.csv"), "--column", "v"]) == 2
+        captured = capsys.readouterr()
+        assert "fit error" in captured.err and "distinct" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [["--column", "label"],
                                       ["--column", "y", "--time-column", "label"]])
     def test_fit_non_numeric_column(self, tmp_path, capsys, argv):
