@@ -64,7 +64,8 @@ def main(argv=None) -> int:
     except NumericalAbort as exc:
         print(f"strata: numerical abort: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing or unusable path: no file to read, a file where a directory goes
         print(f"strata: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 
@@ -251,7 +252,10 @@ def _cmd_toy(args) -> int:
         etas = np.geomspace(100.0, 1e5, 13)
         header, rows = ["eta", "k", "kappa", "amp_resonant", "amp_nonresonant"], []
         for eta in etas:
-            ar, anr = orr_toy_integrate(args.k, float(eta), args.kappa)
+            try:
+                ar, anr = orr_toy_integrate(args.k, float(eta), args.kappa)
+            except RuntimeError as exc:    # the integrator gave up; finished stays empty
+                raise NumericalAbort(f"orr toy at eta={eta:g}: {exc}") from None
             rows.append([float(eta), args.k, args.kappa, ar, anr])
         fit = fit_loglog_slope(etas, [r[4] for r in rows], min_r2=0.99)
         summary.append(["orr", f"k={args.k} kappa={args.kappa:g}",
@@ -368,6 +372,8 @@ def _numeric_column(cols: dict, name: str, path: str) -> np.ndarray:
 
 
 def _cmd_fit(args) -> int:
+    if not math.isfinite(args.min_r2):
+        raise ConfigError(f"--min-r2 must be finite, got {args.min_r2}")
     try:
         cols = read_csv_columns(args.csv)
     except ValueError as exc:

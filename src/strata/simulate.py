@@ -5,8 +5,9 @@ enters through time-dependent symbols (eta - k t), so the linear part is
 solved exactly by an integrating factor: a linear run evaluates that exact
 solution at each output time, and only the transport nonlinearity needs a
 time stepper (Lawson RK4 on top of the exact factor).  Every damping factor
-over [t0, t1] is exp(G(t0) - G(t1)) with the one per-mode antiderivative
-G = ``symbols.damping_antiderivative``.
+over [t0, t1] is exp(G(t0) - G(t1)), with G the per-mode damping
+antiderivative of the one Couette symbol object, ``symbols._Couette``,
+which the public symbols evaluate too.
 
 A state is real by construction.  The initial field and the nonlinear step
 work on the kept modes (the dealias mask without Nyquist indices), and of
@@ -24,18 +25,19 @@ on the packed modes (G at the start time cached on the core),
 ``diagnostics.compute_row`` reduces over them.  A packed state's field is
 unpacked once, when first read, and is read-only.
 
-In the nonlinear step the transport symbols and the antiderivative G are
-evaluated on the kept modes once per distinct stage time, from parts the
-core forms once.  Each RK stage's product is formed with six inverse and
-one forward ``numpy.fft`` transform, pruned to the 1-D lines that carry
-content: the kept modes have signed y and z indices below cuts c_y and c_z,
-so the x pass runs over those (y, z) lines only and the y pass over those z
-planes only (the zero-padded pseudo-spectral product of Canuto, Hussaini,
-Quarteroni & Zang, *Spectral Methods*, 2006, skipping the lines Orszag's
-2/3 rule leaves empty).  The stored members, and the conjugates of the
-alpha = 0 ones at their partners, are written straight into the x pass's
-buffer, and the forward pass reads the packed modes back from the same
-positions.
+The core holds two such symbol objects, with their t-independent parts
+formed once: G on the packed modes (``_Core.modes``) and the transport
+velocity u on the transforms' box (``_Core.u``); the nonlinear step
+evaluates both once per distinct stage time.  Each RK stage's product is
+formed with six inverse and one forward ``numpy.fft`` transform, pruned to
+the 1-D lines that carry content: the kept modes have signed y and z
+indices below cuts c_y and c_z, so the x pass runs over those (y, z) lines
+only and the y pass over those z planes only (the zero-padded
+pseudo-spectral product of Canuto, Hussaini, Quarteroni & Zang, *Spectral
+Methods*, 2006, skipping the lines Orszag's 2/3 rule leaves empty).  The
+stored members, and the conjugates of the alpha = 0 ones at their partners,
+are written straight into the x pass's buffer, and the forward pass reads
+the packed modes back from the same positions.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ import numpy as np
 
 from .config import ConfigError, SimConfig
 from .lattice import Lattice, SpectralField
-from .symbols import _Antiderivative, _Transport, damping_antiderivative, transport_symbol
+from .symbols import _Couette
+from .symbols import transport_symbol  # noqa: F401  (the benchmark tracer wraps it here)
 
 __all__ = [
     "SimState",
@@ -154,11 +157,11 @@ def init_field(cfg: SimConfig) -> SimState:
 def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
     """Per-mode exp(-integral of the damping coefficient over [t0, t1]).
 
-    Formed as exp(G(t0) - G(t1)) from ``damping_antiderivative``; the mean
-    mode and an empty interval give factor 1 exactly.
+    Formed as exp(G(t0) - G(t1)) from one ``symbols._Couette`` on the
+    lattice; the mean mode and an empty interval give factor 1 exactly.
     """
-    return np.exp(damping_antiderivative(t0, lat.kx, lat.eta, lat.alpha)
-                  - damping_antiderivative(t1, lat.kx, lat.eta, lat.alpha))
+    modes = _Couette(lat.kx, lat.eta, lat.alpha)
+    return np.exp(modes.G(t0) - modes.G(t1))
 
 
 def step_linear(state: SimState, dt: float) -> SimState:
@@ -188,7 +191,9 @@ class _Core:
     order (so the k = 0 modes come first): every alpha > 0 mode, and one
     member of each pair on the alpha = 0 plane, where the mean mode is its
     own partner.  ``neg_idx`` is the flat full-lattice index of -f for each
-    packed f.
+    packed f.  ``modes`` is the Couette symbol object on the packed modes,
+    whose G is ``g``; ``u`` is the transport velocity of a second one, on
+    the transforms' box.
     """
 
     def __init__(self, lat: Lattice, mask: np.ndarray | None):
@@ -208,9 +213,8 @@ class _Core:
             raise ValueError("dealias mask must keep -f whenever it keeps f")
         ix, iy, iz = np.unravel_index(self.full_idx, lat.shape)
         self.plane = np.flatnonzero(iz == 0)
-        self.k = lat.kx.ravel()[ix]
-        self.eta = lat.eta.ravel()[iy]
-        self.alpha = lat.alpha.ravel()[iz]
+        self.modes = _Couette(lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz])
+        self.g = self.modes.G
         # the transforms' box: signed indices -(c-1)..c-1 on x and y, stored
         # as 0..c-1 then n-c+1..n-1, and 0..c_z-1 on z.  The symbols u and grad
         # are formed on the whole box (``box`` holds its wavenumbers), the
@@ -225,7 +229,7 @@ class _Core:
         self.box = (lat.kx[np.r_[:cx, nx - cx + 1:nx]], lat.eta[:, np.r_[:cy, ny - cy + 1:ny]],
                     lat.alpha[..., :self.cut[2]])
         self.grad = tuple(np.broadcast_to(1j * v, box_shape) for v in self.box)
-        self.u = _Transport(*self.box)
+        self.u = _Couette(*self.box).transport
 
         def x_at(jx, jy, jz):
             return np.ravel_multi_index((jx, np.where(jy < cy, jy, jy - ny + 2 * cy - 1), jz),
@@ -233,7 +237,6 @@ class _Core:
 
         self.x_idx = x_at(ix, iy, iz)
         self.x_mirror = x_at(-ix[self.plane] % nx, -iy[self.plane] % ny, 0)
-        self.g = _Antiderivative(self.k, self.eta, self.alpha)
         self._g_start = (None, None)
 
     def g_start(self, t: float) -> np.ndarray:
@@ -336,9 +339,8 @@ def nonlinear_rhs(state: SimState, mask: np.ndarray | None = None) -> np.ndarray
     kept set: the mask (all modes if None) without the Nyquist indices.
     """
     core = _core(state.field.lattice, mask)
-    u = transport_symbol(state.t, *core.box)
     c = core.pack(state.field.coeffs)
-    return core.unpack(core.rhs(c, u, core.workspace()))
+    return core.unpack(core.rhs(c, core.u(state.t), core.workspace()))
 
 
 def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None) -> SimState:

@@ -1,17 +1,21 @@
 """Closed-form Fourier symbols of the linearized dynamics.
 
-Everything here is a pointwise multiplier on the (k, eta, alpha) lattice:
-the original-frame velocity, the moving-frame transport velocity, the weak
-damping coefficient with its exact time antiderivative, and the zero-mode
-semigroup.  All functions accept scalars or broadcastable numpy arrays and
-assign the excluded (0,0,0) mode the value zero.
+Everything here is a pointwise multiplier on the (k, eta, alpha) lattice.
+The Couette symbols are one object, ``_Couette(k, eta, alpha)``: the
+original-frame velocity, the moving-frame transport velocity, the damping
+rate and its exact time antiderivative G, as functions of t on fixed
+modes whose t-independent parts are formed once.  ``velocity_symbol``,
+``transport_symbol``, ``damping_coeff``, ``damping_antiderivative`` and
+``damping_integral`` are each one call on it, and ``simulate`` holds one
+on its packed modes and one on its transforms' box.  All functions accept
+scalars or broadcastable numpy arrays and assign the excluded (0,0,0) mode
+the value zero.
 
 The velocity, transport and damping symbols share one 1/D^2 multiplier,
 D = k^2 + (eta-kt)^2 + alpha^2, which covers k = 0 with no branch of its
-own; the constant k = 0 damping rate is ``zero_mode_rate``.  The damping
-is integrated once, in the per-mode antiderivative G
-(``damping_antiderivative``): every damping factor over [t0, t1], linear or
-inside the nonlinear step, is exp(G(t0) - G(t1)).
+own; the constant k = 0 damping rate, sigma, is ``zero_mode_rate``.  The
+damping is integrated once, in G: every damping factor over [t0, t1],
+linear or inside the nonlinear step, is exp(G(t0) - G(t1)).
 """
 
 from __future__ import annotations
@@ -35,13 +39,57 @@ __all__ = [
 ]
 
 
-def _couette(t, k, eta, alpha):
-    # broadcast float k and alpha, eta - k t, the mask D > 0 and 1/D^2 (1 where D = 0)
-    k, eta, alpha = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (k, eta, alpha)))
-    em = eta - k * t
-    D = k * k + em * em + alpha * alpha
-    keep = D > 0
-    return k, alpha, em, keep, 1.0 / np.where(keep, D, 1.0) ** 2
+class _Couette:
+    """The Couette symbols on fixed modes (k, eta, alpha), as functions of t.
+
+    The t-independent parts are formed once.  ``velocity``, ``transport``
+    and ``rate`` read eta - kt, the mask D > 0 and 1/D^2 from one helper;
+    ``G`` needs only eta - kt, formed with k = 1 off the shear modes.  The
+    inputs need no broadcasting: every output takes the broadcast shape of
+    t, k, eta and alpha, and ``rate`` and ``G`` give a float for scalars.
+    """
+
+    def __init__(self, k, eta, alpha):
+        self.k, self.eta, self.alpha = (np.asarray(a, dtype=float) for a in (k, eta, alpha))
+        self.kk = self.k * self.k
+        self.aa = self.alpha * self.alpha
+        self.ka = self.kk + self.aa
+        # G's parts: b = k^2 + alpha^2 and the k = 0 rate, with k = 1 off the shear modes
+        self.shear = self.k != 0
+        self.ks = np.where(self.shear, self.k, 1.0)
+        self.b = self.ks * self.ks + self.aa
+        self.sq = np.sqrt(self.b)
+        self.scale = -2.0 * self.ks
+        self.rate0 = zero_mode_rate(self.eta, self.alpha)
+
+    def _at(self, t):
+        # eta - k t, the mask D > 0 and 1/D^2 (1 where D = 0)
+        em = self.eta - self.k * t
+        D = self.kk + em * em + self.aa
+        keep = D > 0
+        return em, keep, 1.0 / np.where(keep, D, 1.0) ** 2
+
+    def velocity(self, t):
+        em, keep, inv2 = self._at(t)
+        return (np.where(keep, self.k * em * inv2, 0.0), np.where(keep, -self.ka * inv2, 0.0),
+                np.where(keep, em * self.alpha * inv2, 0.0))
+
+    def transport(self, t):
+        em, keep, inv2 = self._at(t)
+        return (np.where(keep, (t * self.ka + self.k * em) * inv2, 0.0),
+                np.where(keep, -self.ka * inv2, 0.0), np.where(keep, em * self.alpha * inv2, 0.0))
+
+    def rate(self, t):
+        _, keep, inv2 = self._at(t)
+        out = np.where(keep, self.ka * inv2, 0.0)
+        return out if out.ndim else float(out)
+
+    def G(self, t):
+        t = np.asarray(t, dtype=float)
+        u = self.eta - self.ks * t
+        out = np.where(self.shear, (u / (self.b + u * u) + np.arctan(u / self.sq) / self.sq)
+                       / self.scale, self.rate0 * t)
+        return out if out.ndim else float(out)
 
 
 def velocity_symbol(t, k, eta, alpha):
@@ -50,36 +98,7 @@ def velocity_symbol(t, k, eta, alpha):
     v = (k(eta-kt), -(k^2+alpha^2), (eta-kt)*alpha) / D^2 with
     D = k^2 + (eta-kt)^2 + alpha^2; zero at the mean mode where D = 0.
     """
-    k, alpha, em, keep, inv2 = _couette(t, k, eta, alpha)
-    v1 = np.where(keep, k * em * inv2, 0.0)
-    v2 = np.where(keep, -(k * k + alpha * alpha) * inv2, 0.0)
-    v3 = np.where(keep, em * alpha * inv2, 0.0)
-    return v1, v2, v3
-
-
-class _Transport:
-    """``transport_symbol`` on fixed modes, with its t-independent parts formed once.
-
-    Calling it with t gives (u1, u2, u3) on those modes, bit for bit, since
-    every t-dependent operation is evaluated in ``_couette``'s order.
-    """
-
-    def __init__(self, k, eta, alpha):
-        self.k, self.eta, self.alpha = np.broadcast_arrays(
-            *(np.asarray(a, dtype=float) for a in (k, eta, alpha)))
-        self.kk = self.k * self.k
-        self.aa = self.alpha * self.alpha
-        self.ka = self.kk + self.aa
-
-    def __call__(self, t):
-        em = self.eta - self.k * t
-        D = self.kk + em * em + self.aa
-        keep = D > 0
-        inv2 = 1.0 / np.where(keep, D, 1.0) ** 2
-        u1 = np.where(keep, (t * self.ka + self.k * em) * inv2, 0.0)
-        u2 = np.where(keep, -self.ka * inv2, 0.0)
-        u3 = np.where(keep, em * self.alpha * inv2, 0.0)
-        return u1, u2, u3
+    return _Couette(k, eta, alpha).velocity(t)
 
 
 def transport_symbol(t, k, eta, alpha):
@@ -88,14 +107,12 @@ def transport_symbol(t, k, eta, alpha):
     u = (t(k^2+a^2) + k(eta-kt), -(k^2+a^2), (eta-kt)a) / D^2, zero at the
     mean mode.  At k = 0 this is (t a^2, -a^2, eta a) / (eta^2+a^2)^2.
     """
-    return _Transport(k, eta, alpha)(t)
+    return _Couette(k, eta, alpha).transport(t)
 
 
 def damping_coeff(t, k, eta, alpha):
     """Linear damping rate (k^2+alpha^2)/D^2, reducing to zero_mode_rate at k = 0."""
-    k, alpha, _, keep, inv2 = _couette(t, k, eta, alpha)
-    out = np.where(keep, (k * k + alpha * alpha) * inv2, 0.0)
-    return out if out.ndim else float(out)
+    return _Couette(k, eta, alpha).rate(t)
 
 
 def zero_mode_rate(eta, alpha):
@@ -107,30 +124,6 @@ def zero_mode_rate(eta, alpha):
     return out if out.ndim else float(out)
 
 
-class _Antiderivative:
-    """``damping_antiderivative`` on fixed modes, with its t-independent parts formed once.
-
-    Calling it with t gives G(t) on those modes.
-    """
-
-    def __init__(self, k, eta, alpha):
-        k, eta, alpha = (np.asarray(a, dtype=float) for a in (k, eta, alpha))
-        self.shear = k != 0
-        self.ks = np.where(self.shear, k, 1.0)
-        self.eta = eta
-        self.b = self.ks * self.ks + alpha * alpha
-        self.sq = np.sqrt(self.b)
-        self.scale = -2.0 * self.ks
-        self.rate = zero_mode_rate(eta, alpha)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        u = self.eta - self.ks * t
-        out = np.where(self.shear, (u / (self.b + u * u) + np.arctan(u / self.sq) / self.sq)
-                       / self.scale, self.rate * t)
-        return out if out.ndim else float(out)
-
-
 def damping_antiderivative(t, k, eta, alpha):
     """Antiderivative G in t of the damping coefficient, one per mode.
 
@@ -139,15 +132,15 @@ def damping_antiderivative(t, k, eta, alpha):
     F(u) = u/(2(b+u^2)) + arctan(u/sqrt(b))/(2 sqrt(b)); for k = 0,
     G = zero_mode_rate * t, which is 0 at the mean mode.
     """
-    return _Antiderivative(k, eta, alpha)(t)
+    return _Couette(k, eta, alpha).G(t)
 
 
 def damping_integral(t0, t1, k, eta, alpha):
     """Exact integral of the damping coefficient over [t0, t1], t0 <= t1."""
     if np.any(np.asarray(t1) < np.asarray(t0)):
         raise ValueError("damping_integral requires t0 <= t1")
-    g = _Antiderivative(k, eta, alpha)
-    return g(t1) - g(t0)
+    modes = _Couette(k, eta, alpha)
+    return modes.G(t1) - modes.G(t0)
 
 
 def semigroup(t, eta, alpha):

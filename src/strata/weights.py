@@ -44,7 +44,6 @@ __all__ = [
     "log_a_multiplier",
     "LatticeWeights",
     "lattice_weights",
-    "log_l2_from_logs",
     "log_weighted_l2",
     "gevrey_norm",
     "gevrey_log_norm",
@@ -397,17 +396,13 @@ def log_sum_exp(x: np.ndarray, out: np.ndarray | None = None) -> float:
     return top + math.log(float(np.exp(out, out=out).sum()))
 
 
-def log_l2_from_logs(lattice: Lattice, m: np.ndarray) -> float:
-    """log of sqrt(delta_eta * sum exp(2 m)), stable for huge weights.
-
-    A mode with m = -inf (c = 0) drops out; all -inf, or no modes, gives -inf.
-    """
-    return 0.5 * (log_sum_exp(2.0 * np.asarray(m, dtype=float)) + math.log(lattice.delta_eta))
-
-
 def log_weighted_l2(lattice: Lattice, coeffs: np.ndarray, logw: np.ndarray) -> float:
-    """log of sqrt(delta_eta * sum |exp(logw) c|^2), stable for huge weights."""
-    return log_l2_from_logs(lattice, masked_log(np.abs(coeffs)) + logw)
+    """log of sqrt(delta_eta * sum |exp(logw) c|^2), stable for huge weights.
+
+    A mode with c = 0 drops out; all zero, or no modes, gives -inf.
+    """
+    m = masked_log(np.abs(coeffs)) + logw
+    return 0.5 * (log_sum_exp(2.0 * m) + math.log(lattice.delta_eta))
 
 
 def gevrey_log_norm(fieldv: SpectralField, sigma: float, t: float, p: WeightParams) -> float:

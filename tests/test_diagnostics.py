@@ -387,7 +387,7 @@ def test_oracle_rows_cover_the_resonant_and_the_late_regime():
     states = _run_states(cfg)
     core, lat, p = states[0].core, cfg.lattice, cfg.weight_params
     tables = lattice_weights(lat, p).tables
-    modes = tables.modes(core.k, lat.iota_vals.ravel()[core.full_idx])
+    modes = tables.modes(core.modes.k, lat.iota_vals.ravel()[core.full_idx])
     rising = [np.any(use & (d > 0)) for _, d, use in
               (tables.mode_weights(s.t, *modes) for s in states)]
     assert sum(rising) >= 5
@@ -443,9 +443,9 @@ def test_rows_make_one_stacked_weight_evaluation(monkeypatch):
     core = simulate._core(lat, lat.dealias_mask(cfg.dealias))
     tables = lattice_weights(lat, cfg.weight_params).tables
     # the distinct (row, key) pairs of the packed modes' weights: 249 of 19 635
-    groups = np.unique(np.stack(tables.modes(core.k, lat.iota_vals.ravel()[core.full_idx])),
+    groups = np.unique(np.stack(tables.modes(core.modes.k, lat.iota_vals.ravel()[core.full_idx])),
                        axis=1).shape[1]
-    assert groups < core.k.size
+    assert groups < core.modes.k.size
 
     def on_row(state):
         calls.clear()

@@ -23,7 +23,6 @@ from strata.simulate import (
     step_nonlinear,
 )
 from strata.symbols import (
-    _couette,
     damping_antiderivative,
     damping_coeff,
     semigroup,
@@ -589,30 +588,43 @@ class TestPairing:
 
     @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
     def test_core_antiderivative_is_the_symbols_one(self, shape):
-        # the parts the core forms once must give G bitwise, shear and k = 0 modes alike
+        # the core's G and the public one are G in closed form bitwise, shear
+        # and k = 0 modes alike: -F(eta - kt)/k with b = k^2 + alpha^2 and
+        # F(u) = u/(2(b+u^2)) + arctan(u/sqrt b)/(2 sqrt b), and sigma t at k = 0
         lat = Lattice(*shape)
         core = simulate._Core(lat, lat.dealias_mask())
+        k, eta, alpha = core.modes.k, core.modes.eta, core.modes.alpha
+        assert np.any(k == 0) and np.any(k != 0)
+        shear = k != 0
+        ks = np.where(shear, k, 1.0)
+        b = ks * ks + alpha * alpha
         for t in (0.0, 0.05, 2.0, 37.3, 100.0):
-            want = damping_antiderivative(t, core.k, core.eta, core.alpha)
-            assert core.g(t).tobytes() == want.tobytes(), t
+            u = eta - k * t
+            want = np.where(shear, (u / (b + u * u) + np.arctan(u / np.sqrt(b)) / np.sqrt(b))
+                            / (-2.0 * ks), zero_mode_rate(eta, alpha) * t)
+            public = damping_antiderivative(t, k, eta, alpha)
+            assert core.g(t).tobytes() == public.tobytes() == want.tobytes(), t
 
     @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
     def test_core_transport_is_the_symbols_one(self, shape):
-        # the parts the core forms once must give u bitwise on the transforms'
-        # box, against the public symbol and against the one-shot spelling on
-        # symbols._couette
+        # the core's u on the transforms' box and the public symbol are
+        # u = (t(k^2+a^2) + k(eta-kt), -(k^2+a^2), (eta-kt)a) / D^2 bitwise,
+        # spelled here on the broadcast box, zero where D = 0
         lat = Lattice(*shape)
         core = simulate._Core(lat, lat.dealias_mask())
-        box = [np.broadcast_to(v, core.grad[0].shape) for v in core.box]
+        k, eta, alpha = (np.broadcast_to(v, core.grad[0].shape) for v in core.box)
+        ka = k * k + alpha * alpha
         for t in (0.0, 0.05, 2.0, 37.3, 100.0):
-            k, alpha, em, keep, inv2 = _couette(t, *box)
-            ka = k * k + alpha * alpha
-            oneshot = (np.where(keep, (t * ka + k * em) * inv2, 0.0),
-                       np.where(keep, -ka * inv2, 0.0),
-                       np.where(keep, em * alpha * inv2, 0.0))
+            em = eta - k * t
+            D = k * k + em * em + alpha * alpha
+            inv2 = 1.0 / np.where(D > 0, D, 1.0) ** 2
+            want = (np.where(D > 0, (t * ka + k * em) * inv2, 0.0),
+                    np.where(D > 0, -ka * inv2, 0.0),
+                    np.where(D > 0, em * alpha * inv2, 0.0))
             public = transport_symbol(t, *core.box)
-            for got, want, ref in zip(core.u(t), public, oneshot):
-                assert got.tobytes() == want.tobytes() == ref.tobytes(), t
+            for got, pub, ref in zip(core.u(t), public, want):
+                assert got.shape == ref.shape, t
+                assert got.tobytes() == pub.tobytes() == ref.tobytes(), t
 
     @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0, None])
@@ -621,7 +633,7 @@ class TestPairing:
         # packed itself, but for the mean mode, its own partner
         lat = Lattice(*shape)
         core = simulate._Core(lat, None if fraction is None else lat.dealias_mask(fraction))
-        assert np.array_equal(core.plane, np.flatnonzero(core.alpha == 0))
+        assert np.array_equal(core.plane, np.flatnonzero(core.modes.alpha == 0))
         partners = core.neg_idx[core.plane]
         assert np.all(partners % lat.nz == 0)
         packed = np.isin(partners, core.full_idx)

@@ -484,6 +484,44 @@ output_every = 1.0
         assert main(["fit", str(path), "--column", "y"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_fit_nan_min_r2_exit_2(self, tmp_path, capsys):
+        # a NaN floor must not switch the r^2 check off; a floor <= 0 still does
+        path = tmp_path / "series.csv"
+        t = np.geomspace(1, 100, 40)
+        write_csv(path, ["t", "y"], np.c_[t, t**-2 * np.exp(0.5 * np.sin(3 * np.log(t)))].tolist())
+        assert main(["fit", str(path), "--column", "y"]) == 2            # r^2 = 0.985
+        assert "fit error" in capsys.readouterr().err
+        assert main(["fit", str(path), "--column", "y", "--min-r2", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "--min-r2" in captured.err
+        assert captured.out == ""
+        assert main(["fit", str(path), "--column", "y", "--min-r2", "0"]) == 0
+
+    def test_out_path_that_is_a_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["linear", self._write_cfg(tmp_path), "--out", str(out), "--quiet"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("strata: ") and str(out) in line
+        assert out.read_text() == ""
+
+    def test_fit_of_a_directory_exit_2(self, tmp_path, capsys):
+        assert main(["fit", str(tmp_path), "--column", "t"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("strata: ") and str(tmp_path) in line
+
+    def test_toy_orr_stiff_coupling_is_a_numerical_abort(self, tmp_path, capsys):
+        # at kappa = 50 the integrator cannot hold its tolerance: exit 3 with
+        # one line, the manifest written with no outputs and no finished stamp
+        out = tmp_path / "orr"
+        assert main(["toy", "orr", "--kappa", "50", "--out", str(out), "--quiet"]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("strata: numerical abort: ")
+        assert sorted(p.name for p in out.iterdir()) == ["toy_orr_manifest.ini"]
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string((out / "toy_orr_manifest.ini").read_text())
+        assert parser["run"]["outputs"] == "" and parser["run"]["finished"] == ""
+
     def test_toy_orr_report(self, tmp_path, capsys):
         out = tmp_path / "orr"
         assert main(["toy", "orr", "--k", "1", "--kappa", "1.0",

@@ -24,7 +24,6 @@ from strata.weights import (
     gevrey_norm,
     lambda_t,
     lattice_weights,
-    log_l2_from_logs,
     log_w_k,
     log_weighted_l2,
     ratio_lemma_sweep,
@@ -788,7 +787,9 @@ class TestStackedTables:
                                          _reference_iota_groups(f[0], iv))
 
     def test_log_l2_of_no_modes(self):
-        assert log_l2_from_logs(Lattice(4, 4, 4), np.empty(0)) == -math.inf
+        lat = Lattice(4, 4, 4)
+        assert log_weighted_l2(lat, np.empty(0), np.empty(0)) == -math.inf
+        assert log_weighted_l2(lat, np.zeros(3), np.ones(3)) == -math.inf
 
 
 class TestSweeps:
