@@ -286,7 +286,10 @@ def _cmd_toy(args) -> int:
         grid = [(e, a) for e in range(2, 12) for a in range(1, 11)]
         header, rows = ["m", "constant", "spread"], []
         for m in args.m:
-            rep = semigroup_bound_check(grid, m)
+            try:
+                rep = semigroup_bound_check(grid, m)
+            except OverflowError as exc:    # finished stays empty
+                raise NumericalAbort(f"semigroup toy at m={m:g}: {exc}") from None
             rows.append([m, rep.c_max, rep.spread])
             summary.append(["semigroup", f"m={m:g}", "", "", rep.c_max])
             _say(args, f"semigroup m={m}: C={rep.c_max:.4f}, spread={rep.spread:.3%}")

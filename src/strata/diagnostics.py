@@ -14,10 +14,13 @@ Every column but mass_mode, reality_err and theta_l2 reduces over one mode
 set: the modes that carry mass (m = 1), or, for a packed run state (see
 ``simulate``), the core's stored members, each counted twice for its
 implied partner (m = 2) but the mean mode.  What a row needs that does not
-depend on t is built once per mode set, as its row plan.  w_k and d/dt log
-w_k are evaluated once per row on the plan's groups, the distinct (|iota|
-row, resonant key) pairs of its modes, and gathered to the modes.  The
-sup0_s7 column is a max over single modes, so it reads |c|^2 without m.
+depend on t is built once per mode set, as its row plan, from that set's
+modes alone: the core's Couette symbols (or one ``symbols._Couette`` on
+the occupied modes) and a weight-table stack over the set's own |iota|.
+w_k and d/dt log w_k are evaluated once per row on the plan's groups, the
+distinct (|iota| row, resonant key) pairs of its modes, and gathered to
+the modes.  The sup0_s7 column is a max over single modes, so it reads
+|c|^2 without m.
 
 A packed state is exactly real by construction, so its reality_err is 0.0
 with no check; a field without a core takes max|Im theta| / max|theta|
@@ -34,13 +37,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .symbols import velocity_symbol  # noqa: F401  (the benchmark tracer wraps it here)
+from .lattice import iota
+from .symbols import _Couette, velocity_symbol  # noqa: F401  (the tracer wraps velocity_symbol)
 from .weights import (
     WeightParams,
+    _TableStack,
     b_multiplier,
     lambda_dot,
     lambda_t,
-    lattice_weights,
+    lattice_weights,  # noqa: F401  (the benchmark tracer wraps it here)
     log_sum_exp,
     log_weighted_l2,  # noqa: F401  (the benchmark tracer wraps it here)
     masked_log,
@@ -92,44 +97,46 @@ class _RowPlan:
     ``modes`` is the packed bits of a flat mode set (m = 1), or a
     ``simulate._Core`` whose packed modes stand for the whole field: m = 2
     for each stored member, whose partner is implied, and 1 for the mean
-    mode.  Log weights are doubled, as they enter log(m|c|^2 A^2).
+    mode.  It holds the set's Couette symbols as ``modes`` (the core's own)
+    and a weight stack over the set's own |iota| as ``tables``.  Log
+    weights are doubled, as they enter log(m|c|^2 A^2).
     """
 
     def __init__(self, lat, p: WeightParams, modes):
         if isinstance(modes, bytes):
             idx = np.flatnonzero(np.unpackbits(np.frombuffer(modes, np.uint8), count=lat.size))
+            ix, iy, iz = np.unravel_index(idx, lat.shape)
+            self.modes = _Couette(lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz])
             self.m = 1.0
         else:
-            idx = modes.full_idx
+            idx, self.modes = modes.full_idx, modes.modes
             self.m = np.where(idx == 0, 1.0, 2.0)
-        ix, iy, iz = np.unravel_index(idx, lat.shape)
-        k, eta, alpha = lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz]
+        k, eta, alpha = self.modes.k, self.modes.eta, self.modes.alpha
         l1, log_br = lat.l1.ravel()[idx], lat.log_brackets.ravel()[idx]
         s1, s2, s3, s4, s5, s6, s7 = p.sigmas
 
         # velocity sums; D = k^2 + (eta - kt)^2 + alpha^2 is formed as
         # (eta - kt)^2 + d0, where d0 is inf at the mean mode so that q = 0 there
-        self.k, self.eta, self.kk, self.aa = k, eta, k * k, alpha * alpha
-        ka = self.kk + self.aa
-        self.ka2 = ka * ka
-        self.d0 = np.where(idx == 0, math.inf, ka)
+        self.ka2 = self.modes.ka * self.modes.ka
+        self.d0 = np.where(idx == 0, math.inf, self.modes.ka)
 
         # the ladder: 2 |f|_1^s (times lambda), 2 sigma log<f>, s log|f|_1 for
         # the lambda CK term, and each mode's weight group
         self.two_l1s = 2.0 * l1**p.s
         self.s_log_l1 = p.s * masked_log(l1)
         self.a1, self.a3, self.a5 = (2.0 * s * log_br for s in (s1, s3, s5))
-        self.tables = lattice_weights(lat, p).tables
-        row, key = self.tables.modes(k, lat.iota_vals.ravel()[idx])
+        iv = iota(k, eta, alpha)
+        self.tables = _TableStack(iv, p.c_star)
+        row, key = self.tables.modes(k, iv)
         width = int(key.max(initial=0)) + 1
         codes, group = np.unique(row * width + key.astype(np.intp), return_inverse=True)
         self.groups, self.group = (codes // width, codes % width), group
 
         # the k = 0 modes: B <f>^-2, turning A^sigma1 J into A^(sigma1-2) J B;
         # the alpha != 0 ones at sigma 2, 4, 6; the alpha = 0 ones at sigma 7
-        self.n0 = n0 = int(np.count_nonzero(ix == 0))
+        self.n0 = n0 = int(np.count_nonzero(k == 0))
         self.b0 = 2.0 * (np.log(b_multiplier(eta[:n0], alpha[:n0])) - 2.0 * log_br[:n0])
-        self.znz, self.dz = np.flatnonzero(iz[:n0] != 0), np.flatnonzero(iz[:n0] == 0)
+        self.znz, self.dz = np.flatnonzero(alpha[:n0] != 0), np.flatnonzero(alpha[:n0] == 0)
         self.a246 = [2.0 * s * log_br[self.znz] for s in (s2, s4, s6)]
         self.a7 = s7 * np.log1p(eta[self.dz] ** 2)
         self.scratch = np.empty((4, idx.size))
@@ -173,15 +180,16 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
         np.add(2.0 * masked_log(np.abs(c)), np.log(plan.m), out=log_c2)
 
     # velocity L2 norms via Plancherel on the original-frame symbols
-    em2 = np.subtract(plan.eta, np.multiply(plan.k, t, out=x), out=x)
+    sym = plan.modes
+    em2 = np.subtract(sym.eta, np.multiply(sym.k, t, out=x), out=x)
     em2 *= em2
     d2 = np.add(em2, plan.d0, out=y)
     d2 *= d2
     q /= d2
     q /= d2                                         # m|c|^2 / D^4
     em2 *= q
-    sums = {"u1_l2": np.dot(plan.kk, em2), "u2_zero_l2": np.dot(plan.ka2[:n0], q[:n0]),
-            "u2_nonzero_l2": np.dot(plan.ka2[n0:], q[n0:]), "u3_l2": np.dot(plan.aa, em2),
+    sums = {"u1_l2": np.dot(sym.kk, em2), "u2_zero_l2": np.dot(plan.ka2[:n0], q[:n0]),
+            "u2_nonzero_l2": np.dot(plan.ka2[n0:], q[n0:]), "u3_l2": np.dot(sym.aa, em2),
             "theta_l2": total}
     cols = {name: math.sqrt(deta * float(s)) for name, s in sums.items()}
     # a packed state is exactly real; a field without a core may be neither

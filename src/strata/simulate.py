@@ -171,8 +171,8 @@ def step_linear(state: SimState, dt: float) -> SimState:
     holds packed coefficients; G is even under f -> -f, so the unpacked
     partners equal the full-lattice product.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     core, t1 = state.core, state.t + dt
     if core is None:
         lat = state.field.lattice
@@ -353,8 +353,8 @@ def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None) -
     and so is the partner of each stored member, which the result writes as
     the member's conjugate.  The result is packed on the mask's core.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     t, h = state.t, dt
     core = _core(state.field.lattice if state.core is None else state.core.lattice, mask)
     c0 = state.packed if state.core is core else core.pack(state.field.coeffs)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import struct
 import time
@@ -65,6 +66,8 @@ def state_from_checkpoint(data: bytes) -> SimState:
     expected = _HEADER.size + nx * ny * nz * 16
     if len(data) != expected:
         raise CheckpointError(f"checkpoint size {len(data)} != expected {expected}")
+    if not math.isfinite(t):
+        raise CheckpointError(f"non-finite time {t} in checkpoint")
     try:
         lat = Lattice(nx, ny, nz, ly)
     except ValueError as exc:

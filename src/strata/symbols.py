@@ -6,10 +6,11 @@ original-frame velocity, the moving-frame transport velocity, the damping
 rate and its exact time antiderivative G, as functions of t on fixed
 modes whose t-independent parts are formed once.  ``velocity_symbol``,
 ``transport_symbol``, ``damping_coeff``, ``damping_antiderivative`` and
-``damping_integral`` are each one call on it, and ``simulate`` holds one
-on its packed modes and one on its transforms' box.  All functions accept
-scalars or broadcastable numpy arrays and assign the excluded (0,0,0) mode
-the value zero.
+``damping_integral`` are each one call on it.  ``simulate`` holds one on
+its packed modes and one on its transforms' box; a diagnostic row plan
+reads the former, or builds one on a field's occupied modes.  All functions
+accept scalars or broadcastable numpy arrays and assign the excluded
+(0,0,0) mode the value zero.
 
 The velocity, transport and damping symbols share one 1/D^2 multiplier,
 D = k^2 + (eta-kt)^2 + alpha^2, which covers k = 0 with no branch of its

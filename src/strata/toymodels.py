@@ -86,8 +86,7 @@ def fit_loglog_slope(t, values, window: tuple[float, float] | None = None,
     return fit
 
 
-def orr_toy_integrate(k: int, eta: float, kappa: float,
-                      tol: float = 1e-10) -> tuple[float, float]:
+def orr_toy_integrate(k: int, eta: float, kappa: float) -> tuple[float, float]:
     """Integrate the resonant/non-resonant pair across one critical interval.
 
         theta_R'  = kappa * k^2/|eta| * theta_NR
@@ -116,7 +115,7 @@ def orr_toy_integrate(k: int, eta: float, kappa: float,
     # a diverging trial step ends in the failure below, not in a warning storm
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(rhs, (t_k, t_km1), [1.0, 1.0], method="DOP853",
-                        rtol=tol, atol=tol)
+                        rtol=1e-10, atol=1e-10)
     if not sol.success:
         raise RuntimeError(f"toy-model integration failed: {sol.message}")
     return abs(float(sol.y[0, -1])), abs(float(sol.y[1, -1]))
@@ -133,7 +132,7 @@ class ZeroModeReport:
 
 
 def zero_mode_solution(t: float, sigma: float, theta0: float = 1.0,
-                       forced: bool = True, tol: float = 1e-12) -> float:
+                       forced: bool = True) -> float:
     """Exact variation-of-constants solution of theta' + sigma theta = <tau>^-3."""
     hom = theta0 * math.exp(-sigma * t)
     if not forced or t == 0.0:
@@ -141,7 +140,7 @@ def zero_mode_solution(t: float, sigma: float, theta0: float = 1.0,
     from scipy.integrate import quad
 
     val, _ = quad(lambda tau: math.exp(-sigma * (t - tau)) * (1.0 + tau * tau) ** -1.5,
-                  0.0, t, epsabs=tol, epsrel=tol, limit=200)
+                  0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
     return hom + val
 
 
@@ -173,14 +172,17 @@ class SemigroupBoundReport:
 
 
 def _semigroup_integral(sigma: float, m: float, horizon: float) -> float:
-    # sigma * int_0^H (sigma sqrt(1+u^2))^m e^(-sigma u) du, via x = sigma*u
+    # sigma * int_0^H (sigma sqrt(1+u^2))^m e^(-sigma u) du, via x = sigma*u; the
+    # integrand in one exp, as the power alone overflows before e^-x scales it
     from scipy.integrate import quad
 
     def integrand(x):
-        return (sigma * sigma + x * x) ** (m / 2.0) * math.exp(-x)
+        return math.exp(0.5 * m * math.log(sigma * sigma + x * x) - x)
 
     val, _ = quad(integrand, 0.0, sigma * horizon, epsabs=1e-12, epsrel=1e-12,
                   limit=200)
+    if not math.isfinite(val):
+        raise OverflowError(f"the m = {m:g} integral overflows float64")
     return val
 
 
@@ -224,14 +226,12 @@ def liftup_value(t, epsilon: float, eta: float, alpha: float):
     return epsilon**2 * (abs(eta) + abs(alpha)) * ramp / sigma
 
 
-def liftup_growth(epsilon: float, etas, alphas, t_grid,
-                  window: tuple[float, float] | None = None,
-                  min_r2: float = 0.99) -> tuple[np.ndarray, GrowthFit]:
+def liftup_growth(epsilon: float, etas, alphas, t_grid) -> tuple[np.ndarray, GrowthFit]:
     """Envelope of the lift-up response over a frequency grid, with its slope fit.
 
-    The t^(3/2) envelope emerges only while the grid resolves damping rates
-    sigma ~ 1/t along eta ~ alpha; the caller chooses the grid and window
-    accordingly.
+    The fit spans all of ``t_grid`` at ``fit_loglog_slope``'s r2 floor.  The
+    t^(3/2) envelope emerges only while the grid resolves damping rates
+    sigma ~ 1/t along eta ~ alpha; the caller chooses the grid accordingly.
     """
     t = np.asarray(t_grid, dtype=float)
     env = np.zeros_like(t)
@@ -240,5 +240,5 @@ def liftup_growth(epsilon: float, etas, alphas, t_grid,
             raise ValueError("alpha = 0 modes do not participate in lift-up")
         for eta in etas:
             np.maximum(env, liftup_value(t, epsilon, eta, alpha), out=env)
-    fit = fit_loglog_slope(t, env, window=window, min_r2=min_r2)
+    fit = fit_loglog_slope(t, env)
     return env, fit

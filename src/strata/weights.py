@@ -194,11 +194,11 @@ def weight_table(iota_abs: float, c_star: float) -> WeightTable:
     return WeightTable(iota_abs, c_star)
 
 
-def critical_times(iota_val: float, p: WeightParams | None = None) -> WeightTable | None:
+def critical_times(iota_val: float, p: WeightParams) -> WeightTable | None:
     """Cached interval table for |iota| > 1; None when |iota| <= 1 (weight identically 1)."""
     if abs(iota_val) <= 1.0:
         return None
-    return weight_table(abs(float(iota_val)), p.c_star if p is not None else 1.0)
+    return weight_table(abs(float(iota_val)), p.c_star)
 
 
 def w_nr(t: float, iota_val: float, p: WeightParams) -> float:

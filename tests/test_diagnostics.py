@@ -13,7 +13,7 @@ from strata.diagnostics import (
     compute_row,
     log10p_from_log,
 )
-from strata.lattice import Lattice, SpectralField
+from strata.lattice import Lattice, SpectralField, iota
 from strata.simulate import SimState, init_field, run_simulation, step_linear
 from strata.symbols import velocity_symbol
 from strata.weights import (
@@ -421,11 +421,10 @@ def test_weighted_columns_survive_squares_below_the_normal_range():
 
 
 def test_rows_make_one_stacked_weight_evaluation(monkeypatch):
-    def refuse(self, t):
-        raise AssertionError("a row evaluated the full-lattice weights")
+    def refuse(self, *args):
+        raise AssertionError("a run built a full-lattice LatticeWeights")
 
-    monkeypatch.setattr(LatticeWeights, "log_w", refuse)
-    monkeypatch.setattr(LatticeWeights, "dlogw_dt", refuse)
+    monkeypatch.setattr(LatticeWeights, "__init__", refuse)
     pieces, mode_weights, calls, rows = _TableStack.pieces, _TableStack.mode_weights, [], []
 
     def counted(self, row, t):
@@ -439,26 +438,68 @@ def test_rows_make_one_stacked_weight_evaluation(monkeypatch):
     monkeypatch.setattr(_TableStack, "pieces", counted)
     monkeypatch.setattr(_TableStack, "mode_weights", asked)
     cfg = SimConfig(t_end=20.0)
-    lat = cfg.lattice
-    core = simulate._core(lat, lat.dealias_mask(cfg.dealias))
-    tables = lattice_weights(lat, cfg.weight_params).tables
-    # the distinct (row, key) pairs of the packed modes' weights: 249 of 19 635
-    groups = np.unique(np.stack(tables.modes(core.modes.k, lat.iota_vals.ravel()[core.full_idx])),
-                       axis=1).shape[1]
-    assert groups < core.modes.k.size
+    lat, p = cfg.lattice, cfg.weight_params
+    sym = simulate._core(lat, lat.dealias_mask(cfg.dealias)).modes
+    # the plan's own stack: the 38 distinct |iota| > 1 of the 18 743 packed
+    # modes (60 on the lattice) and the row of |iota| <= 1
+    iv = iota(sym.k, sym.eta, sym.alpha)
+    tables = _TableStack(iv, p.c_star)
+    assert tables.iota.size == 39
+    # the distinct (row, key) pairs of the packed modes' weights
+    groups = np.unique(np.stack(tables.modes(sym.k, iv)), axis=1).shape[1]
+    assert groups < sym.k.size
 
     def on_row(state):
         calls.clear()
-        compute_row(state, cfg.weight_params)
+        compute_row(state, p)
         # one evaluation of the stack's rows at the row's time, asked for the groups
         rows.append(calls == [groups, (state.t, tables.iota.size)])
 
     diagnostics._support.cache_clear()
+    lattice_weights.cache_clear()
     run_simulation(cfg, on_row=on_row)
     assert len(rows) == 21 and all(rows)
     # the row plan is built once, at the first row
     info = diagnostics._support.cache_info()
     assert (info.misses, info.hits) == (1, 20)
+    # neither a linear nor a nonlinear run asks for the lattice's weights
+    run_simulation(SimConfig(mode="nonlinear", nx=8, ny=16, nz=8, t_end=0.4, output_every=0.2))
+    assert lattice_weights.cache_info().misses == 0
+
+
+def test_packed_plan_holds_the_cores_symbols():
+    cfg = SimConfig(nx=8, ny=16, nz=8)
+    start = init_field(cfg)
+    diagnostics._support.cache_clear()
+    compute_row(start, cfg.weight_params)
+    plan = diagnostics._support(cfg.lattice, cfg.weight_params, start.core)
+    assert diagnostics._support.cache_info().misses == 1
+    assert plan.modes is start.core.modes
+
+
+@pytest.mark.parametrize("shape", [(8, 16, 8), (6, 10, 8)])
+def test_coreless_plan_is_the_lattice_gather(shape):
+    # a core-less plan's symbols, |iota| rows and weights equal the gathers
+    # from the lattice's arrays and its LatticeWeights, bit for bit
+    lat, p = Lattice(*shape), WeightParams()
+    c = np.where(np.abs(lat.kx) + np.abs(lat.alpha) > 3, 0.0,
+                 _whole_lattice(lat, np.random.default_rng(3)))
+    occupied = c.ravel() != 0
+    plan = diagnostics._RowPlan(lat, p, np.packbits(occupied).tobytes())
+    idx = np.flatnonzero(occupied)
+    ix, iy, iz = np.unravel_index(idx, lat.shape)
+    k, eta, alpha = lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz]
+    for got, want in ((plan.modes.k, k), (plan.modes.eta, eta), (plan.modes.alpha, alpha),
+                      (plan.modes.kk, k * k), (plan.modes.aa, alpha * alpha),
+                      (plan.modes.ka, k * k + alpha * alpha)):
+        assert got.tobytes() == want.tobytes()
+    lw = LatticeWeights(lat, p)
+    assert plan.tables.vals.size < lw.tables.vals.size
+    assert np.isin(plan.tables.vals, lw.tables.vals).all()
+    for t in (0.5, 7.0, 30.0, 80.0):
+        log_w, dlog_w, _ = plan.tables.mode_weights(t, *plan.groups)
+        assert log_w[plan.group].tobytes() == lw.log_w(t).ravel()[idx].tobytes()
+        assert dlog_w[plan.group].tobytes() == lw.dlogw_dt(t).ravel()[idx].tobytes()
 
 
 def test_single_pair_columns_in_closed_form():

@@ -305,6 +305,17 @@ class TestInitField:
                         assert got.tobytes() == want.tobytes(), cfg
 
 
+@pytest.mark.parametrize("step", [step_linear, step_nonlinear])
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_steps_reject_a_dt_that_is_not_positive_and_finite(step, dt):
+    # a field state and a packed run state alike, before any arithmetic
+    cfg = SimConfig(**SMALL)
+    start = init_field(cfg)
+    for state in (start, SimState(0.0, start.field.copy())):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step(state, dt)
+
+
 class TestLinearStep:
     def test_zero_mode_closed_form(self):
         lat = Lattice(8, 16, 8)

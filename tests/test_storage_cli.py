@@ -63,6 +63,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             state_from_checkpoint(data[:10])
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, tmp_path, t):
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(path, _random_state())
+        data = bytearray(path.read_bytes())
+        data[28:36] = struct.pack("<d", t)      # the header's t, after ly
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="non-finite time"):
+            load_checkpoint(path)
+
     def test_golden_bytes_layout(self):
         # handcrafted little-endian file, as a foreign writer would produce it
         lat = Lattice(2, 2, 2, ly=8 * math.pi)
@@ -520,6 +530,25 @@ output_every = 1.0
         assert sorted(p.name for p in out.iterdir()) == ["toy_orr_manifest.ini"]
         parser = configparser.ConfigParser(interpolation=None)
         parser.read_string((out / "toy_orr_manifest.ini").read_text())
+        assert parser["run"]["outputs"] == "" and parser["run"]["finished"] == ""
+
+    def test_toy_semigroup_high_moment_is_finite(self, tmp_path):
+        # (sigma^2 + x^2)^75 alone overflows; the constant is about Gamma(151)
+        out = tmp_path / "semigroup"
+        assert main(["toy", "semigroup", "--m", "150", "--out", str(out), "--quiet"]) == 0
+        (c,) = (float(x) for x in read_csv_columns(out / "toy_semigroup.csv")["constant"])
+        assert c == pytest.approx(math.gamma(151), rel=1e-3)
+
+    def test_toy_semigroup_overflow_is_a_numerical_abort(self, tmp_path, capsys):
+        # the m = 200 integrand, about e^860, overflows float64: exit 3 with one
+        # line, the manifest written with no outputs and no finished stamp
+        out = tmp_path / "semigroup"
+        assert main(["toy", "semigroup", "--m", "200", "--out", str(out), "--quiet"]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("strata: numerical abort: semigroup toy at m=200")
+        assert sorted(p.name for p in out.iterdir()) == ["toy_semigroup_manifest.ini"]
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string((out / "toy_semigroup_manifest.ini").read_text())
         assert parser["run"]["outputs"] == "" and parser["run"]["finished"] == ""
 
     def test_toy_orr_report(self, tmp_path, capsys):

@@ -168,6 +168,13 @@ class TestSemigroupBound:
         with pytest.raises(ValueError):
             semigroup_bound_check([(1.0, 0)], 1.0)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")    # quad's IntegrationWarning
+    def test_integral_past_float64_raises(self):
+        # the m = 171.3 integrand peaks just below float64's limit, but its
+        # integral, about Gamma(172.3), is past it
+        with pytest.raises(OverflowError, match="overflows float64"):
+            _semigroup_integral(0.01, 171.3, 3e4)
+
 
 class TestLiftup:
     def test_epsilon_scaling_exact(self):
