@@ -4,13 +4,14 @@ Everything here is a pointwise multiplier on the (k, eta, alpha) lattice.
 The Couette symbols are one object, ``_Couette(k, eta, alpha)``: the
 original-frame velocity, the moving-frame transport velocity, the damping
 rate and its exact time antiderivative G, as functions of t on fixed
-modes whose t-independent parts are formed once.  ``velocity_symbol``,
-``transport_symbol``, ``damping_coeff``, ``damping_antiderivative`` and
-``damping_integral`` are each one call on it.  ``simulate`` holds one on
-its packed modes and one on its transforms' box; a diagnostic row plan
-reads the former, or builds one on a field's occupied modes.  All functions
-accept scalars or broadcastable numpy arrays and assign the excluded
-(0,0,0) mode the value zero.
+modes.  The parts that do not depend on t are formed once per object, G's
+on its first call, so an object that never integrates the damping holds
+none of them.  ``velocity_symbol``, ``transport_symbol``, ``damping_coeff``,
+``damping_antiderivative`` and ``damping_integral`` are each one call on
+it.  ``simulate`` holds one on its packed modes and one on its transforms'
+box; a diagnostic row plan reads the former, or builds one on a field's
+occupied modes.  All functions accept scalars or broadcastable numpy arrays
+and assign the excluded (0,0,0) mode the value zero.
 
 The velocity, transport and damping symbols share one 1/D^2 multiplier,
 D = k^2 + (eta-kt)^2 + alpha^2, which covers k = 0 with no branch of its
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +45,13 @@ __all__ = [
 class _Couette:
     """The Couette symbols on fixed modes (k, eta, alpha), as functions of t.
 
-    The t-independent parts are formed once.  ``velocity``, ``transport``
-    and ``rate`` read eta - kt, the mask D > 0 and 1/D^2 from one helper;
-    ``G`` needs only eta - kt, formed with k = 1 off the shear modes.  The
-    inputs need no broadcasting: every output takes the broadcast shape of
-    t, k, eta and alpha, and ``rate`` and ``G`` give a float for scalars.
+    The parts that do not depend on t are formed once: k^2, alpha^2 and
+    their sum with the object, G's own (``_g_parts``) on its first call.
+    ``velocity``, ``transport`` and ``rate`` read eta - kt, the mask D > 0
+    and 1/D^2 from one helper; ``G`` needs only eta - kt, formed with k = 1
+    off the shear modes.  The inputs need no broadcasting: every output
+    takes the broadcast shape of t, k, eta and alpha, and ``rate`` and
+    ``G`` give a float for scalars.
     """
 
     def __init__(self, k, eta, alpha):
@@ -55,13 +59,14 @@ class _Couette:
         self.kk = self.k * self.k
         self.aa = self.alpha * self.alpha
         self.ka = self.kk + self.aa
-        # G's parts: b = k^2 + alpha^2 and the k = 0 rate, with k = 1 off the shear modes
-        self.shear = self.k != 0
-        self.ks = np.where(self.shear, self.k, 1.0)
-        self.b = self.ks * self.ks + self.aa
-        self.sq = np.sqrt(self.b)
-        self.scale = -2.0 * self.ks
-        self.rate0 = zero_mode_rate(self.eta, self.alpha)
+
+    @cached_property
+    def _g_parts(self):
+        # the shear modes, k with 1 off them, b = k^2 + alpha^2, sqrt(b), -2k and the k = 0 rate
+        shear = self.k != 0
+        ks = np.where(shear, self.k, 1.0)
+        b = ks * ks + self.aa
+        return shear, ks, b, np.sqrt(b), -2.0 * ks, zero_mode_rate(self.eta, self.alpha)
 
     def _at(self, t):
         # eta - k t, the mask D > 0 and 1/D^2 (1 where D = 0)
@@ -86,10 +91,10 @@ class _Couette:
         return out if out.ndim else float(out)
 
     def G(self, t):
+        shear, ks, b, sq, scale, rate0 = self._g_parts
         t = np.asarray(t, dtype=float)
-        u = self.eta - self.ks * t
-        out = np.where(self.shear, (u / (self.b + u * u) + np.arctan(u / self.sq) / self.sq)
-                       / self.scale, self.rate0 * t)
+        u = self.eta - ks * t
+        out = np.where(shear, (u / (b + u * u) + np.arctan(u / sq) / sq) / scale, rate0 * t)
         return out if out.ndim else float(out)
 
 
@@ -191,8 +196,9 @@ def nonzero_mode_decay_bound_check(k: int, eta: float, alpha: float,
     t = np.asarray(t_grid, dtype=float)
     jt = np.sqrt(1.0 + t * t)
     br = math.sqrt(1.0 + k * k + eta * eta + alpha * alpha)
-    v1, v2, v3 = (np.abs(v) for v in velocity_symbol(t, k, eta, alpha))
-    umag = np.sqrt(sum(u * u for u in transport_symbol(t, k, eta, alpha)))
+    modes = _Couette(k, eta, alpha)
+    v1, v2, v3 = (np.abs(v) for v in modes.velocity(t))
+    umag = np.sqrt(sum(u * u for u in modes.transport(t)))
 
     c1 = float(np.max(v1 * jt**3)) / br**3
     c2 = float(np.max(v2 * jt**4)) / br**6

@@ -131,7 +131,8 @@ class WeightTable:
 
     The table is the one-row view of a ``_TableStack``, which builds every
     table: its fields are row 0 of the stack's, of length E + 1 (the peaks,
-    indexed from ell = 1, of length E).
+    indexed from ell = 1, of length E).  ``continuity_defect`` checks that
+    adjacent pieces meet, reading w from the stack's evaluator, not these fields.
     """
 
     def __init__(self, iota_abs: float, c_star: float):
@@ -160,33 +161,22 @@ class WeightTable:
         return np.exp(lift + nr)[()]
 
     def continuity_defect(self) -> float:
-        """Largest relative mismatch of adjacent piece formulas at the breakpoints.
+        """Largest jump of log w_NR or log w_R at a breakpoint t_0..t_E or a peak.
 
-        Computed on log w, where |delta log w| equals the relative jump of w
-        to leading order.
+        Read from ``_TableStack.pieces``, the evaluator every run uses.  At
+        each mark m and at s, one ulp below and one ulp above it, the defect
+        is |v(m) - v(s) - v'(s)(m - s)|, with v' the closed-form d/dt log w of
+        the same call.  Both sides are needed: ``pieces`` gives a mark the
+        formula of one side, so a jump shows only from the other.  The slope
+        term is needed: one ulp at t ~ 2e4, at slopes c* b up to about 2,
+        moves a continuous log w by up to about 2e-11.  On log w, |delta log w|
+        is the relative jump of w to leading order.
         """
-        worst = 0.0
-        for ell in range(1, self.ell_max + 1):
-            p = self.peaks[ell - 1]
-            top = self.t_ell[ell - 1]
-            bot = self.t_ell[ell]
-            scale = math.log(ell * ell / self.iota)
-            anchor_above = self.lv_break[ell - 1]
-            # right-half formula at the top endpoint vs the anchor above it
-            right_at_top = self.c_star * (scale + math.log(1.0 + self.b_ell[ell] * (top - p)))
-            worst = max(worst, abs(right_at_top))
-            # left/right formulas at the peak
-            worst = max(worst, abs(self.c_star * scale + anchor_above - self.lv_peak[ell]))
-            # left-half formula at the bottom endpoint vs the anchor below
-            ldepth = math.log(1.0 + self.a_ell[ell] * (p - bot))
-            left_at_bot = -(1.0 + self.c_star) * ldepth + self.lv_peak[ell]
-            worst = max(worst, abs(left_at_bot - self.lv_break[ell]))
-            # resonant branch meets w_NR at both interval endpoints
-            wr_top = scale + math.log(1.0 + self.b_ell[ell] * (top - p)) + right_at_top
-            worst = max(worst, abs(wr_top))
-            wr_bot = scale + ldepth + left_at_bot
-            worst = max(worst, abs(wr_bot - self.lv_break[ell]))
-        return worst
+        marks = np.concatenate([self.t_ell, self.peaks])
+        t = np.stack([marks, np.nextafter(marks, -math.inf), np.nextafter(marks, math.inf)])
+        _, (nr, lift), (d_nr, d_lift) = self._stack.pieces(0, t)
+        return max(float(np.abs(v[0] - v[1:] - dv[1:] * (t[0] - t[1:])).max())
+                   for v, dv in ((nr, d_nr), (lift + nr, d_lift + d_nr)))
 
 
 @lru_cache(maxsize=16384)

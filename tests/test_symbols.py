@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from strata.lattice import Lattice
+import strata.diagnostics as diagnostics
+from strata.config import SimConfig
+from strata.lattice import Lattice, SpectralField
+from strata.simulate import SimState, init_field, step_nonlinear
 from strata.symbols import (
+    _Couette,
     damping_antiderivative,
     damping_coeff,
     damping_integral,
@@ -173,6 +177,39 @@ class TestDamping:
         assert got.shape == (2, *lat.shape)
         assert got[1, 2, 3, 1] == pytest.approx(
             damping_antiderivative(7.0, 2.0, lat.eta[0, 3, 0], 1.0), rel=1e-15)
+
+
+class TestGPartsOnFirstUse:
+    """G's t-independent parts are formed by the first G call, not by the object."""
+
+    SHARED = {"k", "eta", "alpha", "kk", "aa", "ka"}    # what every symbol reads
+
+    def test_absent_until_the_first_G_call(self):
+        lat = Lattice(8, 16, 8)
+        modes = _Couette(lat.kx, lat.eta, lat.alpha)
+        modes.velocity(1.5), modes.transport(1.5), modes.rate(1.5)
+        assert vars(modes).keys() == self.SHARED
+        g = modes.G(1.5)
+        assert vars(modes).keys() == self.SHARED | {"_g_parts"}
+        assert np.array_equal(g, damping_antiderivative(1.5, lat.kx, lat.eta, lat.alpha))
+
+    def test_absent_from_a_core_less_row_plan(self):
+        lat = Lattice(8, 16, 8)
+        coeffs = np.random.default_rng(3).standard_normal(lat.shape) + 0j
+        coeffs[2:6] = 0.0
+        p = SimConfig().weight_params
+        diagnostics.compute_row(SimState(1.0, SpectralField(lat, coeffs)), p)
+        hits = diagnostics._support.cache_info().hits
+        plan = diagnostics._support(lat, p, np.packbits(coeffs.ravel() != 0).tobytes())
+        assert diagnostics._support.cache_info().hits == hits + 1    # the row's own plan
+        assert vars(plan.modes).keys() == self.SHARED
+
+    def test_absent_from_the_transforms_box(self):
+        cfg = SimConfig(nx=8, ny=16, nz=8, epsilon=0.5, recipe="random", init_kmax=2,
+                        mode="nonlinear")
+        core = step_nonlinear(init_field(cfg), 0.1, cfg.lattice.dealias_mask()).core
+        assert vars(core.modes).keys() == self.SHARED | {"_g_parts"}
+        assert vars(core.u.__self__).keys() == self.SHARED
 
 
 class TestZeroModeRate:

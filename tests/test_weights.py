@@ -394,6 +394,25 @@ class TestWeightValues:
             for cs in (0.5, 1.0, 2.0):
                 assert weight_table(iv, cs).continuity_defect() <= 1e-12
 
+    @pytest.mark.parametrize("tilt", [
+        # 1e-6 (t_{ell-1} - t): continuous at t_{ell-1}, a jump at the peak
+        lambda stack, ell, t: 1e-6 * (stack.t_ell[0, ell - 1] - t),
+        # 1e-6 (t - p) for ell >= 2: continuous at the peak, a jump at the
+        # interior breakpoint t_{ell-1}, which takes this formula
+        lambda stack, ell, t: np.where(ell >= 2, 1e-6 * (t - stack.peaks[0, ell]), 0.0),
+    ], ids=["peaks", "interior-breakpoints"])
+    def test_continuity_reads_the_evaluator(self, monkeypatch, tilt):
+        """A mutant of pieces that tilts the right halves breaks continuity."""
+        pieces = _TableStack.pieces
+
+        def mutant(stack, row, t):
+            ell, (nr, lift), rates = pieces(stack, row, t)
+            on = (ell > 0) & (t >= stack.peaks[row, ell])
+            return ell, (nr + np.where(on, tilt(stack, ell, t), 0.0), lift), rates
+
+        monkeypatch.setattr(_TableStack, "pieces", mutant)
+        assert weight_table(10.0, 1.0).continuity_defect() > 1e-9
+
     def test_monotone_on_active_range(self):
         for iv in (10.0, 55.0):
             table = weight_table(iv, 1.0)
