@@ -19,8 +19,10 @@ modes alone: the core's Couette symbols (or one ``symbols._Couette`` on
 the occupied modes) and a weight-table stack over the set's own |iota|.
 w_k and d/dt log w_k are evaluated once per row on the plan's groups, the
 distinct (|iota| row, resonant key) pairs of its modes, and gathered to
-the modes.  The sup0_s7 column is a max over single modes, so it reads
-|c|^2 without m.
+the modes.  From the stack's ``t_flat``, 2 max|iota|, on, w = 1 on every
+mode, so a row there evaluates no weights: 80 of the default linear run's
+101 rows (t >= 21).  The sup0_s7 column is a max over single modes, so it
+reads |c|^2 without m.
 
 A packed state is exactly real by construction, so its reality_err is 0.0
 with no check; a field without a core takes max|Im theta| / max|theta|
@@ -160,7 +162,11 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
     plan = _support(lat, p, modes)
     q, log_c2, x, y = plan.scratch
     n0, deta = plan.n0, lat.delta_eta
-    log_w, dlog_w, _ = plan.tables.mode_weights(t, *plan.groups)
+    # from the stack's largest 2|iota| on, every log w and d/dt log w is +0.0:
+    # subtracting it would leave every float as it is, and ck_w is 0.0
+    weighted = t < plan.tables.t_flat
+    if weighted:
+        log_w, dlog_w, _ = plan.tables.mode_weights(t, *plan.groups)
 
     # m|c|^2 and its log; the log from |c| instead when a |c|^2 underflowed,
     # overflowed or is NaN, so that a NaN drops out as a zero does
@@ -223,7 +229,8 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
         0.5 * float((zero_z + plan.a7).max(initial=-math.inf)))
 
     lg += plan.a1
-    lg -= np.take(2.0 * log_w, plan.group, out=y)    # A^sigma1 with J = 1/w
+    if weighted:
+        lg -= np.take(2.0 * log_w, plan.group, out=y)    # A^sigma1 with J = 1/w
     cols["gevb0_s1m2_l10"] = col(log_sum_exp(lg[:n0] + plan.b0), 0.0)
     cols["gev_s1_l10"] = col(log_sum_exp(lg, out=y), -1.5)
     # -lambda_dot = 0 (it underflows for a tiny delta_tilde) gives 0.0, as no mass does
@@ -231,7 +238,7 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
     cols["ck_lambda_l10"] = 0.0 if ck == 0.0 else col(
         log_sum_exp(np.add(lg, plan.s_log_l1, out=y)) + math.log(ck), -1.5, 2)
     # d_t w = 0 on every mode (as past the last critical time) gives 0.0
-    cols["ck_w_l10"] = 0.0 if not np.any(dlog_w > 0) else col(
+    cols["ck_w_l10"] = 0.0 if not (weighted and np.any(dlog_w > 0)) else col(
         log_sum_exp(np.add(lg, np.take(masked_log(dlog_w), plan.group, out=y), out=y)),
         -1.5, 2)
     return DiagnosticRow(**cols)

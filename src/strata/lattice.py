@@ -149,10 +149,11 @@ class Lattice:
         (the mean mode, the Nyquist corners) is its own partner.  Read-only.
         """
         nx, ny, nz = self.shape
-        ix, iy, iz = np.indices((nx, ny, nz // 2 + 1)).reshape(3, -1)
-        f = np.ravel_multi_index((ix, iy, iz), self.shape)
-        neg = np.ravel_multi_index((-ix % nx, -iy % ny, -iz % nz), self.shape)
-        member = (iz % (nz // 2) != 0) | (f <= neg)
+        ix, iy = np.arange(nx)[:, None, None], np.arange(ny)[:, None]
+        iz = np.arange(nz // 2 + 1)
+        f = ((ix * ny + iy) * nz + iz).ravel()
+        neg = (((-ix % nx) * ny + (-iy % ny)) * nz + (-iz % nz)).ravel()
+        member = np.broadcast_to(iz % (nz // 2) != 0, (nx, ny, iz.size)).ravel() | (f <= neg)
         f, neg = f[member], neg[member]
         f.flags.writeable = neg.flags.writeable = False
         return f, neg

@@ -13,8 +13,10 @@ A state is real by construction.  The initial field and the nonlinear step
 work on the kept modes (the dealias mask without Nyquist indices), and of
 each +-f pair among them only one member is stored, the one
 ``Lattice.pairs`` names; on the self-conjugate alpha = 0 plane too, where
-the mean mode is its own partner.  ``_Core.unpack`` writes every partner as
-the conjugate, so no step checks or repairs Hermitian symmetry.
+the mean mode is its own partner.  ``init_field`` evaluates its recipe
+only at the stored members and their partners.  ``_Core.unpack`` writes
+every partner as the conjugate, so no step checks or repairs Hermitian
+symmetry.
 
 A ``SimState`` is either a ``SpectralField`` with no core (a loaded
 checkpoint, a hand-built field) or the packed stored members with their
@@ -108,41 +110,48 @@ class NumericalAbort(RuntimeError):
 def init_field(cfg: SimConfig) -> SimState:
     """The packed initial state of a run, on the cached core of its dealias mask.
 
-    Every recipe sets full-lattice coefficients c with amplitudes decaying
-    like exp(-lambda_in |f|_1^s).  Each stored member f of the nonlinear
-    step's kept modes (the dealias mask without the Nyquist indices) takes
+    Every recipe sets coefficients c with amplitudes decaying like
+    exp(-lambda_in |f|_1^s).  Each stored member f of the nonlinear step's
+    kept modes (the dealias mask without the Nyquist indices) takes
     0.5 * (c(f) + conj c(-f)), and the mean mode 0; the values are then
     rescaled so the sigma=0 Gevrey norm at radius lambda_in of the whole
-    real field equals epsilon exactly.  A recipe that puts nothing on the
-    kept modes is a ``ConfigError``.
+    real field equals epsilon exactly.  c is evaluated only at the members
+    and their partners; the random recipe still draws its phases and
+    amplitudes on the whole lattice, so a seed gives the values of a
+    whole-lattice draw.  A recipe that puts nothing on the kept modes is a
+    ``ConfigError``.
     """
     lat = cfg.lattice
     core = _core(lat, lat.dealias_mask(cfg.dealias))
-    coeffs = np.zeros(lat.shape, dtype=np.complex128)
+    n = core.full_idx.size
     if cfg.epsilon == 0.0:
-        return SimState(0.0, core=core, packed=core.pack(coeffs))
-    decay = np.exp(-cfg.lambda_in * lat.l1 ** cfg.s)
-    support = np.ones(lat.shape, dtype=bool)
+        return SimState(0.0, core=core, packed=np.zeros(n, dtype=np.complex128))
+    # the members, then their partners
+    idx = np.concatenate([core.full_idx, core.neg_idx])
+    decay = np.exp(-cfg.lambda_in * lat.l1.ravel()[idx] ** cfg.s)
+    support = np.ones(idx.size, dtype=bool)
     if cfg.init_kmax > 0:
         # index-space cap on every axis; without it the spectral cascade fills
         # the envelope at fresh modes and the weighted-norm ratios measure the
         # filling instead of the dynamics
         kc = cfg.init_kmax
-        support &= ((np.abs(lat.kx) <= kc) & (np.abs(lat.jy) <= kc)
-                    & (np.abs(lat.alpha) <= kc))
+        ix, iy, iz = np.unravel_index(idx, lat.shape)
+        support &= ((np.abs(lat.kx.ravel()[ix]) <= kc) & (np.abs(lat.jy.ravel()[iy]) <= kc)
+                    & (np.abs(lat.alpha.ravel()[iz]) <= kc))
 
+    c = np.zeros(idx.size, dtype=np.complex128)
     if cfg.recipe == "single":
-        ix, jy, iz = 1, 1, 1
-        coeffs[ix, jy, iz] = decay[ix, jy, iz]
+        one = idx == np.ravel_multi_index((1, 1, 1), lat.shape)
+        c[one] = decay[one]
     elif cfg.recipe == "multimode":
-        coeffs[support] = decay[support]
+        c[support] = decay[support]
     else:  # random
         rng = np.random.default_rng(cfg.seed)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=lat.shape)
-        amps = rng.uniform(0.5, 1.0, size=lat.shape)
-        coeffs = np.where(support, amps * decay * np.exp(1j * phases), 0.0)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=lat.size)[idx]
+        amps = rng.uniform(0.5, 1.0, size=lat.size)[idx]
+        c = np.where(support, amps * decay * np.exp(1j * phases), 0.0)
 
-    kept = 0.5 * (core.pack(coeffs) + np.conj(coeffs.ravel()[core.neg_idx]))
+    kept = 0.5 * (c[:n] + np.conj(c[n:]))
     kept[core.mean] = 0.0
     if not np.any(kept):
         raise ConfigError(f"init recipe {cfg.recipe!r} puts nothing on the kept modes")

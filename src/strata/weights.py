@@ -208,7 +208,8 @@ class _TableStack:
     holds t_0 = 2|iota|, the anchor log w_NR(t_0) = 0 and nan in the other
     fields.  Breakpoints past a row's E are +inf, so counting those below t
     finds a row's interval.  The last row, beyond 2|iota| at every t, gives
-    w = 1 to |iota| <= 1.
+    w = 1 to |iota| <= 1.  ``t_flat`` is the largest 2|iota| of the stack
+    (-inf with no |iota| > 1): from there on every log w and d/dt log w is +0.0.
     """
 
     def __init__(self, iv, c_star: float):
@@ -250,6 +251,7 @@ class _TableStack:
         self.ell_max = np.append(E, 0)
         at_floor = np.arange(vals.size + 1), self.ell_max
         self.t_last, self.log_floor = self.t_ell[at_floor], self.lv_break[at_floor]
+        self.t_flat = float(self.t_ell[:, 0].max())
 
     def pieces(self, row, t):
         """Interval index, the (w_NR, w_R - w_NR) parts of log w, and of d/dt log w.

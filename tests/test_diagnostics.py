@@ -467,6 +467,55 @@ def test_rows_make_one_stacked_weight_evaluation(monkeypatch):
     assert lattice_weights.cache_info().misses == 0
 
 
+def _at(state, t):
+    """The same coefficients as ``state``, at time t."""
+    if state.core is None:
+        return SimState(t, state.field.copy())
+    return SimState(t, core=state.core, packed=state.packed.copy())
+
+
+def _plan(state, p):
+    """The row plan compute_row builds for ``state``."""
+    if state.core is not None:
+        return diagnostics._support(state.core.lattice, p, state.core)
+    occupied = state.field.coeffs.ravel() != 0
+    return diagnostics._support(state.field.lattice, p, np.packbits(occupied).tobytes())
+
+
+@pytest.mark.parametrize("make, t_flat", [
+    (lambda: init_field(SimConfig()), 21.0),
+    (lambda: init_field(SimConfig(nx=8, ny=16, nz=8, recipe="multimode")), None),
+    (lambda: _unpacked(step_linear(init_field(SimConfig(nx=8, ny=16, nz=8)), 2.0)), None),
+], ids=["default-linear", "multimode-8x16x8", "coreless-8x16x8"])
+def test_rows_past_the_last_critical_time_skip_the_weights(monkeypatch, make, t_flat):
+    # from the plan's largest 2|iota| on w = 1 on every mode: a row there
+    # evaluates no weights and reads, value for value, as one that does
+    p = WeightParams()
+    start = make()
+    tables = _plan(start, p).tables
+    assert tables.t_flat == 2.0 * tables.vals.max()
+    if t_flat is not None:     # the default run's largest |iota| is 10.5
+        assert tables.t_flat == t_flat
+    times = (np.nextafter(tables.t_flat, -math.inf), tables.t_flat, tables.t_flat + 0.5, 100.0)
+    states = [_at(start, t) for t in times]
+    mode_weights, calls = _TableStack.mode_weights, []
+
+    def counted(self, t, row, key):
+        calls.append(t)
+        return mode_weights(self, t, row, key)
+
+    monkeypatch.setattr(_TableStack, "mode_weights", counted)
+    rows = [compute_row(state, p) for state in states]
+    assert calls == [times[0]]
+    monkeypatch.setattr(tables, "t_flat", math.inf)
+    for state, row in zip(states, rows):
+        full = compute_row(state, p)
+        assert [repr(v) for v in row.values()] == [repr(v) for v in full.values()], state.t
+    assert calls == [times[0], *times]
+    # a stack with no |iota| > 1 is flat from t = -inf on
+    assert _TableStack(np.array([0.5, -1.0]), p.c_star).t_flat == -math.inf
+
+
 def test_packed_plan_holds_the_cores_symbols():
     cfg = SimConfig(nx=8, ny=16, nz=8)
     start = init_field(cfg)

@@ -165,6 +165,21 @@ class TestSpectralField:
         seen = np.concatenate((f, neg[~own]))
         assert np.array_equal(np.sort(seen), np.arange(lat.size))
 
+    @pytest.mark.parametrize("shape", [(32, 128, 32), (8, 16, 8), (4, 6, 2), (2, 2, 2),
+                                       (2, 4, 6)])
+    def test_pairs_match_the_indices_construction(self, shape):
+        # the grid of np.indices over the rfft half and ravel_multi_index of
+        # f and -f: the construction pairs replaced, bit for bit
+        nx, ny, nz = shape
+        ix, iy, iz = np.indices((nx, ny, nz // 2 + 1)).reshape(3, -1)
+        f = np.ravel_multi_index((ix, iy, iz), shape)
+        neg = np.ravel_multi_index((-ix % nx, -iy % ny, -iz % nz), shape)
+        member = (iz % (nz // 2) != 0) | (f <= neg)
+        got = Lattice(*shape).pairs
+        for g, want in zip(got, (f[member], neg[member])):
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+            assert not g.flags.writeable
+
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_l2_is_the_plancherel_norm(self, hermitian):
         lat = Lattice(8, 16, 8)

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 import strata.simulate as simulate
 from _distance import theta_distance_log
 from _hermitian import hermitian_defect, symmetrized
+from _init_oracle import packed_init
 from strata.config import ConfigError, SimConfig, default_config_text
 from strata.diagnostics import compute_row
 from strata.lattice import Lattice, SpectralField
@@ -303,6 +304,36 @@ class TestInitField:
                         got = init_field(cfg).field.coeffs
                         want = _reference_init_field(cfg).field.coeffs
                         assert got.tobytes() == want.tobytes(), cfg
+
+    @pytest.mark.parametrize("shape", [(32, 128, 32), (8, 16, 8)])
+    @pytest.mark.parametrize("recipe", ["single", "multimode", "random"])
+    def test_packed_values_match_the_full_lattice_construction(self, shape, recipe):
+        # init_field evaluates the recipe at the members and their partners
+        # only; the oracle builds the whole lattice and packs after
+        nx, ny, nz = shape
+        seeds = (0, 7) if recipe == "random" else (0,)
+        cases = [dict(init_kmax=kmax, dealias=dealias, seed=seed, s=s)
+                 for kmax in (0, 3) for dealias in (2.0 / 3.0, 1.0) for seed in seeds
+                 for s in (1.0, 0.75)] + [dict(epsilon=0.0)]
+        for case in cases:
+            cfg = SimConfig(nx=nx, ny=ny, nz=nz, recipe=recipe, **case)
+            assert init_field(cfg).packed.tobytes() == packed_init(cfg).tobytes(), case
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 6, 2)])
+    @pytest.mark.parametrize("recipe", ["single", "multimode", "random"])
+    def test_empty_recipes_raise_as_the_full_lattice_construction(self, shape, recipe):
+        # 2x2x2 keeps only the mean mode, 4x6x2 only the alpha = 0 plane
+        nx, ny, nz = shape
+        for dealias in (2.0 / 3.0, 1.0):
+            cfg = SimConfig(nx=nx, ny=ny, nz=nz, recipe=recipe, dealias=dealias)
+            try:
+                want = packed_init(cfg)
+            except ConfigError as exc:
+                with pytest.raises(ConfigError, match="puts nothing on the kept modes"):
+                    init_field(cfg)
+                assert "puts nothing on the kept modes" in str(exc)
+            else:
+                assert init_field(cfg).packed.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("step", [step_linear, step_nonlinear])
