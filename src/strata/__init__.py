@@ -10,7 +10,7 @@ import numpy.random  # noqa: F401
 
 from .config import ConfigError, SimConfig, default_config_text
 from .diagnostics import DiagnosticRow, compute_row
-from .lattice import Lattice, SpectralField, bracket, efloor, iota, l1_norm
+from .lattice import Lattice, SpectralField, iota, l1_norm
 from .simulate import (
     NumericalAbort,
     SimState,
@@ -70,8 +70,6 @@ __all__ = [
     "compute_row",
     "Lattice",
     "SpectralField",
-    "bracket",
-    "efloor",
     "iota",
     "l1_norm",
     "NumericalAbort",

@@ -21,6 +21,7 @@ import locale  # noqa: F401  (argparse's gettext loads it at main's first parser
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .weights import WeightParams, ratio_lemma_sweep, total_growth_check, weight
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
+_STAMP = "%Y-%m-%dT%H:%M:%S"    # a manifest's started and finished times
 
 # the arguments each toy model and weights action reads, recorded in its manifest
 _TOY_ARGS = {"orr": ("k", "kappa"), "zeromode": ("tmax",), "liftup": ("tmax", "epsilon"),
@@ -137,11 +139,11 @@ class _RunRecord:
     def __init__(self, args, command: str, seed: int, config_text: str,
                  extra: dict | None = None):
         self.out = args.out or os.environ.get("STRATA_OUT") or "."
-        self.name = RunManifest.name_for(command)
+        self.name = f"{command}_manifest.ini"
         os.makedirs(self.out, exist_ok=True)
         self.manifest = RunManifest(command=command, seed=seed, version=__version__,
-                                    config_text=config_text, extra=extra or {})
-        self.manifest.stamp_start()
+                                    config_text=config_text, extra=extra or {},
+                                    started=time.strftime(_STAMP))
         self.manifest.write(os.path.join(self.out, self.name))
 
     def csv(self, name: str, header: list[str], rows) -> None:
@@ -162,7 +164,7 @@ class _RunRecord:
     def finish(self, completed: bool = True) -> None:
         """Rewrite the manifest; only a completed run gets its ``finished`` stamp."""
         if completed:
-            self.manifest.stamp_finish()
+            self.manifest.finished = time.strftime(_STAMP)
         self.manifest.write(os.path.join(self.out, self.name))
 
 
@@ -237,6 +239,9 @@ def _check_toy_args(args) -> None:
                           f"got {args.kappa}, {args.epsilon}")
     if not 0.0 < args.tmax < math.inf:
         raise ConfigError(f"--tmax must be positive and finite, got {args.tmax}")
+    if args.model == "liftup" and (args.epsilon == 0.0 or args.tmax == 10.0):
+        raise ConfigError(f"liftup needs --epsilon != 0 and --tmax != 10, its time grid's "
+                          f"start; got {args.epsilon}, {args.tmax}")
     if not all(0.0 <= m < math.inf for m in args.m):
         raise ConfigError(f"--m values must be nonnegative and finite, got {args.m}")
 

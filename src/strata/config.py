@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .lattice import Lattice
-from .weights import _DEFAULT_SIGMAS, WeightParams
+from .weights import WeightParams
 
 __all__ = ["ConfigError", "SimConfig", "default_config_text"]
 
@@ -42,13 +42,13 @@ class SimConfig:
     seed: int = 0
     lambda_in: float = 0.5
     init_kmax: int = 0                # index cap per axis; 0 = full dealias support
-    # [weights]
-    c_star: float = 1.0
-    s: float = 1.0
-    lambda_inf: float = 0.1
-    delta_tilde: float = 0.05
-    a: float = 0.1
-    sigmas: tuple[float, ...] = _DEFAULT_SIGMAS
+    # [weights], with WeightParams' defaults
+    c_star: float = WeightParams.c_star
+    s: float = WeightParams.s
+    lambda_inf: float = WeightParams.lambda_inf
+    delta_tilde: float = WeightParams.delta_tilde
+    a: float = WeightParams.a
+    sigmas: tuple[float, ...] = WeightParams.sigmas
 
     def __post_init__(self):
         floats = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]

@@ -194,9 +194,10 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
     q /= d2
     q /= d2                                         # m|c|^2 / D^4
     em2 *= q
-    sums = {"u1_l2": np.dot(sym.kk, em2), "u2_zero_l2": np.dot(plan.ka2[:n0], q[:n0]),
-            "u2_nonzero_l2": np.dot(plan.ka2[n0:], q[n0:]), "u3_l2": np.dot(sym.aa, em2),
-            "theta_l2": total}
+    # einsum, not np.dot: BLAS's rounding depends on its thread count
+    pairs = {"u1_l2": (sym.kk, em2), "u2_zero_l2": (plan.ka2[:n0], q[:n0]),
+             "u2_nonzero_l2": (plan.ka2[n0:], q[n0:]), "u3_l2": (sym.aa, em2)}
+    sums = {name: np.einsum("i,i->", *ab) for name, ab in pairs.items()} | {"theta_l2": total}
     cols = {name: math.sqrt(deta * float(s)) for name, s in sums.items()}
     # a packed state is exactly real; a field without a core may be neither
     # real nor summed in l2's order

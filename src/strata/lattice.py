@@ -26,9 +26,7 @@ import numpy as np
 from .symbols import zero_mode_rate
 
 __all__ = [
-    "efloor",
     "l1_norm",
-    "bracket",
     "iota",
     "iota_lipschitz_ok",
     "Lattice",
@@ -36,20 +34,8 @@ __all__ = [
 ]
 
 
-def efloor(x: float) -> int:
-    """Integer floor of a nonnegative real."""
-    if x < 0:
-        raise ValueError(f"efloor expects a nonnegative argument, got {x}")
-    return int(math.floor(x))
-
-
 def l1_norm(k: float, eta: float, alpha: float) -> float:
     return abs(k) + abs(eta) + abs(alpha)
-
-
-def bracket(k: float, eta: float = 0.0, alpha: float = 0.0) -> float:
-    """Japanese bracket sqrt(1 + k^2 + eta^2 + alpha^2)."""
-    return math.sqrt(1.0 + k * k + eta * eta + alpha * alpha)
 
 
 def iota(k, eta, alpha):
@@ -133,10 +119,6 @@ class Lattice:
     @cached_property
     def log_brackets(self) -> np.ndarray:
         return np.log(np.sqrt(1.0 + self.kx**2 + self.eta**2 + self.alpha**2))
-
-    @cached_property
-    def iota_vals(self) -> np.ndarray:
-        return iota(self.kx, self.eta, self.alpha)
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:

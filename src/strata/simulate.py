@@ -27,10 +27,11 @@ on the packed modes (G at the start time cached on the core),
 ``diagnostics.compute_row`` reduces over them.  A packed state's field is
 unpacked once, when first read, and is read-only.
 
-The core holds two such symbol objects, with their t-independent parts
-formed once: G on the packed modes (``_Core.modes``) and the transport
-velocity u on the transforms' box (``_Core.u``); the nonlinear step
-evaluates both once per distinct stage time.  Each RK stage's product is
+The core holds one such symbol object, on the packed modes
+(``_Core.modes``), with G's t-independent parts formed once; the transport
+velocity u on the transforms' box is ``symbols.transport_symbol`` of the
+box's broadcast axes (``_Core.u``).  The nonlinear step evaluates G and u
+once per distinct stage time.  Each RK stage's product is
 formed with six inverse and one forward ``numpy.fft`` transform, pruned to
 the 1-D lines that carry content: the kept modes have signed y and z
 indices below cuts c_y and c_z, so the x pass runs over those (y, z) lines
@@ -51,8 +52,7 @@ import numpy as np
 
 from .config import ConfigError, SimConfig
 from .lattice import Lattice, SpectralField
-from .symbols import _Couette
-from .symbols import transport_symbol  # noqa: F401  (the benchmark tracer wraps it here)
+from .symbols import _Couette, damping_integral, transport_symbol
 
 __all__ = [
     "SimState",
@@ -164,13 +164,11 @@ def init_field(cfg: SimConfig) -> SimState:
 
 
 def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
-    """Per-mode exp(-integral of the damping coefficient over [t0, t1]).
+    """Per-mode exp(-integral of the damping coefficient over [t0, t1]), t0 <= t1.
 
-    Formed as exp(G(t0) - G(t1)) from one ``symbols._Couette`` on the
-    lattice; the mean mode and an empty interval give factor 1 exactly.
+    The mean mode and an empty interval give factor 1 exactly.
     """
-    modes = _Couette(lat.kx, lat.eta, lat.alpha)
-    return np.exp(modes.G(t0) - modes.G(t1))
+    return np.exp(-damping_integral(t0, t1, lat.kx, lat.eta, lat.alpha))
 
 
 def step_linear(state: SimState, dt: float) -> SimState:
@@ -200,9 +198,9 @@ class _Core:
     order (so the k = 0 modes come first): every alpha > 0 mode, and one
     member of each pair on the alpha = 0 plane, where the mean mode is its
     own partner.  ``neg_idx`` is the flat full-lattice index of -f for each
-    packed f.  ``modes`` is the Couette symbol object on the packed modes,
-    whose G is ``g``; ``u`` is the transport velocity of a second one, on
-    the transforms' box.
+    packed f.  ``modes`` is the one Couette symbol object, on the packed
+    modes, whose G is ``g``; ``u`` is the transport velocity on the
+    transforms' box, evaluated from its axes at each call.
     """
 
     def __init__(self, lat: Lattice, mask: np.ndarray | None):
@@ -210,8 +208,6 @@ class _Core:
         keep = np.ones(lat.shape, dtype=bool) if mask is None else mask.copy()
         keep[nx // 2] = keep[:, ny // 2] = keep[:, :, nz // 2] = False
         self.lattice = lat
-        self.shape = lat.shape
-        self.size = lat.size
         members, partners = lat.pairs
         kept = keep.ravel()[members]
         self.full_idx, self.neg_idx = members[kept], partners[kept]
@@ -238,15 +234,18 @@ class _Core:
         self.box = (lat.kx[np.r_[:cx, nx - cx + 1:nx]], lat.eta[:, np.r_[:cy, ny - cy + 1:ny]],
                     lat.alpha[..., :self.cut[2]])
         self.grad = tuple(np.broadcast_to(1j * v, box_shape) for v in self.box)
-        self.u = _Couette(*self.box).transport
 
         def x_at(jx, jy, jz):
             return np.ravel_multi_index((jx, np.where(jy < cy, jy, jy - ny + 2 * cy - 1), jz),
                                         self.x_shape)
 
         self.x_idx = x_at(ix, iy, iz)
-        self.x_mirror = x_at(-ix[self.plane] % nx, -iy[self.plane] % ny, 0)
+        self.x_mirror = x_at(*np.unravel_index(self.neg_idx[self.plane], lat.shape))
         self._g_start = (None, None)
+
+    def u(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The transport velocity at t on the transforms' box."""
+        return transport_symbol(t, *self.box)
 
     def g_start(self, t: float) -> np.ndarray:
         """Read-only G at t, kept for the last t asked: a linear run's start time."""
@@ -268,10 +267,10 @@ class _Core:
         Adding +0 makes the conjugate of a zero +0, as the symmetrization
         0.5 * (c(f) + conj c(-f)) gives.
         """
-        out = np.zeros(self.size, dtype=np.complex128)
+        out = np.zeros(self.lattice.size, dtype=np.complex128)
         out[self.neg_idx] = np.conj(packed) + 0.0
         out[self.full_idx] = packed
-        return out.reshape(self.shape)
+        return out.reshape(self.lattice.shape)
 
     def workspace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Zero buffers in the x pass's layout, for the coefficients and for
@@ -280,14 +279,14 @@ class _Core:
         partners, the box's x ranges and the kept y ranges, so they stay
         zero-padded.
         """
-        nx, ny, _ = self.shape
+        nx, ny, _ = self.lattice.shape
         return (np.zeros(self.x_shape, dtype=np.complex128),
                 np.zeros(self.x_shape, dtype=np.complex128),
                 np.zeros((nx, ny, self.cut[2]), dtype=np.complex128))
 
     def rhs(self, c: np.ndarray, u, work) -> np.ndarray:
         """Packed -(u . grad theta) for packed c and symbols u on the box; mean mode zeroed."""
-        nx, ny, nz = self.shape
+        nx, ny, nz = self.lattice.shape
         cx, cy, cz = self.cut
         coeffs, wide_x, wide_xy = work
         flat = coeffs.reshape(-1)

@@ -20,7 +20,6 @@ import io
 import math
 import os
 import struct
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +152,6 @@ class RunManifest:
     finished: str = ""
     extra: dict = field(default_factory=dict)
 
-    @staticmethod
-    def name_for(command: str) -> str:
-        return f"{command}_manifest.ini"
-
     def write(self, path) -> None:
         buf = io.StringIO()
         buf.write("[run]\n")
@@ -176,9 +171,3 @@ class RunManifest:
                 buf.write(f"{line}\n")
         buf.write("\n")
         _atomic_write_text(path, buf.getvalue())
-
-    def stamp_start(self) -> None:
-        self.started = time.strftime("%Y-%m-%dT%H:%M:%S")
-
-    def stamp_finish(self) -> None:
-        self.finished = time.strftime("%Y-%m-%dT%H:%M:%S")

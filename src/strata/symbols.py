@@ -8,9 +8,10 @@ modes.  The parts that do not depend on t are formed once per object, G's
 on its first call, so an object that never integrates the damping holds
 none of them.  ``velocity_symbol``, ``transport_symbol``, ``damping_coeff``,
 ``damping_antiderivative`` and ``damping_integral`` are each one call on
-it.  ``simulate`` holds one on its packed modes and one on its transforms'
-box; a diagnostic row plan reads the former, or builds one on a field's
-occupied modes.  All functions accept scalars or broadcastable numpy arrays
+it.  ``simulate``'s core holds one, on its packed modes, and evaluates the
+transport velocity on its transforms' box through ``transport_symbol``; a
+diagnostic row plan reads the core's, or builds one on a field's occupied
+modes.  All functions accept scalars or broadcastable numpy arrays
 and assign the excluded (0,0,0) mode the value zero.
 
 The velocity, transport and damping symbols share one 1/D^2 multiplier,

@@ -131,11 +131,10 @@ class ZeroModeReport:
     t_at_sup: float
 
 
-def zero_mode_solution(t: float, sigma: float, theta0: float = 1.0,
-                       forced: bool = True) -> float:
-    """Exact variation-of-constants solution of theta' + sigma theta = <tau>^-3."""
-    hom = theta0 * math.exp(-sigma * t)
-    if not forced or t == 0.0:
+def zero_mode_solution(t: float, sigma: float) -> float:
+    """Exact variation-of-constants solution of theta' + sigma theta = <tau>^-3, theta(0) = 1."""
+    hom = math.exp(-sigma * t)
+    if t == 0.0:
         return hom
     from scipy.integrate import quad
 

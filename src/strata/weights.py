@@ -53,9 +53,6 @@ __all__ = [
     "ratio_lemma_sweep",
 ]
 
-_DEFAULT_SIGMAS = (212.0, 182.0, 152.0, 122.0, 92.0, 62.0, 32.0)
-
-
 @dataclass(frozen=True)
 class WeightParams:
     """Constants of the multiplier machinery.
@@ -71,7 +68,7 @@ class WeightParams:
     lambda_inf: float = 0.1
     delta_tilde: float = 0.05
     a: float = 0.1
-    sigmas: tuple[float, ...] = _DEFAULT_SIGMAS
+    sigmas: tuple[float, ...] = (212.0, 182.0, 152.0, 122.0, 92.0, 62.0, 32.0)
 
     def __post_init__(self):
         values = (self.c_star, self.s, self.lambda_inf, self.delta_tilde, self.a, *self.sigmas)
@@ -147,10 +144,6 @@ class WeightTable:
             for name in ("t_ell", "b_ell", "a_ell", "lv_break", "lv_peak", "resonant"))
         self.peaks = stack.peaks[0, 1:E + 1]
         self.log_floor = stack.log_floor[0]
-
-    @property
-    def floor_value(self) -> float:
-        return math.exp(self.log_floor)
 
     def wnr(self, t):
         return np.exp(self._stack.pieces(0, t)[1][0])[()]
@@ -352,19 +345,16 @@ class LatticeWeights:
     """Vectorized w_k evaluation over a lattice, from one stack of its weight tables."""
 
     def __init__(self, lattice: Lattice, params: WeightParams):
-        self.lattice = lattice
-        self.tables = _TableStack(lattice.iota_vals, params.c_star)
-
-    def _eval(self, t: float):
-        lat = self.lattice
-        return self.tables.mode_weights(t, *self.tables.modes(lat.kx, lat.iota_vals))
+        iv = iota(lattice.kx, lattice.eta, lattice.alpha)
+        self.tables = _TableStack(iv, params.c_star)
+        self.groups = self.tables.modes(lattice.kx, iv)
 
     def log_w(self, t: float) -> np.ndarray:
-        return self._eval(t)[0]
+        return self.tables.mode_weights(t, *self.groups)[0]
 
     def dlogw_dt(self, t: float) -> np.ndarray:
         """Closed-form d/dt log w_k: nonnegative, zero where w is constant."""
-        return self._eval(t)[1]
+        return self.tables.mode_weights(t, *self.groups)[1]
 
 
 @lru_cache(maxsize=8)
@@ -428,16 +418,15 @@ class TotalGrowthReport:
         return self.passed
 
 
-def total_growth_check(iota_max: float, p: WeightParams,
-                       n_grid: int = 400) -> TotalGrowthReport:
+def total_growth_check(iota_max: float, p: WeightParams) -> TotalGrowthReport:
     """Sweep the total-growth bound 1/w(0,iota) <= K e^{(mu/2) sqrt(iota)}; K <= 10 passes.
 
-    Uses a log grid on (1, iota_max] plus the integers below 100 where the
-    interval structure changes fastest.
+    Uses a 400-point log grid on (1, iota_max] plus the integers below 100
+    where the interval structure changes fastest.
     """
     if iota_max <= 1.0:
         raise ValueError("iota_max must exceed 1")
-    grid = set(np.geomspace(1.001, iota_max, n_grid).tolist())
+    grid = set(np.geomspace(1.001, iota_max, 400).tolist())
     grid.update(float(i) for i in range(2, min(101, int(iota_max) + 1)))
     grid.update([float(iota_max)])
     vals = np.array(sorted(grid))

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,7 +391,7 @@ def test_oracle_rows_cover_the_resonant_and_the_late_regime():
     states = _run_states(cfg)
     core, lat, p = states[0].core, cfg.lattice, cfg.weight_params
     tables = lattice_weights(lat, p).tables
-    modes = tables.modes(core.modes.k, lat.iota_vals.ravel()[core.full_idx])
+    modes = tables.modes(core.modes.k, iota(lat.kx, lat.eta, lat.alpha).ravel()[core.full_idx])
     rising = [np.any(use & (d > 0)) for _, d, use in
               (tables.mode_weights(s.t, *modes) for s in states)]
     assert sum(rising) >= 5
@@ -598,3 +602,28 @@ def test_alpha_zero_pair_columns_in_closed_form(t):
     assert row.sup0_s7_l10 == pytest.approx(math.log10(1.0 + sup), rel=1e-12)
     for name in ("gev0_s2_l10", "gev0_s4_l10", "gev0_s6_l10", "ck_w_l10"):
         assert getattr(row, name) == 0.0, name
+
+
+def test_rows_do_not_depend_on_the_blas_thread_count():
+    # fresh interpreters, as OpenBLAS reads its thread count at load; the
+    # default config's start state and its exact linear state at t = 30
+    script = (
+        "from strata.config import SimConfig\n"
+        "from strata.diagnostics import compute_row\n"
+        "from strata.simulate import init_field, step_linear\n"
+        "cfg = SimConfig()\n"
+        "start = init_field(cfg)\n"
+        "for st in (start, step_linear(start, 30.0)):\n"
+        "    print(repr(compute_row(st, cfg.weight_params).values()))\n"
+    )
+    src = str(Path(diagnostics.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.splitlines())
+    assert len(out[0]) == 2
+    assert out[0] == out[1]

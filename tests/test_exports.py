@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -18,6 +19,31 @@ def test_every_export_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
     assert missing == []
+
+
+# imports kept for their side effect or as a name the benchmark tracer patches
+UNREAD_IMPORTS = {
+    "strata": {"numpy"},    # numpy.fft, numpy.ma and numpy.random load with the package
+    "strata.cli": {"locale"},
+    "strata.diagnostics": {"velocity_symbol", "lattice_weights", "log_weighted_l2"},
+}
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_no_unread_module_level_import(module_name):
+    # a module-level import that nothing reads and that is not exported is dead
+    module = importlib.import_module(module_name)
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Load)}
+    unread = imported - read - set(getattr(module, "__all__", ()))
+    assert unread == UNREAD_IMPORTS.get(module_name, set())
 
 
 def test_import_leaves_scipy_integrate_to_the_first_toy_integration():

@@ -9,29 +9,21 @@ from _hermitian import hermitian_defect, symmetrized
 from strata.lattice import (
     Lattice,
     SpectralField,
-    bracket,
-    efloor,
     iota,
     iota_lipschitz_ok,
     l1_norm,
 )
 
 
-def test_efloor():
-    assert efloor(0.0) == 0
-    assert efloor(3.99) == 3
-    assert efloor(math.sqrt(10)) == 3
-    with pytest.raises(ValueError):
-        efloor(-0.1)
-
-
 def test_l1_and_bracket():
+    # the bracket sqrt(1 + k^2 + eta^2 + alpha^2) as the lattice spells it, in log
+    log_br = Lattice(4, 8, 4, ly=2.0 * math.pi).log_brackets    # eta = j
     assert l1_norm(0, 0.0, 0) == 0.0
-    assert bracket(0, 0.0, 0) == 1.0
+    assert log_br[0, 0, 0] == 0.0
     assert l1_norm(1, 2.0, 0) == 3.0
-    assert bracket(1, 2.0, 0) == pytest.approx(math.sqrt(6), rel=1e-15)
+    assert log_br[1, 2, 0] == pytest.approx(math.log(math.sqrt(6)), rel=1e-15)
     assert l1_norm(-1, -2.0, 0) == l1_norm(1, 2.0, 0)
-    assert bracket(-1, -2.0, 0) == bracket(1, 2.0, 0)
+    assert log_br[-1, -2, 0] == log_br[1, 2, 0]
 
 
 def test_iota_cases():
@@ -106,7 +98,7 @@ class TestLattice:
         E = np.broadcast_to(lat.eta, lat.shape)
         A = np.broadcast_to(lat.alpha, lat.shape)
         for idx in [(0, 0, 0), (1, 3, 2), (3, 15, 1), (4, 8, 4), (2, 2, 2)]:
-            assert lat.iota_vals[idx] == iota(K[idx], E[idx], A[idx])
+            assert iota(lat.kx, lat.eta, lat.alpha)[idx] == iota(K[idx], E[idx], A[idx])
 
     def test_dealias_mask(self):
         lat = Lattice(16, 16, 16)

@@ -803,6 +803,24 @@ class TestNonlinearStep:
         assert got.core is st.core
         assert got.packed.tobytes() == want.tobytes()
 
+    def test_step_evaluates_the_public_transport_symbol_at_each_stage_time(self, monkeypatch):
+        # the core reads transport_symbol from the module at each call, so a
+        # wrapper installed there sees every evaluation of the step
+        cfg = SimConfig(**SMALL, epsilon=0.1, init_kmax=2, mode="nonlinear")
+        mask = cfg.lattice.dealias_mask()
+        st = step_nonlinear(init_field(cfg), 0.1, mask)
+        want = step_nonlinear(st, 0.25, mask).packed
+        times = []
+
+        def counting(t, *box):
+            times.append(t)
+            return transport_symbol(t, *box)
+
+        monkeypatch.setattr(simulate, "transport_symbol", counting)
+        got = step_nonlinear(st, 0.25, mask)
+        assert times == [st.t, st.t + 0.125, st.t + 0.25]
+        assert got.packed.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
     def test_stepping_with_a_core_equals_stepping_without(self, fraction):
         # the packed values a state carries are the ones packing its field gives

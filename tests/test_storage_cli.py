@@ -421,6 +421,8 @@ output_every = 1.0
         ["semigroup", "--m", "-1"],
         ["semigroup", "--m", "0", "inf"],
         ["liftup", "--seed", "-1"],
+        ["liftup", "--epsilon", "0"],
+        ["liftup", "--tmax", "10"],
     ])
     def test_toy_argument_errors_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "toy"
