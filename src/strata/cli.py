@@ -239,9 +239,11 @@ def _check_toy_args(args) -> None:
                           f"got {args.kappa}, {args.epsilon}")
     if not 0.0 < args.tmax < math.inf:
         raise ConfigError(f"--tmax must be positive and finite, got {args.tmax}")
-    if args.model == "liftup" and (args.epsilon == 0.0 or args.tmax == 10.0):
-        raise ConfigError(f"liftup needs --epsilon != 0 and --tmax != 10, its time grid's "
-                          f"start; got {args.epsilon}, {args.tmax}")
+    # within these bounds the envelope, eps^2 times 10.2..8001, is a normal float
+    if args.model == "liftup" and (not 1e-150 <= abs(args.epsilon) <= 1e150
+                                   or args.tmax == 10.0):
+        raise ConfigError(f"liftup needs 1e-150 <= |--epsilon| <= 1e150 and --tmax != 10, "
+                          f"its time grid's start; got {args.epsilon}, {args.tmax}")
     if not all(0.0 <= m < math.inf for m in args.m):
         raise ConfigError(f"--m values must be nonnegative and finite, got {args.m}")
 

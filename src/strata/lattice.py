@@ -149,9 +149,9 @@ class Lattice:
         above 2/3 keep the naive cut and accept aliasing.
 
         Only fraction 1 keeps each axis's Nyquist index n/2.  The nonlinear
-        step drops those modes, as it does for ``mask=None`` (all modes): the
-        gradient symbol i*k has no Hermitian partner there.  Every fraction
-        below 1 excludes them already.
+        step, whose kept modes are this mask of its fraction, drops them at
+        fraction 1 too: the gradient symbol i*k has no Hermitian partner
+        there.  Every fraction below 1 excludes them already.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"dealias fraction must lie in (0, 1], got {fraction}")

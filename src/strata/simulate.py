@@ -10,7 +10,7 @@ antiderivative of the one Couette symbol object, ``symbols._Couette``,
 which the public symbols evaluate too.
 
 A state is real by construction.  The initial field and the nonlinear step
-work on the kept modes (the dealias mask without Nyquist indices), and of
+work on the kept modes (a dealias fraction's mask less Nyquist), and of
 each +-f pair among them only one member is stored, the one
 ``Lattice.pairs`` names; on the self-conjugate alpha = 0 plane too, where
 the mean mode is its own partner.  ``init_field`` evaluates its recipe
@@ -20,7 +20,7 @@ symmetry.
 
 A ``SimState`` is either a ``SpectralField`` with no core (a loaded
 checkpoint, a hand-built field) or the packed stored members with their
-``_Core``, the cached core of a dealias mask.  Every state a run makes is
+``_Core``, the cached core of a dealias fraction.  Every state a run makes is
 packed, from ``init_field`` on: ``step_linear`` maps packed to packed with G
 on the packed modes (G at the start time cached on the core),
 ``step_nonlinear`` advances the packed values, and
@@ -108,11 +108,11 @@ class NumericalAbort(RuntimeError):
 
 
 def init_field(cfg: SimConfig) -> SimState:
-    """The packed initial state of a run, on the cached core of its dealias mask.
+    """The packed initial state of a run, on the cached core of its dealias fraction.
 
     Every recipe sets coefficients c with amplitudes decaying like
     exp(-lambda_in |f|_1^s).  Each stored member f of the nonlinear step's
-    kept modes (the dealias mask without the Nyquist indices) takes
+    kept modes (see ``_Core``) takes
     0.5 * (c(f) + conj c(-f)), and the mean mode 0; the values are then
     rescaled so the sigma=0 Gevrey norm at radius lambda_in of the whole
     real field equals epsilon exactly.  c is evaluated only at the members
@@ -122,7 +122,7 @@ def init_field(cfg: SimConfig) -> SimState:
     ``ConfigError``.
     """
     lat = cfg.lattice
-    core = _core(lat, lat.dealias_mask(cfg.dealias))
+    core = _core(lat, cfg.dealias)
     n = core.full_idx.size
     if cfg.epsilon == 0.0:
         return SimState(0.0, core=core, packed=np.zeros(n, dtype=np.complex128))
@@ -190,32 +190,29 @@ def step_linear(state: SimState, dt: float) -> SimState:
 
 
 class _Core:
-    """The kept modes of one lattice and mask, packed as one member of each +-f pair.
+    """The kept modes of a lattice and dealias fraction, one member of each +-f pair.
 
-    The kept set is the mask without each axis's Nyquist index n/2, where
-    the gradient symbol i*k has no Hermitian partner.  The packed modes are
-    the members ``Lattice.pairs`` names that the kept set holds, in its
-    order (so the k = 0 modes come first): every alpha > 0 mode, and one
-    member of each pair on the alpha = 0 plane, where the mean mode is its
-    own partner.  ``neg_idx`` is the flat full-lattice index of -f for each
-    packed f.  ``modes`` is the one Couette symbol object, on the packed
-    modes, whose G is ``g``; ``u`` is the transport velocity on the
-    transforms' box, evaluated from its axes at each call.
+    The kept set is ``lat.dealias_mask(dealias)``, even in f, without each
+    axis's Nyquist index n/2, where the gradient symbol i*k has no
+    Hermitian partner.  The packed modes are the members ``Lattice.pairs``
+    names that the kept set holds, in its order (so the k = 0 modes come
+    first): every alpha > 0 mode, and one member of each pair on the
+    alpha = 0 plane, where the mean mode is its own partner.  ``neg_idx``
+    is the flat full-lattice index of -f for each packed f.  ``modes`` is
+    the one Couette symbol object, on the packed modes, whose G is ``g``;
+    ``u`` is the transport velocity on the transforms' box, evaluated from
+    its axes at each call.
     """
 
-    def __init__(self, lat: Lattice, mask: np.ndarray | None):
+    def __init__(self, lat: Lattice, dealias: float):
         nx, ny, nz = lat.shape
-        keep = np.ones(lat.shape, dtype=bool) if mask is None else mask.copy()
+        keep = lat.dealias_mask(dealias)
         keep[nx // 2] = keep[:, ny // 2] = keep[:, :, nz // 2] = False
         self.lattice = lat
         members, partners = lat.pairs
         kept = keep.ravel()[members]
         self.full_idx, self.neg_idx = members[kept], partners[kept]
         self.mean = np.flatnonzero(self.full_idx == 0)
-        # symmetric iff -f is kept for every packed f and nothing else is kept
-        if (not keep.ravel()[self.neg_idx].all()
-                or np.count_nonzero(keep) != 2 * self.full_idx.size - self.mean.size):
-            raise ValueError("dealias mask must keep -f whenever it keeps f")
         ix, iy, iz = np.unravel_index(self.full_idx, lat.shape)
         self.plane = np.flatnonzero(iz == 0)
         self.modes = _Couette(lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz])
@@ -321,37 +318,25 @@ class _Core:
         return out
 
 
-@lru_cache(maxsize=8)
-def _cached_core(lat: Lattice, mask_bytes: bytes | None) -> _Core:
-    mask = (None if mask_bytes is None
-            else np.frombuffer(mask_bytes, dtype=bool).reshape(lat.shape))
-    return _Core(lat, mask)
+# one core object per (lattice, dealias fraction), so callers pass both positionally
+_core = lru_cache(maxsize=8)(_Core)
 
 
-def _core(lat: Lattice, mask: np.ndarray | None) -> _Core:
-    if mask is None:
-        return _cached_core(lat, None)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != lat.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match lattice {lat.shape}")
-    return _cached_core(lat, mask.tobytes())
-
-
-def nonlinear_rhs(state: SimState, mask: np.ndarray | None = None) -> np.ndarray:
+def nonlinear_rhs(state: SimState, dealias: float = 1.0) -> np.ndarray:
     """Spectral coefficients of -(u . grad theta), dealiased, mean mode zeroed.
 
     u is the moving-frame transport velocity and grad is the plain
     (ik, i eta, i alpha) gradient of the sheared coordinates; u is
     divergence-free, so the mean of u . grad theta vanishes identically and
     the zero mode is pinned to machine zero.  The result is zero outside the
-    kept set: the mask (all modes if None) without the Nyquist indices.
+    kept modes of ``dealias`` (see ``_Core``): at 1.0 all but Nyquist.
     """
-    core = _core(state.field.lattice, mask)
+    core = _core(state.field.lattice, dealias)
     c = core.pack(state.field.coeffs)
     return core.unpack(core.rhs(c, core.u(state.t), core.workspace()))
 
 
-def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None) -> SimState:
+def step_nonlinear(state: SimState, dt: float, dealias: float = 1.0) -> SimState:
     """One Lawson (integrating-factor) RK4 step of the full equation.
 
     The linear damping is applied through its exact per-mode propagator, so
@@ -359,12 +344,12 @@ def step_nonlinear(state: SimState, dt: float, mask: np.ndarray | None = None) -
     retains classical 4th-order accuracy otherwise.  The step works on the
     packed kept modes (see nonlinear_rhs); content outside them is dropped,
     and so is the partner of each stored member, which the result writes as
-    the member's conjugate.  The result is packed on the mask's core.
+    the member's conjugate.  The result is packed on the core of ``dealias``.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     t, h = state.t, dt
-    core = _core(state.field.lattice if state.core is None else state.core.lattice, mask)
+    core = _core(state.field.lattice if state.core is None else state.core.lattice, dealias)
     c0 = state.packed if state.core is core else core.pack(state.field.coeffs)
     if not np.all(np.isfinite(c0)):
         raise NumericalAbort(f"non-finite state at t={t:.6g}", state)
@@ -397,7 +382,7 @@ def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):
     """Drive a full run; calls ``on_row(state)`` at t=0 and every output time.
 
     Returns the final state, at ``round(t_end/dt) * dt``.  Every state is
-    packed on the cached core of the dealias mask.  A linear run takes no
+    packed on the cached core of ``cfg.dealias``.  A linear run takes no
     time steps: each state is the exact solution ``step_linear(start, t)``
     from ``init_field``'s state, so ``dt`` only sets the time grid.  A
     nonlinear run advances ``init_field``'s state by ``step_nonlinear``.
@@ -421,11 +406,10 @@ def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):
             return state
         return step_linear(start, n_steps * cfg.dt)
 
-    mask = cfg.lattice.dealias_mask(cfg.dealias)
     ckpt_stride = (max(1, round(cfg.checkpoint_every / cfg.dt))
                    if cfg.checkpoint_every > 0 else 0)
     for i in range(1, n_steps + 1):
-        state = step_nonlinear(state, cfg.dt, mask)
+        state = step_nonlinear(state, cfg.dt, cfg.dealias)
         # keep t exactly on the uniform grid to avoid drift in long runs
         state.t = i * cfg.dt
         if on_row is not None and i % out_stride == 0:

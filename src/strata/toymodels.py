@@ -188,8 +188,9 @@ def _semigroup_integral(sigma: float, m: float, horizon: float) -> float:
 def semigroup_bound_check(grid, m: float, n_t: int = 24) -> SemigroupBoundReport:
     """Evaluate the semigroup moment bound over a frequency grid.
 
-    For each (eta, alpha != 0) the supremum over t <= 200/sigma of
-    sigma * int_10^t (sigma <t-tau>)^m S(t-tau) dtau is computed; the report
+    For each (eta, alpha != 0) the constant is the largest of
+    sigma * int_0^H (sigma <u>)^m e^(-sigma u) du, sigma the zero-mode rate,
+    over ``n_t`` horizons H geometric from 1 to 200/sigma; the report
     carries the per-frequency constants and their relative spread.
     """
     if m < 0:

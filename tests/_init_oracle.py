@@ -16,7 +16,7 @@ from strata.simulate import _core
 def packed_init(cfg) -> np.ndarray:
     """The packed initial values, from the recipe's coefficients on the whole lattice."""
     lat = cfg.lattice
-    core = _core(lat, lat.dealias_mask(cfg.dealias))
+    core = _core(lat, cfg.dealias)
     coeffs = np.zeros(lat.shape, dtype=np.complex128)
     if cfg.epsilon == 0.0:
         return core.pack(coeffs)

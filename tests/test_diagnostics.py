@@ -194,8 +194,8 @@ def test_default_lattice_linear_states_match_reference():
         "zero-epsilon"])
 def test_run_states_match_reference(cfg):
     states = _run_states(cfg)
-    # every run hands on_row packed states with the core of its dealias mask
-    core = simulate._core(cfg.lattice, cfg.lattice.dealias_mask(cfg.dealias))
+    # every run hands on_row packed states with the core of its dealias fraction
+    core = simulate._core(cfg.lattice, cfg.dealias)
     assert all(s.core is core and s.packed is not None for s in states)
     for state in states:
         _assert_rows_agree(state, cfg.weight_params)
@@ -235,44 +235,35 @@ def test_plane_reality_err_is_zero_on_exactly_real_states(cfg):
         assert compute_row(state, cfg.weight_params).reality_err == 0.0
 
 
-def _nonlinear_states(cfg, steps, mask=None):
+def _nonlinear_states(cfg, steps):
     """init_field's state and the next ``steps`` nonlinear steps, all packed."""
-    mask = cfg.lattice.dealias_mask(cfg.dealias) if mask is None else mask
     states = [init_field(cfg)]
     for _ in range(steps):
-        states.append(simulate.step_nonlinear(states[-1], cfg.dt, mask))
+        states.append(simulate.step_nonlinear(states[-1], cfg.dt, cfg.dealias))
     return states
 
 
-def _holey_mask(lat):
-    # symmetric, but without the x = +-1 planes: holes inside the cut box
-    mask = lat.dealias_mask()
-    mask[[1, -1]] = False
-    return mask
-
-
 _NONLINEAR = [
-    (SimConfig(mode="nonlinear", epsilon=1e-3, seed=5), 4, None),
-    (SimConfig(nx=8, ny=16, nz=8, mode="nonlinear", epsilon=0.5, dealias=1.0), 6, None),
-    (SimConfig(nx=8, ny=16, nz=8, mode="nonlinear", epsilon=0.5, init_kmax=2), 6, None),
-    (SimConfig(nx=8, ny=16, nz=8, mode="nonlinear", epsilon=0.5), 6, _holey_mask),
-    (SimConfig(nx=16, ny=32, nz=12, mode="nonlinear", epsilon=0.5, init_kmax=3), 4, None),
+    (SimConfig(mode="nonlinear", epsilon=1e-3, seed=5), 4),
+    (SimConfig(nx=8, ny=16, nz=8, mode="nonlinear", epsilon=0.5, dealias=1.0), 6),
+    (SimConfig(nx=8, ny=16, nz=8, mode="nonlinear", epsilon=0.5, init_kmax=2), 6),
+    (SimConfig(nx=16, ny=32, nz=12, mode="nonlinear", epsilon=0.5, init_kmax=3), 4),
 ]
-_NONLINEAR_IDS = ["default", "dealias-one", "8x16x8", "holey-mask", "16x32x12"]
+_NONLINEAR_IDS = ["default", "dealias-one", "8x16x8", "16x32x12"]
 
 
-@pytest.mark.parametrize("cfg, steps, mask", _NONLINEAR, ids=_NONLINEAR_IDS)
-def test_nonlinear_states_are_real_by_construction(cfg, steps, mask):
-    states = _nonlinear_states(cfg, steps, None if mask is None else mask(cfg.lattice))
+@pytest.mark.parametrize("cfg, steps", _NONLINEAR, ids=_NONLINEAR_IDS)
+def test_nonlinear_states_are_real_by_construction(cfg, steps):
+    states = _nonlinear_states(cfg, steps)
     assert all(s.packed is not None for s in states)
     for state in states:
         assert hermitian_defect(state.field) == 0.0, state.t
 
 
-@pytest.mark.parametrize("cfg, steps, mask", _NONLINEAR, ids=_NONLINEAR_IDS)
-def test_packed_theta_l2_is_the_field_l2(cfg, steps, mask):
+@pytest.mark.parametrize("cfg, steps", _NONLINEAR, ids=_NONLINEAR_IDS)
+def test_packed_theta_l2_is_the_field_l2(cfg, steps):
     # the row sums the stored members in l2's order: the tie check_nonlinear needs
-    for state in _nonlinear_states(cfg, steps, None if mask is None else mask(cfg.lattice)):
+    for state in _nonlinear_states(cfg, steps):
         assert compute_row(state, cfg.weight_params).theta_l2 == state.field.l2(), state.t
 
 
@@ -443,7 +434,7 @@ def test_rows_make_one_stacked_weight_evaluation(monkeypatch):
     monkeypatch.setattr(_TableStack, "mode_weights", asked)
     cfg = SimConfig(t_end=20.0)
     lat, p = cfg.lattice, cfg.weight_params
-    sym = simulate._core(lat, lat.dealias_mask(cfg.dealias)).modes
+    sym = simulate._core(lat, cfg.dealias).modes
     # the plan's own stack: the 38 distinct |iota| > 1 of the 18 743 packed
     # modes (60 on the lattice) and the row of |iota| <= 1
     iv = iota(sym.k, sym.eta, sym.alpha)

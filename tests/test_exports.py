@@ -46,6 +46,27 @@ def test_no_unread_module_level_import(module_name):
     assert unread == UNREAD_IMPORTS.get(module_name, set())
 
 
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_parameter_is_read(module_name):
+    # a parameter that no line of its function or lambda reads is a dead knob,
+    # such as an argument a refactor left behind
+    module = importlib.import_module(module_name)
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                  + [p for p in (a.vararg, a.kwarg) if p is not None]]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{getattr(node, 'name', 'lambda')}:{node.lineno} {p}" for p in params
+                   if p not in read and p not in ("self", "cls")]
+    assert unread == []
+
+
 def test_import_leaves_scipy_integrate_to_the_first_toy_integration():
     # structural start-up check: a fresh interpreter, so no other test has loaded it
     script = (

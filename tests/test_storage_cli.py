@@ -423,6 +423,12 @@ output_every = 1.0
         ["liftup", "--seed", "-1"],
         ["liftup", "--epsilon", "0"],
         ["liftup", "--tmax", "10"],
+        # the envelope overflows, or is subnormal or 0
+        ["liftup", "--epsilon", "1e155"],
+        ["liftup", "--epsilon=-1e155"],
+        ["liftup", "--epsilon", "1e154"],
+        ["liftup", "--epsilon", "1e-162"],
+        ["liftup", "--epsilon", "1e-160"],
     ])
     def test_toy_argument_errors_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "toy"

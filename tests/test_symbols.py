@@ -207,7 +207,7 @@ class TestGPartsOnFirstUse:
     def test_absent_from_the_transforms_box(self):
         cfg = SimConfig(nx=8, ny=16, nz=8, epsilon=0.5, recipe="random", init_kmax=2,
                         mode="nonlinear")
-        core = step_nonlinear(init_field(cfg), 0.1, cfg.lattice.dealias_mask()).core
+        core = step_nonlinear(init_field(cfg), 0.1, cfg.dealias).core
         assert vars(core.modes).keys() == self.SHARED | {"_g_parts"}
         # the box's transport velocity is evaluated at each call: the core
         # holds one symbol object, the one on its packed modes
