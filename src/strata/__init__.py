@@ -2,10 +2,9 @@
 
 __version__ = "0.1.0"
 
-# numpy loads these at their first use; every run command uses them (np.unique
-# reads numpy.ma), so they load with the package rather than inside a command
+# numpy loads these at their first use; every run command uses them, so they
+# load with the package rather than inside a command
 import numpy.fft  # noqa: F401
-import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .config import ConfigError, SimConfig, default_config_text

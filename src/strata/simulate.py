@@ -31,7 +31,10 @@ The core holds one such symbol object, on the packed modes
 (``_Core.modes``), with G's t-independent parts formed once; the transport
 velocity u on the transforms' box is ``symbols.transport_symbol`` of the
 box's broadcast axes (``_Core.u``).  The nonlinear step evaluates G and u
-once per distinct stage time.  Each RK stage's product is
+once per distinct stage time, and those at its two ends through a
+one-entry memo on the core (``_Core.g_memo``, ``_Core.u_memo``), so a step
+that starts exactly where the last one ended reads them back; a linear run
+reads its start time's G from the same memo.  Each RK stage's product is
 formed with six inverse and one forward ``numpy.fft`` transform, pruned to
 the 1-D lines that carry content: the kept modes have signed y and z
 indices below cuts c_y and c_z, so the x pass runs over those (y, z) lines
@@ -40,7 +43,11 @@ pseudo-spectral product of Canuto, Hussaini, Quarteroni & Zang, *Spectral
 Methods*, 2006, skipping the lines Orszag's 2/3 rule leaves empty).  The
 stored members, and the conjugates of the alpha = 0 ones at their partners,
 are written straight into the x pass's buffer, and the forward pass reads
-the packed modes back from the same positions.
+the packed modes back from the same positions.  Every transform writes into
+a ``_Core.workspace``, which ``run_simulation`` allocates once for its
+stepping loop and releases when it returns (a lone ``step_nonlinear`` makes
+its own), and the product is formed in place there, so a step allocates
+only arrays of the packed size.
 """
 
 from __future__ import annotations
@@ -186,7 +193,7 @@ def step_linear(state: SimState, dt: float) -> SimState:
         coeffs = state.field.coeffs * linear_decay_factors(lat, state.t, t1)
         return SimState(t1, SpectralField(lat, coeffs))
     return SimState(t1, core=core,
-                    packed=state.packed * np.exp(core.g_start(state.t) - core.g(t1)))
+                    packed=state.packed * np.exp(core.g_memo(state.t) - core.g(t1)))
 
 
 class _Core:
@@ -201,7 +208,8 @@ class _Core:
     is the flat full-lattice index of -f for each packed f.  ``modes`` is
     the one Couette symbol object, on the packed modes, whose G is ``g``;
     ``u`` is the transport velocity on the transforms' box, evaluated from
-    its axes at each call.
+    its axes at each call.  ``g_memo`` and ``u_memo`` keep the values at the
+    last time asked of them, one time each.
     """
 
     def __init__(self, lat: Lattice, dealias: float):
@@ -238,19 +246,28 @@ class _Core:
 
         self.x_idx = x_at(ix, iy, iz)
         self.x_mirror = x_at(*np.unravel_index(self.neg_idx[self.plane], lat.shape))
-        self._g_start = (None, None)
+        self._u_memo = self._g_memo = (None, None)
 
     def u(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The transport velocity at t on the transforms' box."""
         return transport_symbol(t, *self.box)
 
-    def g_start(self, t: float) -> np.ndarray:
-        """Read-only G at t, kept for the last t asked: a linear run's start time."""
-        if self._g_start[0] != t:
+    def u_memo(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``u(t)``, kept for the last t asked: a step's end, the next one's start."""
+        if self._u_memo[0] != t:
+            u = self.u(t)
+            for a in u:
+                a.flags.writeable = False
+            self._u_memo = (t, u)
+        return self._u_memo[1]
+
+    def g_memo(self, t: float) -> np.ndarray:
+        """Read-only G at t, kept for the last t asked: a linear run's start time, a step's ends."""
+        if self._g_memo[0] != t:
             g = self.g(t)
             g.flags.writeable = False
-            self._g_start = (t, g)
-        return self._g_start[1]
+            self._g_memo = (t, g)
+        return self._g_memo[1]
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
         """The stored members; the mean mode, its own partner, keeps its real part."""
@@ -269,50 +286,80 @@ class _Core:
         out[self.full_idx] = packed
         return out.reshape(self.lattice.shape)
 
-    def workspace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Zero buffers in the x pass's layout, for the coefficients and for
-        the pass's input, then the latter widened to the lattice on y.  rhs
-        writes only the positions of packed modes and their alpha = 0
-        partners, the box's x ranges and the kept y ranges, so they stay
-        zero-padded.
+    def workspace(self) -> tuple[np.ndarray, ...]:
+        """The buffers ``rhs`` works in, for as long as the caller holds them.
+
+        ``run_simulation`` makes one for its stepping loop and drops it when
+        it returns; a lone ``step_nonlinear`` makes its own.  In order: the
+        coefficients in the x pass's layout and the pass's input, both
+        zero; the x pass's output widened to the lattice on y, zero; the y
+        pass's lines; the three physical arrays of the product, the last two
+        also holding the forward pass's half-spectrum; the forward x pass's
+        output.  Of the three zero buffers, rhs writes only the positions of
+        packed modes and their alpha = 0 partners, the box's x ranges and the
+        kept y ranges, so they stay zero-padded; it overwrites the others whole.
         """
-        nx, ny, _ = self.lattice.shape
-        return (np.zeros(self.x_shape, dtype=np.complex128),
-                np.zeros(self.x_shape, dtype=np.complex128),
-                np.zeros((nx, ny, self.cut[2]), dtype=np.complex128))
+        nx, ny, nz = self.lattice.shape
+        wide = (nx, ny, self.cut[2])
+        # one zeroed block, so the buffers leave memory together; a physical
+        # array takes ceil(n/2) complex slots, and the half-spectrum the
+        # slots of the last two
+        n_x, n_wide, n_phys = math.prod(self.x_shape), math.prod(wide), (nx * ny * nz + 1) // 2
+        block = np.zeros(3 * n_x + 2 * n_wide + 3 * n_phys, dtype=np.complex128)
+        coeffs, wide_x, spec, wide_xy, lines, *phys = np.split(
+            block, np.cumsum([n_x, n_x, n_x, n_wide, n_wide, n_phys, n_phys]))
+        half = block[block.size - 2 * n_phys:][:nx * ny * (nz // 2 + 1)]
+        return (coeffs.reshape(self.x_shape), wide_x.reshape(self.x_shape),
+                wide_xy.reshape(wide), lines.reshape(wide),
+                *(p.view(np.float64)[:nx * ny * nz].reshape(nx, ny, nz) for p in phys),
+                half.reshape(nx, ny, nz // 2 + 1), spec.reshape(self.x_shape))
 
     def rhs(self, c: np.ndarray, u, work) -> np.ndarray:
-        """Packed -(u . grad theta) for packed c and symbols u on the box; mean mode zeroed."""
+        """Packed -(u . grad theta) for packed c and symbols u on the box; mean mode zeroed.
+
+        ``work`` is a ``workspace()`` of this core.  Every transform writes
+        into it, so the call allocates nothing the size of a transform.
+        """
         nx, ny, nz = self.lattice.shape
         cx, cy, cz = self.cut
-        coeffs, wide_x, wide_xy = work
+        coeffs, wide_x, wide_xy, lines, adv, term, factor, half, spec = work
         flat = coeffs.reshape(-1)
         flat[self.x_mirror] = np.conj(c[self.plane])
         flat[self.x_idx] = c      # after the mirrors: the mean mode is its own
+        # the kept y ranges, in the x pass's layout and on the lattice; the
+        # upper one starts at n-c+1, not -(c-1), which is the whole axis for c = 1
+        y_ranges = ((slice(None, cy), slice(None, cy)),
+                    (slice(cy, None), slice(ny - cy + 1, None)))
 
         # 1-D passes over the lines that carry content; norm="forward":
-        # theta(x) = sum_f c(f) exp(i f.x) without scaling.  The upper ranges
-        # start at n-c+1, not -(c-1), which is the whole axis for c = 1
-        def phys(symbol):
+        # theta(x) = sum_f c(f) exp(i f.x) without scaling
+        def phys_into(out, symbol):
             np.multiply(symbol[:cx], coeffs[:cx], out=wide_x[:cx])
             np.multiply(symbol[cx:], coeffs[nx - cx + 1:], out=wide_x[nx - cx + 1:])
-            a = np.fft.ifft(wide_x, axis=0, norm="forward")
-            wide_xy[:, :cy] = a[:, :cy]
-            wide_xy[:, ny - cy + 1:] = a[:, cy:]
-            a = np.fft.ifft(wide_xy, axis=1, norm="forward")
-            return np.fft.irfft(a, n=nz, axis=2, norm="forward")
+            for in_x, in_lat in y_ranges:
+                np.fft.ifft(wide_x[:, in_x], axis=0, norm="forward", out=wide_xy[:, in_lat])
+            np.fft.ifft(wide_xy, axis=1, norm="forward", out=lines)
+            return np.fft.irfft(lines, n=nz, axis=2, norm="forward", out=out)
 
         # overflow here surfaces as a NumericalAbort from the stepper's
         # finiteness check rather than as a warning storm
         with np.errstate(over="ignore", invalid="ignore"):
             u1, u2, u3 = u
             g1, g2, g3 = self.grad
-            adv = phys(u1) * phys(g1) + phys(u2) * phys(g2) + phys(u3) * phys(g3)
-            f = np.fft.fft(np.fft.rfft(adv, axis=2, norm="forward")[..., :cz],
-                           axis=1, norm="forward")
-            f = np.fft.fft(np.concatenate((f[:, :cy], f[:, ny - cy + 1:]), axis=1),
-                           axis=0, norm="forward")
-            out = f.reshape(-1)[self.x_idx]
+            # u1 g1 + u2 g2 + u3 g3, formed in place in that order
+            phys_into(adv, u1)
+            adv *= phys_into(factor, g1)
+            phys_into(term, u2)
+            term *= phys_into(factor, g2)
+            adv += term
+            phys_into(term, u3)
+            term *= phys_into(factor, g3)
+            adv += term
+            np.fft.rfft(adv, axis=2, norm="forward", out=half)
+            np.fft.fft(half[..., :cz], axis=1, norm="forward", out=lines)
+            for in_x, in_lat in y_ranges:
+                np.fft.fft(lines[:, in_lat], axis=0, norm="forward", out=spec[:, in_x])
+            out = spec.reshape(-1)[self.x_idx]
             np.negative(out, out=out)
         out[self.mean] = 0.0
         return out
@@ -336,7 +383,8 @@ def nonlinear_rhs(state: SimState, dealias: float = 1.0) -> np.ndarray:
     return core.unpack(core.rhs(c, core.u(state.t), core.workspace()))
 
 
-def step_nonlinear(state: SimState, dt: float, dealias: float = 1.0) -> SimState:
+def step_nonlinear(state: SimState, dt: float, dealias: float = 1.0,
+                   work: tuple[np.ndarray, ...] | None = None) -> SimState:
     """One Lawson (integrating-factor) RK4 step of the full equation.
 
     The linear damping is applied through its exact per-mode propagator, so
@@ -345,6 +393,8 @@ def step_nonlinear(state: SimState, dt: float, dealias: float = 1.0) -> SimState
     packed kept modes (see nonlinear_rhs); content outside them is dropped,
     and so is the partner of each stored member, which the result writes as
     the member's conjugate.  The result is packed on the core of ``dealias``.
+    ``work`` is a ``workspace()`` of that core to reuse; without one the
+    step makes its own.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -353,24 +403,27 @@ def step_nonlinear(state: SimState, dt: float, dealias: float = 1.0) -> SimState
     c0 = state.packed if state.core is core else core.pack(state.field.coeffs)
     if not np.all(np.isfinite(c0)):
         raise NumericalAbort(f"non-finite state at t={t:.6g}", state)
-    work = core.workspace()
+    if work is None:
+        work = core.workspace()
 
     # symbols and damping antiderivatives once per distinct stage time, each
-    # symbol set formed when its stage comes, so fewer arrays are live at once
+    # symbol set formed when its stage comes, so fewer arrays are live at
+    # once; those at the ends go through the core's memo, so a step that
+    # starts where the last one ended reads its start values back
     t_mid, t_end = t + 0.5 * h, t + h
     g_mid = core.g(t_mid)
-    e_half = np.exp(core.g(t) - g_mid)
-    e_back = np.exp(g_mid - core.g(t_end))
+    e_half = np.exp(core.g_memo(t) - g_mid)
+    e_back = np.exp(g_mid - core.g_memo(t_end))
     e_full = e_half * e_back
 
-    k1 = core.rhs(c0, core.u(t), work)
+    k1 = core.rhs(c0, core.u_memo(t), work)
     theta_a = e_half * (c0 + 0.5 * h * k1)
     u_mid = core.u(t_mid)
     k2 = core.rhs(theta_a, u_mid, work)
     theta_b = e_half * c0 + 0.5 * h * k2
     k3 = core.rhs(theta_b, u_mid, work)
     theta_c = e_full * c0 + h * e_back * k3
-    k4 = core.rhs(theta_c, core.u(t_end), work)
+    k4 = core.rhs(theta_c, core.u_memo(t_end), work)
 
     c1 = e_full * c0 + (h / 6.0) * (e_full * k1 + 2.0 * e_back * (k2 + k3) + k4)
     if not np.all(np.isfinite(c1)):
@@ -408,8 +461,10 @@ def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):
 
     ckpt_stride = (max(1, round(cfg.checkpoint_every / cfg.dt))
                    if cfg.checkpoint_every > 0 else 0)
+    # one workspace for every step, released when the run returns
+    work = state.core.workspace()
     for i in range(1, n_steps + 1):
-        state = step_nonlinear(state, cfg.dt, cfg.dealias)
+        state = step_nonlinear(state, cfg.dt, cfg.dealias, work)
         # keep t exactly on the uniform grid to avoid drift in long runs
         state.t = i * cfg.dt
         if on_row is not None and i % out_stride == 0:

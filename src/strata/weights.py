@@ -206,7 +206,11 @@ class _TableStack:
     """
 
     def __init__(self, iv, c_star: float):
-        vals = np.unique(np.abs(iv))
+        # the distinct |iota|: np.unique, whose own path loads numpy.ma
+        vals = np.sort(np.abs(iv), axis=None)
+        first = np.ones(vals.shape, dtype=bool)
+        np.not_equal(vals[1:], vals[:-1], out=first[1:])
+        vals = vals[first]
         if vals.size and not np.isfinite(vals[-1]):    # nan sorts last, inf just before it
             raise ValueError(f"weight tables need a finite |iota|, got {vals[-1]}")
         self.vals = vals = vals[vals > 1.0]

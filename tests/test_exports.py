@@ -23,7 +23,7 @@ def test_every_export_resolves(module_name):
 
 # imports kept for their side effect or as a name the benchmark tracer patches
 UNREAD_IMPORTS = {
-    "strata": {"numpy"},    # numpy.fft, numpy.ma and numpy.random load with the package
+    "strata": {"numpy"},    # numpy.fft and numpy.random load with the package
     "strata.cli": {"locale"},
     "strata.diagnostics": {"velocity_symbol", "lattice_weights", "log_weighted_l2"},
 }
@@ -116,3 +116,28 @@ def test_no_scipy_module_on_the_import_or_the_nonlinear_run_path(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "0 0 []"]
     assert (tmp_path / "out" / "nonlinear_diagnostics.csv").exists()
+
+
+def test_no_run_command_loads_numpy_ma(tmp_path):
+    # a fresh interpreter: np.unique's own path loads numpy.ma, so the
+    # weight tables spell it out, and nothing else on a run's path needs it
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[lattice]\nnx = 8\nny = 16\nnz = 8\n"
+                   "[run]\nmode = nonlinear\nt_end = 0.3\noutput_every = 0.1\n")
+    script = (
+        "import sys\n"
+        "import strata.cli\n"
+        "print('numpy.ma' in sys.modules)\n"
+        f"for argv in (['linear'], ['nonlinear', {str(cfg)!r}],\n"
+        "             ['weights', 'ratios', '--samples', '300']):\n"
+        f"    code = strata.cli.main(argv + ['--quiet', '--out', {str(tmp_path)!r} + '/' + argv[0]])\n"
+        "    print(argv[0], code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(strata.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "linear 0 False", "nonlinear 0 False",
+                                        "weights 0 False"]

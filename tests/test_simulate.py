@@ -1,9 +1,12 @@
+import functools
 import math
 import typing
 
 import numpy as np
 import pytest
 import scipy.fft as _fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import strata.simulate as simulate
@@ -449,10 +452,10 @@ class TestLinearStep:
     def test_start_time_antiderivative_is_cached_on_the_core(self):
         lat = Lattice(8, 16, 8)
         core = simulate._Core(lat, 2.0 / 3.0)
-        g0 = core.g_start(0.0)
-        assert core.g_start(0.0) is g0 and not g0.flags.writeable
+        g0 = core.g_memo(0.0)
+        assert core.g_memo(0.0) is g0 and not g0.flags.writeable
         assert g0.tobytes() == core.g(0.0).tobytes()
-        assert core.g_start(1.5).tobytes() == core.g(1.5).tobytes()
+        assert core.g_memo(1.5).tobytes() == core.g(1.5).tobytes()
 
     @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
     @pytest.mark.parametrize("t0,t1", [(0.0, 0.05), (0.0, 37.3), (3.7, 3.75),
@@ -600,6 +603,51 @@ class TestNonlinearRHS:
         assert simulate._core(Lattice(8, 16, 8), 1.0) is not core
         st = SimState(0.0, SpectralField.zeros(Lattice(8, 16, 8)))
         assert step_nonlinear(st, 0.1).core is simulate._core(Lattice(8, 16, 8), 1.0)
+
+
+# one workspace per core, shared by every example of the property below, so a
+# stray write into a buffer's zero padding shows in a later example
+_NEUTRALITY_WORK = {}
+
+
+def _energy_defect(core, c, t, work):
+    """|sum m Re(conj(c) N(c))| and ||c|| ||N||, summed over the whole real field.
+
+    m counts each packed mode with its partner: 2, and 1 at the mean mode.
+    """
+    n = core.rhs(c, core.u(t), work)
+    m = np.where(core.full_idx == core.neg_idx, 1.0, 2.0)
+    inner = abs(float(np.sum(m * (np.conj(c) * n).real)))
+    return inner, math.sqrt(float(np.sum(m * np.abs(c) ** 2)) * float(np.sum(m * np.abs(n) ** 2)))
+
+
+def _random_packed(core, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(core.full_idx.size) + 1j * rng.standard_normal(core.full_idx.size)
+    c[core.mean] = c[core.mean].real
+    return c
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 16, 8), (4, 8, 4), (6, 10, 4), (8, 16, 8), (8, 32, 8),
+                        (12, 24, 6)]),
+       st.sampled_from([2.0 / 3.0, 0.6, 0.5, 0.4]),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 60.0))
+def test_rhs_is_energy_neutral_up_to_the_two_thirds_rule(shape, fraction, seed, t):
+    # u is divergence-free against the plain gradient, and below the 2/3 rule
+    # the product is alias-free, so sum conj(theta) u . grad theta vanishes
+    core = simulate._core(Lattice(*shape), fraction)
+    work = _NEUTRALITY_WORK.setdefault((shape, fraction), core.workspace())
+    inner, scale = _energy_defect(core, _random_packed(core, seed), t, work)
+    assert inner <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("fraction", [0.8, 1.0])
+def test_rhs_energy_defect_is_nonzero_above_the_two_thirds_rule(fraction):
+    # aliasing breaks the identity, so the property above can fail
+    core = simulate._core(Lattice(8, 16, 8), fraction)
+    inner, scale = _energy_defect(core, _random_packed(core, 3), 3.7, core.workspace())
+    assert inner > 1e-6 * scale
 
 
 class TestPairing:
@@ -819,6 +867,43 @@ class TestNonlinearStep:
         got = step_nonlinear(st, 0.25, cfg.dealias)
         assert times == [st.t, st.t + 0.125, st.t + 0.25]
         assert got.packed.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 16, 2), (2, 16, 8), (8, 2, 8)])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.8, 1.0])
+    def test_a_run_equals_lone_steps_on_fresh_cores(self, shape, fraction, monkeypatch):
+        # run_simulation holds one workspace and reads the end symbols back
+        # from the core's memo; the lone steps each get a fresh core, so a
+        # fresh workspace and an empty memo.  Some cut is 1 on each lattice
+        nx, ny, nz = shape
+        cfg = SimConfig(nx=nx, ny=ny, nz=nz, dt=0.1, t_end=0.6, output_every=0.1,
+                        epsilon=0.5, recipe="random", mode="nonlinear", dealias=fraction)
+        run = []
+        run_simulation(cfg, on_row=run.append)
+        monkeypatch.setattr(simulate, "_core", simulate._Core)
+        lone = [init_field(cfg)]
+        for i in range(1, 7):
+            lone.append(step_nonlinear(lone[-1], cfg.dt, fraction))
+            lone[-1].t = i * cfg.dt
+        assert [s.t for s in run] == [s.t for s in lone]
+        assert [s.packed.tobytes() for s in run] == [s.packed.tobytes() for s in lone]
+
+    def test_consecutive_steps_share_the_symbols_at_their_common_time(self, monkeypatch):
+        # a fresh core evaluates u at the first step's start, middle and end;
+        # the second step reads its start time's u back from the core's memo
+        cfg = SimConfig(**SMALL, epsilon=0.1, init_kmax=2, mode="nonlinear")
+        monkeypatch.setattr(simulate, "_core", functools.lru_cache(maxsize=8)(simulate._Core))
+        times = []
+
+        def counting(t, *box):
+            times.append(t)
+            return transport_symbol(t, *box)
+
+        monkeypatch.setattr(simulate, "transport_symbol", counting)
+        st = step_nonlinear(init_field(cfg), 0.25, cfg.dealias)
+        assert times == [0.0, 0.125, 0.25]
+        step_nonlinear(st, 0.25, cfg.dealias)
+        assert times == [0.0, 0.125, 0.25, 0.375, 0.5]
+        assert not any(a.flags.writeable for a in st.core.u_memo(0.5))
 
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
     def test_stepping_with_a_core_equals_stepping_without(self, fraction):
