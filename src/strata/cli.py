@@ -208,7 +208,8 @@ def _cmd_run(args) -> int:
     try:
         final, abort = run_simulation(cfg, on_row=on_row, on_checkpoint=on_checkpoint), None
     except NumericalAbort as exc:
-        final, abort = exc.state, exc
+        # without its traceback, whose frames hold the run's workspace
+        final, abort = exc.state, exc.with_traceback(None)
     if rows or abort is None:
         record.csv(csv_name, DiagnosticRow.header(), [r.values() for r in rows])
     if abort is not None:

@@ -16,7 +16,9 @@ set: the modes that carry mass (m = 1), or, for a packed run state (see
 implied partner (m = 2) but the mean mode.  What a row needs that does not
 depend on t is built once per mode set, as its row plan, from that set's
 modes alone: the core's Couette symbols (or one ``symbols._Couette`` on
-the occupied modes) and a weight-table stack over the set's own |iota|.
+the occupied modes), |f|_1 and log<f> from their k, eta and alpha, and a
+weight-table stack over the set's own |iota|, so a packed state's plan and
+row form no lattice-sized array.
 w_k and d/dt log w_k are evaluated once per row on the plan's groups, the
 distinct (|iota| row, resonant key) pairs of its modes, and gathered to
 the modes.  From the stack's ``t_flat``, 2 max|iota|, on, w = 1 on every
@@ -114,7 +116,10 @@ class _RowPlan:
             idx, self.modes = modes.full_idx, modes.modes
             self.m = np.where(idx == 0, 1.0, 2.0)
         k, eta, alpha = self.modes.k, self.modes.eta, self.modes.alpha
-        l1, log_br = lat.l1.ravel()[idx], lat.log_brackets.ravel()[idx]
+        # |f|_1 and log<f> on the set's own modes, as ``Lattice.l1`` and
+        # ``Lattice.log_brackets`` form them on the whole lattice
+        l1 = np.abs(k) + np.abs(eta) + np.abs(alpha)
+        log_br = np.log(np.sqrt(1.0 + self.modes.kk + eta**2 + self.modes.aa))
         s1, s2, s3, s4, s5, s6, s7 = p.sigmas
 
         # velocity sums; D = k^2 + (eta - kt)^2 + alpha^2 is formed as

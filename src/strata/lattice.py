@@ -120,7 +120,7 @@ class Lattice:
     def log_brackets(self) -> np.ndarray:
         return np.log(np.sqrt(1.0 + self.kx**2 + self.eta**2 + self.alpha**2))
 
-    @cached_property
+    @property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat indices of one member f of each +-f pair, in canonical order, and of -f.
 
@@ -128,7 +128,9 @@ class Lattice:
         in flat order, so the k = 0 modes come first.  On the two
         self-conjugate planes, alpha = 0 and alpha = nz/2, the member is the
         one whose flat index is not above its partner's; a self-conjugate f
-        (the mean mode, the Nyquist corners) is its own partner.  Read-only.
+        (the mean mode, the Nyquist corners) is its own partner.  Read-only,
+        and formed at each access rather than kept: the two arrays are half
+        the lattice each, and a run needs them only to build its core.
         """
         nx, ny, nz = self.shape
         ix, iy = np.arange(nx)[:, None, None], np.arange(ny)[:, None]

@@ -47,7 +47,16 @@ the packed modes back from the same positions.  Every transform writes into
 a ``_Core.workspace``, which ``run_simulation`` allocates once for its
 stepping loop and releases when it returns (a lone ``step_nonlinear`` makes
 its own), and the product is formed in place there, so a step allocates
-only arrays of the packed size.
+only arrays of the packed size; the Lawson stages are formed in place too,
+on two packed buffers.
+
+No array the size of the lattice outlives the statement that needs it.
+``init_field`` forms |f|_1 from the wavenumbers of the members and
+partners, and its rescale sum from one lattice-sized float array; the core
+reads ``Lattice.pairs``, which the lattice does not keep; and when
+``run_simulation`` returns it drops the workspace and empties the core's
+memo.  Between runs a core holds only arrays of the packed size and the
+transforms' box.
 """
 
 from __future__ import annotations
@@ -122,10 +131,10 @@ def init_field(cfg: SimConfig) -> SimState:
     kept modes (see ``_Core``) takes
     0.5 * (c(f) + conj c(-f)), and the mean mode 0; the values are then
     rescaled so the sigma=0 Gevrey norm at radius lambda_in of the whole
-    real field equals epsilon exactly.  c is evaluated only at the members
-    and their partners; the random recipe still draws its phases and
-    amplitudes on the whole lattice, so a seed gives the values of a
-    whole-lattice draw.  A recipe that puts nothing on the kept modes is a
+    real field equals epsilon exactly.  c and |f|_1 are evaluated only at
+    the members and their partners; the random recipe still draws its
+    phases and amplitudes on the whole lattice, so a seed gives the values
+    of a whole-lattice draw.  A recipe that puts nothing on the kept modes is a
     ``ConfigError``.
     """
     lat = cfg.lattice
@@ -133,16 +142,18 @@ def init_field(cfg: SimConfig) -> SimState:
     n = core.full_idx.size
     if cfg.epsilon == 0.0:
         return SimState(0.0, core=core, packed=np.zeros(n, dtype=np.complex128))
-    # the members, then their partners
+    # the members, then their partners, and |f|_1 there
     idx = np.concatenate([core.full_idx, core.neg_idx])
-    decay = np.exp(-cfg.lambda_in * lat.l1.ravel()[idx] ** cfg.s)
+    ix, iy, iz = np.unravel_index(idx, lat.shape)
+    l1s = (np.abs(lat.kx.ravel()[ix]) + np.abs(lat.eta.ravel()[iy])
+           + np.abs(lat.alpha.ravel()[iz])) ** cfg.s
+    decay = np.exp(-cfg.lambda_in * l1s)
     support = np.ones(idx.size, dtype=bool)
     if cfg.init_kmax > 0:
         # index-space cap on every axis; without it the spectral cascade fills
         # the envelope at fresh modes and the weighted-norm ratios measure the
         # filling instead of the dynamics
         kc = cfg.init_kmax
-        ix, iy, iz = np.unravel_index(idx, lat.shape)
         support &= ((np.abs(lat.kx.ravel()[ix]) <= kc) & (np.abs(lat.jy.ravel()[iy]) <= kc)
                     & (np.abs(lat.alpha.ravel()[iz]) <= kc))
 
@@ -163,10 +174,14 @@ def init_field(cfg: SimConfig) -> SimState:
     if not np.any(kept):
         raise ConfigError(f"init recipe {cfg.recipe!r} puts nothing on the kept modes")
 
-    # exact rescale of the radius-lambda_in Gevrey norm to epsilon, summed
-    # over the whole lattice
-    weighted = np.exp(cfg.lambda_in * lat.l1 ** cfg.s) * np.abs(core.unpack(kept))
-    kept *= cfg.epsilon / math.sqrt(lat.delta_eta * float(np.sum(weighted**2)))
+    # exact rescale of the radius-lambda_in Gevrey norm to epsilon: the
+    # squared weighted magnitudes of the members and partners, at their
+    # lattice positions and 0 elsewhere, summed over the whole lattice in its
+    # order (|conj c| = |c|; the mean mode, in both halves, is 0)
+    weighted = np.exp(cfg.lambda_in * l1s) * np.tile(np.abs(kept), 2)
+    squares = np.zeros(lat.size)
+    squares[idx] = weighted**2
+    kept *= cfg.epsilon / math.sqrt(lat.delta_eta * float(np.sum(squares.reshape(lat.shape))))
     return SimState(0.0, core=core, packed=kept)
 
 
@@ -246,6 +261,10 @@ class _Core:
 
         self.x_idx = x_at(ix, iy, iz)
         self.x_mirror = x_at(*np.unravel_index(self.neg_idx[self.plane], lat.shape))
+        self.forget()
+
+    def forget(self) -> None:
+        """Empty the memos of u and G."""
         self._u_memo = self._g_memo = (None, None)
 
     def u(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -416,16 +435,28 @@ def step_nonlinear(state: SimState, dt: float, dealias: float = 1.0,
     e_back = np.exp(g_mid - core.g_memo(t_end))
     e_full = e_half * e_back
 
+    # the stages on two packed buffers, each operation with its operands in
+    # the order of the expression in its comment
     k1 = core.rhs(c0, core.u_memo(t), work)
-    theta_a = e_half * (c0 + 0.5 * h * k1)
+    theta = np.multiply(0.5 * h, k1)                     # e_half * (c0 + 0.5 h k1)
+    np.add(c0, theta, out=theta)
+    np.multiply(e_half, theta, out=theta)
     u_mid = core.u(t_mid)
-    k2 = core.rhs(theta_a, u_mid, work)
-    theta_b = e_half * c0 + 0.5 * h * k2
-    k3 = core.rhs(theta_b, u_mid, work)
-    theta_c = e_full * c0 + h * e_back * k3
-    k4 = core.rhs(theta_c, core.u_memo(t_end), work)
+    k2 = core.rhs(theta, u_mid, work)
+    scaled = np.multiply(e_half, c0)                     # e_half c0 + 0.5 h k2
+    np.add(scaled, np.multiply(0.5 * h, k2, out=theta), out=theta)
+    k3 = core.rhs(theta, u_mid, work)
+    np.multiply(e_full, c0, out=scaled)                  # e_full c0 + (h e_back) k3
+    np.add(scaled, np.multiply(h * e_back, k3, out=theta), out=theta)
+    k4 = core.rhs(theta, core.u_memo(t_end), work)
 
-    c1 = e_full * c0 + (h / 6.0) * (e_full * k1 + 2.0 * e_back * (k2 + k3) + k4)
+    # e_full c0 + (h/6) (e_full k1 + (2 e_back) (k2 + k3) + k4); scaled holds e_full c0
+    np.add(k2, k3, out=k2)
+    np.multiply(2.0 * e_back, k2, out=k2)
+    np.multiply(e_full, k1, out=k1)
+    np.add(k1, k2, out=k1)
+    np.add(k1, k4, out=k1)
+    c1 = np.add(scaled, np.multiply(h / 6.0, k1, out=k1), out=scaled)
     if not np.all(np.isfinite(c1)):
         raise NumericalAbort(f"non-finite state at t={t_end:.6g}", state)
     return SimState(t_end, core=core, packed=c1)
@@ -443,32 +474,38 @@ def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):
     nonlinear mode when configured; linear runs never checkpoint.
     """
     state = init_field(cfg)
+    core = state.core
     n_steps = round(cfg.t_end / cfg.dt)
     out_stride = max(1, round(cfg.output_every / cfg.dt))
 
     if on_row is not None:
         on_row(state)
-    if cfg.mode == "linear":
-        start = state
-        if on_row is not None:
-            for i in range(out_stride, n_steps + 1, out_stride):
-                state = step_linear(start, i * cfg.dt)
-                on_row(state)
-        # the last row is the end state unless output_every does not divide t_end
-        if state.t == n_steps * cfg.dt:
-            return state
-        return step_linear(start, n_steps * cfg.dt)
+    try:
+        if cfg.mode == "linear":
+            start = state
+            if on_row is not None:
+                for i in range(out_stride, n_steps + 1, out_stride):
+                    state = step_linear(start, i * cfg.dt)
+                    on_row(state)
+            # the last row is the end state unless output_every does not divide t_end
+            if state.t == n_steps * cfg.dt:
+                return state
+            return step_linear(start, n_steps * cfg.dt)
 
-    ckpt_stride = (max(1, round(cfg.checkpoint_every / cfg.dt))
-                   if cfg.checkpoint_every > 0 else 0)
-    # one workspace for every step, released when the run returns
-    work = state.core.workspace()
-    for i in range(1, n_steps + 1):
-        state = step_nonlinear(state, cfg.dt, cfg.dealias, work)
-        # keep t exactly on the uniform grid to avoid drift in long runs
-        state.t = i * cfg.dt
-        if on_row is not None and i % out_stride == 0:
-            on_row(state)
-        if ckpt_stride and on_checkpoint is not None and i % ckpt_stride == 0:
-            on_checkpoint(state)
-    return state
+        ckpt_stride = (max(1, round(cfg.checkpoint_every / cfg.dt))
+                       if cfg.checkpoint_every > 0 else 0)
+        # one workspace for every step, released when the run returns
+        work = core.workspace()
+        for i in range(1, n_steps + 1):
+            state = step_nonlinear(state, cfg.dt, cfg.dealias, work)
+            # keep t exactly on the uniform grid to avoid drift in long runs
+            state.t = i * cfg.dt
+            if on_row is not None and i % out_stride == 0:
+                on_row(state)
+            if ckpt_stride and on_checkpoint is not None and i % ckpt_stride == 0:
+                on_checkpoint(state)
+        return state
+    finally:
+        # the workspace leaves with this frame, and the u and G the run
+        # evaluated with it
+        core.forget()

@@ -9,6 +9,10 @@ Checkpoint layout (all little-endian, independent of host byte order):
     t       f64
     data    nx*ny*nz complex128, C (row-major) order
 
+``save_checkpoint`` writes the header and then the field straight from its
+buffer, so it holds one lattice-sized array: a packed run state's unpacked
+field, which is not kept on the state.
+
 CSV files start with a ``# manifest=<name>`` comment tying them to the run
 manifest that was written (atomically) before any results.
 """
@@ -47,11 +51,21 @@ class CheckpointError(ValueError):
     """Malformed, truncated, or incompatible checkpoint data."""
 
 
-def checkpoint_bytes(state: SimState) -> bytes:
-    lat = state.field.lattice
+def _checkpoint_parts(state: SimState) -> tuple[bytes, np.ndarray]:
+    # the header and the field as one contiguous little-endian array; a packed
+    # state's field is unpacked here and not kept on the state, and a field
+    # already in that layout is used as it is
+    if state.core is None:
+        lat, coeffs = state.field.lattice, state.field.coeffs
+    else:
+        lat, coeffs = state.core.lattice, state.core.unpack(state.packed)
     head = _HEADER.pack(_MAGIC, _VERSION, lat.nx, lat.ny, lat.nz, lat.ly, state.t)
-    body = np.ascontiguousarray(state.field.coeffs).astype("<c16").tobytes()
-    return head + body
+    return head, np.ascontiguousarray(coeffs, dtype="<c16")
+
+
+def checkpoint_bytes(state: SimState) -> bytes:
+    head, body = _checkpoint_parts(state)
+    return head + body.tobytes()
 
 
 def state_from_checkpoint(data: bytes) -> SimState:
@@ -77,7 +91,8 @@ def state_from_checkpoint(data: bytes) -> SimState:
 
 
 def save_checkpoint(path, state: SimState) -> None:
-    _atomic_write_bytes(path, checkpoint_bytes(state))
+    """Write ``checkpoint_bytes(state)`` atomically, the field streamed from its own buffer."""
+    _atomic_write_bytes(path, *_checkpoint_parts(state))
 
 
 def load_checkpoint(path) -> SimState:
@@ -85,10 +100,11 @@ def load_checkpoint(path) -> SimState:
         return state_from_checkpoint(fh.read())
 
 
-def _atomic_write_bytes(path, data: bytes) -> None:
+def _atomic_write_bytes(path, *chunks) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        for chunk in chunks:
+            fh.write(chunk)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

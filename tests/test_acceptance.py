@@ -84,7 +84,7 @@ def test_criterion_3_zero_mode_semigroup_bounds():
         c_single = max(constants)
         assert c_single <= 50.0
         for m in (0.0, 1.5, 2.5, 3.0):
-            rep = semigroup_bound_check(grid, m, n_t=16)
+            rep = semigroup_bound_check(grid, m)
             assert rep.spread < 0.05, f"m={m} spread {rep.spread:.3%}"
 
 

@@ -1,0 +1,99 @@
+"""Memory guards: what a run holds, counted by tracemalloc or seen through weak
+references, with no timing.
+
+numpy reports its array buffers to tracemalloc, so the traced peak of a call
+is the most its new arrays took at once.  Each bound is stated in arrays of
+the desk lattice's packed size (18 743 complex values) or its full size
+(131 072), next to the figure measured when it was set.
+"""
+
+import tracemalloc
+import weakref
+
+import pytest
+
+from strata import cli, diagnostics, simulate
+from strata.config import SimConfig
+from strata.simulate import init_field, run_simulation, step_nonlinear
+from strata.storage import save_checkpoint
+
+DESK = SimConfig(epsilon=1e-3, dt=0.1, t_end=0.2, output_every=0.1)
+
+
+def _traced_peak(fn):
+    """Bytes of the most memory ``fn``'s new allocations held at once."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _packed_bytes(core):
+    return core.full_idx.size * 16
+
+
+def test_a_step_with_a_workspace_holds_only_packed_size_arrays():
+    state = init_field(DESK)
+    core = state.core
+    work = core.workspace()
+    # a first step forms the core's lasting G parts; with the memo emptied,
+    # the next evaluates u and G at both ends, the most a step holds
+    state = step_nonlinear(state, DESK.dt, DESK.dealias, work)
+    core.forget()
+    peak = _traced_peak(lambda: step_nonlinear(state, DESK.dt, DESK.dealias, work))
+    # measured: 13.4 packed-size arrays (16.6 with the stages formed out of
+    # place); one lattice-sized complex array is 7.0 of them
+    assert peak <= 14 * _packed_bytes(core)
+
+
+def test_a_checkpoint_holds_one_lattice_sized_array(tmp_path):
+    state = init_field(DESK)
+    lat = state.core.lattice
+    peak = _traced_peak(lambda: save_checkpoint(tmp_path / "run.ckpt", state))
+    # measured: the unpacked field and one packed-size array (the conjugates
+    # unpack writes) plus 416 bytes; four lattice-sized copies before
+    assert peak <= lat.size * 16 + 2 * _packed_bytes(state.core)
+    assert state._field is None
+
+
+def test_a_run_keeps_no_lattice_sized_array_on_its_lattice():
+    # a lattice no other test builds, so this call makes its core
+    cfg = SimConfig(nx=8, ny=16, nz=8, ly=7.5, epsilon=1e-3)
+    state = init_field(cfg)
+    assert simulate._core(cfg.lattice, cfg.dealias) is state.core
+    diagnostics.compute_row(state, cfg.weight_params)
+    assert {"l1", "log_brackets", "pairs"}.isdisjoint(vars(state.core.lattice))
+
+
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_a_run_leaves_its_core_memos_empty(mode):
+    cfg = SimConfig(nx=8, ny=16, nz=8, mode=mode, epsilon=1e-3, dt=0.1, t_end=0.3,
+                    output_every=0.1)
+    core = run_simulation(cfg, on_row=lambda state: None).core
+    assert core._u_memo == (None, None) and core._g_memo == (None, None)
+
+
+def test_an_aborted_run_drops_its_workspace_before_its_checkpoint(tmp_path, monkeypatch):
+    blocks = []
+    make = simulate._Core.workspace
+
+    def workspace(core):
+        work = make(core)
+        blocks.append(weakref.ref(work[0].base))
+        return work
+
+    live_at_save = []
+
+    def save(path, state):
+        live_at_save.append([block() is not None for block in blocks])
+        save_checkpoint(path, state)
+
+    monkeypatch.setattr(simulate._Core, "workspace", workspace)
+    monkeypatch.setattr(cli, "save_checkpoint", save)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[lattice]\nnx = 8\nny = 16\nnz = 8\n"
+                   "[run]\nepsilon = 1e140\ndt = 1.0\nt_end = 50.0\n")
+    assert cli.main(["nonlinear", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert live_at_save == [[False]]          # the abort checkpoint, after the workspace

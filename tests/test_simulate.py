@@ -650,6 +650,24 @@ def test_rhs_energy_defect_is_nonzero_above_the_two_thirds_rule(fraction):
     assert inner > 1e-6 * scale
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 16), st.integers(1, 8), st.floats(0.05, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_unpack_is_hermitian_and_pack_inverts_it(hx, hy, hz, fraction, seed):
+    lat = Lattice(2 * hx, 2 * hy, 2 * hz)
+    core = simulate._Core(lat, fraction)
+    c = _random_packed(core, seed)
+    # signed zeros too: unpack writes them at the members as they are
+    rng = np.random.default_rng(seed)
+    c.real[rng.random(c.size) < 0.1] = -0.0
+    c.imag[rng.random(c.size) < 0.1] = -0.0
+    c[core.mean] = c[core.mean].real
+    full = core.unpack(c)
+    neg = np.roll(np.flip(full), 1, axis=(0, 1, 2))     # c(-f) at f
+    assert np.array_equal(full, np.conj(neg))
+    assert core.pack(full).tobytes() == c.tobytes()
+
+
 class TestPairing:
     @staticmethod
     def _core(lat, fraction):

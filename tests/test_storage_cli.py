@@ -2,6 +2,7 @@ import configparser
 import math
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _hermitian import symmetrized
+from strata import simulate
 from strata.cli import main
 from strata.lattice import Lattice, SpectralField
 from strata.simulate import SimState
@@ -95,6 +97,53 @@ class TestCheckpoint:
         st0 = _random_state(2 * hx, 2 * hy, 2 * hz, seed=seed)
         back = state_from_checkpoint(checkpoint_bytes(st0))
         assert np.array_equal(back.field.coeffs, st0.field.coeffs)
+
+
+def _packed_state(shape, fraction, seed, t=2.5):
+    core = simulate._core(Lattice(*shape), fraction)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=core.full_idx.size) + 1j * rng.normal(size=core.full_idx.size)
+    c[core.mean] = c[core.mean].real
+    return SimState(t, core=core, packed=c)
+
+
+class TestStreamedCheckpoint:
+    """``save_checkpoint`` writes the header, then the field from its own buffer."""
+
+    @staticmethod
+    def _saved(state):
+        with tempfile.TemporaryDirectory() as d:
+            save_checkpoint(os.path.join(d, "s.ckpt"), state)
+            assert os.listdir(d) == ["s.ckpt"]          # no .tmp left behind
+            with open(os.path.join(d, "s.ckpt"), "rb") as fh:
+                return fh.read()
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 6),
+           st.sampled_from([0.5, 2.0 / 3.0, 0.8, 1.0]), st.integers(0, 2**31))
+    def test_file_is_checkpoint_bytes(self, hx, hy, hz, fraction, seed):
+        packed = _packed_state((2 * hx, 2 * hy, 2 * hz), fraction, seed)
+        data = self._saved(packed)
+        assert data == checkpoint_bytes(packed)
+        assert packed._field is None                   # nothing cached on the state
+        # the same field without a core, as loaded
+        loaded = state_from_checkpoint(data)
+        assert self._saved(loaded) == data
+        # and from a field that is not contiguous
+        lat = loaded.field.lattice
+        wide = np.zeros((2 * lat.nx, lat.ny, lat.nz), dtype=np.complex128)
+        wide[::2] = loaded.field.coeffs
+        strided = SimState(loaded.t, SpectralField(lat, wide[::2]))
+        assert not strided.field.coeffs.flags.c_contiguous
+        assert self._saved(strided) == data
+
+    def test_criterion_8_golden_bytes(self):
+        coeffs = (np.arange(8, dtype=np.complex128) * (1 - 0.5j)).reshape(2, 2, 2)
+        golden = (b"STCV" + struct.pack("<I", 1) + struct.pack("<III", 2, 2, 2)
+                  + struct.pack("<d", 8 * math.pi) + struct.pack("<d", 0.75))
+        for v in coeffs.ravel(order="C"):
+            golden += struct.pack("<dd", v.real, v.imag)
+        assert self._saved(SimState(0.75, SpectralField(Lattice(2, 2, 2), coeffs))) == golden
 
 
 class TestCsv:

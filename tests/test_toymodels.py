@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from strata.symbols import zero_mode_rate
 from strata.toymodels import (
     FitError,
     fit_loglog_slope,
@@ -167,6 +168,14 @@ class TestSemigroupBound:
             assert rep.spread < 0.05
             # constants track Gamma(m+1) in the small-sigma regime
             assert rep.c_max == pytest.approx(math.gamma(m + 1), rel=0.1)
+
+    @pytest.mark.parametrize("m", [0.0, 1.5, 3.0])
+    def test_constant_is_the_integral_to_the_longest_horizon(self, m):
+        # the integrand is positive, so the sup over horizons is the last one
+        grid = [(2.0, 1), (7.0, 3), (11.0, 10)]
+        sigmas = [zero_mode_rate(eta, alpha) for eta, alpha in grid]
+        want = [_semigroup_integral(s, m, 200.0 / s) for s in sigmas]
+        assert semigroup_bound_check(grid, m).constants.tolist() == want
 
     def test_rejects_alpha_zero(self):
         with pytest.raises(ValueError):
