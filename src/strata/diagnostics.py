@@ -10,14 +10,14 @@ D = k^2 + (eta - kt)^2 + alpha^2.  Weighted values mean something only for
 t > 10; earlier rows are flagged by ``early``, and time weights use the
 bracket <t> so the t = 0 row stays finite.
 
-Every column but mass_mode, reality_err and theta_l2 reduces over one mode
-set: the modes that carry mass (m = 1), or, for a packed run state (see
-``simulate``), the core's stored members, each counted twice for its
-implied partner (m = 2) but the mean mode.  What a row needs that does not
-depend on t is built once per mode set, as its row plan, from that set's
-modes alone: the core's Couette symbols (or one ``symbols._Couette`` on
-the occupied modes), |f|_1 and log<f> from their k, eta and alpha, and a
-weight-table stack over the set's own |iota|, so a packed state's plan and
+Every column but mass_mode, reality_err and theta_l2 reduces over the
+stored members of a packed state's core (see ``simulate``), each counted
+twice for its implied partner (m = 2) but the mean mode.  A state without
+a core is packed first, by ``SimState.packed_on(1.0)``, which refuses a
+field that is not real on the kept modes.  What a row needs that does not
+depend on t is built once per core, as its row plan, from the packed modes
+alone: the core's Couette symbols, |f|_1 and log<f> from their k, eta and
+alpha, and a weight-table stack over the modes' own |iota|, so a plan and a
 row form no lattice-sized array.
 w_k and d/dt log w_k are evaluated once per row on the plan's groups, the
 distinct (|iota| row, resonant key) pairs of its modes, and gathered to
@@ -26,11 +26,9 @@ mode, so a row there evaluates no weights: 80 of the default linear run's
 101 rows (t >= 21).  The sup0_s7 column is a max over single modes, so it
 reads |c|^2 without m.
 
-A packed state is exactly real by construction, so its reality_err is 0.0
-with no check; a field without a core takes max|Im theta| / max|theta|
-from a full c2c transform (``SpectralField.reality_defect``).  theta_l2 is
-the field's ``l2``: for a packed state, the nonzero m|c|^2 in packed order,
-which is the same sum as ``l2`` of the unpacked field, bit for bit.
+A packed state is exactly real by construction, so reality_err is 0.0 on
+every row.  theta_l2 is the nonzero m|c|^2 in packed order, which is the
+same sum as ``SpectralField.l2`` of the unpacked field, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import iota
-from .symbols import _Couette, velocity_symbol  # noqa: F401  (the tracer wraps velocity_symbol)
+from .symbols import velocity_symbol  # noqa: F401  (the tracer wraps velocity_symbol)
 from .weights import (
     WeightParams,
     _TableStack,
@@ -96,27 +94,20 @@ class DiagnosticRow:
 
 
 class _RowPlan:
-    """The t-independent part of a row over one mode set, in flat order (k = 0 first).
+    """The t-independent part of a row over a ``simulate._Core``'s packed modes (k = 0 first).
 
-    ``modes`` is the packed bits of a flat mode set (m = 1), or a
-    ``simulate._Core`` whose packed modes stand for the whole field: m = 2
-    for each stored member, whose partner is implied, and 1 for the mean
-    mode.  It holds the set's Couette symbols as ``modes`` (the core's own)
-    and a weight stack over the set's own |iota| as ``tables``.  Log
-    weights are doubled, as they enter log(m|c|^2 A^2).
+    The packed modes stand for the whole field: m = 2 for each stored
+    member, whose partner is implied, and 1 for the mean mode.  It holds the
+    core's Couette symbols as ``modes`` and a weight stack over the modes'
+    own |iota| as ``tables``.  Log weights are doubled, as they enter
+    log(m|c|^2 A^2).
     """
 
-    def __init__(self, lat, p: WeightParams, modes):
-        if isinstance(modes, bytes):
-            idx = np.flatnonzero(np.unpackbits(np.frombuffer(modes, np.uint8), count=lat.size))
-            ix, iy, iz = np.unravel_index(idx, lat.shape)
-            self.modes = _Couette(lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz])
-            self.m = 1.0
-        else:
-            idx, self.modes = modes.full_idx, modes.modes
-            self.m = np.where(idx == 0, 1.0, 2.0)
+    def __init__(self, core, p: WeightParams):
+        idx, self.modes = core.full_idx, core.modes
+        self.m = np.where(idx == 0, 1.0, 2.0)
         k, eta, alpha = self.modes.k, self.modes.eta, self.modes.alpha
-        # |f|_1 and log<f> on the set's own modes, as ``Lattice.l1`` and
+        # |f|_1 and log<f> on the packed modes, as ``Lattice.l1`` and
         # ``Lattice.log_brackets`` form them on the whole lattice
         l1 = np.abs(k) + np.abs(eta) + np.abs(alpha)
         log_br = np.log(np.sqrt(1.0 + self.modes.kk + eta**2 + self.modes.aa))
@@ -149,24 +140,16 @@ class _RowPlan:
         self.scratch = np.empty((4, idx.size))
 
 
-# the row plan of the last (lattice, weight parameters, mode set) asked
+# the row plan of the last (core, weight parameters) asked
 _support = lru_cache(maxsize=1)(_RowPlan)
 
 
 def compute_row(state, p: WeightParams) -> DiagnosticRow:
-    core, t = state.core, state.t
-    if core is None:
-        lat, flat = state.field.lattice, state.field.coeffs.ravel()
-        # the modes that carry mass: the others add 0 to every sum
-        occupied = flat != 0
-        modes, c = np.packbits(occupied).tobytes(), flat[occupied]
-        mass = abs(complex(flat[0]))
-    else:
-        lat, c, modes = core.lattice, state.packed, core
-        mass = abs(complex(c[core.mean[0]])) if core.mean.size else 0.0
-    plan = _support(lat, p, modes)
+    if state.core is None:
+        state = state.packed_on(1.0)
+    t, c, plan = state.t, state.packed, _support(state.core, p)
     q, log_c2, x, y = plan.scratch
-    n0, deta = plan.n0, lat.delta_eta
+    n0, deta = plan.n0, state.core.lattice.delta_eta
     # from the stack's largest 2|iota| on, every log w and d/dt log w is +0.0:
     # subtracting it would leave every float as it is, and ck_w is 0.0
     weighted = t < plan.tables.t_flat
@@ -204,13 +187,8 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
              "u2_nonzero_l2": (plan.ka2[n0:], q[n0:]), "u3_l2": (sym.aa, em2)}
     sums = {name: np.einsum("i,i->", *ab) for name, ab in pairs.items()} | {"theta_l2": total}
     cols = {name: math.sqrt(deta * float(s)) for name, s in sums.items()}
-    # a packed state is exactly real; a field without a core may be neither
-    # real nor summed in l2's order
-    reality = 0.0
-    if core is None:
-        cols["theta_l2"] = state.field.l2()
-        reality = state.field.reality_defect()
-    cols.update(t=t, early=int(t <= 10.0), mass_mode=mass, reality_err=reality)
+    # the mean mode is packed position 0, and a packed state is exactly real
+    cols.update(t=t, early=int(t <= 10.0), mass_mode=abs(complex(c[0])), reality_err=0.0)
 
     # Weighted columns: ||<t>^t_exp A c||^power from ln2, the log-sum-exp of
     # log(m|c|^2 A^2) over the column's modes.  log A is lambda|f|_1^s +

@@ -10,9 +10,9 @@ canonical order; the solver keeps only those members (``simulate._Core``)
 and writes each partner as the conjugate, so its fields are real by
 construction.  ``SpectralField.l2`` sums over the same pairs in the same
 order, so a run's diagnostic row reproduces it bit for bit from the stored
-members alone.  ``reality_defect`` measures a departure from reality with a
-full c2c ``numpy.fft`` transform; only fields built without that structure
-(hand-built or loaded) need it.
+members alone; a check of a run's output ties its last row to its final
+checkpoint that way.  ``reality_defect`` measures a departure from reality
+with a full c2c ``numpy.fft`` transform; no run path calls it.
 """
 
 from __future__ import annotations

@@ -25,7 +25,10 @@ packed, from ``init_field`` on: ``step_linear`` maps packed to packed with G
 on the packed modes (G at the start time cached on the core),
 ``step_nonlinear`` advances the packed values, and
 ``diagnostics.compute_row`` reduces over them.  A packed state's field is
-unpacked once, when first read, and is read-only.
+unpacked once, when first read, and is read-only.  A field without a core
+enters ``step_linear`` and ``compute_row`` through ``SimState.packed_on(1.0)``,
+which refuses one that is not real on the kept modes; ``step_nonlinear``
+packs it, dropping what lies off them, as dealiasing does.
 
 The core holds one such symbol object, on the packed modes
 (``_Core.modes``), with G's t-independent parts formed once; the transport
@@ -109,6 +112,23 @@ class SimState:
             self._field = SpectralField(self.core.lattice, coeffs)
         return self._field
 
+    def packed_on(self, dealias: float) -> "SimState":
+        """This state on the cached core of its lattice and ``dealias``.
+
+        A state packed on that core is returned as it is.  Any other is packed
+        from its field, and refused (``ValueError``) unless unpacking gives the
+        field back exactly: content off the kept modes (at 1.0, a Nyquist
+        index), a field that is not Hermitian, a complex mean or a NaN.
+        """
+        core = _core(self.field.lattice if self.core is None else self.core.lattice, dealias)
+        if self.core is core:
+            return self
+        packed = core.pack(self.field.coeffs)
+        if not np.array_equal(core.unpack(packed), self.field.coeffs):
+            raise ValueError(f"the field at t={self.t:.6g} is not real on the kept modes "
+                             f"of dealias fraction {dealias}")
+        return SimState(self.t, core=core, packed=packed)
+
     def copy(self) -> "SimState":
         if self.core is None:
             return SimState(self.t, self._field.copy())
@@ -170,7 +190,7 @@ def init_field(cfg: SimConfig) -> SimState:
         c = np.where(support, amps * decay * np.exp(1j * phases), 0.0)
 
     kept = 0.5 * (c[:n] + np.conj(c[n:]))
-    kept[core.mean] = 0.0
+    kept[0] = 0.0
     if not np.any(kept):
         raise ConfigError(f"init recipe {cfg.recipe!r} puts nothing on the kept modes")
 
@@ -196,17 +216,16 @@ def linear_decay_factors(lat: Lattice, t0: float, t1: float) -> np.ndarray:
 def step_linear(state: SimState, dt: float) -> SimState:
     """The exact linear solution dt after ``state``, keeping its core.
 
-    With a core, G is evaluated on the packed modes only and the result
-    holds packed coefficients; G is even under f -> -f, so the unpacked
-    partners equal the full-lattice product.
+    G is evaluated on the packed modes only and the result holds packed
+    coefficients; G is even under f -> -f, so the unpacked partners equal
+    the full-lattice product.  A state without a core is packed first, by
+    ``state.packed_on(1.0)``.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    if state.core is None:
+        state = state.packed_on(1.0)
     core, t1 = state.core, state.t + dt
-    if core is None:
-        lat = state.field.lattice
-        coeffs = state.field.coeffs * linear_decay_factors(lat, state.t, t1)
-        return SimState(t1, SpectralField(lat, coeffs))
     return SimState(t1, core=core,
                     packed=state.packed * np.exp(core.g_memo(state.t) - core.g(t1)))
 
@@ -219,12 +238,12 @@ class _Core:
     Hermitian partner.  The packed modes are the members ``Lattice.pairs``
     names that the kept set holds, in its order (so the k = 0 modes come
     first): every alpha > 0 mode, and one member of each pair on the
-    alpha = 0 plane, where the mean mode is its own partner.  ``neg_idx``
-    is the flat full-lattice index of -f for each packed f.  ``modes`` is
-    the one Couette symbol object, on the packed modes, whose G is ``g``;
-    ``u`` is the transport velocity on the transforms' box, evaluated from
-    its axes at each call.  ``g_memo`` and ``u_memo`` keep the values at the
-    last time asked of them, one time each.
+    alpha = 0 plane, where the mean mode, packed position 0, is its own
+    partner.  ``neg_idx`` is the flat full-lattice index of -f for each
+    packed f.  ``modes`` is the one Couette symbol object, on the packed
+    modes, whose G is ``g``; ``u`` is the transport velocity on the
+    transforms' box, evaluated from its axes at each call.  ``g_memo`` and
+    ``u_memo`` keep the values at the last time asked of them, one time each.
     """
 
     def __init__(self, lat: Lattice, dealias: float):
@@ -235,7 +254,6 @@ class _Core:
         members, partners = lat.pairs
         kept = keep.ravel()[members]
         self.full_idx, self.neg_idx = members[kept], partners[kept]
-        self.mean = np.flatnonzero(self.full_idx == 0)
         ix, iy, iz = np.unravel_index(self.full_idx, lat.shape)
         self.plane = np.flatnonzero(iz == 0)
         self.modes = _Couette(lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz])
@@ -291,7 +309,7 @@ class _Core:
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
         """The stored members; the mean mode, its own partner, keeps its real part."""
         out = coeffs.ravel()[self.full_idx]
-        out[self.mean] = out[self.mean].real
+        out[0] = out[0].real
         return out
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
@@ -380,7 +398,7 @@ class _Core:
                 np.fft.fft(lines[:, in_lat], axis=0, norm="forward", out=spec[:, in_x])
             out = spec.reshape(-1)[self.x_idx]
             np.negative(out, out=out)
-        out[self.mean] = 0.0
+        out[0] = 0.0
         return out
 
 

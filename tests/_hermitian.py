@@ -27,3 +27,15 @@ def hermitian_defect(field: SpectralField) -> float:
 def symmetrized(field: SpectralField) -> SpectralField:
     """The Hermitian part 0.5 * (c(f) + conj c(-f)) of a field."""
     return SpectralField(field.lattice, 0.5 * (field.coeffs + conj_mirror(field.coeffs)))
+
+
+def without_nyquist(field: SpectralField) -> SpectralField:
+    """The field with every coefficient on an axis's Nyquist index n/2 set to 0.
+
+    -f of such a mode lies on the same Nyquist index, so a Hermitian field
+    stays Hermitian.
+    """
+    c = field.coeffs.copy()
+    nx, ny, nz = field.lattice.shape
+    c[nx // 2] = c[:, ny // 2] = c[:, :, nz // 2] = 0.0
+    return SpectralField(field.lattice, c)

@@ -39,7 +39,7 @@ def packed_init(cfg) -> np.ndarray:
         coeffs = np.where(support, amps * decay * np.exp(1j * phases), 0.0)
 
     kept = 0.5 * (core.pack(coeffs) + np.conj(coeffs.ravel()[core.neg_idx]))
-    kept[core.mean] = 0.0
+    kept[0] = 0.0
     if not np.any(kept):
         raise ConfigError(f"init recipe {cfg.recipe!r} puts nothing on the kept modes")
 

@@ -10,7 +10,7 @@ import scipy.fft as _fft
 
 import strata.diagnostics as diagnostics
 import strata.simulate as simulate
-from _hermitian import hermitian_defect
+from _hermitian import hermitian_defect, symmetrized, without_nyquist
 from strata.config import SimConfig
 from strata.diagnostics import (
     DiagnosticRow,
@@ -32,12 +32,13 @@ from strata.weights import (
 )
 
 # Columns computed by the same arithmetic as the reference.  The velocity and
-# weighted columns sum over the modes that carry mass only, in another order,
-# so they agree to rounding only.  A packed state (a run's) is exactly real,
-# checked against the pairing oracle, and takes reality_err = 0.0 without the
-# reference's c2c transform; its theta_l2, summed over the stored members
-# with multiplicity, is the field's l2 bit for bit.
-EXACT = ("t", "early", "theta_l2", "mass_mode", "reality_err")
+# weighted columns sum over the packed modes only, in another order, so they
+# agree to rounding only.  Every row is of a packed state (a state without a
+# core is packed on the way in), exactly real, checked against the pairing
+# oracle, and takes reality_err = 0.0 where the reference's c2c transform
+# reads rounding; its theta_l2, summed over the stored members with
+# multiplicity, is the field's l2 bit for bit.
+EXACT = ("t", "early", "theta_l2", "mass_mode")
 
 
 def _reference_log_weighted_l2(lattice, coeffs, logw, mask=None):
@@ -158,8 +159,8 @@ def _assert_rows_agree(state, params):
     got = compute_row(state, params)
     ref = _reference_row(state, params)
     for name, g, r in zip(DiagnosticRow.header(), got.values(), ref.values()):
-        if name == "reality_err" and state.core is not None:
-            assert g == 0.0 and hermitian_defect(state.field) == 0.0, (state.t, g)
+        if name == "reality_err":
+            assert g == 0.0 and hermitian_defect(state.field) == 0.0 and r < 1e-14, (state.t, r)
         elif name in EXACT:
             assert g == r, (state.t, name)
         else:
@@ -206,21 +207,43 @@ def _unpacked(state):
     return SimState(state.t, SpectralField(state.core.lattice, state.core.unpack(state.packed)))
 
 
+def _assert_refused(state, p):
+    # a field without a core enters both through SimState.packed_on(1.0)
+    for call in (lambda: compute_row(state, p), lambda: step_linear(state, 1.0)):
+        with pytest.raises(ValueError, match="not real on the kept modes"):
+            call()
+
+
 @pytest.mark.parametrize("cfg", [SimConfig(), SimConfig(nx=8, ny=16, nz=8, init_kmax=2)],
                          ids=["default", "8x16x8"])
 @pytest.mark.parametrize("where, size", [
     ((1, 2, 0), 1e-6j), ((1, 2, 0), 0.3), ((0, 0, 0), 2e-3j), ((-3, 5, 0), 50.0 + 5.0j),
 ], ids=["small-imag", "real", "mean-mode", "dominant"])
 def test_plane_reality_err_matches_the_c2c_defect(cfg, where, size):
-    # a defect on the alpha = 0 plane, partner untouched, on or off the kept
-    # modes: a field without a core takes the c2c transform
+    # reality_err reads 0.0 on every row, so no row may be of a field that is
+    # not real.  A defect on the alpha = 0 plane, partner untouched, on or off
+    # the kept modes (an imaginary mean among them), shows in the c2c
+    # transform, and the row and the linear step refuse the field; its
+    # Hermitian part's row reads 0.0, where the c2c transform reads rounding
     state = _unpacked(step_linear(init_field(cfg), 5.0))
     c = state.field.coeffs
     c[where] += size * np.max(np.abs(c))
-    got = compute_row(state, cfg.weight_params).reality_err
-    ref = state.field.reality_defect()
-    assert ref > 1e-9
-    assert got == ref
+    assert state.field.reality_defect() > 1e-9
+    _assert_refused(state, cfg.weight_params)
+    real = SimState(state.t, symmetrized(state.field))
+    assert compute_row(real, cfg.weight_params).reality_err == 0.0
+    assert real.field.reality_defect() < 1e-14
+
+
+@pytest.mark.parametrize("where, value", [((4, 0, 0), 1e-3), ((1, 0, 0), math.nan)],
+                         ids=["nyquist", "nan"])
+def test_rows_and_linear_steps_refuse_nyquist_content_and_a_nan(where, value):
+    # a real, self-conjugate mode on the x Nyquist index lies off the kept
+    # modes of every fraction; a NaN is not equal to itself
+    cfg = SimConfig(nx=8, ny=16, nz=8, init_kmax=2)
+    state = _unpacked(init_field(cfg))
+    state.field.coeffs[where] = value
+    _assert_refused(state, cfg.weight_params)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -274,14 +297,15 @@ def test_packed_theta_l2_is_the_field_l2(cfg, steps):
     SimConfig(nx=8, ny=16, nz=8, mode="nonlinear", epsilon=0.5, t_end=1.0, output_every=0.5),
 ], ids=["default", "single-8x16x8", "nonlinear-default", "nonlinear-8x16x8"])
 def test_packed_rows_match_the_field_rows(cfg):
-    # the packed row, the same state without a core and the reference agree:
-    # bitwise where the arithmetic is shared, else to the file's tolerance.
-    # sup0_s7 is a max over single modes, so no multiplicity may enter it
+    # the packed row, the same state without a core (packed on the core of
+    # fraction 1.0 on the way in) and the reference agree: bitwise where the
+    # arithmetic is shared, else to the file's tolerance.  sup0_s7 is a max
+    # over single modes, so no multiplicity may enter it
     for state in _run_states(cfg):
         got = compute_row(state, cfg.weight_params)
         plain = _unpacked(state)
         want, ref = compute_row(plain, cfg.weight_params), _reference_row(plain, cfg.weight_params)
-        assert got.reality_err == 0.0 and want.reality_err == ref.reality_err
+        assert got.reality_err == want.reality_err == 0.0
         assert got.sup0_s7_l10 == want.sup0_s7_l10, state.t
         for name, g, w, r in zip(DiagnosticRow.header(), got.values(), want.values(),
                                  ref.values()):
@@ -348,30 +372,41 @@ def _zero_plane(lat, rng):
 
 def _one_mode(lat, rng):
     c = np.zeros(lat.shape, complex)
-    c[1, 2, -1] = rng.normal() + 1j * rng.normal()
+    c[1, 1, -1] = rng.normal() + 1j * rng.normal()
     return c
+
+
+def _real_field(lat, c):
+    """The Hermitian part of c off the Nyquist indices: a field the rows take."""
+    return without_nyquist(symmetrized(SpectralField(lat, c)))
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 4), (6, 10, 8)])
 @pytest.mark.parametrize("make", [_whole_lattice, _zero_plane, _one_mode],
                          ids=["whole-lattice", "k0-only", "one-mode"])
 def test_supports_match_reference(shape, make):
-    # non-Hermitian fields: the mean mode, the Nyquist indices and unpaired
-    # modes carry mass, and the k = 0 or k != 0 columns can have none
+    # fields without a core: the k = 0 or k != 0 columns can have no mass
     lat = Lattice(*shape)
-    c = 1e-3 * make(lat, np.random.default_rng(sum(shape)))
+    fieldv = _real_field(lat, 1e-3 * make(lat, np.random.default_rng(sum(shape))))
+    assert np.any(fieldv.coeffs)
     for t in (0.0, 1.3, 3.7, 20.0):
-        _assert_rows_agree(SimState(t, SpectralField(lat, c)), WeightParams())
+        _assert_rows_agree(SimState(t, fieldv.copy()), WeightParams())
 
 
 def test_nan_mode_matches_reference():
-    # a NaN coefficient reaches the velocity norms and drops out of the weighted columns
+    # a NaN coefficient reaches the velocity norms and drops out of the
+    # weighted columns.  The door refuses a NaN, so the state is packed here
     lat = Lattice(4, 4, 4)
-    c = np.zeros(lat.shape, complex)
-    c[1, 1, 1], c[2, 0, 1] = 1e-3, np.nan
-    state = SimState(1.0, SpectralField(lat, c))
+    core = simulate._core(lat, 1.0)
+    c = np.zeros(core.full_idx.size, complex)
+    c[np.flatnonzero(core.full_idx == np.ravel_multi_index((1, 1, 1), lat.shape))] = 1e-3
+    c[np.flatnonzero(core.full_idx == np.ravel_multi_index((0, 1, 1), lat.shape))] = np.nan
+    state = SimState(1.0, core=core, packed=c)
     got, ref = compute_row(state, WeightParams()), _reference_row(state, WeightParams())
-    np.testing.assert_allclose(got.values(), ref.values(), rtol=1e-12, equal_nan=True)
+    assert math.isnan(got.u1_l2) and got.gev_s1_l10 > 0.0 and got.reality_err == 0.0
+    np.testing.assert_allclose([v for n, v in zip(got.header(), got.values()) if n != "reality_err"],
+                               [v for n, v in zip(ref.header(), ref.values()) if n != "reality_err"],
+                               rtol=1e-12, equal_nan=True)
 
 
 def test_oracle_rows_cover_the_resonant_and_the_late_regime():
@@ -390,25 +425,14 @@ def test_oracle_rows_cover_the_resonant_and_the_late_regime():
     assert compute_row(states[-1], p).ck_w_l10 == 0.0
 
 
-def test_coreless_rows_follow_a_changing_occupied_set():
-    # a field without a core, edited between rows: a new occupied set builds
-    # its plan, the same set reuses it, and every row matches the reference
-    lat, p = Lattice(6, 10, 8), WeightParams()
-    c = 1e-3 * _whole_lattice(lat, np.random.default_rng(5))
-    cut = np.where(np.abs(lat.kx) + np.abs(lat.alpha) > 3, 0.0, c)
-    diagnostics._support.cache_clear()
-    for coeffs, builds in ((c, 1), (cut, 2), (cut, 2), (c, 3)):
-        for t in (7.0, 30.0):
-            _assert_rows_agree(SimState(t, SpectralField(lat, coeffs.copy())), p)
-        assert diagnostics._support.cache_info().misses == builds
-
-
 def test_weighted_columns_survive_squares_below_the_normal_range():
     # |c| ~ 1e-160 squares to a subnormal with a few digits left, yet the
-    # sigma_1 weights keep such modes in the ladder: their log comes from |c|
-    lat, p = Lattice(6, 10, 8), WeightParams()
-    c = 1e-160 * _whole_lattice(lat, np.random.default_rng(2))
-    got, ref = (f(SimState(2.0, SpectralField(lat, c)), p) for f in (compute_row, _reference_row))
+    # sigma_1 weights keep such modes in the ladder: their log comes from |c|.
+    # The field is real and off Nyquist, so the lattice is wide enough for
+    # its largest kept <f>^sigma_1 to lift the column above rounding
+    lat, p = Lattice(8, 12, 10), WeightParams()
+    fieldv = _real_field(lat, 1e-160 * _whole_lattice(lat, np.random.default_rng(2)))
+    got, ref = (f(SimState(2.0, fieldv), p) for f in (compute_row, _reference_row))
     assert got.gev_s1_l10 > 0.0
     for name, g, r in zip(DiagnosticRow.header(), got.values(), ref.values()):
         if name.endswith("_l10"):
@@ -470,11 +494,8 @@ def _at(state, t):
 
 
 def _plan(state, p):
-    """The row plan compute_row builds for ``state``."""
-    if state.core is not None:
-        return diagnostics._support(state.core.lattice, p, state.core)
-    occupied = state.field.coeffs.ravel() != 0
-    return diagnostics._support(state.field.lattice, p, np.packbits(occupied).tobytes())
+    """The row plan compute_row builds for ``state``: its core's, or that of fraction 1.0."""
+    return diagnostics._support(state.packed_on(1.0).core if state.core is None else state.core, p)
 
 
 @pytest.mark.parametrize("make, t_flat", [
@@ -516,21 +537,26 @@ def test_packed_plan_holds_the_cores_symbols():
     start = init_field(cfg)
     diagnostics._support.cache_clear()
     compute_row(start, cfg.weight_params)
-    plan = diagnostics._support(cfg.lattice, cfg.weight_params, start.core)
+    plan = diagnostics._support(start.core, cfg.weight_params)
     assert diagnostics._support.cache_info().misses == 1
     assert plan.modes is start.core.modes
 
 
 @pytest.mark.parametrize("shape", [(8, 16, 8), (6, 10, 8)])
 def test_coreless_plan_is_the_lattice_gather(shape):
-    # a core-less plan's symbols, |iota| rows and weights equal the gathers
-    # from the lattice's arrays and its LatticeWeights, bit for bit
+    # a field without a core is packed on the core of fraction 1.0; its row
+    # plan's symbols, |iota| rows and weights equal the gathers from the
+    # lattice's arrays and its LatticeWeights at the packed modes, bit for bit
     lat, p = Lattice(*shape), WeightParams()
     c = np.where(np.abs(lat.kx) + np.abs(lat.alpha) > 3, 0.0,
                  _whole_lattice(lat, np.random.default_rng(3)))
-    occupied = c.ravel() != 0
-    plan = diagnostics._RowPlan(lat, p, np.packbits(occupied).tobytes())
-    idx = np.flatnonzero(occupied)
+    state = SimState(1.0, _real_field(lat, c))
+    compute_row(state, p)
+    core = simulate._core(lat, 1.0)
+    hits = diagnostics._support.cache_info().hits
+    plan = diagnostics._support(core, p)
+    assert diagnostics._support.cache_info().hits == hits + 1    # the row's own plan
+    idx = core.full_idx
     ix, iy, iz = np.unravel_index(idx, lat.shape)
     k, eta, alpha = lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz]
     for got, want in ((plan.modes.k, k), (plan.modes.eta, eta), (plan.modes.alpha, alpha),
@@ -538,7 +564,7 @@ def test_coreless_plan_is_the_lattice_gather(shape):
                       (plan.modes.ka, k * k + alpha * alpha)):
         assert got.tobytes() == want.tobytes()
     lw = LatticeWeights(lat, p)
-    assert plan.tables.vals.size < lw.tables.vals.size
+    assert plan.tables.vals.size <= lw.tables.vals.size
     assert np.isin(plan.tables.vals, lw.tables.vals).all()
     for t in (0.5, 7.0, 30.0, 80.0):
         log_w, dlog_w, _ = plan.tables.mode_weights(t, *plan.groups)

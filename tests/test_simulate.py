@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import typing
@@ -393,17 +394,20 @@ class TestLinearStep:
 
     def test_packed_propagator_equals_the_full_lattice_one(self):
         # G on the packed modes, partners written by unpack: the full-lattice
-        # product's values bit for bit, and the core rides along
+        # product's values bit for bit, and the core rides along.  The same
+        # field without a core is packed on the core of fraction 1.0 first
         cfg = SimConfig()
         cored = init_field(cfg)
         core = simulate._core(cfg.lattice, cfg.dealias)
         assert cored.core is core
         plain = SimState(0.0, cored.field.copy())
         for t in (0.5, 1.0, 5.0, 20.0, 100.0):
-            got, ref = step_linear(cored, t), step_linear(plain, t)
-            assert got.core is core and ref.core is None
-            assert got.t == ref.t
-            assert np.array_equal(got.field.coeffs, ref.field.coeffs), t
+            want = cored.field.coeffs * linear_decay_factors(cfg.lattice, 0.0, t)
+            got, via = step_linear(cored, t), step_linear(plain, t)
+            assert got.core is core and via.core is simulate._core(cfg.lattice, 1.0)
+            assert got.t == via.t == t
+            assert np.array_equal(got.field.coeffs, want), t
+            assert np.array_equal(via.field.coeffs, want), t
         assert cored.copy().core is core
 
     def test_run_states_hold_the_packed_product(self):
@@ -484,6 +488,38 @@ class TestLinearStep:
             expect = np.exp(damping_antiderivative(t0, lat.kx, lat.eta, lat.alpha)
                             - damping_antiderivative(t1, lat.kx, lat.eta, lat.alpha))
             assert linear_decay_factors(lat, t0, t1).tobytes() == expect.tobytes()
+
+
+class TestPackedOn:
+    def test_a_state_packed_on_the_core_is_returned_as_it_is(self):
+        cfg = SimConfig(**SMALL)
+        start = init_field(cfg)
+        assert start.packed_on(cfg.dealias) is start
+        later = step_linear(start, 2.0)
+        assert later.packed_on(cfg.dealias) is later
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+    def test_a_run_states_field_packs_back_to_its_values(self, fraction):
+        # pack(unpack(c)) is c bit for bit, so a loaded checkpoint of a run
+        # packs back onto its run's core exactly
+        cfg = SimConfig(**SMALL, epsilon=0.1, recipe="random", mode="nonlinear",
+                        dealias=fraction)
+        st = step_nonlinear(init_field(cfg), 0.1, fraction)
+        back = SimState(st.t, st.field.copy()).packed_on(fraction)
+        assert back.core is st.core and back.t == st.t
+        assert back.packed.tobytes() == st.packed.tobytes()
+
+    def test_a_two_thirds_state_on_the_core_of_one(self):
+        # a 2/3 run state repacked on the core of fraction 1.0 holds the same
+        # field bit for bit
+        cfg = SimConfig(**SMALL, epsilon=0.1, recipe="random", mode="nonlinear")
+        st = step_nonlinear(init_field(cfg), 0.1, cfg.dealias)
+        one = st.packed_on(1.0)
+        assert one.core is simulate._core(cfg.lattice, 1.0) and one.t == st.t
+        assert one.field.coeffs.tobytes() == st.field.coeffs.tobytes()
+        # the other way, content past the 2/3 cut is refused
+        with pytest.raises(ValueError, match="not real on the kept modes"):
+            init_field(dataclasses.replace(cfg, dealias=1.0)).packed_on(cfg.dealias)
 
 
 class TestNonlinearRHS:
@@ -624,7 +660,7 @@ def _energy_defect(core, c, t, work):
 def _random_packed(core, seed):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(core.full_idx.size) + 1j * rng.standard_normal(core.full_idx.size)
-    c[core.mean] = c[core.mean].real
+    c[0] = c[0].real
     return c
 
 
@@ -656,16 +692,39 @@ def test_rhs_energy_defect_is_nonzero_above_the_two_thirds_rule(fraction):
 def test_unpack_is_hermitian_and_pack_inverts_it(hx, hy, hz, fraction, seed):
     lat = Lattice(2 * hx, 2 * hy, 2 * hz)
     core = simulate._Core(lat, fraction)
+    assert core.full_idx[0] == 0        # the mean mode is packed position 0
     c = _random_packed(core, seed)
     # signed zeros too: unpack writes them at the members as they are
     rng = np.random.default_rng(seed)
     c.real[rng.random(c.size) < 0.1] = -0.0
     c.imag[rng.random(c.size) < 0.1] = -0.0
-    c[core.mean] = c[core.mean].real
+    c[0] = c[0].real
     full = core.unpack(c)
     neg = np.roll(np.flip(full), 1, axis=(0, 1, 2))     # c(-f) at f
     assert np.array_equal(full, np.conj(neg))
     assert core.pack(full).tobytes() == c.tobytes()
+
+
+# the damping integral is additive, and so two linear steps are one: times
+# are multiples of 1/64, so t0 + a + b is the same float either way round.
+# Bounds, in ulps of the largest |G| of the three times (G) and in eps times
+# 1 + that |G| for the propagated values; both measured at most 2.0
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 16, 8), (4, 8, 4), (6, 10, 4), (8, 16, 8), (8, 32, 8),
+                        (12, 24, 6)]),
+       st.sampled_from([2.0 / 3.0, 0.6, 1.0]), st.integers(0, 2**32 - 1),
+       st.integers(0, 64 * 60), st.integers(1, 64 * 40), st.integers(1, 64 * 40))
+def test_linear_steps_compose_and_g_is_additive(shape, fraction, seed, n0, na, nb):
+    core = simulate._core(Lattice(*shape), fraction)
+    t0, a, b = n0 / 64, na / 64, nb / 64
+    g0, g1, g2 = core.g(t0), core.g(t0 + a), core.g(t0 + a + b)
+    big = np.maximum(np.maximum(np.abs(g0), np.abs(g1)), np.abs(g2))
+    assert np.all(np.abs((g0 - g1) + (g1 - g2) - (g0 - g2)) <= 4.0 * np.spacing(big))
+    start = SimState(t0, core=core, packed=_random_packed(core, seed))
+    two, one = step_linear(step_linear(start, a), b), step_linear(start, a + b)
+    assert two.core is one.core is core and two.t == one.t == t0 + a + b
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(two.packed - one.packed) <= 4.0 * eps * (1.0 + big) * np.abs(one.packed))
 
 
 class TestPairing:
@@ -1126,6 +1185,7 @@ class TestRunAndDiagnostics:
         live = np.zeros(lat.shape, bool)
         live[0, :, 1] = True
         live[0, :, lat.nz - 1] = True
+        live[0, lat.ny // 2] = False      # off the y Nyquist line, which step_linear refuses
         c[live] = sig[live] ** 2
         st = SimState(0.0, symmetrized(SpectralField(lat, c)))
         ts, env = [], []

@@ -103,7 +103,7 @@ def _packed_state(shape, fraction, seed, t=2.5):
     core = simulate._core(Lattice(*shape), fraction)
     rng = np.random.default_rng(seed)
     c = rng.normal(size=core.full_idx.size) + 1j * rng.normal(size=core.full_idx.size)
-    c[core.mean] = c[core.mean].real
+    c[0] = c[0].real
     return SimState(t, core=core, packed=c)
 
 

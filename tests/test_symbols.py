@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import strata.diagnostics as diagnostics
+import strata.simulate as simulate
 from strata.config import SimConfig
 from strata.lattice import Lattice, SpectralField
 from strata.simulate import SimState, init_field, step_nonlinear
@@ -193,16 +195,19 @@ class TestGPartsOnFirstUse:
         assert vars(modes).keys() == self.SHARED | {"_g_parts"}
         assert np.array_equal(g, damping_antiderivative(1.5, lat.kx, lat.eta, lat.alpha))
 
-    def test_absent_from_a_core_less_row_plan(self):
+    def test_absent_from_a_core_less_row_plan(self, monkeypatch):
+        # a state without a core is packed on a fresh core of fraction 1.0,
+        # whose row plan holds the core's symbols and forms no G
+        monkeypatch.setattr(simulate, "_core", functools.lru_cache(maxsize=8)(simulate._Core))
         lat = Lattice(8, 16, 8)
-        coeffs = np.random.default_rng(3).standard_normal(lat.shape) + 0j
-        coeffs[2:6] = 0.0
+        core = simulate._core(lat, 1.0)
+        packed = np.random.default_rng(3).standard_normal(core.full_idx.size) + 0j
         p = SimConfig().weight_params
-        diagnostics.compute_row(SimState(1.0, SpectralField(lat, coeffs)), p)
+        diagnostics.compute_row(SimState(1.0, SpectralField(lat, core.unpack(packed))), p)
         hits = diagnostics._support.cache_info().hits
-        plan = diagnostics._support(lat, p, np.packbits(coeffs.ravel() != 0).tobytes())
+        plan = diagnostics._support(core, p)
         assert diagnostics._support.cache_info().hits == hits + 1    # the row's own plan
-        assert vars(plan.modes).keys() == self.SHARED
+        assert plan.modes is core.modes and vars(plan.modes).keys() == self.SHARED
 
     def test_absent_from_the_transforms_box(self):
         cfg = SimConfig(nx=8, ny=16, nz=8, epsilon=0.5, recipe="random", init_kmax=2,
