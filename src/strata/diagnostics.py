@@ -18,7 +18,9 @@ field that is not real on the kept modes.  What a row needs that does not
 depend on t is built once per core, as its row plan, from the packed modes
 alone: the core's Couette symbols, |f|_1 and log<f> from their k, eta and
 alpha, and a weight-table stack over the modes' own |iota|, so a plan and a
-row form no lattice-sized array.
+row form no lattice-sized array.  A plan holds only values fixed by its
+(core, weight parameters) key; each row allocates its own packed-size work
+arrays, so rows of one core may be computed in several threads at once.
 w_k and d/dt log w_k are evaluated once per row on the plan's groups, the
 distinct (|iota| row, resonant key) pairs of its modes, and gathered to
 the modes.  From the stack's ``t_flat``, 2 max|iota|, on, w = 1 on every
@@ -137,7 +139,6 @@ class _RowPlan:
         self.znz, self.dz = np.flatnonzero(alpha[:n0] != 0), np.flatnonzero(alpha[:n0] == 0)
         self.a246 = [2.0 * s * log_br[self.znz] for s in (s2, s4, s6)]
         self.a7 = s7 * np.log1p(eta[self.dz] ** 2)
-        self.scratch = np.empty((4, idx.size))
 
 
 # the row plan of the last (core, weight parameters) asked
@@ -148,7 +149,7 @@ def compute_row(state, p: WeightParams) -> DiagnosticRow:
     if state.core is None:
         state = state.packed_on(1.0)
     t, c, plan = state.t, state.packed, _support(state.core, p)
-    q, log_c2, x, y = plan.scratch
+    q, log_c2, x, y = np.empty((4, c.size))         # the row's own work arrays
     n0, deta = plan.n0, state.core.lattice.delta_eta
     # from the stack's largest 2|iota| on, every log w and d/dt log w is +0.0:
     # subtracting it would leave every float as it is, and ck_w is 0.0

@@ -34,14 +34,16 @@ The core holds one such symbol object, on the packed modes
 (``_Core.modes``), with G's t-independent parts formed once; the transport
 velocity u on the transforms' box is ``symbols.transport_symbol`` of the
 box's broadcast axes (``_Core.u``).  The nonlinear step evaluates G and u
-once per distinct stage time, and those at its two ends through a
-one-entry memo on the core (``_Core.g_memo``, ``_Core.u_memo``), so a step
-that starts exactly where the last one ended reads them back; a linear run
-reads its start time's G from the same memo.  Each RK stage's product is
-formed with six inverse and one forward ``numpy.fft`` transform, pruned to
-the 1-D lines that carry content: the kept modes have signed y and z
-indices below cuts c_y and c_z, so the x pass runs over those (y, z) lines
-only and the y pass over those z planes only (the zero-padded
+once per distinct stage time, and those at its two ends through a one-entry
+memo on the core (``_Core.g_memo``, ``_Core.u_memo``), so a step that
+starts exactly where the last one ended reads them back; a linear run reads
+its start time's G from the same memo.  Each memo caches a pure function of
+t for as long as the core lives, and is read once per call, so runs that
+share a core in several threads read consistent values.  Each RK stage's
+product is formed with six inverse and one forward ``numpy.fft`` transform,
+pruned to the 1-D lines that carry content: the kept modes have signed y
+and z indices below cuts c_y and c_z, so the x pass runs over those (y, z)
+lines only and the y pass over those z planes only (the zero-padded
 pseudo-spectral product of Canuto, Hussaini, Quarteroni & Zang, *Spectral
 Methods*, 2006, skipping the lines Orszag's 2/3 rule leaves empty).  The
 stored members, and the conjugates of the alpha = 0 ones at their partners,
@@ -57,9 +59,9 @@ No array the size of the lattice outlives the statement that needs it.
 ``init_field`` forms |f|_1 from the wavenumbers of the members and
 partners, and its rescale sum from one lattice-sized float array; the core
 reads ``Lattice.pairs``, which the lattice does not keep; and when
-``run_simulation`` returns it drops the workspace and empties the core's
-memo.  Between runs a core holds only arrays of the packed size and the
-transforms' box.
+``run_simulation`` returns it drops the workspace.  Between runs a core
+holds only arrays of the packed size and of the transforms' box, its memos'
+u and G among them.
 """
 
 from __future__ import annotations
@@ -243,7 +245,8 @@ class _Core:
     packed f.  ``modes`` is the one Couette symbol object, on the packed
     modes, whose G is ``g``; ``u`` is the transport velocity on the
     transforms' box, evaluated from its axes at each call.  ``g_memo`` and
-    ``u_memo`` keep the values at the last time asked of them, one time each.
+    ``u_memo`` keep the values at the last time asked of them, one time each,
+    for as long as the core lives.
     """
 
     def __init__(self, lat: Lattice, dealias: float):
@@ -279,10 +282,6 @@ class _Core:
 
         self.x_idx = x_at(ix, iy, iz)
         self.x_mirror = x_at(*np.unravel_index(self.neg_idx[self.plane], lat.shape))
-        self.forget()
-
-    def forget(self) -> None:
-        """Empty the memos of u and G."""
         self._u_memo = self._g_memo = (None, None)
 
     def u(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,20 +290,22 @@ class _Core:
 
     def u_memo(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``u(t)``, kept for the last t asked: a step's end, the next one's start."""
-        if self._u_memo[0] != t:
+        memo = self._u_memo
+        if memo[0] != t:
             u = self.u(t)
             for a in u:
                 a.flags.writeable = False
-            self._u_memo = (t, u)
-        return self._u_memo[1]
+            self._u_memo = memo = (t, u)
+        return memo[1]
 
     def g_memo(self, t: float) -> np.ndarray:
         """Read-only G at t, kept for the last t asked: a linear run's start time, a step's ends."""
-        if self._g_memo[0] != t:
+        memo = self._g_memo
+        if memo[0] != t:
             g = self.g(t)
             g.flags.writeable = False
-            self._g_memo = (t, g)
-        return self._g_memo[1]
+            self._g_memo = memo = (t, g)
+        return memo[1]
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
         """The stored members; the mean mode, its own partner, keeps its real part."""
@@ -492,38 +493,32 @@ def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):
     nonlinear mode when configured; linear runs never checkpoint.
     """
     state = init_field(cfg)
-    core = state.core
     n_steps = round(cfg.t_end / cfg.dt)
     out_stride = max(1, round(cfg.output_every / cfg.dt))
 
     if on_row is not None:
         on_row(state)
-    try:
-        if cfg.mode == "linear":
-            start = state
-            if on_row is not None:
-                for i in range(out_stride, n_steps + 1, out_stride):
-                    state = step_linear(start, i * cfg.dt)
-                    on_row(state)
-            # the last row is the end state unless output_every does not divide t_end
-            if state.t == n_steps * cfg.dt:
-                return state
-            return step_linear(start, n_steps * cfg.dt)
-
-        ckpt_stride = (max(1, round(cfg.checkpoint_every / cfg.dt))
-                       if cfg.checkpoint_every > 0 else 0)
-        # one workspace for every step, released when the run returns
-        work = core.workspace()
-        for i in range(1, n_steps + 1):
-            state = step_nonlinear(state, cfg.dt, cfg.dealias, work)
-            # keep t exactly on the uniform grid to avoid drift in long runs
-            state.t = i * cfg.dt
-            if on_row is not None and i % out_stride == 0:
+    if cfg.mode == "linear":
+        start = state
+        if on_row is not None:
+            for i in range(out_stride, n_steps + 1, out_stride):
+                state = step_linear(start, i * cfg.dt)
                 on_row(state)
-            if ckpt_stride and on_checkpoint is not None and i % ckpt_stride == 0:
-                on_checkpoint(state)
-        return state
-    finally:
-        # the workspace leaves with this frame, and the u and G the run
-        # evaluated with it
-        core.forget()
+        # the last row is the end state unless output_every does not divide t_end
+        if state.t == n_steps * cfg.dt:
+            return state
+        return step_linear(start, n_steps * cfg.dt)
+
+    ckpt_stride = (max(1, round(cfg.checkpoint_every / cfg.dt))
+                   if cfg.checkpoint_every > 0 else 0)
+    # one workspace for every step, released when the run returns
+    work = state.core.workspace()
+    for i in range(1, n_steps + 1):
+        state = step_nonlinear(state, cfg.dt, cfg.dealias, work)
+        # keep t exactly on the uniform grid to avoid drift in long runs
+        state.t = i * cfg.dt
+        if on_row is not None and i % out_stride == 0:
+            on_row(state)
+        if ckpt_stride and on_checkpoint is not None and i % ckpt_stride == 0:
+            on_checkpoint(state)
+    return state

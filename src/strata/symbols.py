@@ -10,9 +10,9 @@ none of them.  ``velocity_symbol``, ``transport_symbol``, ``damping_coeff``,
 ``damping_antiderivative`` and ``damping_integral`` are each one call on
 it.  ``simulate``'s core holds one, on its packed modes, and evaluates the
 transport velocity on its transforms' box through ``transport_symbol``; a
-diagnostic row plan reads the core's, or builds one on a field's occupied
-modes.  All functions accept scalars or broadcastable numpy arrays
-and assign the excluded (0,0,0) mode the value zero.
+diagnostic row plan reads the core's.  All functions accept scalars or
+broadcastable numpy arrays and assign the excluded (0,0,0) mode the value
+zero.
 
 The velocity, transport and damping symbols share one 1/D^2 multiplier,
 D = k^2 + (eta-kt)^2 + alpha^2, which covers k = 0 with no branch of its

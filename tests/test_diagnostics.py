@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -644,3 +646,50 @@ def test_rows_do_not_depend_on_the_blas_thread_count():
         out.append(proc.stdout.splitlines())
     assert len(out[0]) == 2
     assert out[0] == out[1]
+
+
+def _row_bits(state, p):
+    return np.array(compute_row(state, p).values(), dtype=float).tobytes()
+
+
+def _in_threads(jobs):
+    """Each job's result, with every job started in its own thread at once.
+
+    A job that raises re-raises here.
+    """
+    barrier = threading.Barrier(len(jobs))
+
+    def run(job):
+        barrier.wait()
+        return job()
+
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        return list(pool.map(run, jobs))
+
+
+def test_rows_in_threads_equal_the_serial_rows():
+    # four states of the default (desk) lattice, two of them before the last
+    # critical time, whose rows share one row plan; each thread makes 60 rows
+    cfg = SimConfig()
+    p = cfg.weight_params
+    start = init_field(cfg)
+    states = [start] + [step_linear(start, t) for t in (5.0, 15.0, 40.0)]
+    serial = [_row_bits(s, p) for s in states]
+    got = _in_threads([lambda s=s: [_row_bits(s, p) for _ in range(60)] for s in states])
+    for want, rows in zip(serial, got):
+        assert rows == [want] * 60
+
+
+def test_runs_in_threads_equal_the_serial_runs():
+    # two runs on one lattice share its core, and so its u and G memos
+    cfgs = [SimConfig(nx=8, ny=16, nz=8, mode="nonlinear", epsilon=1.0, dt=0.05, t_end=3.0,
+                      output_every=0.25, seed=seed) for seed in (3, 4)]
+
+    def rows(cfg):
+        out = []
+        run_simulation(cfg, on_row=lambda s: out.append(_row_bits(s, cfg.weight_params)))
+        return out
+
+    serial = [rows(cfg) for cfg in cfgs]
+    assert len(serial[0]) == 13 and serial[0] != serial[1]
+    assert _in_threads([lambda cfg=cfg: rows(cfg) for cfg in cfgs]) == serial

@@ -10,11 +10,9 @@ the desk lattice's packed size (18 743 complex values) or its full size
 import tracemalloc
 import weakref
 
-import pytest
-
 from strata import cli, diagnostics, simulate
 from strata.config import SimConfig
-from strata.simulate import init_field, run_simulation, step_nonlinear
+from strata.simulate import init_field, step_nonlinear
 from strata.storage import save_checkpoint
 
 DESK = SimConfig(epsilon=1e-3, dt=0.1, t_end=0.2, output_every=0.1)
@@ -34,14 +32,14 @@ def _packed_bytes(core):
     return core.full_idx.size * 16
 
 
-def test_a_step_with_a_workspace_holds_only_packed_size_arrays():
+def test_a_step_with_a_workspace_holds_only_packed_size_arrays(monkeypatch):
+    # a fresh core, whose memos are empty, so the step evaluates u and G at
+    # both ends, the most a step holds; G at t = 0 forms its lasting G parts
+    core = simulate._Core(DESK.lattice, DESK.dealias)
+    monkeypatch.setattr(simulate, "_core", lambda lat, dealias: core)
+    core.g(0.0)
     state = init_field(DESK)
-    core = state.core
     work = core.workspace()
-    # a first step forms the core's lasting G parts; with the memo emptied,
-    # the next evaluates u and G at both ends, the most a step holds
-    state = step_nonlinear(state, DESK.dt, DESK.dealias, work)
-    core.forget()
     peak = _traced_peak(lambda: step_nonlinear(state, DESK.dt, DESK.dealias, work))
     # measured: 13.4 packed-size arrays (16.6 with the stages formed out of
     # place); one lattice-sized complex array is 7.0 of them
@@ -65,14 +63,6 @@ def test_a_run_keeps_no_lattice_sized_array_on_its_lattice():
     assert simulate._core(cfg.lattice, cfg.dealias) is state.core
     diagnostics.compute_row(state, cfg.weight_params)
     assert {"l1", "log_brackets", "pairs"}.isdisjoint(vars(state.core.lattice))
-
-
-@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
-def test_a_run_leaves_its_core_memos_empty(mode):
-    cfg = SimConfig(nx=8, ny=16, nz=8, mode=mode, epsilon=1e-3, dt=0.1, t_end=0.3,
-                    output_every=0.1)
-    core = run_simulation(cfg, on_row=lambda state: None).core
-    assert core._u_memo == (None, None) and core._g_memo == (None, None)
 
 
 def test_an_aborted_run_drops_its_workspace_before_its_checkpoint(tmp_path, monkeypatch):

@@ -91,7 +91,7 @@ class TestCheckpoint:
         # and our writer emits exactly those bytes back
         assert checkpoint_bytes(st) == golden
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**31))
     def test_roundtrip_property(self, hx, hy, hz, seed):
         st0 = _random_state(2 * hx, 2 * hy, 2 * hz, seed=seed)

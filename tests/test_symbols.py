@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import strata.diagnostics as diagnostics
@@ -110,6 +112,23 @@ class TestTransportSymbol:
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
             assert np.array_equal(np.signbit(g), np.signbit(r))
+
+    # u is divergence-free against the plain gradient (k, eta, alpha), up to
+    # rounding that grows with t through u1 = (t (k^2 + a^2) + k (eta - kt)) / D^2;
+    # measured at most 1.05 eps (1 + t) |f| |u| over 4000 draws of 64 modes.
+    # Not relative to the three terms: at eta = alpha = 0, u1 is the
+    # rounding residue of t k^2 - k kt, and that ratio reads 1.0
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([8.0 * math.pi, 7.5, 2.0 * math.pi, 12.0]),
+           st.floats(0.0, 1000.0), st.integers(0, 2**32 - 1))
+    def test_divergence_free_property(self, ly, t, seed):
+        rng = np.random.default_rng(seed)
+        k, alpha = rng.integers(-40, 41, (2, 64)).astype(float)
+        eta = (2.0 * math.pi / ly) * rng.integers(-160, 161, 64)
+        u1, u2, u3 = transport_symbol(t, k, eta, alpha)
+        div = np.abs(k * u1 + eta * u2 + alpha * u3)
+        f, u = np.sqrt(k * k + eta * eta + alpha * alpha), np.sqrt(u1 * u1 + u2 * u2 + u3 * u3)
+        assert np.all(div <= 4.0 * np.finfo(float).eps * (1.0 + t) * f * u)
 
 
 class TestDamping:

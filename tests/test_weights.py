@@ -394,6 +394,13 @@ class TestWeightValues:
             for cs in (0.5, 1.0, 2.0):
                 assert weight_table(iv, cs).continuity_defect() <= 1e-12
 
+    # |iota| log-uniform in (1, 1e4]; measured at most 4.2e-13 over 2000 draws
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 4.0).map(lambda x: 10.0**x).filter(lambda v: v > 1.0),
+           st.floats(0.25, 4.0))
+    def test_continuity_property(self, iota_abs, c_star):
+        assert WeightTable(iota_abs, c_star).continuity_defect() <= 1e-12
+
     @pytest.mark.parametrize("tilt", [
         # 1e-6 (t_{ell-1} - t): continuous at t_{ell-1}, a jump at the peak
         lambda stack, ell, t: 1e-6 * (stack.t_ell[0, ell - 1] - t),
@@ -474,7 +481,7 @@ class TestWeightValues:
                 log_w_k(t, -k, -eta, -al, P), abs=1e-13)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.floats(1.5, 500.0), st.floats(0.0, 1.2))
 def test_wnr_bounds_property(iota_abs, frac):
     # 1 >= w_NR >= floor value everywhere, and w = 1 beyond 2 iota
