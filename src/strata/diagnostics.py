@@ -16,11 +16,12 @@ twice for its implied partner (m = 2) but the mean mode.  A state without
 a core is packed first, by ``SimState.packed_on(1.0)``, which refuses a
 field that is not real on the kept modes.  What a row needs that does not
 depend on t is built once per core, as its row plan, from the packed modes
-alone: the core's Couette symbols, |f|_1 and log<f> from their k, eta and
-alpha, and a weight-table stack over the modes' own |iota|, so a plan and a
-row form no lattice-sized array.  A plan holds only values fixed by its
-(core, weight parameters) key; each row allocates its own packed-size work
-arrays, so rows of one core may be computed in several threads at once.
+alone: the core's Couette symbols, |f|_1 and log<f> (``lattice.l1_norm``
+and ``lattice.log_bracket``) of their k, eta and alpha, and a weight-table
+stack over the modes' own |iota|, so a plan and a row form no lattice-sized
+array.  A plan holds only values fixed by its (core, weight parameters)
+key; each row allocates its own packed-size work arrays, so rows of one
+core may be computed in several threads at once.
 w_k and d/dt log w_k are evaluated once per row on the plan's groups, the
 distinct (|iota| row, resonant key) pairs of its modes, and gathered to
 the modes.  From the stack's ``t_flat``, 2 max|iota|, on, w = 1 on every
@@ -41,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import iota
+from .lattice import iota, l1_norm, log_bracket
 from .symbols import velocity_symbol  # noqa: F401  (the tracer wraps velocity_symbol)
 from .weights import (
     WeightParams,
@@ -109,10 +110,7 @@ class _RowPlan:
         idx, self.modes = core.full_idx, core.modes
         self.m = np.where(idx == 0, 1.0, 2.0)
         k, eta, alpha = self.modes.k, self.modes.eta, self.modes.alpha
-        # |f|_1 and log<f> on the packed modes, as ``Lattice.l1`` and
-        # ``Lattice.log_brackets`` form them on the whole lattice
-        l1 = np.abs(k) + np.abs(eta) + np.abs(alpha)
-        log_br = np.log(np.sqrt(1.0 + self.modes.kk + eta**2 + self.modes.aa))
+        l1, log_br = l1_norm(k, eta, alpha), log_bracket(k, eta, alpha)
         s1, s2, s3, s4, s5, s6, s7 = p.sigmas
 
         # velocity sums; D = k^2 + (eta - kt)^2 + alpha^2 is formed as

@@ -3,8 +3,10 @@
 x and z live on unit tori with integer wavenumbers ``k`` and ``alpha``.
 The unbounded vertical direction is truncated to a box of period ``ly``,
 so its dual variable ``eta`` runs over integer multiples of
-``delta_eta = 2*pi/ly``.  A field is the complex Fourier coefficients of a
-real scalar on the full (k, eta, alpha) lattice, so c(-f) = conj c(f).
+``delta_eta = 2*pi/ly``.  A ``Lattice`` caches only its 1-D axes; |f|_1 and
+log<f> are ``l1_norm`` and ``log_bracket`` of the modes a caller holds.  A
+field is the complex Fourier coefficients of a real scalar on the full
+(k, eta, alpha) lattice, so c(-f) = conj c(f).
 ``Lattice.pairs`` names one stored member of each +-f pair, in one
 canonical order; the solver keeps only those members (``simulate._Core``)
 and writes each partner as the conjugate, so its fields are real by
@@ -27,6 +29,7 @@ from .symbols import zero_mode_rate
 
 __all__ = [
     "l1_norm",
+    "log_bracket",
     "iota",
     "iota_lipschitz_ok",
     "Lattice",
@@ -36,6 +39,11 @@ __all__ = [
 
 def l1_norm(k: float, eta: float, alpha: float) -> float:
     return abs(k) + abs(eta) + abs(alpha)
+
+
+def log_bracket(k, eta, alpha):
+    """log<f>, the log of the bracket sqrt(1 + k^2 + eta^2 + alpha^2); array-valued."""
+    return np.log(np.sqrt(1.0 + k * k + eta * eta + alpha * alpha))
 
 
 def iota(k, eta, alpha):
@@ -111,14 +119,6 @@ class Lattice:
     @cached_property
     def alpha(self) -> np.ndarray:
         return np.fft.fftfreq(self.nz, 1.0 / self.nz).reshape(1, 1, self.nz)
-
-    @cached_property
-    def l1(self) -> np.ndarray:
-        return np.abs(self.kx) + np.abs(self.eta) + np.abs(self.alpha)
-
-    @cached_property
-    def log_brackets(self) -> np.ndarray:
-        return np.log(np.sqrt(1.0 + self.kx**2 + self.eta**2 + self.alpha**2))
 
     @property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:

@@ -56,9 +56,9 @@ only arrays of the packed size; the Lawson stages are formed in place too,
 on two packed buffers.
 
 No array the size of the lattice outlives the statement that needs it.
-``init_field`` forms |f|_1 from the wavenumbers of the members and
-partners, and its rescale sum from one lattice-sized float array; the core
-reads ``Lattice.pairs``, which the lattice does not keep; and when
+``init_field`` forms |f|_1 on the packed modes (``_Core.modes``), and its
+rescale sum from one lattice-sized float array; the core reads
+``Lattice.pairs``, which the lattice does not keep; and when
 ``run_simulation`` returns it drops the workspace.  Between runs a core
 holds only arrays of the packed size and of the transforms' box, its memos'
 u and G among them.
@@ -72,7 +72,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import ConfigError, SimConfig
-from .lattice import Lattice, SpectralField
+from .lattice import Lattice, SpectralField, l1_norm
 from .symbols import _Couette, damping_integral, transport_symbol
 
 __all__ = [
@@ -150,13 +150,13 @@ def init_field(cfg: SimConfig) -> SimState:
 
     Every recipe sets coefficients c with amplitudes decaying like
     exp(-lambda_in |f|_1^s).  Each stored member f of the nonlinear step's
-    kept modes (see ``_Core``) takes
-    0.5 * (c(f) + conj c(-f)), and the mean mode 0; the values are then
-    rescaled so the sigma=0 Gevrey norm at radius lambda_in of the whole
-    real field equals epsilon exactly.  c and |f|_1 are evaluated only at
-    the members and their partners; the random recipe still draws its
-    phases and amplitudes on the whole lattice, so a seed gives the values
-    of a whole-lattice draw.  A recipe that puts nothing on the kept modes is a
+    kept modes (see ``_Core``) takes 0.5 * (c(f) + conj c(-f)), and the mean
+    mode 0; the values are then rescaled so the sigma=0 Gevrey norm at radius
+    lambda_in of the whole real field equals epsilon exactly.  |f|_1 is
+    evaluated on the members, whose partners share it, and c only at the
+    members and their partners; the random recipe still draws its phases and
+    amplitudes on the whole lattice, so a seed gives the values of a
+    whole-lattice draw.  A recipe that puts nothing on the kept modes is a
     ``ConfigError``.
     """
     lat = cfg.lattice
@@ -164,29 +164,28 @@ def init_field(cfg: SimConfig) -> SimState:
     n = core.full_idx.size
     if cfg.epsilon == 0.0:
         return SimState(0.0, core=core, packed=np.zeros(n, dtype=np.complex128))
-    # the members, then their partners, and |f|_1 there
-    idx = np.concatenate([core.full_idx, core.neg_idx])
-    ix, iy, iz = np.unravel_index(idx, lat.shape)
-    l1s = (np.abs(lat.kx.ravel()[ix]) + np.abs(lat.eta.ravel()[iy])
-           + np.abs(lat.alpha.ravel()[iz])) ** cfg.s
-    decay = np.exp(-cfg.lambda_in * l1s)
-    support = np.ones(idx.size, dtype=bool)
+    # |f|_1, the decay and the index cap on the members; a partner -f has its
+    # member's, so the arrays over the members and then their partners are tiled
+    m = core.modes
+    l1s = l1_norm(m.k, m.eta, m.alpha) ** cfg.s
+    decay, support = np.tile(np.exp(-cfg.lambda_in * l1s), 2), np.ones(2 * n, dtype=bool)
     if cfg.init_kmax > 0:
-        # index-space cap on every axis; without it the spectral cascade fills
-        # the envelope at fresh modes and the weighted-norm ratios measure the
-        # filling instead of the dynamics
+        # index-space cap on every axis (|eta| <= kc delta_eta is |jy| <= kc);
+        # without it the spectral cascade fills the envelope at fresh modes and
+        # the weighted-norm ratios measure the filling instead of the dynamics
         kc = cfg.init_kmax
-        support &= ((np.abs(lat.kx.ravel()[ix]) <= kc) & (np.abs(lat.jy.ravel()[iy]) <= kc)
-                    & (np.abs(lat.alpha.ravel()[iz]) <= kc))
+        support = np.tile((np.abs(m.k) <= kc) & (np.abs(m.eta) <= kc * lat.delta_eta)
+                          & (np.abs(m.alpha) <= kc), 2)
 
-    c = np.zeros(idx.size, dtype=np.complex128)
+    c = np.zeros(2 * n, dtype=np.complex128)
     if cfg.recipe == "single":
-        one = idx == np.ravel_multi_index((1, 1, 1), lat.shape)
-        c[one] = decay[one]
+        one = core.full_idx == np.ravel_multi_index((1, 1, 1), lat.shape)
+        c[:n][one] = decay[:n][one]
     elif cfg.recipe == "multimode":
         c[support] = decay[support]
     else:  # random
         rng = np.random.default_rng(cfg.seed)
+        idx = np.concatenate([core.full_idx, core.neg_idx])
         phases = rng.uniform(0.0, 2.0 * np.pi, size=lat.size)[idx]
         amps = rng.uniform(0.5, 1.0, size=lat.size)[idx]
         c = np.where(support, amps * decay * np.exp(1j * phases), 0.0)
@@ -199,10 +198,10 @@ def init_field(cfg: SimConfig) -> SimState:
     # exact rescale of the radius-lambda_in Gevrey norm to epsilon: the
     # squared weighted magnitudes of the members and partners, at their
     # lattice positions and 0 elsewhere, summed over the whole lattice in its
-    # order (|conj c| = |c|; the mean mode, in both halves, is 0)
-    weighted = np.exp(cfg.lambda_in * l1s) * np.tile(np.abs(kept), 2)
+    # order (|conj c| = |c|; the mean mode, its own partner, is 0)
     squares = np.zeros(lat.size)
-    squares[idx] = weighted**2
+    squares[core.full_idx] = squares[core.neg_idx] = (np.exp(cfg.lambda_in * l1s)
+                                                      * np.abs(kept)) ** 2
     kept *= cfg.epsilon / math.sqrt(lat.delta_eta * float(np.sum(squares.reshape(lat.shape))))
     return SimState(0.0, core=core, packed=kept)
 
@@ -230,6 +229,22 @@ def step_linear(state: SimState, dt: float) -> SimState:
     core, t1 = state.core, state.t + dt
     return SimState(t1, core=core,
                     packed=state.packed * np.exp(core.g_memo(state.t) - core.g(t1)))
+
+
+def _one_entry_memo(name: str):
+    """A method giving the core's read-only ``name``(t), kept for the last t asked."""
+    entry = f"_{name}_memo"
+
+    def memo(self, t: float):
+        # one read of the (t, value) entry, so a thread never pairs a time with another's value
+        last, value = getattr(self, entry, (None, None))
+        if last != t:
+            value = getattr(self, name)(t)
+            for a in value if isinstance(value, tuple) else (value,):
+                a.flags.writeable = False
+            setattr(self, entry, (t, value))
+        return value
+    return memo
 
 
 class _Core:
@@ -282,30 +297,13 @@ class _Core:
 
         self.x_idx = x_at(ix, iy, iz)
         self.x_mirror = x_at(*np.unravel_index(self.neg_idx[self.plane], lat.shape))
-        self._u_memo = self._g_memo = (None, None)
 
     def u(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The transport velocity at t on the transforms' box."""
         return transport_symbol(t, *self.box)
 
-    def u_memo(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``u(t)``, kept for the last t asked: a step's end, the next one's start."""
-        memo = self._u_memo
-        if memo[0] != t:
-            u = self.u(t)
-            for a in u:
-                a.flags.writeable = False
-            self._u_memo = memo = (t, u)
-        return memo[1]
-
-    def g_memo(self, t: float) -> np.ndarray:
-        """Read-only G at t, kept for the last t asked: a linear run's start time, a step's ends."""
-        memo = self._g_memo
-        if memo[0] != t:
-            g = self.g(t)
-            g.flags.writeable = False
-            self._g_memo = memo = (t, g)
-        return memo[1]
+    # read-only u and G, kept for the last t asked: a step's ends, a linear run's start
+    u_memo, g_memo = _one_entry_memo("u"), _one_entry_memo("g")
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
         """The stored members; the mean mode, its own partner, keeps its real part."""

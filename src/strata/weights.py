@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, SpectralField, iota
+from .lattice import Lattice, SpectralField, iota, l1_norm, log_bracket
 
 __all__ = [
     "WeightParams",
@@ -334,10 +334,8 @@ def b_multiplier(eta, alpha):
 def log_a_multiplier(sigma: float, t: float, k: int, eta: float, alpha: float,
                      p: WeightParams) -> float:
     """log of A^sigma_k = exp(lambda(t)|f|_1^s) <f>^sigma / w_k."""
-    l1 = abs(k) + abs(eta) + abs(alpha)
-    br2 = 1.0 + k * k + eta * eta + alpha * alpha
-    return (lambda_t(t, p) * l1 ** p.s + 0.5 * sigma * math.log(br2)
-            - log_w_k(t, k, eta, alpha, p))
+    return float(lambda_t(t, p) * l1_norm(k, eta, alpha) ** p.s
+                 + sigma * log_bracket(k, eta, alpha) - log_w_k(t, k, eta, alpha, p))
 
 
 def a_multiplier(sigma: float, t: float, k: int, eta: float, alpha: float,
@@ -397,7 +395,8 @@ def gevrey_log_norm(fieldv: SpectralField, sigma: float, t: float, p: WeightPara
     J enters a norm only in the ladder columns of ``diagnostics.compute_row``.
     """
     lat = fieldv.lattice
-    logw = lambda_t(t, p) * lat.l1 ** p.s + sigma * lat.log_brackets
+    f = lat.kx, lat.eta, lat.alpha
+    logw = lambda_t(t, p) * l1_norm(*f) ** p.s + sigma * log_bracket(*f)
     return log_weighted_l2(lat, fieldv.coeffs, logw)
 
 
@@ -495,7 +494,7 @@ def _lemma_log_ratios(lemma: str, t: np.ndarray, f1: tuple, f2: tuple, p: Weight
     """Per-sample log(lhs/rhs) of one ratio estimate, and whether the sample counts."""
     n = len(t)
     i1, i2 = iota(*f1), iota(*f2)
-    df = np.abs(f1[0] - f2[0]) + np.abs(f1[1] - f2[1]) + np.abs(f1[2] - f2[2])
+    df = l1_norm(f1[0] - f2[0], f1[1] - f2[1], f1[2] - f2[2])
     mu = p.mu
 
     # one stack for both members of the pairs, one evaluation per member; k = 0 selects w_NR
@@ -514,7 +513,7 @@ def _lemma_log_ratios(lemma: str, t: np.ndarray, f1: tuple, f2: tuple, p: Weight
             log_factor = np.where(
                 first, np.log(np.abs(i1) / (k * k * (1.0 + np.abs(t - i1 / k)))),
                 np.where(second, np.log(l * l * (1.0 + np.abs(t - i2 / l)) / np.abs(i2)), 0.0))
-            l1f2 = np.abs(f2[0]) + np.abs(f2[1]) + np.abs(f2[2])
+            l1f2 = l1_norm(*f2)
             # outside the lemma's support when neither factor applies
             ok = (t > 10.0) & (first | second | (df <= (3.0 / 16.0) * l1f2))
             return lw2 - lw1 - (log_factor + 2.0 * mu * np.sqrt(df)), ok

@@ -1,6 +1,6 @@
 """A Gevrey-Sobolev distance between two fields, for the convergence tests."""
 
-from strata.lattice import SpectralField
+from strata.lattice import SpectralField, l1_norm, log_bracket
 from strata.weights import WeightParams, log_weighted_l2
 
 
@@ -14,5 +14,6 @@ def theta_distance_log(a: SpectralField, b: SpectralField, sigma: float,
     if a.lattice != b.lattice:
         raise ValueError("states live on different lattices")
     lat = a.lattice
-    logw = p.lambda_inf * lat.l1 ** p.s + sigma * lat.log_brackets
+    f = lat.kx, lat.eta, lat.alpha
+    logw = p.lambda_inf * l1_norm(*f) ** p.s + sigma * log_bracket(*f)
     return log_weighted_l2(lat, a.coeffs - b.coeffs, logw)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from strata.config import ConfigError
+from strata.lattice import l1_norm
 from strata.simulate import _core
 
 
@@ -20,7 +21,8 @@ def packed_init(cfg) -> np.ndarray:
     coeffs = np.zeros(lat.shape, dtype=np.complex128)
     if cfg.epsilon == 0.0:
         return core.pack(coeffs)
-    decay = np.exp(-cfg.lambda_in * lat.l1 ** cfg.s)
+    l1s = l1_norm(lat.kx, lat.eta, lat.alpha) ** cfg.s
+    decay = np.exp(-cfg.lambda_in * l1s)
     support = np.ones(lat.shape, dtype=bool)
     if cfg.init_kmax > 0:
         kc = cfg.init_kmax
@@ -43,6 +45,6 @@ def packed_init(cfg) -> np.ndarray:
     if not np.any(kept):
         raise ConfigError(f"init recipe {cfg.recipe!r} puts nothing on the kept modes")
 
-    weighted = np.exp(cfg.lambda_in * lat.l1 ** cfg.s) * np.abs(core.unpack(kept))
+    weighted = np.exp(cfg.lambda_in * l1s) * np.abs(core.unpack(kept))
     kept *= cfg.epsilon / math.sqrt(lat.delta_eta * float(np.sum(weighted**2)))
     return kept

@@ -19,7 +19,7 @@ from strata.diagnostics import (
     compute_row,
     log10p_from_log,
 )
-from strata.lattice import Lattice, SpectralField, iota
+from strata.lattice import Lattice, SpectralField, iota, l1_norm, log_bracket
 from strata.simulate import SimState, init_field, run_simulation, step_linear
 from strata.symbols import velocity_symbol
 from strata.weights import (
@@ -85,14 +85,15 @@ def _reference_row(state, p: WeightParams) -> DiagnosticRow:
     u2_nonzero = _l2(np.where(zero, 0.0, v2**2 * abs2))
 
     # weighted ladder, all in log space
-    gev_exp = lam * lat.l1 ** p.s
+    f = lat.kx, lat.eta, lat.alpha
+    gev_exp = lam * l1_norm(*f) ** p.s
     log_inv_w = -lw.log_w(t)    # log J, J = 1/w
     log_b = np.log(b_multiplier(lat.eta, lat.alpha))
     zero_mask = zero
     znz_mask = zero & np.broadcast_to(lat.alpha != 0, lat.shape)
 
     def _ladder(sigma, tweight, with_j=False, use_b=False, mask=None):
-        logw = gev_exp + sigma * lat.log_brackets
+        logw = gev_exp + sigma * log_bracket(*f)
         if with_j:
             logw = logw + log_inv_w
         if use_b:
@@ -119,8 +120,8 @@ def _reference_row(state, p: WeightParams) -> DiagnosticRow:
     sup0_s7 = log10p_from_log(float(np.max(sup_arg)))
 
     # CK terms at sigma1 (with J), bracketed time factor <t>^-3
-    log_a1 = gev_exp + s1 * lat.log_brackets + log_inv_w
-    half_log_l1s = 0.5 * p.s * masked_log(lat.l1)
+    log_a1 = gev_exp + s1 * log_bracket(*f) + log_inv_w
+    half_log_l1s = 0.5 * p.s * masked_log(l1_norm(*f))
     ln_ck_lam = log_weighted_l2(lat, c, log_a1 + half_log_l1s)
     if ln_ck_lam != -math.inf:
         # -lambda_dot * <t>^-3 * (weighted norm)^2, assembled in logs

@@ -12,18 +12,28 @@ from strata.lattice import (
     iota,
     iota_lipschitz_ok,
     l1_norm,
+    log_bracket,
 )
 
 
 def test_l1_and_bracket():
-    # the bracket sqrt(1 + k^2 + eta^2 + alpha^2) as the lattice spells it, in log
-    log_br = Lattice(4, 8, 4, ly=2.0 * math.pi).log_brackets    # eta = j
-    assert l1_norm(0, 0.0, 0) == 0.0
-    assert log_br[0, 0, 0] == 0.0
-    assert l1_norm(1, 2.0, 0) == 3.0
-    assert log_br[1, 2, 0] == pytest.approx(math.log(math.sqrt(6)), rel=1e-15)
-    assert l1_norm(-1, -2.0, 0) == l1_norm(1, 2.0, 0)
-    assert log_br[-1, -2, 0] == log_br[1, 2, 0]
+    # the array forms on a lattice's broadcast axes, mode by mode against the
+    # scalar values math gives; both even in f, so a partner -f shares its
+    # member's values bit for bit
+    lat = Lattice(4, 8, 6, ly=7.5)
+    f = lat.kx, lat.eta, lat.alpha
+    l1, log_br = l1_norm(*f), log_bracket(*f)
+    assert l1.shape == log_br.shape == lat.shape
+    for ix, iy, iz in np.ndindex(lat.shape):
+        k, eta, alpha = (float(a.ravel()[i]) for a, i in zip(f, (ix, iy, iz)))
+        assert l1[ix, iy, iz] == abs(k) + abs(eta) + abs(alpha)
+        want = math.log(math.sqrt(1.0 + k * k + eta * eta + alpha * alpha))
+        assert log_br[ix, iy, iz] == pytest.approx(want, rel=1e-15, abs=0.0)
+    neg = np.ix_(-np.arange(4) % 4, -np.arange(8) % 8, -np.arange(6) % 6)
+    assert l1[neg].tobytes() == l1.tobytes() and log_br[neg].tobytes() == log_br.tobytes()
+    assert l1_norm(0, 0.0, 0) == 0.0 and log_bracket(0, 0.0, 0) == 0.0
+    assert l1_norm(-1, -2.0, 0) == 3.0
+    assert log_bracket(-1, 2.0, 0) == pytest.approx(math.log(math.sqrt(6)), rel=1e-15)
 
 
 def test_iota_cases():

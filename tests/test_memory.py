@@ -9,11 +9,16 @@ the desk lattice's packed size (18 743 complex values) or its full size
 
 import tracemalloc
 import weakref
+from functools import cached_property
+
+import numpy as np
 
 from strata import cli, diagnostics, simulate
 from strata.config import SimConfig
+from strata.lattice import Lattice
 from strata.simulate import init_field, step_nonlinear
 from strata.storage import save_checkpoint
+from strata.weights import gevrey_log_norm
 
 DESK = SimConfig(epsilon=1e-3, dt=0.1, t_end=0.2, output_every=0.1)
 
@@ -62,7 +67,21 @@ def test_a_run_keeps_no_lattice_sized_array_on_its_lattice():
     state = init_field(cfg)
     assert simulate._core(cfg.lattice, cfg.dealias) is state.core
     diagnostics.compute_row(state, cfg.weight_params)
-    assert {"l1", "log_brackets", "pairs"}.isdisjoint(vars(state.core.lattice))
+    assert max(np.size(v) for v in vars(state.core.lattice).values()) <= max(cfg.lattice.shape)
+
+
+def test_a_lattice_keeps_nothing_larger_than_an_axis():
+    # a run's start, a row and a Gevrey norm of the whole field on the desk
+    # lattice, then every cached property the lattice has
+    state = init_field(DESK)
+    lat = state.core.lattice
+    diagnostics.compute_row(state, DESK.weight_params)
+    gevrey_log_norm(state.field, 1.0, 0.0, DESK.weight_params)
+    for name, attr in vars(Lattice).items():
+        if isinstance(attr, cached_property):
+            getattr(lat, name)
+    assert state.field.lattice is lat
+    assert max(np.size(v) for v in vars(lat).values()) <= max(lat.shape)
 
 
 def test_an_aborted_run_drops_its_workspace_before_its_checkpoint(tmp_path, monkeypatch):

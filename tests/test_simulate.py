@@ -16,7 +16,7 @@ from _hermitian import hermitian_defect, symmetrized
 from _init_oracle import packed_init
 from strata.config import ConfigError, SimConfig, default_config_text
 from strata.diagnostics import compute_row
-from strata.lattice import Lattice, SpectralField
+from strata.lattice import Lattice, SpectralField, l1_norm
 from strata.simulate import (
     NumericalAbort,
     SimState,
@@ -69,8 +69,9 @@ def _reference_init_field(cfg):
     if cfg.epsilon == 0.0:
         return SimState(0.0, SpectralField(lat, coeffs))
 
-    decay = np.exp(-cfg.lambda_in * lat.l1 ** cfg.s)
-    support = _without_nyquist(lat, lat.dealias_mask(cfg.dealias)) & (lat.l1 > 0)
+    l1 = l1_norm(lat.kx, lat.eta, lat.alpha)
+    decay = np.exp(-cfg.lambda_in * l1 ** cfg.s)
+    support = _without_nyquist(lat, lat.dealias_mask(cfg.dealias)) & (l1 > 0)
     if cfg.init_kmax > 0:
         kc = cfg.init_kmax
         support &= ((np.abs(lat.kx) <= kc) & (np.abs(lat.jy) <= kc)
@@ -92,7 +93,7 @@ def _reference_init_field(cfg):
     if not np.any(fieldv.coeffs):
         raise ValueError(f"init recipe {cfg.recipe!r} produced an empty field")
 
-    weighted = np.exp(cfg.lambda_in * lat.l1 ** cfg.s) * np.abs(fieldv.coeffs)
+    weighted = np.exp(cfg.lambda_in * l1 ** cfg.s) * np.abs(fieldv.coeffs)
     norm = math.sqrt(lat.delta_eta * float(np.sum(weighted**2)))
     fieldv.coeffs *= cfg.epsilon / norm
     return SimState(0.0, fieldv)
@@ -268,7 +269,8 @@ class TestInitField:
             cfg = SimConfig(**SMALL, epsilon=2e-3, recipe=recipe, init_kmax=2)
             st = init_field(cfg)
             lat = cfg.lattice
-            w = np.exp(cfg.lambda_in * lat.l1) * np.abs(st.field.coeffs)
+            l1 = l1_norm(lat.kx, lat.eta, lat.alpha)
+            w = np.exp(cfg.lambda_in * l1) * np.abs(st.field.coeffs)
             norm = math.sqrt(lat.delta_eta * float(np.sum(w**2)))
             assert norm == pytest.approx(cfg.epsilon, rel=1e-12)
 
@@ -322,6 +324,17 @@ class TestInitField:
         for case in cases:
             cfg = SimConfig(nx=nx, ny=ny, nz=nz, recipe=recipe, **case)
             assert init_field(cfg).packed.tobytes() == packed_init(cfg).tobytes(), case
+
+    @pytest.mark.parametrize("ly", [7.5, 10.0])
+    @pytest.mark.parametrize("recipe", ["single", "multimode", "random"])
+    def test_the_eta_cap_is_the_index_cap_off_dyadic_boxes(self, ly, recipe):
+        # init_field caps the members' |eta| at init_kmax * delta_eta, the
+        # oracle the lattice's y index at init_kmax; delta_eta = 2 pi / ly is
+        # no binary fraction here, and the two select the same modes
+        for init_kmax in (1, 2, 3):
+            cfg = SimConfig(nx=8, ny=32, nz=8, ly=ly, init_kmax=init_kmax, recipe=recipe,
+                            seed=init_kmax)
+            assert init_field(cfg).packed.tobytes() == packed_init(cfg).tobytes(), init_kmax
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 6, 2)])
     @pytest.mark.parametrize("recipe", ["single", "multimode", "random"])

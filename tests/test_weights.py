@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _hermitian import symmetrized
-from strata.lattice import Lattice, SpectralField, iota
+from strata.lattice import Lattice, SpectralField, iota, l1_norm, log_bracket
 from strata.weights import (
     _SWEEP_CHUNK,
     LatticeWeights,
@@ -571,7 +571,8 @@ class TestGevreyNorm:
         c = rng.normal(size=lat.shape) * 1e-3
         f = symmetrized(SpectralField(lat, c.astype(complex)))
         # the A^sigma1 weight, with J = 1/w
-        log_a = (lambda_t(0.0, P) * lat.l1 ** P.s + P.sigma(1) * lat.log_brackets
+        modes = lat.kx, lat.eta, lat.alpha
+        log_a = (lambda_t(0.0, P) * l1_norm(*modes) ** P.s + P.sigma(1) * log_bracket(*modes)
                  - lattice_weights(lat, P).log_w(0.0))
         ln = log_weighted_l2(lat, f.coeffs, log_a)
         assert math.isfinite(ln)
