@@ -17,6 +17,7 @@ checkpoints and plot script, also after a numerical abort.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import locale  # noqa: F401  (argparse's gettext loads it at main's first parser)
 import math
 import os
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, SimConfig, default_config_text
 from .diagnostics import DiagnosticRow, compute_row
-from .simulate import NumericalAbort, run_simulation
+from .simulate import NumericalAbort, run_states
 from .storage import RunManifest, save_checkpoint, write_csv, read_csv_columns
 from .toymodels import (
     FitError,
@@ -194,19 +195,19 @@ def _cmd_run(args) -> int:
                         {"sigma_min_resolved": f"{cfg.lattice.sigma_min_resolved():.6e}"})
     params = cfg.weight_params
     rows: list[DiagnosticRow] = []
-
-    def on_row(state):
-        rows.append(compute_row(state, params))
-
     # two decimals, or as many as tell apart checkpoints closer than 0.01
     places = (max(2, math.ceil(-math.log10(cfg.checkpoint_every)))
               if cfg.checkpoint_every > 0 else 2)
-
-    def on_checkpoint(state):
-        record.checkpoint(f"{args.mode}_t{state.t:0{places + 6}.{places}f}.ckpt", state)
-
+    stamp = f"0{places + 6}.{places}f"
     try:
-        final, abort = run_simulation(cfg, on_row=on_row, on_checkpoint=on_checkpoint), None
+        # closed on every exit, so an interrupted run drops its workspace
+        with contextlib.closing(run_states(cfg)) as states:
+            for final, row, checkpoint in states:    # the end comes last
+                if row:
+                    rows.append(compute_row(final, params))
+                if checkpoint:
+                    record.checkpoint(f"{args.mode}_t{final.t:{stamp}}.ckpt", final)
+        abort = None
     except NumericalAbort as exc:
         # without its traceback, whose frames hold the run's workspace
         final, abort = exc.state, exc.with_traceback(None)

@@ -49,19 +49,18 @@ Methods*, 2006, skipping the lines Orszag's 2/3 rule leaves empty).  The
 stored members, and the conjugates of the alpha = 0 ones at their partners,
 are written straight into the x pass's buffer, and the forward pass reads
 the packed modes back from the same positions.  Every transform writes into
-a ``_Core.workspace``, which ``run_simulation`` allocates once for its
-stepping loop and releases when it returns (a lone ``step_nonlinear`` makes
-its own), and the product is formed in place there, so a step allocates
-only arrays of the packed size; the Lawson stages are formed in place too,
-on two packed buffers.
+a ``_Core.workspace``, which ``run_states`` allocates once for its steps
+(a lone ``step_nonlinear`` makes its own), and the product is formed in
+place there, so a step allocates only arrays of the packed size; the
+Lawson stages are formed in place too, on two packed buffers.
 
 No array the size of the lattice outlives the statement that needs it.
 ``init_field`` forms |f|_1 on the packed modes (``_Core.modes``), and its
 rescale sum from one lattice-sized float array; the core reads
-``Lattice.pairs``, which the lattice does not keep; and when
-``run_simulation`` returns it drops the workspace.  Between runs a core
-holds only arrays of the packed size and of the transforms' box, its memos'
-u and G among them.
+``Lattice.pairs``, which the lattice does not keep; and ``run_states``
+drops the workspace before it yields the end state, or when it is closed
+early.  Between runs a core holds only arrays of the packed size and of the
+transforms' box, its memos' u and G among them.
 """
 
 from __future__ import annotations
@@ -83,6 +82,7 @@ __all__ = [
     "step_linear",
     "nonlinear_rhs",
     "step_nonlinear",
+    "run_states",
     "run_simulation",
 ]
 
@@ -325,8 +325,8 @@ class _Core:
     def workspace(self) -> tuple[np.ndarray, ...]:
         """The buffers ``rhs`` works in, for as long as the caller holds them.
 
-        ``run_simulation`` makes one for its stepping loop and drops it when
-        it returns; a lone ``step_nonlinear`` makes its own.  In order: the
+        ``run_states`` makes one for its steps and drops it before it yields
+        the end state; a lone ``step_nonlinear`` makes its own.  In order: the
         coefficients in the x pass's layout and the pass's input, both
         zero; the x pass's output widened to the lattice on y, zero; the y
         pass's lines; the three physical arrays of the product, the last two
@@ -429,8 +429,8 @@ def step_nonlinear(state: SimState, dt: float, dealias: float = 1.0,
     packed kept modes (see nonlinear_rhs); content outside them is dropped,
     and so is the partner of each stored member, which the result writes as
     the member's conjugate.  The result is packed on the core of ``dealias``.
-    ``work`` is a ``workspace()`` of that core to reuse; without one the
-    step makes its own.
+    ``work`` is a ``workspace()`` of that core to reuse, as ``run_states``
+    does over its steps; without one the step makes its own.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -479,44 +479,43 @@ def step_nonlinear(state: SimState, dt: float, dealias: float = 1.0,
     return SimState(t_end, core=core, packed=c1)
 
 
-def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None):
-    """Drive a full run; calls ``on_row(state)`` at t=0 and every output time.
+def run_states(cfg: SimConfig):
+    """Yield ``(state, row, checkpoint)`` for each state a run of ``cfg`` hands on.
 
-    Returns the final state, at ``round(t_end/dt) * dt``.  Every state is
-    packed on the cached core of ``cfg.dealias``.  A linear run takes no
-    time steps: each state is the exact solution ``step_linear(start, t)``
-    from ``init_field``'s state, so ``dt`` only sets the time grid.  A
-    nonlinear run advances ``init_field``'s state by ``step_nonlinear``.
-    ``on_checkpoint(state)`` fires every ``checkpoint_every`` time units in
-    nonlinear mode when configured; linear runs never checkpoint.
+    ``row`` marks t = 0 and each output time, ``checkpoint`` each
+    ``checkpoint_every`` of a nonlinear run; the end, at ``round(t_end/dt) * dt``,
+    comes last.  A nonlinear run yields ``init_field``'s state and each step's,
+    at t = i dt; a linear run only its start, output times and end, each the
+    exact ``step_linear(start, t)``.  Every state is packed on ``cfg.dealias``'s core.
     """
-    state = init_field(cfg)
     n_steps = round(cfg.t_end / cfg.dt)
     out_stride = max(1, round(cfg.output_every / cfg.dt))
-
-    if on_row is not None:
-        on_row(state)
+    state = init_field(cfg)
+    yield state, True, False
     if cfg.mode == "linear":
-        start = state
-        if on_row is not None:
-            for i in range(out_stride, n_steps + 1, out_stride):
-                state = step_linear(start, i * cfg.dt)
-                on_row(state)
-        # the last row is the end state unless output_every does not divide t_end
-        if state.t == n_steps * cfg.dt:
-            return state
-        return step_linear(start, n_steps * cfg.dt)
-
+        for i in range(out_stride, n_steps + 1, out_stride):
+            yield step_linear(state, i * cfg.dt), True, False
+        if n_steps % out_stride:
+            yield step_linear(state, n_steps * cfg.dt), False, False
+        return
     ckpt_stride = (max(1, round(cfg.checkpoint_every / cfg.dt))
-                   if cfg.checkpoint_every > 0 else 0)
-    # one workspace for every step, released when the run returns
+                   if cfg.checkpoint_every > 0 else n_steps + 1)
+    # one workspace for every step, dropped before the end state is handed on
     work = state.core.workspace()
     for i in range(1, n_steps + 1):
         state = step_nonlinear(state, cfg.dt, cfg.dealias, work)
         # keep t exactly on the uniform grid to avoid drift in long runs
         state.t = i * cfg.dt
-        if on_row is not None and i % out_stride == 0:
+        if i == n_steps:
+            del work
+        yield state, i % out_stride == 0, i % ckpt_stride == 0
+
+
+def run_simulation(cfg: SimConfig, on_row=None, on_checkpoint=None) -> SimState:
+    """The end state of ``cfg``'s ``run_states``; calls ``on_row``/``on_checkpoint`` on theirs."""
+    for state, row, checkpoint in run_states(cfg):
+        if row and on_row is not None:
             on_row(state)
-        if ckpt_stride and on_checkpoint is not None and i % ckpt_stride == 0:
+        if checkpoint and on_checkpoint is not None:
             on_checkpoint(state)
     return state

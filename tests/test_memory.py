@@ -12,6 +12,7 @@ import weakref
 from functools import cached_property
 
 import numpy as np
+import pytest
 
 from strata import cli, diagnostics, simulate
 from strata.config import SimConfig
@@ -106,3 +107,70 @@ def test_an_aborted_run_drops_its_workspace_before_its_checkpoint(tmp_path, monk
                    "[run]\nepsilon = 1e140\ndt = 1.0\nt_end = 50.0\n")
     assert cli.main(["nonlinear", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 3
     assert live_at_save == [[False]]          # the abort checkpoint, after the workspace
+
+
+def _watch_workspaces(monkeypatch):
+    """Weak references to the block of each workspace a core makes from now on."""
+    blocks = []
+    make = simulate._Core.workspace
+
+    def workspace(core):
+        work = make(core)
+        blocks.append(weakref.ref(work[0].base))
+        return work
+
+    monkeypatch.setattr(simulate._Core, "workspace", workspace)
+    return blocks
+
+
+def _small_run_config(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[lattice]\nnx = 8\nny = 16\nnz = 8\n[init]\ninit_kmax = 2\n"
+                   "[run]\noutput_every = 0.3\nt_end = 2.0\ncheckpoint_every = 0.5\n")
+    return str(cfg)
+
+
+def test_an_interrupted_run_drops_its_workspace(tmp_path, monkeypatch):
+    blocks = _watch_workspaces(monkeypatch)
+    rows = []
+
+    def row(state, params):
+        if len(rows) == 2:
+            raise KeyboardInterrupt
+        rows.append(diagnostics.compute_row(state, params))
+
+    monkeypatch.setattr(cli, "compute_row", row)
+    out = str(tmp_path / "out")
+    with pytest.raises(KeyboardInterrupt) as interrupt:
+        cli.main(["nonlinear", _small_run_config(tmp_path), "--out", out, "--quiet"])
+    # the interrupt, still held, has a traceback through the CLI's frame
+    # but not the workspace
+    assert interrupt.type is KeyboardInterrupt and len(rows) == 2
+    assert len(blocks) == 1 and blocks[0]() is None
+
+
+def test_a_completed_run_drops_its_workspace_before_the_end_checkpoints(tmp_path, monkeypatch):
+    blocks = _watch_workspaces(monkeypatch)
+    live_at_save = []
+
+    def save(path, state):
+        live_at_save.append((state.t, [block() is not None for block in blocks]))
+        save_checkpoint(path, state)
+
+    monkeypatch.setattr(cli, "save_checkpoint", save)
+    out = str(tmp_path / "out")
+    assert cli.main(["nonlinear", _small_run_config(tmp_path), "--out", out, "--quiet"]) == 0
+    # live through the steps; gone at the end's periodic checkpoint and the final one
+    assert live_at_save == [(0.5, [True]), (1.0, [True]), (1.5, [True]),
+                            (2.0, [False]), (2.0, [False])]
+
+
+def test_a_run_keeps_no_reference_to_its_start_state():
+    cfg = SimConfig(nx=8, ny=16, nz=8, epsilon=1e-3, t_end=1.0, mode="nonlinear")
+    states = simulate.run_states(cfg)
+    state, _, _ = next(states)
+    start = weakref.ref(state.packed)
+    del state
+    next(states)
+    assert start() is None
+    states.close()

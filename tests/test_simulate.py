@@ -24,6 +24,7 @@ from strata.simulate import (
     linear_decay_factors,
     nonlinear_rhs,
     run_simulation,
+    run_states,
     step_linear,
     step_nonlinear,
 )
@@ -144,8 +145,8 @@ def _reference_step(state, dt, mask=None):
 def _reference_linear_run(cfg):
     """The stepped linear loop, one step_linear per dt: the oracle for linear runs.
 
-    Yields the state at t = 0 and at every output time, like run_simulation's
-    on_row, and returns the final state.
+    Yields the state at t = 0 and at every output time, like the row states
+    of run_states, and returns the final state.
     """
     state = init_field(cfg)
     n_steps = round(cfg.t_end / cfg.dt)
@@ -157,6 +158,11 @@ def _reference_linear_run(cfg):
         if i % out_stride == 0:
             yield state
     return state
+
+
+def _yields(cfg):
+    """The (t, row, checkpoint) of each state run_states yields for cfg."""
+    return [(state.t, row, ckpt) for state, row, ckpt in run_states(cfg)]
 
 
 def _against_reference(cfg):
@@ -1053,8 +1059,8 @@ class TestLinearRun:
         assert calls == [(0.0, i * 0.1) for i in (*range(3, 19, 3), 20)]
         assert final.t == 2.0
         calls.clear()
-        run_simulation(cfg)
-        assert calls == [(0.0, 20 * 0.1)]
+        run_simulation(cfg)    # without on_row too: the row times and the end
+        assert calls == [(0.0, i * 0.1) for i in (*range(3, 19, 3), 20)]
 
     def test_never_checkpoints(self):
         kw = dict(nx=8, ny=16, nz=8, dt=0.1, t_end=1.0, checkpoint_every=0.5)
@@ -1064,6 +1070,13 @@ class TestLinearRun:
             run_simulation(SimConfig(**kw, mode=mode), on_row=lambda s: None,
                            on_checkpoint=lambda s, m=mode: seen[m].append(s.t))
         assert seen == {"linear": [], "nonlinear": [0.5, 1.0]}
+        # run_states: a linear run yields its rows and end, none a checkpoint
+        kw.update(t_end=2.0, output_every=0.3)
+        linear = _yields(SimConfig(**kw))
+        assert not any(ckpt for _, _, ckpt in linear)
+        assert all(row for _, row, _ in linear[:-1]) and linear[-1] == (2.0, False, False)
+        nonlinear = _yields(SimConfig(**kw, mode="nonlinear"))
+        assert [t for t, _, ckpt in nonlinear if ckpt] == [0.5, 1.0, 1.5, 2.0]
 
 
 class TestRunAndDiagnostics:
@@ -1074,6 +1087,14 @@ class TestRunAndDiagnostics:
         final = run_simulation(cfg, on_row=lambda s: rows.append(s.t))
         assert rows == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
         assert final.t == pytest.approx(2.0)
+        # run_states: every step of a nonlinear run, only the rows and the end
+        # of a linear one, each at t = i dt; the end, off the rows, comes last
+        kw = dict(nx=8, ny=16, nz=8, dt=0.1, t_end=2.0, output_every=0.3,
+                  checkpoint_every=0.5, init_kmax=2)
+        assert _yields(SimConfig(**kw, mode="nonlinear")) == [
+            (i * 0.1, i % 3 == 0, i > 0 and i % 5 == 0) for i in range(21)]
+        assert _yields(SimConfig(**kw)) == [
+            *((i * 0.1, True, False) for i in range(0, 19, 3)), (2.0, False, False)]
 
     def test_diagnostics_finite_nonnegative(self):
         cfg = SimConfig(nx=8, ny=16, nz=8, epsilon=1e-2, dt=0.1, t_end=1.0,

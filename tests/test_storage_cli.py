@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from _hermitian import symmetrized
 from strata import simulate
 from strata.cli import main
+from strata.config import SimConfig
+from strata.diagnostics import DiagnosticRow, compute_row
 from strata.lattice import Lattice, SpectralField
-from strata.simulate import SimState
+from strata.simulate import SimState, run_simulation
 from strata.storage import (
     CheckpointError,
     checkpoint_bytes,
@@ -238,6 +240,26 @@ output_every = 1.0
         assert main(["nonlinear", str(cfg), "--out", str(out), "--quiet"]) == 0
         theta = read_csv_columns(out / "nonlinear_diagnostics.csv")["theta_l2"]
         assert float(theta[-1]) == load_checkpoint(out / "nonlinear_final.ckpt").field.l2()
+
+    def test_the_cli_writes_what_run_simulation_hands_on(self, tmp_path):
+        # both iterate simulate.run_states: the CSV holds compute_row of the
+        # row states, each periodic checkpoint the bytes of its state
+        path = tmp_path / "run.ini"
+        path.write_text("[lattice]\nnx = 8\nny = 16\nnz = 8\n[init]\ninit_kmax = 2\n"
+                        "[run]\noutput_every = 0.3\nt_end = 2.0\ncheckpoint_every = 0.5\n")
+        out = tmp_path / "res"
+        assert main(["nonlinear", str(path), "--out", str(out), "--quiet"]) == 0
+        cfg = SimConfig.from_file(str(path), {"mode": "nonlinear"})
+        rows, ckpts = [], {}
+        run_simulation(cfg, on_row=lambda s: rows.append(compute_row(s, cfg.weight_params)),
+                       on_checkpoint=lambda s: ckpts.update(
+                           {f"nonlinear_t{s.t:08.2f}.ckpt": checkpoint_bytes(s)}))
+        write_csv(tmp_path / "want.csv", DiagnosticRow.header(), [r.values() for r in rows],
+                  manifest_name="nonlinear_manifest.ini")
+        csv = (out / "nonlinear_diagnostics.csv").read_bytes()
+        assert len(rows) == 7 and csv == (tmp_path / "want.csv").read_bytes()
+        assert len(ckpts) == 4
+        assert {p.name: p.read_bytes() for p in out.glob("nonlinear_t*.ckpt")} == ckpts
 
     def test_negative_checkpoint_spacing_exit_2(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, extra="checkpoint_every = -0.1\n")
