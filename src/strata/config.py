@@ -59,16 +59,14 @@ class SimConfig:
             raise ConfigError(f"mode must be linear or nonlinear, got {self.mode!r}")
         if self.recipe not in ("single", "multimode", "random"):
             raise ConfigError(f"unknown init recipe {self.recipe!r}")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ConfigError("dt and t_end must be positive")
-        if self.output_every <= 0:
-            raise ConfigError("output_every must be positive")
-        if self.checkpoint_every < 0:
-            raise ConfigError("checkpoint_every must be >= 0 (0 = final checkpoint only)")
-        for name in ("t_end", "output_every", "checkpoint_every"):
-            val = getattr(self, name)
-            if val > 0 and abs(val / self.dt - round(val / self.dt)) > 1e-9:
-                raise ConfigError(f"{name} = {val} is not a multiple of dt = {self.dt}")
+        if self.dt <= 0:
+            raise ConfigError("dt must be positive")
+        # the grid is i dt: cadences of whole steps, at least one (checkpoint_every may be 0)
+        names = ("t_end", "output_every") + (("checkpoint_every",) if self.checkpoint_every else ())
+        for name in names:
+            steps = getattr(self, name) / self.dt
+            if not (0.5 < steps < math.inf and abs(steps - round(steps)) <= 1e-9):
+                raise ConfigError(f"{name} must be 1, 2, 3, ... steps of dt = {self.dt}")
         if not 0.0 < self.dealias <= 1.0:
             raise ConfigError("dealias fraction must lie in (0, 1]")
         if self.epsilon < 0:
@@ -127,7 +125,7 @@ class SimConfig:
 
     @classmethod
     def from_text(cls, text: str, overrides: dict | None = None) -> "SimConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(default_section="")   # [DEFAULT] is unknown too
         try:
             parser.read_string(text)
         except configparser.Error as exc:

@@ -35,9 +35,9 @@ The core holds one such symbol object, on the packed modes
 velocity u on the transforms' box is ``symbols.transport_symbol`` of the
 box's broadcast axes (``_Core.u``).  The nonlinear step evaluates G and u
 once per distinct stage time, and those at its two ends through a one-entry
-memo on the core (``_Core.g_memo``, ``_Core.u_memo``), so a step that
-starts exactly where the last one ended reads them back; a linear run reads
-its start time's G from the same memo.  Each memo caches a pure function of
+memo on the core (``_Core.g_memo``, ``_Core.u_memo``): a run's step ends
+on its grid time i dt exactly, where the next step reads them back, and a
+linear run its start time's G.  Each memo caches a pure function of
 t for as long as the core lives, and is read once per call, so runs that
 share a core in several threads read consistent values.  Each RK stage's
 product is formed with six inverse and one forward ``numpy.fft`` transform,
@@ -122,10 +122,9 @@ class SimState:
         field back exactly: content off the kept modes (at 1.0, a Nyquist
         index), a field that is not Hermitian, a complex mean or a NaN.
         """
-        core = _core(self.field.lattice if self.core is None else self.core.lattice, dealias)
+        core, packed = _on_core(self, dealias)
         if self.core is core:
             return self
-        packed = core.pack(self.field.coeffs)
         if not np.array_equal(core.unpack(packed), self.field.coeffs):
             raise ValueError(f"the field at t={self.t:.6g} is not real on the kept modes "
                              f"of dealias fraction {dealias}")
@@ -405,6 +404,12 @@ class _Core:
 _core = lru_cache(maxsize=8)(_Core)
 
 
+def _on_core(state: SimState, dealias: float) -> tuple[_Core, np.ndarray]:
+    """``state``'s core for ``dealias`` and its values there: its own, or its field packed."""
+    core = _core(state.field.lattice if state.core is None else state.core.lattice, dealias)
+    return core, state.packed if state.core is core else core.pack(state.field.coeffs)
+
+
 def nonlinear_rhs(state: SimState, dealias: float = 1.0) -> np.ndarray:
     """Spectral coefficients of -(u . grad theta), dealiased, mean mode zeroed.
 
@@ -414,8 +419,7 @@ def nonlinear_rhs(state: SimState, dealias: float = 1.0) -> np.ndarray:
     the zero mode is pinned to machine zero.  The result is zero outside the
     kept modes of ``dealias`` (see ``_Core``): at 1.0 all but Nyquist.
     """
-    core = _core(state.field.lattice, dealias)
-    c = core.pack(state.field.coeffs)
+    core, c = _on_core(state, dealias)
     return core.unpack(core.rhs(c, core.u(state.t), core.workspace()))
 
 
@@ -435,8 +439,7 @@ def step_nonlinear(state: SimState, dt: float, dealias: float = 1.0,
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     t, h = state.t, dt
-    core = _core(state.field.lattice if state.core is None else state.core.lattice, dealias)
-    c0 = state.packed if state.core is core else core.pack(state.field.coeffs)
+    core, c0 = _on_core(state, dealias)
     if not np.all(np.isfinite(c0)):
         raise NumericalAbort(f"non-finite state at t={t:.6g}", state)
     if work is None:
@@ -484,12 +487,14 @@ def run_states(cfg: SimConfig):
 
     ``row`` marks t = 0 and each output time, ``checkpoint`` each
     ``checkpoint_every`` of a nonlinear run; the end, at ``round(t_end/dt) * dt``,
-    comes last.  A nonlinear run yields ``init_field``'s state and each step's,
-    at t = i dt; a linear run only its start, output times and end, each the
-    exact ``step_linear(start, t)``.  Every state is packed on ``cfg.dealias``'s core.
+    comes last.  A nonlinear run yields ``init_field``'s state and each step's:
+    step i ends on i dt exactly, as it steps by i dt - (i-1) dt, which is exact
+    (Sterbenz's lemma).  A linear run yields its start, output times and end,
+    each the exact ``step_linear(start, i dt)``.  Every state is packed on
+    ``cfg.dealias``'s core.
     """
     n_steps = round(cfg.t_end / cfg.dt)
-    out_stride = max(1, round(cfg.output_every / cfg.dt))
+    out_stride = round(cfg.output_every / cfg.dt)
     state = init_field(cfg)
     yield state, True, False
     if cfg.mode == "linear":
@@ -498,14 +503,11 @@ def run_states(cfg: SimConfig):
         if n_steps % out_stride:
             yield step_linear(state, n_steps * cfg.dt), False, False
         return
-    ckpt_stride = (max(1, round(cfg.checkpoint_every / cfg.dt))
-                   if cfg.checkpoint_every > 0 else n_steps + 1)
+    ckpt_stride = round(cfg.checkpoint_every / cfg.dt) or n_steps + 1
     # one workspace for every step, dropped before the end state is handed on
     work = state.core.workspace()
     for i in range(1, n_steps + 1):
-        state = step_nonlinear(state, cfg.dt, cfg.dealias, work)
-        # keep t exactly on the uniform grid to avoid drift in long runs
-        state.t = i * cfg.dt
+        state = step_nonlinear(state, i * cfg.dt - state.t, cfg.dealias, work)
         if i == n_steps:
             del work
         yield state, i % out_stride == 0, i % ckpt_stride == 0

@@ -227,6 +227,9 @@ class TestConfig:
             SimConfig.from_text("[run]\nwarp_speed = 9\n")
         with pytest.raises(ConfigError):
             SimConfig.from_text("[hyperdrive]\nx = 1\n")
+        # configparser keeps [DEFAULT] out of its sections; its keys would go unread
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            SimConfig.from_text("[DEFAULT]\nnx = 8\nny = 16\nnz = 8\n")
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):
@@ -241,6 +244,14 @@ class TestConfig:
             SimConfig(dt=0.3, t_end=1.0)   # t_end not on the step grid
         with pytest.raises(ConfigError, match="checkpoint_every"):
             SimConfig(**SMALL, mode="nonlinear", checkpoint_every=-0.1)
+        # a cadence that rounds to zero steps is not on the step grid either
+        with pytest.raises(ConfigError, match="t_end"):
+            SimConfig(t_end=1e-12)
+        with pytest.raises(ConfigError, match="output_every"):
+            SimConfig(output_every=1e-12)
+        with pytest.raises(ConfigError, match="checkpoint_every"):
+            SimConfig(**SMALL, mode="nonlinear", checkpoint_every=1e-12)
+        SimConfig(**SMALL, mode="nonlinear", checkpoint_every=0.0)   # the final checkpoint only
 
     def test_parsed_values_have_their_annotated_types(self):
         cfg = SimConfig.from_text(default_config_text())
@@ -577,6 +588,20 @@ class TestNonlinearRHS:
     def test_mean_mode_pinned(self):
         st, dealias = self._random_state(seed=5)
         assert nonlinear_rhs(st, dealias)[0, 0, 0] == 0.0
+
+    def test_packed_state_is_unpacked_only_for_the_result(self, monkeypatch):
+        st, dealias = self._random_state(seed=6)
+        want = nonlinear_rhs(SimState(st.t, st.copy().field), dealias)
+        unpack, calls = simulate._Core.unpack, []
+
+        def counting(core, packed):
+            calls.append(packed.size)
+            return unpack(core, packed)
+
+        monkeypatch.setattr(simulate._Core, "unpack", counting)
+        got = nonlinear_rhs(st, dealias)
+        assert len(calls) == 1 and st._field is None
+        assert got.tobytes() == want.tobytes()
 
     def test_matches_direct_convolution(self):
         # brute-force convolution over signed frequencies as an independent
@@ -969,7 +994,8 @@ class TestNonlinearStep:
     def test_a_run_equals_lone_steps_on_fresh_cores(self, shape, fraction, monkeypatch):
         # run_simulation holds one workspace and reads the end symbols back
         # from the core's memo; the lone steps each get a fresh core, so a
-        # fresh workspace and an empty memo.  Some cut is 1 on each lattice
+        # fresh workspace and an empty memo, and step to each grid time as the
+        # run does.  Some cut is 1 on each lattice
         nx, ny, nz = shape
         cfg = SimConfig(nx=nx, ny=ny, nz=nz, dt=0.1, t_end=0.6, output_every=0.1,
                         epsilon=0.5, recipe="random", mode="nonlinear", dealias=fraction)
@@ -978,8 +1004,7 @@ class TestNonlinearStep:
         monkeypatch.setattr(simulate, "_core", simulate._Core)
         lone = [init_field(cfg)]
         for i in range(1, 7):
-            lone.append(step_nonlinear(lone[-1], cfg.dt, fraction))
-            lone[-1].t = i * cfg.dt
+            lone.append(step_nonlinear(lone[-1], i * cfg.dt - lone[-1].t, fraction))
         assert [s.t for s in run] == [s.t for s in lone]
         assert [s.packed.tobytes() for s in run] == [s.packed.tobytes() for s in lone]
 
@@ -1000,6 +1025,23 @@ class TestNonlinearStep:
         step_nonlinear(st, 0.25, cfg.dealias)
         assert times == [0.0, 0.125, 0.25, 0.375, 0.5]
         assert not any(a.flags.writeable for a in st.core.u_memo(0.5))
+
+    def test_a_run_ends_each_step_on_its_grid_time(self, monkeypatch):
+        # i dt - (i-1) dt is exact, so step i ends on i dt bit for bit and the
+        # next step reads u there from the memo: u at t = 0, then at each
+        # step's middle and end.  Stepping by dt misses i dt at 5 of these 30
+        cfg = SimConfig(**{**SMALL, "t_end": 3.0}, epsilon=0.1, init_kmax=2, mode="nonlinear")
+        monkeypatch.setattr(simulate, "_core", functools.lru_cache(maxsize=8)(simulate._Core))
+        times = []
+
+        def counting(t, *box):
+            times.append(t)
+            return transport_symbol(t, *box)
+
+        monkeypatch.setattr(simulate, "transport_symbol", counting)
+        states = [state for state, _, _ in run_states(cfg)]
+        assert [s.t for s in states] == [i * cfg.dt for i in range(31)]
+        assert len(times) == 2 * 30 + 1
 
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
     def test_stepping_with_a_core_equals_stepping_without(self, fraction):
