@@ -7,7 +7,9 @@
     strata fit CSV              log-log slope fit on any emitted column
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical abort.
-All commands honor --out (or $STRATA_OUT), --seed, --quiet.
+A command takes only the flags it reads: a run --seed, --out (or $STRATA_OUT)
+and --quiet; a toy model or weights action its ``_TOY_ARGS`` or ``_WEIGHTS_ARGS``
+entry, --out and --quiet; fit --quiet besides its own.
 
 Every command but fit writes its files through one ``_RunRecord``: the
 manifest comes first and lists in ``outputs`` each file written, CSVs,
@@ -46,11 +48,42 @@ _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _STAMP = "%Y-%m-%dT%H:%M:%S"    # a manifest's started and finished times
 
-# the arguments each toy model and weights action reads, recorded in its manifest
+# the flags each toy model and weights action reads; its manifest records seed
+# as the run's seed and the others under [config]
 _TOY_ARGS = {"orr": ("k", "kappa"), "zeromode": ("tmax",), "liftup": ("tmax", "epsilon"),
              "semigroup": ("m",)}
-_WEIGHTS_ARGS = {"table": ("iota",), "totalgrowth": ("iota_max",),
-                 "ratios": ("lemma", "samples")}
+_WEIGHTS_ARGS = {"table": ("cstar", "iota"), "totalgrowth": ("cstar", "iota_max"),
+                 "ratios": ("cstar", "lemma", "samples", "seed")}
+_FLAGS = {
+    "k": dict(type=int, default=1, help="resonant wavenumber"),
+    "kappa": dict(type=float, default=1.0, help="coupling strength"),
+    "tmax": dict(type=float, default=1e3, help="time horizon"),
+    "epsilon": dict(type=float, default=1e-3, help="amplitude"),
+    "m": dict(type=float, nargs="+", default=[0.0, 1.5, 2.5, 3.0], help="moment exponents"),
+    "cstar": dict(type=float, nargs="+", default=[1.0]),
+    "iota": dict(type=float, default=10.0),
+    "iota_max": dict(type=float, default=1e4),
+    "lemma": dict(choices=["rNR", "ratioJ", "shortTime", "all"], default="all"),
+    "samples": dict(type=int, default=100000),
+    "seed": dict(type=int, default=0, help="sampling seed"),
+    "out": dict(default=None, help="output directory (default $STRATA_OUT or .)"),
+    "quiet": dict(action="store_true", help="suppress stdout summaries"),
+}
+# the test each value of a flag must pass, and its wording
+_RANGES = {
+    "k": (lambda v: 1 <= v <= 10, "lie in 1..10"),    # E(sqrt(100)), the orr sweep's least eta
+    "kappa": (math.isfinite, "be finite"),
+    "tmax": (lambda v: 0.0 < v < math.inf, "be positive and finite"),
+    # within these bounds the lift-up envelope, eps^2 times 10.2..8001, is a normal float
+    "epsilon": (lambda v: 1e-150 <= abs(v) <= 1e150, "satisfy 1e-150 <= |epsilon| <= 1e150"),
+    "m": (lambda v: 0.0 <= v < math.inf, "be nonnegative and finite"),
+    "cstar": (lambda v: 0.0 < v < math.inf, "be positive and finite"),
+    # the table of |iota| has E(sqrt|iota|) intervals: at most 1e4 under this cap
+    "iota": (lambda v: 1.0 < abs(v) <= 1e8, "satisfy 1 < |iota| <= 1e8"),
+    "iota_max": (lambda v: 1.0 < v <= 1e8, "satisfy 1 < iota_max <= 1e8"),
+    "samples": (lambda v: v >= 1, "be at least 1"),
+    "seed": (lambda v: v >= 0, "be >= 0"),
+}
 
 
 def main(argv=None) -> int:
@@ -79,55 +112,42 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"strata {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=None, help="output directory (default $STRATA_OUT or .)")
-        p.add_argument("--seed", type=int, default=None, help="override the run seed")
-        p.add_argument("--quiet", action="store_true", help="suppress stdout summaries")
+    # no parser takes abbreviations: --iota would be --iota-max to totalgrowth
+    def flags(p, names, func):
+        for name in (*names, "out", "quiet"):
+            p.add_argument("--" + name.replace("_", "-"), **_FLAGS[name])
+        p.set_defaults(func=func)
 
     for name in ("linear", "nonlinear"):
-        p = sub.add_parser(name, help=f"{name} evolution run")
+        p = sub.add_parser(name, help=f"{name} evolution run", allow_abbrev=False)
         p.add_argument("config", nargs="?", default=None, help="config file (key = value sections)")
         p.add_argument("--print-defaults", action="store_true",
                        help="print the default config and exit")
-        common(p)
-        p.set_defaults(func=_cmd_run, mode=name)
+        p.add_argument("--seed", type=int, default=None, help="override the run seed")
+        flags(p, (), _cmd_run)
 
-    p = sub.add_parser("toy", help="toy-model reports")
-    p.add_argument("model", choices=list(_TOY_ARGS))
-    p.add_argument("--kappa", type=float, default=1.0, help="orr: coupling strength")
-    p.add_argument("--k", type=int, default=1, help="orr: resonant wavenumber")
-    p.add_argument("--tmax", type=float, default=1e3, help="zeromode/liftup horizon")
-    p.add_argument("--epsilon", type=float, default=1e-3, help="liftup amplitude")
-    p.add_argument("--m", type=float, nargs="+", default=[0.0, 1.5, 2.5, 3.0],
-                   help="semigroup moment exponents")
-    common(p)
-    p.set_defaults(func=_cmd_toy)
+    for name, dest, table, func, about in (
+            ("toy", "model", _TOY_ARGS, _cmd_toy, "toy-model reports"),
+            ("weights", "action", _WEIGHTS_ARGS, _cmd_weights, "weight tables and lemma sweeps")):
+        kinds = sub.add_parser(name, help=about).add_subparsers(dest=dest, required=True)
+        for kind, names in table.items():
+            flags(kinds.add_parser(kind, allow_abbrev=False), names, func)
 
-    p = sub.add_parser("weights", help="weight tables and lemma sweeps")
-    p.add_argument("action", choices=list(_WEIGHTS_ARGS))
-    p.add_argument("--iota", type=float, default=10.0)
-    p.add_argument("--iota-max", type=float, default=1e4)
-    p.add_argument("--cstar", type=float, nargs="+", default=[1.0])
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--lemma", choices=["rNR", "ratioJ", "shortTime", "all"], default="all")
-    common(p)
-    p.set_defaults(func=_cmd_weights)
-
-    p = sub.add_parser("fit", help="log-log slope fit of a CSV column")
+    p = sub.add_parser("fit", help="log-log slope fit of a CSV column", allow_abbrev=False)
     p.add_argument("csv")
     p.add_argument("--column", required=True)
     p.add_argument("--time-column", default="t")
     p.add_argument("--tmin", type=float, default=None)
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--min-r2", type=float, default=0.99)
-    common(p)
+    p.add_argument("--quiet", **_FLAGS["quiet"])
     p.set_defaults(func=_cmd_fit)
 
     return parser
 
 
 def _say(args, msg: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(msg)
 
 
@@ -170,11 +190,12 @@ class _RunRecord:
 
 
 def _settings(section: str, args, names) -> str:
-    """The ``[section]`` text of the named arguments, lists space-joined."""
+    """The ``[section]`` text of the named arguments but seed, lists space-joined."""
     lines = [f"[{section}]"]
     for name in names:
         val = getattr(args, name)
-        lines.append(f"{name} = {' '.join(map(str, val)) if isinstance(val, list) else val}")
+        if name != "seed":
+            lines.append(f"{name} = {' '.join(map(str, val)) if isinstance(val, list) else val}")
     return "\n".join(lines) + "\n"
 
 
@@ -183,15 +204,17 @@ def _settings(section: str, args, names) -> str:
 
 def _cmd_run(args) -> int:
     if args.print_defaults:
+        if (args.config, args.seed, args.out) != (None, None, None):
+            raise ConfigError("--print-defaults reads no config file, --seed or --out")
         print(default_config_text(), end="")
         return _EXIT_OK
-    overrides = {"mode": args.mode}
+    overrides = {"mode": args.command}
     if args.seed is not None:
         overrides["seed"] = args.seed
     cfg = (SimConfig.from_file(args.config, overrides) if args.config is not None
            else SimConfig.from_text("", overrides))
-    csv_name = f"{args.mode}_diagnostics.csv"
-    record = _RunRecord(args, args.mode, cfg.seed, cfg.to_text(),
+    csv_name = f"{cfg.mode}_diagnostics.csv"
+    record = _RunRecord(args, cfg.mode, cfg.seed, cfg.to_text(),
                         {"sigma_min_resolved": f"{cfg.lattice.sigma_min_resolved():.6e}"})
     params = cfg.weight_params
     rows: list[DiagnosticRow] = []
@@ -206,7 +229,7 @@ def _cmd_run(args) -> int:
                 if row:
                     rows.append(compute_row(final, params))
                 if checkpoint:
-                    record.checkpoint(f"{args.mode}_t{final.t:{stamp}}.ckpt", final)
+                    record.checkpoint(f"{cfg.mode}_t{final.t:{stamp}}.ckpt", final)
         abort = None
     except NumericalAbort as exc:
         # without its traceback, whose frames hold the run's workspace
@@ -216,44 +239,34 @@ def _cmd_run(args) -> int:
     if abort is not None:
         # the partial rows and the offending state stay for inspection; finished stays empty
         if final is not None:
-            record.checkpoint(f"{args.mode}_abort.ckpt", final)
+            record.checkpoint(f"{cfg.mode}_abort.ckpt", final)
         record.finish(completed=False)
         raise abort
-    if args.mode == "nonlinear":
-        record.checkpoint(f"{args.mode}_final.ckpt", final)
+    if cfg.mode == "nonlinear":
+        record.checkpoint(f"{cfg.mode}_final.ckpt", final)
     record.plot_script(csv_name, ["u1_l2", "u2_zero_l2", "u2_nonzero_l2", "u3_l2"])
     record.finish()
-    _say(args, f"{args.mode} run complete: t={final.t:g}, {len(rows)} rows -> {csv_name}")
+    _say(args, f"{cfg.mode} run complete: t={final.t:g}, {len(rows)} rows -> {csv_name}")
     return _EXIT_OK
 
 
 # --- toy models -----------------------------------------------------------
 
 
-def _check_toy_args(args) -> None:
-    """Reject out-of-range toy arguments before any output is written."""
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if not 1 <= args.k <= 10:    # E(sqrt(100)), the smallest eta of the orr sweep
-        raise ConfigError(f"--k must lie in 1..10, got {args.k}")
-    if not (math.isfinite(args.kappa) and math.isfinite(args.epsilon)):
-        raise ConfigError(f"--kappa and --epsilon must be finite, "
-                          f"got {args.kappa}, {args.epsilon}")
-    if not 0.0 < args.tmax < math.inf:
-        raise ConfigError(f"--tmax must be positive and finite, got {args.tmax}")
-    # within these bounds the envelope, eps^2 times 10.2..8001, is a normal float
-    if args.model == "liftup" and (not 1e-150 <= abs(args.epsilon) <= 1e150
-                                   or args.tmax == 10.0):
-        raise ConfigError(f"liftup needs 1e-150 <= |--epsilon| <= 1e150 and --tmax != 10, "
-                          f"its time grid's start; got {args.epsilon}, {args.tmax}")
-    if not all(0.0 <= m < math.inf for m in args.m):
-        raise ConfigError(f"--m values must be nonnegative and finite, got {args.m}")
+def _check_ranges(args) -> None:
+    """Reject a flag value out of its range before any output is written."""
+    for name, (test, wording) in _RANGES.items():
+        val = getattr(args, name, None)     # None: the command has no such flag
+        if val is not None and not all(map(test, val if isinstance(val, list) else [val])):
+            raise ConfigError(f"--{name.replace('_', '-')} must {wording}, got {val}")
 
 
 def _cmd_toy(args) -> int:
-    _check_toy_args(args)
+    _check_ranges(args)
+    if args.model == "liftup" and args.tmax == 10.0:
+        raise ConfigError("liftup needs --tmax != 10, its time grid's start")
     command = f"toy_{args.model}"
-    record = _RunRecord(args, command, args.seed or 0,
+    record = _RunRecord(args, command, 0,
                         _settings("toy", args, ("model",) + _TOY_ARGS[args.model]))
     summary = []  # rows of (model, params, fitted_exponent, r2, constant)
 
@@ -314,25 +327,10 @@ def _cmd_toy(args) -> int:
 # --- weights --------------------------------------------------------------
 
 
-def _check_weights_args(args) -> None:
-    """Reject out-of-range weights arguments before any output is written."""
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if not all(0.0 < cs < math.inf for cs in args.cstar):
-        raise ConfigError(f"--cstar values must be positive and finite, got {args.cstar}")
-    # the table of |iota| has E(sqrt|iota|) intervals: at most 1e4 under this cap
-    if args.action == "table" and not 1.0 < abs(args.iota) <= 1e8:
-        raise ConfigError(f"--iota must satisfy 1 < |iota| <= 1e8, got {args.iota}")
-    if args.action == "totalgrowth" and not 1.0 < args.iota_max <= 1e8:
-        raise ConfigError(f"--iota-max must satisfy 1 < iota_max <= 1e8, got {args.iota_max}")
-    if args.action == "ratios" and args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-
-
 def _cmd_weights(args) -> int:
-    _check_weights_args(args)
-    record = _RunRecord(args, f"weights_{args.action}", args.seed or 0,
-                        _settings("weights", args, ("cstar",) + _WEIGHTS_ARGS[args.action]))
+    _check_ranges(args)
+    record = _RunRecord(args, f"weights_{args.action}", vars(args).get("seed", 0),
+                        _settings("weights", args, _WEIGHTS_ARGS[args.action]))
     rows = []
 
     if args.action == "table":
@@ -363,7 +361,7 @@ def _cmd_weights(args) -> int:
         for lem in lemmas:
             for cs in args.cstar:
                 rep = ratio_lemma_sweep(lem, args.samples, WeightParams(c_star=cs),
-                                        seed=args.seed or 0)
+                                        seed=args.seed)
                 rows.append(rep.csv_row() + [cs])
                 _say(args, f"{lem} (c_star={cs}): constant {rep.empirical_constant:.4e} "
                            f"over {rep.samples_used} admissible samples")

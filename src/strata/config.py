@@ -2,7 +2,8 @@
 
 A config file is a self-describing INI document with one section per
 subsystem ([lattice], [run], [init], [weights]); every field has a default
-so an empty file is a valid desk-scale linear run.
+so an empty file is a valid desk-scale run.  The mode, linear or nonlinear,
+is the command that reads the file, not a key in it.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ class SimConfig:
     nz: int = 32
     ly: float = 8.0 * math.pi
     # [run]
-    mode: str = "linear"              # linear | nonlinear
+    mode: str = "linear"              # linear | nonlinear: set by the command, not the file
     epsilon: float = 1e-3
     dt: float = 0.1
     t_end: float = 100.0
     output_every: float = 1.0
     dealias: float = 2.0 / 3.0
-    checkpoint_every: float = 0.0     # 0 = final checkpoint only
+    checkpoint_every: float = 0.0     # 0 = final checkpoint only; a linear run takes 0
     # [init]
     recipe: str = "random"            # single | multimode | random
     seed: int = 0
@@ -57,6 +58,8 @@ class SimConfig:
                 raise ConfigError(f"{name} must be finite, got {val}")
         if self.mode not in ("linear", "nonlinear"):
             raise ConfigError(f"mode must be linear or nonlinear, got {self.mode!r}")
+        if self.mode == "linear" and self.checkpoint_every:
+            raise ConfigError("checkpoint_every must be 0: a linear run writes no checkpoints")
         if self.recipe not in ("single", "multimode", "random"):
             raise ConfigError(f"unknown init recipe {self.recipe!r}")
         if self.dt <= 0:
@@ -105,8 +108,7 @@ class SimConfig:
 
     _SECTIONS = {
         "lattice": ("nx", "ny", "nz", "ly"),
-        "run": ("mode", "epsilon", "dt", "t_end", "output_every", "dealias",
-                "checkpoint_every"),
+        "run": ("epsilon", "dt", "t_end", "output_every", "dealias", "checkpoint_every"),
         "init": ("recipe", "seed", "lambda_in", "init_kmax"),
         "weights": ("c_star", "s", "lambda_inf", "delta_tilde", "a", "sigmas"),
     }

@@ -96,7 +96,7 @@ def test_no_scipy_module_on_the_import_or_the_nonlinear_run_path(tmp_path):
     # wrapper)
     cfg = tmp_path / "run.ini"
     cfg.write_text("[lattice]\nnx = 8\nny = 16\nnz = 8\n"
-                   "[run]\nmode = nonlinear\nt_end = 0.5\noutput_every = 0.1\n"
+                   "[run]\nt_end = 0.5\noutput_every = 0.1\n"
                    "[init]\ninit_kmax = 2\n")
     script = (
         "import sys\n"
@@ -123,7 +123,7 @@ def test_no_run_command_loads_numpy_ma(tmp_path):
     # weight tables spell it out, and nothing else on a run's path needs it
     cfg = tmp_path / "run.ini"
     cfg.write_text("[lattice]\nnx = 8\nny = 16\nnz = 8\n"
-                   "[run]\nmode = nonlinear\nt_end = 0.3\noutput_every = 0.1\n")
+                   "[run]\nt_end = 0.3\noutput_every = 0.1\n")
     script = (
         "import sys\n"
         "import strata.cli\n"

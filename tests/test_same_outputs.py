@@ -1,5 +1,6 @@
 """The comparison logic of ``tools/same_outputs.py``, on small hand-made output directories."""
 
+import argparse
 import importlib.util
 import math
 import struct
@@ -42,6 +43,23 @@ def test_a_changed_manifest_stamp_is_no_difference(tmp_path):
     # an aborted run leaves finished empty: that is a difference
     aborted = _run_dir(tmp_path / "aborted", ("2026-02-03T04:05:06", ""))
     assert same_outputs.compare_dirs(old, aborted) == [
+        ("nonlinear_manifest.ini", "run.finished", math.inf)]
+
+
+def test_a_manifest_is_compared_key_by_key(tmp_path):
+    old = _run_dir(tmp_path / "old")
+    manifest = old / "nonlinear_manifest.ini"
+    manifest.write_text(manifest.read_text() + "\n[config]\nmode = nonlinear\nseed = 5\n")
+    new = _run_dir(tmp_path / "new")
+    manifest = new / "nonlinear_manifest.ini"
+    manifest.write_text(manifest.read_text().replace("command = nonlinear", "command = linear")
+                        + "\n[config]\nseed = 5\n")
+    assert same_outputs.compare_dirs(old, new) == [
+        ("nonlinear_manifest.ini", "run.command", math.inf),
+        ("nonlinear_manifest.ini", "config.mode", math.inf)]
+    # a manifest that does not parse is one bytes row
+    manifest.write_text("seed = 5\n")
+    assert same_outputs.compare_dirs(old, new) == [
         ("nonlinear_manifest.ini", "bytes", math.inf)]
 
 
@@ -74,3 +92,8 @@ def test_the_tightest_matching_tolerance_holds():
     assert same_outputs.tolerance_of("u1_l2", tolerances) == 1e-12
     assert same_outputs.tolerance_of("u1_l2", {"u?_l2": 1e-10}) == 1e-10
     assert same_outputs.tolerance_of("coefficients", {"u?_l2": 1e-10}) == 0.0
+    # an intended change of a manifest key is stated with an infinite tolerance
+    assert same_outputs._parse_tolerance("config.mode=inf") == ("config.mode", math.inf)
+    assert same_outputs.tolerance_of("config.mode", {"config.mode": math.inf}) == math.inf
+    with pytest.raises(argparse.ArgumentTypeError):
+        same_outputs._parse_tolerance("config.mode=nan")

@@ -230,6 +230,9 @@ class TestConfig:
         # configparser keeps [DEFAULT] out of its sections; its keys would go unread
         with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
             SimConfig.from_text("[DEFAULT]\nnx = 8\nny = 16\nnz = 8\n")
+        # the command is the mode, so a mode key is unknown, as the former threads key is
+        with pytest.raises(ConfigError, match=r"unknown key 'mode' in section \[run\]"):
+            SimConfig.from_text("[run]\nmode = nonlinear\n")
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):
@@ -251,7 +254,11 @@ class TestConfig:
             SimConfig(output_every=1e-12)
         with pytest.raises(ConfigError, match="checkpoint_every"):
             SimConfig(**SMALL, mode="nonlinear", checkpoint_every=1e-12)
-        SimConfig(**SMALL, mode="nonlinear", checkpoint_every=0.0)   # the final checkpoint only
+        # a linear run writes no checkpoint, so it takes no cadence for one
+        with pytest.raises(ConfigError, match="checkpoint_every must be 0"):
+            SimConfig.from_text("[run]\ncheckpoint_every = 0.5\n")
+        for mode in ("linear", "nonlinear"):
+            SimConfig(**SMALL, mode=mode, checkpoint_every=0.0)   # the final checkpoint only
 
     def test_parsed_values_have_their_annotated_types(self):
         cfg = SimConfig.from_text(default_config_text())
@@ -1106,15 +1113,16 @@ class TestLinearRun:
 
     def test_never_checkpoints(self):
         kw = dict(nx=8, ny=16, nz=8, dt=0.1, t_end=1.0, checkpoint_every=0.5)
-        seen = {}
-        for mode in ("linear", "nonlinear"):
-            seen[mode] = []
-            run_simulation(SimConfig(**kw, mode=mode), on_row=lambda s: None,
-                           on_checkpoint=lambda s, m=mode: seen[m].append(s.t))
-        assert seen == {"linear": [], "nonlinear": [0.5, 1.0]}
+        # a linear run takes no checkpoint cadence: one would be a setting that does nothing
+        with pytest.raises(ConfigError, match="checkpoint_every must be 0"):
+            SimConfig(**kw, mode="linear")
+        seen = []
+        run_simulation(SimConfig(**kw, mode="nonlinear"), on_row=lambda s: None,
+                       on_checkpoint=seen.append)
+        assert [s.t for s in seen] == [0.5, 1.0]
         # run_states: a linear run yields its rows and end, none a checkpoint
         kw.update(t_end=2.0, output_every=0.3)
-        linear = _yields(SimConfig(**kw))
+        linear = _yields(SimConfig(**{**kw, "checkpoint_every": 0.0}))
         assert not any(ckpt for _, _, ckpt in linear)
         assert all(row for _, row, _ in linear[:-1]) and linear[-1] == (2.0, False, False)
         nonlinear = _yields(SimConfig(**kw, mode="nonlinear"))
@@ -1135,7 +1143,7 @@ class TestRunAndDiagnostics:
                   checkpoint_every=0.5, init_kmax=2)
         assert _yields(SimConfig(**kw, mode="nonlinear")) == [
             (i * 0.1, i % 3 == 0, i > 0 and i % 5 == 0) for i in range(21)]
-        assert _yields(SimConfig(**kw)) == [
+        assert _yields(SimConfig(**{**kw, "checkpoint_every": 0.0})) == [
             *((i * 0.1, True, False) for i in range(0, 19, 3)), (2.0, False, False)]
 
     def test_diagnostics_finite_nonnegative(self):

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import math
 import os
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _hermitian import symmetrized
-from strata import simulate
+from strata import cli, simulate
 from strata.cli import main
 from strata.config import SimConfig
 from strata.diagnostics import DiagnosticRow, compute_row
@@ -159,6 +160,23 @@ class TestCsv:
         assert cols["x"] == ["1.5", "2.5"]
 
 
+# the flags each toy model and weights action reads, beside --out and --quiet
+_READS = {
+    ("toy", "orr"): {"--k", "--kappa"},
+    ("toy", "zeromode"): {"--tmax"},
+    ("toy", "liftup"): {"--tmax", "--epsilon"},
+    ("toy", "semigroup"): {"--m"},
+    ("weights", "table"): {"--iota", "--cstar"},
+    ("weights", "totalgrowth"): {"--iota-max", "--cstar"},
+    ("weights", "ratios"): {"--cstar", "--samples", "--lemma", "--seed"},
+}
+# a valid value of each flag a toy model or weights action once took
+_VALUES = {"toy": {"--k": "2", "--kappa": "0.5", "--tmax": "50", "--epsilon": "0.01",
+                  "--m": "1", "--seed": "4"},
+          "weights": {"--iota": "10", "--iota-max": "100", "--cstar": "1",
+                      "--samples": "5", "--lemma": "rNR", "--seed": "9"}}
+
+
 class TestCli:
     CFG = """
 [lattice]
@@ -187,6 +205,20 @@ output_every = 1.0
         assert main(["linear", "--print-defaults"]) == 0
         out = capsys.readouterr().out
         assert "[lattice]" in out and "dt = 0.1" in out
+        # the command is the mode: both commands print one text, with no mode key
+        assert main(["nonlinear", "--print-defaults"]) == 0
+        assert capsys.readouterr().out == out
+        assert not [ln for ln in out.splitlines() if ln.startswith("mode")]
+        assert SimConfig.from_text(out, {"mode": "nonlinear"}).mode == "nonlinear"
+
+    @pytest.mark.parametrize("argv", [["missing.ini"], ["--seed", "5"], ["--out", "res"]],
+                             ids=["config", "seed", "out"])
+    def test_print_defaults_reads_nothing_else(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(["linear", "--print-defaults", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
+        assert not (tmp_path / "res").exists()
 
     def test_linear_run_outputs(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
@@ -234,7 +266,7 @@ output_every = 1.0
     def test_last_theta_l2_is_the_final_checkpoint_l2(self, tmp_path, recipe, dealias):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[lattice]\nnx = 8\nny = 16\nnz = 8\n"
-                       "[run]\nmode = nonlinear\nepsilon = 0.1\ndt = 0.1\nt_end = 1.0\n"
+                       "[run]\nepsilon = 0.1\ndt = 0.1\nt_end = 1.0\n"
                        f"output_every = 0.5\ndealias = {dealias}\n[init]\nrecipe = {recipe}\n")
         out = tmp_path / "res"
         assert main(["nonlinear", str(cfg), "--out", str(out), "--quiet"]) == 0
@@ -277,7 +309,7 @@ output_every = 1.0
         # spacings below 0.01 get more decimals; from 0.01 on the names keep two
         cfg = tmp_path / "run.ini"
         cfg.write_text("[lattice]\nnx = 8\nny = 16\nnz = 8\n"
-                       f"[run]\nmode = nonlinear\ndt = {dt}\nt_end = {3 * dt}\n"
+                       f"[run]\ndt = {dt}\nt_end = {3 * dt}\n"
                        f"output_every = {dt}\ncheckpoint_every = {every}\n")
         out = tmp_path / "res"
         assert main(["nonlinear", str(cfg), "--out", str(out), "--quiet"]) == 0
@@ -397,6 +429,45 @@ output_every = 1.0
             main(["linear", "--frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, kind, flag", [
+        *((command, kind, flag) for (command, kind), reads in _READS.items()
+          for flag in _VALUES[command] if flag not in reads),
+        ("fit", None, "--out"), ("fit", None, "--seed"),
+    ])
+    def test_a_flag_the_command_does_not_read_is_an_error(self, tmp_path, capsys,
+                                                         command, kind, flag):
+        out = tmp_path / "res"
+        if command == "fit":
+            argv = ["fit", str(tmp_path / "series.csv"), "--column", "y", flag,
+                    str(out) if flag == "--out" else "3"]
+        else:
+            argv = [command, kind, flag, _VALUES[command][flag], "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_command_declares_exactly_the_flags_it_reads(self):
+        def kinds(parser):
+            (action,) = [a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+            return action.choices
+
+        def flags(parser):
+            return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+        commands = kinds(cli._build_parser())
+        for (command, kind), reads in _READS.items():
+            assert flags(kinds(commands[command])[kind]) == reads | {"--out", "--quiet"}
+        assert set(kinds(commands["toy"])) | set(kinds(commands["weights"])) == {
+            kind for _, kind in _READS}
+        for command in ("linear", "nonlinear"):
+            assert flags(commands[command]) == {"--print-defaults", "--seed", "--out",
+                                                "--quiet"}
+        assert flags(commands["fit"]) == {"--column", "--time-column", "--tmin", "--tmax",
+                                          "--min-r2", "--quiet"}
+
     def test_threads_key_is_an_unknown_config_key(self, tmp_path, capsys):
         # numpy.fft takes no worker count, so no config key sets one
         cfg = self._write_cfg(tmp_path, "threads = 2\n")
@@ -491,7 +562,6 @@ output_every = 1.0
         ["semigroup", "--m", "nan"],
         ["semigroup", "--m", "-1"],
         ["semigroup", "--m", "0", "inf"],
-        ["liftup", "--seed", "-1"],
         ["liftup", "--epsilon", "0"],
         ["liftup", "--tmax", "10"],
         # the envelope overflows, or is subnormal or 0

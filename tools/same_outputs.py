@@ -12,6 +12,9 @@ directory that also receives its exit status (``exit_status``) and stdout
 - every file byte for byte, except a manifest (``*_manifest.ini``), whose
   ``started`` and ``finished`` stamps are masked (an empty ``finished``, the
   mark of an aborted run, stays empty);
+- a manifest that differs, key by key: each key whose value differs, or
+  that one side lacks, is the column ``SECTION.KEY`` (``run.finished``,
+  ``config.mode``) with an infinite difference;
 - a CSV that differs, column by column: the largest |a - b| / max(|a|, |b|)
   over its rows (0 where both are equal, inf where a value is not a number
   on one side only or the rows do not line up);
@@ -20,7 +23,8 @@ directory that also receives its exit status (``exit_status``) and stdout
 
 ``--tolerance COLUMN=REL`` states an intended change: a difference of at
 most REL in a column whose name matches the shell pattern COLUMN (checkpoint
-coefficients are the column ``coefficients``) is accepted.  Where several
+coefficients are the column ``coefficients``) is accepted; REL may be
+``inf``, which accepts any change, a manifest key's too.  Where several
 patterns match, the smallest REL holds; where none does, it is 0.  The table
 is printed in Markdown.  Exit status 0 when every difference is accepted, 1
 otherwise, 2 when REV cannot be checked out.
@@ -29,6 +33,7 @@ otherwise, 2 when REV cannot be checked out.
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import fnmatch
 import math
@@ -154,11 +159,26 @@ def _checkpoint_diffs(old: bytes, new: bytes) -> dict[str, float]:
     return {"t": _rel(t_a, t_b), "coefficients": diff / scale if diff else 0.0}
 
 
+def _manifest_diffs(old: bytes, new: bytes) -> dict[str, float]:
+    parsed = []
+    for data in (old, new):
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            parser.read_string(data.decode())
+        except (configparser.Error, UnicodeDecodeError):
+            return {"bytes": math.inf}
+        parsed.append({f"{section}.{key}": value for section in parser.sections()
+                       for key, value in parser.items(section)})
+    a, b = parsed
+    return {key: math.inf for key in dict.fromkeys([*a, *b]) if a.get(key) != b.get(key)}
+
+
 def compare_dirs(old: Path, new: Path) -> list[tuple[str, str, float]]:
     """``(file, column, largest relative difference)`` for each difference of ``new`` from ``old``.
 
     A file on one side only is one row with an infinite difference, and so is
-    any file but a CSV or a checkpoint that differs, in the column ``bytes``.
+    any differing file that is not a CSV, a checkpoint or a parsable manifest,
+    in the column ``bytes``.
     """
     rows = []
     names_a = {p.name for p in old.iterdir()}
@@ -176,6 +196,8 @@ def compare_dirs(old: Path, new: Path) -> list[tuple[str, str, float]]:
             diffs = _csv_diffs(a, b)
         elif name.endswith(".ckpt"):
             diffs = _checkpoint_diffs(a, b)
+        elif name.endswith("_manifest.ini"):
+            diffs = _manifest_diffs(a, b)
         else:
             diffs = {"bytes": math.inf}
         # bytes that differ where every value is equal (say -0.0 and 0.0) show as 0
@@ -196,7 +218,7 @@ def _parse_tolerance(text: str) -> tuple[str, float]:
         value = float(rel)
     except ValueError:
         value = math.nan
-    if not pattern or not 0.0 <= value < math.inf:
+    if not pattern or not 0.0 <= value <= math.inf:
         raise argparse.ArgumentTypeError(f"expected COLUMN=REL with REL >= 0, got {text!r}")
     return pattern, value
 
