@@ -87,8 +87,10 @@ _RANGES = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
+    if unread:
+        # refused with the usage of the command or kind that does not read them
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -116,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def flags(p, names, func):
         for name in (*names, "out", "quiet"):
             p.add_argument("--" + name.replace("_", "-"), **_FLAGS[name])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
 
     for name in ("linear", "nonlinear"):
         p = sub.add_parser(name, help=f"{name} evolution run", allow_abbrev=False)
@@ -141,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--min-r2", type=float, default=0.99)
     p.add_argument("--quiet", **_FLAGS["quiet"])
-    p.set_defaults(func=_cmd_fit)
+    p.set_defaults(func=_cmd_fit, parser=p)
 
     return parser
 

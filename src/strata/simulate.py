@@ -24,8 +24,10 @@ checkpoint, a hand-built field) or the packed stored members with their
 packed, from ``init_field`` on: ``step_linear`` maps packed to packed with G
 on the packed modes (G at the start time cached on the core),
 ``step_nonlinear`` advances the packed values, and
-``diagnostics.compute_row`` reduces over them.  A packed state's field is
-unpacked once, when first read, and is read-only.  A field without a core
+``diagnostics.compute_row`` reduces over them.  A packed state is a value:
+its stored members are read-only, and its field is unpacked from them at
+each read, read-only and kept nowhere, so ``simulate`` alone knows how a
+state becomes a field.  A field without a core
 enters ``step_linear`` and ``compute_row`` through ``SimState.packed_on(1.0)``,
 which refuses one that is not real on the kept modes; ``step_nonlinear``
 packs it, dropping what lies off them, as dealiasing does.
@@ -35,11 +37,12 @@ The core holds one such symbol object, on the packed modes
 velocity u on the transforms' box is ``symbols.transport_symbol`` of the
 box's broadcast axes (``_Core.u``).  The nonlinear step evaluates G and u
 once per distinct stage time, and those at its two ends through a one-entry
-memo on the core (``_Core.g_memo``, ``_Core.u_memo``): a run's step ends
-on its grid time i dt exactly, where the next step reads them back, and a
-linear run its start time's G.  Each memo caches a pure function of
-t for as long as the core lives, and is read once per call, so runs that
-share a core in several threads read consistent values.  Each RK stage's
+``functools.lru_cache`` on the core (``_Core.g_memo``, ``_Core.u_memo``): a
+run's step ends on its grid time i dt exactly, where the next step reads
+them back, and a linear run its start time's G.  Each memo caches a pure
+function of t, read-only, for as long as the core lives; the cache is
+thread-safe and returns the value of the time asked, so runs that share a
+core in several threads read consistent values.  Each RK stage's
 product is formed with six inverse and one forward ``numpy.fft`` transform,
 pruned to the 1-D lines that carry content: the kept modes have signed y
 and z indices below cuts c_y and c_z, so the x pass runs over those (y, z)
@@ -92,27 +95,23 @@ class SimState:
 
     A packed state holds the stored member of each +-f pair of the core's
     kept modes, so it is exactly real.  Its values are read-only, and so is
-    its field, which is unpacked from them when first read.
+    its field, which is unpacked from them at each read and kept nowhere.
     """
 
     def __init__(self, t: float, field: SpectralField | None = None,
                  core: _Core | None = None, packed: np.ndarray | None = None):
         if (field is None) == (packed is None) or (core is None) != (packed is None):
             raise ValueError("a state holds a field, or packed coefficients with their core")
-        if packed is not None:
-            packed.flags.writeable = False
         self.t = t
         self.core = core
-        self.packed = packed
+        self.packed = None if packed is None else _read_only(packed)
         self._field = field
 
     @property
     def field(self) -> SpectralField:
-        if self._field is None:
-            coeffs = self.core.unpack(self.packed)
-            coeffs.flags.writeable = False
-            self._field = SpectralField(self.core.lattice, coeffs)
-        return self._field
+        if self.core is None:
+            return self._field
+        return SpectralField(self.core.lattice, _read_only(self.core.unpack(self.packed)))
 
     def packed_on(self, dealias: float) -> "SimState":
         """This state on the cached core of its lattice and ``dealias``.
@@ -130,10 +129,12 @@ class SimState:
                              f"of dealias fraction {dealias}")
         return SimState(self.t, core=core, packed=packed)
 
-    def copy(self) -> "SimState":
-        if self.core is None:
-            return SimState(self.t, self._field.copy())
-        return SimState(self.t, core=self.core, packed=self.packed.copy())
+
+def _read_only(value):
+    """``value``, an array or a tuple of arrays, made read-only."""
+    for a in value if isinstance(value, tuple) else (value,):
+        a.flags.writeable = False
+    return value
 
 
 class NumericalAbort(RuntimeError):
@@ -230,22 +231,6 @@ def step_linear(state: SimState, dt: float) -> SimState:
                     packed=state.packed * np.exp(core.g_memo(state.t) - core.g(t1)))
 
 
-def _one_entry_memo(name: str):
-    """A method giving the core's read-only ``name``(t), kept for the last t asked."""
-    entry = f"_{name}_memo"
-
-    def memo(self, t: float):
-        # one read of the (t, value) entry, so a thread never pairs a time with another's value
-        last, value = getattr(self, entry, (None, None))
-        if last != t:
-            value = getattr(self, name)(t)
-            for a in value if isinstance(value, tuple) else (value,):
-                a.flags.writeable = False
-            setattr(self, entry, (t, value))
-        return value
-    return memo
-
-
 class _Core:
     """The kept modes of a lattice and dealias fraction, one member of each +-f pair.
 
@@ -259,8 +244,9 @@ class _Core:
     packed f.  ``modes`` is the one Couette symbol object, on the packed
     modes, whose G is ``g``; ``u`` is the transport velocity on the
     transforms' box, evaluated from its axes at each call.  ``g_memo`` and
-    ``u_memo`` keep the values at the last time asked of them, one time each,
-    for as long as the core lives.
+    ``u_memo`` are this core's own ``lru_cache(maxsize=1)`` over ``g`` and
+    ``u``: read-only values at the last time asked of each, kept for as long
+    as the core lives, and never evicted by another core's.
     """
 
     def __init__(self, lat: Lattice, dealias: float):
@@ -296,13 +282,13 @@ class _Core:
 
         self.x_idx = x_at(ix, iy, iz)
         self.x_mirror = x_at(*np.unravel_index(self.neg_idx[self.plane], lat.shape))
+        # read-only u and G, kept for the last t asked: a step's ends, a linear run's start
+        self.u_memo = lru_cache(maxsize=1)(lambda t: _read_only(self.u(t)))
+        self.g_memo = lru_cache(maxsize=1)(lambda t: _read_only(self.g(t)))
 
     def u(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The transport velocity at t on the transforms' box."""
         return transport_symbol(t, *self.box)
-
-    # read-only u and G, kept for the last t asked: a step's ends, a linear run's start
-    u_memo, g_memo = _one_entry_memo("u"), _one_entry_memo("g")
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
         """The stored members; the mean mode, its own partner, keeps its real part."""

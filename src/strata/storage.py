@@ -9,9 +9,9 @@ Checkpoint layout (all little-endian, independent of host byte order):
     t       f64
     data    nx*ny*nz complex128, C (row-major) order
 
-``save_checkpoint`` writes the header and then the field straight from its
-buffer, so it holds one lattice-sized array: a packed run state's unpacked
-field, which is not kept on the state.
+``save_checkpoint`` writes the header and then the state's field straight
+from its buffer, so it holds one lattice-sized array: for a packed run
+state, the field that reading ``SimState.field`` unpacks.
 
 CSV files start with a ``# manifest=<name>`` comment tying them to the run
 manifest that was written (atomically) before any results.
@@ -52,15 +52,12 @@ class CheckpointError(ValueError):
 
 
 def _checkpoint_parts(state: SimState) -> tuple[bytes, np.ndarray]:
-    # the header and the field as one contiguous little-endian array; a packed
-    # state's field is unpacked here and not kept on the state, and a field
+    # the header and the field as one contiguous little-endian array; a field
     # already in that layout is used as it is
-    if state.core is None:
-        lat, coeffs = state.field.lattice, state.field.coeffs
-    else:
-        lat, coeffs = state.core.lattice, state.core.unpack(state.packed)
+    fld = state.field
+    lat = fld.lattice
     head = _HEADER.pack(_MAGIC, _VERSION, lat.nx, lat.ny, lat.nz, lat.ly, state.t)
-    return head, np.ascontiguousarray(coeffs, dtype="<c16")
+    return head, np.ascontiguousarray(fld.coeffs, dtype="<c16")
 
 
 def checkpoint_bytes(state: SimState) -> bytes:

@@ -62,6 +62,34 @@ def test_a_checkpoint_holds_one_lattice_sized_array(tmp_path):
     assert state._field is None
 
 
+def test_a_packed_state_keeps_no_field(tmp_path, monkeypatch):
+    # a field read from a packed state, or unpacked for its checkpoint, is
+    # freed with the statement that reads it
+    cfg = SimConfig(nx=8, ny=16, nz=8, epsilon=1e-3, t_end=0.2, output_every=0.1,
+                    mode="nonlinear")
+    states = simulate.run_states(cfg)
+    next(states)
+    st, _, _ = next(states)
+    states.close()
+    assert st.core is not None
+    # the reference is taken outside an assert, whose rewriting keeps its operands
+    read = weakref.ref(st.field.coeffs)
+    assert read() is None
+    unpacked = []
+    unpack = simulate._Core.unpack
+
+    def watched(core, packed):
+        out = unpack(core, packed)
+        unpacked.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(simulate._Core, "unpack", watched)
+    save_checkpoint(tmp_path / "run.ckpt", st)
+    read = weakref.ref(st.field.coeffs)
+    assert len(unpacked) == 2 and all(ref() is None for ref in unpacked)
+    assert read() is None
+
+
 def test_a_run_keeps_no_lattice_sized_array_on_its_lattice():
     # a lattice no other test builds, so this call makes its core
     cfg = SimConfig(nx=8, ny=16, nz=8, ly=7.5, epsilon=1e-3)

@@ -445,7 +445,10 @@ output_every = 1.0
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the usage shown is the one of the command and kind that refuses the flag
+        assert err.startswith(f"usage: strata {command} {kind} " if kind else "usage: strata fit ")
+        assert f"unrecognized arguments: {flag}" in err
         assert not out.exists()
 
     def test_each_command_declares_exactly_the_flags_it_reads(self):
