@@ -53,9 +53,12 @@ stored members, and the conjugates of the alpha = 0 ones at their partners,
 are written straight into the x pass's buffer, and the forward pass reads
 the packed modes back from the same positions.  Every transform writes into
 a ``_Core.workspace``, which ``run_states`` allocates once for its steps
-(a lone ``step_nonlinear`` makes its own), and the product is formed in
-place there, so a step allocates only arrays of the packed size; the
-Lawson stages are formed in place too, on two packed buffers.
+(a lone ``step_nonlinear`` makes its own): five buffers, in whose leading
+slots the other passes' inputs and outputs lie while the buffer is dead,
+so each inverse transform re-zeroes the gaps its passes read as zeros.
+The product is formed in place there, so a step allocates only arrays of
+the packed size; the Lawson stages are formed in place too, on two packed
+buffers, and the last right-hand side is gathered into the third's.
 
 No array the size of the lattice outlives the statement that needs it.
 ``init_field`` forms |f|_1 on the packed modes (``_Core.modes``), and its
@@ -121,10 +124,12 @@ class SimState:
         field back exactly: content off the kept modes (at 1.0, a Nyquist
         index), a field that is not Hermitian, a complex mean or a NaN.
         """
-        core, packed = _on_core(self, dealias)
-        if self.core is core:
+        if self.core is not None and self.core is _core(self.core.lattice, dealias):
             return self
-        if not np.array_equal(core.unpack(packed), self.field.coeffs):
+        field = self.field          # read once: a packed state unpacks it at each read
+        core = _core(field.lattice, dealias)
+        packed = core.pack(field.coeffs)
+        if not np.array_equal(core.unpack(packed), field.coeffs):
             raise ValueError(f"the field at t={self.t:.6g} is not real on the kept modes "
                              f"of dealias fraction {dealias}")
         return SimState(self.t, core=core, packed=packed)
@@ -311,39 +316,43 @@ class _Core:
         """The buffers ``rhs`` works in, for as long as the caller holds them.
 
         ``run_states`` makes one for its steps and drops it before it yields
-        the end state; a lone ``step_nonlinear`` makes its own.  In order: the
-        coefficients in the x pass's layout and the pass's input, both
-        zero; the x pass's output widened to the lattice on y, zero; the y
-        pass's lines; the three physical arrays of the product, the last two
-        also holding the forward pass's half-spectrum; the forward x pass's
-        output.  Of the three zero buffers, rhs writes only the positions of
-        packed modes and their alpha = 0 partners, the box's x ranges and the
-        kept y ranges, so they stay zero-padded; it overwrites the others whole.
+        the end state; a lone ``step_nonlinear`` makes its own.  One zeroed
+        block holds five buffers: the coefficients in the x pass's layout,
+        the y pass's lines and the three physical arrays of the product.  The
+        eight views returned are, in order: the coefficients, whose zero
+        padding persists, as rhs writes only the positions of packed modes
+        and their alpha = 0 partners; the x pass's input, in the lines'
+        leading slots; the lines; the physical arrays; the forward pass's
+        half-spectrum, in the slots of the last two; the forward x pass's
+        output, in the leading slots of the first, whose rfft has run by
+        then.  ``rhs`` builds each inverse transform's y-pass input in the
+        leading slots of the physical array it ends in, and re-zeroes the
+        gaps of both inputs.
         """
         nx, ny, nz = self.lattice.shape
         wide = (nx, ny, self.cut[2])
         # one zeroed block, so the buffers leave memory together; a physical
-        # array takes ceil(n/2) complex slots, and the half-spectrum the
-        # slots of the last two
-        n_x, n_wide, n_phys = math.prod(self.x_shape), math.prod(wide), (nx * ny * nz + 1) // 2
-        block = np.zeros(3 * n_x + 2 * n_wide + 3 * n_phys, dtype=np.complex128)
-        coeffs, wide_x, spec, wide_xy, lines, *phys = np.split(
-            block, np.cumsum([n_x, n_x, n_x, n_wide, n_wide, n_phys, n_phys]))
+        # array takes n/2 complex slots (every axis is even), and the
+        # half-spectrum the slots of the last two
+        n_x, n_wide, n_phys = math.prod(self.x_shape), math.prod(wide), nx * ny * nz // 2
+        block = np.zeros(n_x + n_wide + 3 * n_phys, dtype=np.complex128)
+        coeffs, lines, *phys = np.split(block, np.cumsum([n_x, n_wide, n_phys, n_phys]))
         half = block[block.size - 2 * n_phys:][:nx * ny * (nz // 2 + 1)]
-        return (coeffs.reshape(self.x_shape), wide_x.reshape(self.x_shape),
-                wide_xy.reshape(wide), lines.reshape(wide),
-                *(p.view(np.float64)[:nx * ny * nz].reshape(nx, ny, nz) for p in phys),
-                half.reshape(nx, ny, nz // 2 + 1), spec.reshape(self.x_shape))
+        return (coeffs.reshape(self.x_shape), lines[:n_x].reshape(self.x_shape),
+                lines.reshape(wide), *(p.view(np.float64).reshape(nx, ny, nz) for p in phys),
+                half.reshape(nx, ny, nz // 2 + 1), phys[0][:n_x].reshape(self.x_shape))
 
-    def rhs(self, c: np.ndarray, u, work) -> np.ndarray:
+    def rhs(self, c: np.ndarray, u, work, out: np.ndarray | None = None) -> np.ndarray:
         """Packed -(u . grad theta) for packed c and symbols u on the box; mean mode zeroed.
 
         ``work`` is a ``workspace()`` of this core.  Every transform writes
-        into it, so the call allocates nothing the size of a transform.
+        into it, so the call allocates nothing the size of a transform.  The
+        result is gathered into ``out``, a packed array that is not ``c``,
+        when one is given.
         """
         nx, ny, nz = self.lattice.shape
         cx, cy, cz = self.cut
-        coeffs, wide_x, wide_xy, lines, adv, term, factor, half, spec = work
+        coeffs, wide_x, lines, adv, term, factor, half, spec = work
         flat = coeffs.reshape(-1)
         flat[self.x_mirror] = np.conj(c[self.plane])
         flat[self.x_idx] = c      # after the mirrors: the mean mode is its own
@@ -353,14 +362,20 @@ class _Core:
                     (slice(cy, None), slice(ny - cy + 1, None)))
 
         # 1-D passes over the lines that carry content; norm="forward":
-        # theta(x) = sum_f c(f) exp(i f.x) without scaling
-        def phys_into(out, symbol):
+        # theta(x) = sum_f c(f) exp(i f.x) without scaling.  The y pass's
+        # input is built in the leading slots of ``phys``, which only the z
+        # pass writes; the x rows past the box and the y rows between the
+        # kept ranges are the zeros the passes read, re-zeroed at each call
+        def phys_into(phys, symbol):
+            wide_xy = phys.reshape(-1).view(np.complex128)[:lines.size].reshape(lines.shape)
+            wide_x[cx:nx - cx + 1] = 0.0
             np.multiply(symbol[:cx], coeffs[:cx], out=wide_x[:cx])
             np.multiply(symbol[cx:], coeffs[nx - cx + 1:], out=wide_x[nx - cx + 1:])
+            wide_xy[:, cy:ny - cy + 1] = 0.0
             for in_x, in_lat in y_ranges:
                 np.fft.ifft(wide_x[:, in_x], axis=0, norm="forward", out=wide_xy[:, in_lat])
             np.fft.ifft(wide_xy, axis=1, norm="forward", out=lines)
-            return np.fft.irfft(lines, n=nz, axis=2, norm="forward", out=out)
+            return np.fft.irfft(lines, n=nz, axis=2, norm="forward", out=phys)
 
         # overflow here surfaces as a NumericalAbort from the stepper's
         # finiteness check rather than as a warning storm
@@ -376,11 +391,12 @@ class _Core:
             phys_into(term, u3)
             term *= phys_into(factor, g3)
             adv += term
+            # spec takes adv's slots once its rfft has run
             np.fft.rfft(adv, axis=2, norm="forward", out=half)
             np.fft.fft(half[..., :cz], axis=1, norm="forward", out=lines)
             for in_x, in_lat in y_ranges:
                 np.fft.fft(lines[:, in_lat], axis=0, norm="forward", out=spec[:, in_x])
-            out = spec.reshape(-1)[self.x_idx]
+            out = np.take(spec.reshape(-1), self.x_idx, out=out)
             np.negative(out, out=out)
         out[0] = 0.0
         return out
@@ -439,10 +455,12 @@ def step_nonlinear(state: SimState, dt: float, dealias: float = 1.0,
     g_mid = core.g(t_mid)
     e_half = np.exp(core.g_memo(t) - g_mid)
     e_back = np.exp(g_mid - core.g_memo(t_end))
+    del g_mid
     e_full = e_half * e_back
 
     # the stages on two packed buffers, each operation with its operands in
-    # the order of the expression in its comment
+    # the order of the expression in its comment; each array is dropped, or
+    # reused, once no later operation reads it
     k1 = core.rhs(c0, core.u_memo(t), work)
     theta = np.multiply(0.5 * h, k1)                     # e_half * (c0 + 0.5 h k1)
     np.add(c0, theta, out=theta)
@@ -452,12 +470,13 @@ def step_nonlinear(state: SimState, dt: float, dealias: float = 1.0,
     scaled = np.multiply(e_half, c0)                     # e_half c0 + 0.5 h k2
     np.add(scaled, np.multiply(0.5 * h, k2, out=theta), out=theta)
     k3 = core.rhs(theta, u_mid, work)
+    del u_mid, e_half
     np.multiply(e_full, c0, out=scaled)                  # e_full c0 + (h e_back) k3
     np.add(scaled, np.multiply(h * e_back, k3, out=theta), out=theta)
-    k4 = core.rhs(theta, core.u_memo(t_end), work)
+    np.add(k2, k3, out=k2)                               # k2 + k3, so k4 takes k3's buffer
+    k4 = core.rhs(theta, core.u_memo(t_end), work, out=k3)
 
     # e_full c0 + (h/6) (e_full k1 + (2 e_back) (k2 + k3) + k4); scaled holds e_full c0
-    np.add(k2, k3, out=k2)
     np.multiply(2.0 * e_back, k2, out=k2)
     np.multiply(e_full, k1, out=k1)
     np.add(k1, k2, out=k1)

@@ -7,9 +7,10 @@ the desk lattice's packed size (18 743 complex values) or its full size
 (131 072), next to the figure measured when it was set.
 """
 
+import dataclasses
 import tracemalloc
 import weakref
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -47,9 +48,38 @@ def test_a_step_with_a_workspace_holds_only_packed_size_arrays(monkeypatch):
     state = init_field(DESK)
     work = core.workspace()
     peak = _traced_peak(lambda: step_nonlinear(state, DESK.dt, DESK.dealias, work))
-    # measured: 13.4 packed-size arrays (16.6 with the stages formed out of
-    # place); one lattice-sized complex array is 7.0 of them
-    assert peak <= 14 * _packed_bytes(core)
+    # measured: 10.8 packed-size arrays (13.4 with k4 in a buffer of its own
+    # and the midpoint's G, u and damping kept to the end; 16.6 with the
+    # stages formed out of place); one lattice-sized complex array is 7.0 of them
+    assert peak <= 11.3 * _packed_bytes(core)
+
+
+def test_a_workspace_is_one_block_of_five_buffers():
+    # the coefficients, the y pass's lines and the three physical arrays; the
+    # other passes' buffers lie in their leading slots
+    core = simulate._core(DESK.lattice, DESK.dealias)
+    work = core.workspace()
+    block = work[0].base
+    assert all(a.base is block for a in work)
+    # measured: 14.5 packed-size arrays (20.1 with dedicated buffers for the
+    # x pass's input and output and the y pass's input)
+    assert block.nbytes <= 15 * _packed_bytes(core)
+
+
+def test_a_nonlinear_run_with_rows_holds_its_workspace_and_one_step(monkeypatch):
+    # a fresh core, made inside the trace with its lasting G parts and index
+    # arrays, and an empty row plan, so the figure does not hang on which
+    # tests ran before
+    monkeypatch.setattr(simulate, "_core", lru_cache(maxsize=8)(simulate._Core))
+    monkeypatch.setattr(diagnostics, "_support", lru_cache(maxsize=1)(diagnostics._RowPlan))
+    cfg = dataclasses.replace(DESK, mode="nonlinear")
+    rows = []
+    peak = _traced_peak(lambda: simulate.run_simulation(
+        cfg, on_row=lambda st: rows.append(diagnostics.compute_row(st, cfg.weight_params))))
+    assert len(rows) == 3
+    # measured: 38.2 packed-size arrays (46.4 with the 20.1 of an eight-buffer
+    # workspace and a step that held 13.4)
+    assert peak <= 40 * _packed_bytes(simulate._core(cfg.lattice, cfg.dealias))
 
 
 def test_a_checkpoint_holds_one_lattice_sized_array(tmp_path):

@@ -558,6 +558,21 @@ class TestPackedOn:
         with pytest.raises(ValueError, match="not real on the kept modes"):
             init_field(dataclasses.replace(cfg, dealias=1.0)).packed_on(cfg.dealias)
 
+    def test_a_state_repacked_on_another_core_unpacks_twice(self, monkeypatch):
+        # its field once, to pack it and compare, and the packed values once,
+        # to check that they give the field back
+        cfg = SimConfig(**SMALL, epsilon=0.1, recipe="random", mode="nonlinear")
+        st = step_nonlinear(init_field(cfg), 0.1, cfg.dealias)
+        unpack, calls = simulate._Core.unpack, []
+
+        def counting(core, packed):
+            calls.append(core)
+            return unpack(core, packed)
+
+        monkeypatch.setattr(simulate._Core, "unpack", counting)
+        one = st.packed_on(1.0)
+        assert calls == [st.core, one.core] and one.core is not st.core
+
 
 class TestNonlinearRHS:
     def _random_state(self, seed=0, eps=1e-2):
@@ -1014,6 +1029,24 @@ class TestNonlinearStep:
             lone.append(step_nonlinear(lone[-1], i * cfg.dt - lone[-1].t, fraction))
         assert [s.t for s in run] == [s.t for s in lone]
         assert [s.packed.tobytes() for s in run] == [s.packed.tobytes() for s in lone]
+
+    @pytest.mark.parametrize("shape", [(2, 16, 2), (2, 16, 8), (8, 2, 8), (8, 16, 8)])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.8, 1.0])
+    def test_a_step_reads_no_stale_value_of_its_workspace(self, shape, fraction):
+        # a workspace that served a step, with every slot but the
+        # coefficients' set to NaN: the x pass's input, the y pass's lines and
+        # the physical arrays, which hold the other passes' buffers.  A NaN
+        # left in a gap a pass reads as zeros would spread to the result
+        nx, ny, nz = shape
+        cfg = SimConfig(nx=nx, ny=ny, nz=nz, epsilon=0.5, recipe="random", mode="nonlinear",
+                        dealias=fraction)
+        st = init_field(cfg)
+        work = st.core.workspace()
+        step_nonlinear(st, 0.1, fraction, work)
+        coeffs = work[0]
+        coeffs.base[coeffs.size:] = np.nan
+        got = step_nonlinear(st, 0.1, fraction, work)
+        assert got.packed.tobytes() == step_nonlinear(st, 0.1, fraction).packed.tobytes()
 
     def test_consecutive_steps_share_the_symbols_at_their_common_time(self, monkeypatch):
         # a fresh core evaluates u at the first step's start, middle and end;

@@ -61,7 +61,8 @@ for sigma in p.sigmas:
 """
 _DESK = "[run]\nepsilon = 1e-3\ndt = 0.1\nt_end = 2\noutput_every = 1\n[init]\nrecipe = random\n"
 _SMALL = "[lattice]\nnx = 8\nny = 16\nnz = 8\n"
-_SMALL_NONLINEAR = _SMALL + "[run]\nepsilon = 0.5\ndt = 0.1\nt_end = 2\noutput_every = 0.1\n"
+_NONLINEAR = "[run]\nepsilon = 0.5\ndt = 0.1\nt_end = 2\noutput_every = 0.1\n"
+_SMALL_NONLINEAR = _SMALL + _NONLINEAR
 
 # name, strata arguments (or a script's), config file text; --quiet and --out
 # are added to every strata command
@@ -75,6 +76,11 @@ RUNS = [
     ("small_dealias_1.0", ["nonlinear"], _SMALL_NONLINEAR + "dealias = 1.0\n"),
     ("small_ly_7.5", ["nonlinear"], _SMALL_NONLINEAR.replace("[run]", "ly = 7.5\n[run]")),
     ("small_s_0.75", ["nonlinear"], _SMALL_NONLINEAR + "[weights]\ns = 0.75\n"),
+    # a transforms' box one index wide on x (one x row between its ranges) and on y
+    # (the rest of the axis between them)
+    ("cut1_x_2x16x8", ["nonlinear"],
+     "[lattice]\nnx = 2\nny = 16\nnz = 8\n" + _NONLINEAR + "dealias = 1.0\n"),
+    ("cut1_y_8x2x8", ["nonlinear"], "[lattice]\nnx = 8\nny = 2\nnz = 8\n" + _NONLINEAR),
     ("multimode_16x32x16", ["nonlinear"],
      "[lattice]\nnx = 16\nny = 32\nnz = 16\n[run]\nepsilon = 1e-2\ndt = 0.1\nt_end = 2\n"
      "output_every = 0.5\n[init]\nrecipe = multimode\n"),
