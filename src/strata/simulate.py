@@ -43,12 +43,17 @@ them back, and a linear run its start time's G.  Each memo caches a pure
 function of t, read-only, for as long as the core lives; the cache is
 thread-safe and returns the value of the time asked, so runs that share a
 core in several threads read consistent values.  Each RK stage's
-product is formed with six inverse and one forward ``numpy.fft`` transform,
-pruned to the 1-D lines that carry content: the kept modes have signed y
-and z indices below cuts c_y and c_z, so the x pass runs over those (y, z)
-lines only and the y pass over those z planes only (the zero-padded
-pseudo-spectral product of Canuto, Hussaini, Quarteroni & Zang, *Spectral
-Methods*, 2006, skipping the lines Orszag's 2/3 rule leaves empty).  The
+product is formed with six inverse and one forward transform, pruned to the
+1-D lines that carry content: the kept modes have signed y and z indices
+below cuts c_y and c_z, so the x pass runs over those (y, z) lines only and
+the y pass over those z planes only (the zero-padded pseudo-spectral
+product of Canuto, Hussaini, Quarteroni & Zang, *Spectral Methods*, 2006,
+skipping the lines Orszag's 2/3 rule leaves empty).  The x and y passes are
+``numpy.fft`` transforms; the z pass, c_z modes to n_z points and back, is
+a product with a real DFT matrix (``_Core.z_inv``, ``_Core.z_fwd``), one
+BLAS call per x plane: a pruned DFT (Sorensen & Burrus, IEEE Trans. Signal
+Process. 41 (1993) 1184-1200), which beats the FFT when few inputs or
+outputs are needed.  The
 stored members, and the conjugates of the alpha = 0 ones at their partners,
 are written straight into the x pass's buffer, and the forward pass reads
 the packed modes back from the same positions.  Every transform writes into
@@ -66,7 +71,8 @@ rescale sum from one lattice-sized float array; the core reads
 ``Lattice.pairs``, which the lattice does not keep; and ``run_states``
 drops the workspace before it yields the end state, or when it is closed
 early.  Between runs a core holds only arrays of the packed size and of the
-transforms' box, its memos' u and G among them.
+transforms' box, its memos' u and G among them, and the two z matrices of
+2 c_z x n_z values each.
 """
 
 from __future__ import annotations
@@ -248,7 +254,8 @@ class _Core:
     partner.  ``neg_idx`` is the flat full-lattice index of -f for each
     packed f.  ``modes`` is the one Couette symbol object, on the packed
     modes, whose G is ``g``; ``u`` is the transport velocity on the
-    transforms' box, evaluated from its axes at each call.  ``g_memo`` and
+    transforms' box, evaluated from its axes at each call; ``z_inv`` and
+    ``z_fwd`` are the z pass's real DFT matrices.  ``g_memo`` and
     ``u_memo`` are this core's own ``lru_cache(maxsize=1)`` over ``g`` and
     ``u``: read-only values at the last time asked of each, kept for as long
     as the core lives, and never evicted by another core's.
@@ -287,6 +294,17 @@ class _Core:
 
         self.x_idx = x_at(ix, iy, iz)
         self.x_mirror = x_at(*np.unravel_index(self.neg_idx[self.plane], lat.shape))
+        # the z pass as real DFT matrices on the interleaved re/im of the c_z
+        # kept modes: a pruned DFT, a small product where the FFT would fill
+        # and transform all n_z/2 + 1.  z_inv weighs the mean 1, and its
+        # imaginary part sin 0 = 0, as irfft drops it, and every other mode 2;
+        # z_fwd carries the 1/n_z of norm="forward"
+        cz = self.cut[2]
+        phase = (2.0 * np.pi / nz) * (np.outer(np.arange(cz), np.arange(nz)) % nz)
+        cos, sin = np.cos(phase), np.sin(phase)
+        weight = np.where(np.arange(cz) == 0, 1.0, 2.0)[:, None]
+        self.z_inv = np.stack([weight * cos, -weight * sin], axis=1).reshape(2 * cz, nz)
+        self.z_fwd = np.stack([cos.T, -sin.T], axis=2).reshape(nz, 2 * cz) / nz
         # read-only u and G, kept for the last t asked: a step's ends, a linear run's start
         self.u_memo = lru_cache(maxsize=1)(lambda t: _read_only(self.u(t)))
         self.g_memo = lru_cache(maxsize=1)(lambda t: _read_only(self.g(t)))
@@ -319,40 +337,39 @@ class _Core:
         the end state; a lone ``step_nonlinear`` makes its own.  One zeroed
         block holds five buffers: the coefficients in the x pass's layout,
         the y pass's lines and the three physical arrays of the product.  The
-        eight views returned are, in order: the coefficients, whose zero
+        seven views returned are, in order: the coefficients, whose zero
         padding persists, as rhs writes only the positions of packed modes
         and their alpha = 0 partners; the x pass's input, in the lines'
-        leading slots; the lines; the physical arrays; the forward pass's
-        half-spectrum, in the slots of the last two; the forward x pass's
-        output, in the leading slots of the first, whose rfft has run by
-        then.  ``rhs`` builds each inverse transform's y-pass input in the
-        leading slots of the physical array it ends in, and re-zeroes the
-        gaps of both inputs.
+        leading slots; the lines, which the z pass reads and writes as
+        interleaved re/im; the physical arrays; the forward x pass's output,
+        in the leading slots of the first, whose z product has run by then.
+        ``rhs`` builds each inverse transform's y-pass input in the leading
+        slots of the physical array it ends in, re-zeroing the gaps of both
+        inputs, and writes the forward y pass into the second's.
         """
         nx, ny, nz = self.lattice.shape
         wide = (nx, ny, self.cut[2])
         # one zeroed block, so the buffers leave memory together; a physical
-        # array takes n/2 complex slots (every axis is even), and the
-        # half-spectrum the slots of the last two
+        # array takes n/2 complex slots (every axis is even)
         n_x, n_wide, n_phys = math.prod(self.x_shape), math.prod(wide), nx * ny * nz // 2
         block = np.zeros(n_x + n_wide + 3 * n_phys, dtype=np.complex128)
         coeffs, lines, *phys = np.split(block, np.cumsum([n_x, n_wide, n_phys, n_phys]))
-        half = block[block.size - 2 * n_phys:][:nx * ny * (nz // 2 + 1)]
         return (coeffs.reshape(self.x_shape), lines[:n_x].reshape(self.x_shape),
                 lines.reshape(wide), *(p.view(np.float64).reshape(nx, ny, nz) for p in phys),
-                half.reshape(nx, ny, nz // 2 + 1), phys[0][:n_x].reshape(self.x_shape))
+                phys[0][:n_x].reshape(self.x_shape))
 
     def rhs(self, c: np.ndarray, u, work, out: np.ndarray | None = None) -> np.ndarray:
         """Packed -(u . grad theta) for packed c and symbols u on the box; mean mode zeroed.
 
         ``work`` is a ``workspace()`` of this core.  Every transform writes
-        into it, so the call allocates nothing the size of a transform.  The
-        result is gathered into ``out``, a packed array that is not ``c``,
-        when one is given.
+        into it, so the call allocates nothing the size of a transform: the x
+        and y passes by ``numpy.fft`` with ``out``, the z pass by ``np.matmul``
+        with the core's DFT matrices and ``out``.  The result is gathered into
+        ``out``, a packed array that is not ``c``, when one is given.
         """
-        nx, ny, nz = self.lattice.shape
-        cx, cy, cz = self.cut
-        coeffs, wide_x, lines, adv, term, factor, half, spec = work
+        nx, ny, _ = self.lattice.shape
+        cx, cy, _ = self.cut
+        coeffs, wide_x, lines, adv, term, factor, spec = work
         flat = coeffs.reshape(-1)
         flat[self.x_mirror] = np.conj(c[self.plane])
         flat[self.x_idx] = c      # after the mirrors: the mean mode is its own
@@ -361,13 +378,19 @@ class _Core:
         y_ranges = ((slice(None, cy), slice(None, cy)),
                     (slice(cy, None), slice(ny - cy + 1, None)))
 
+        def leading(phys):
+            """A lines-shaped complex view of ``phys``'s leading slots."""
+            return phys.reshape(-1).view(np.complex128)[:lines.size].reshape(lines.shape)
+
         # 1-D passes over the lines that carry content; norm="forward":
         # theta(x) = sum_f c(f) exp(i f.x) without scaling.  The y pass's
         # input is built in the leading slots of ``phys``, which only the z
-        # pass writes; the x rows past the box and the y rows between the
-        # kept ranges are the zeros the passes read, re-zeroed at each call
+        # product writes; the x rows past the box and the y rows between the
+        # kept ranges are the zeros the passes read, re-zeroed at each call.
+        # The z products go one x plane per BLAS call, each small enough to
+        # stay on one thread
         def phys_into(phys, symbol):
-            wide_xy = phys.reshape(-1).view(np.complex128)[:lines.size].reshape(lines.shape)
+            wide_xy = leading(phys)
             wide_x[cx:nx - cx + 1] = 0.0
             np.multiply(symbol[:cx], coeffs[:cx], out=wide_x[:cx])
             np.multiply(symbol[cx:], coeffs[nx - cx + 1:], out=wide_x[nx - cx + 1:])
@@ -375,7 +398,7 @@ class _Core:
             for in_x, in_lat in y_ranges:
                 np.fft.ifft(wide_x[:, in_x], axis=0, norm="forward", out=wide_xy[:, in_lat])
             np.fft.ifft(wide_xy, axis=1, norm="forward", out=lines)
-            return np.fft.irfft(lines, n=nz, axis=2, norm="forward", out=phys)
+            return np.matmul(lines.view(np.float64), self.z_inv, out=phys)
 
         # overflow here surfaces as a NumericalAbort from the stepper's
         # finiteness check rather than as a warning storm
@@ -391,11 +414,12 @@ class _Core:
             phys_into(term, u3)
             term *= phys_into(factor, g3)
             adv += term
-            # spec takes adv's slots once its rfft has run
-            np.fft.rfft(adv, axis=2, norm="forward", out=half)
-            np.fft.fft(half[..., :cz], axis=1, norm="forward", out=lines)
+            # the y pass writes into term's slots, and spec takes adv's once
+            # its z product has run
+            np.matmul(adv, self.z_fwd, out=lines.view(np.float64))
+            wide_y = np.fft.fft(lines, axis=1, norm="forward", out=leading(term))
             for in_x, in_lat in y_ranges:
-                np.fft.fft(lines[:, in_lat], axis=0, norm="forward", out=spec[:, in_x])
+                np.fft.fft(wide_y[:, in_lat], axis=0, norm="forward", out=spec[:, in_x])
             out = np.take(spec.reshape(-1), self.x_idx, out=out)
             np.negative(out, out=out)
         out[0] = 0.0
