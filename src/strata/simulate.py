@@ -34,36 +34,46 @@ packs it, dropping what lies off them, as dealiasing does.
 
 The core holds one such symbol object, on the packed modes
 (``_Core.modes``), with G's t-independent parts formed once; the transport
-velocity u on the transforms' box is ``symbols.transport_symbol`` of the
-box's broadcast axes (``_Core.u``).  The nonlinear step evaluates G and u
-once per distinct stage time, and those at its two ends through a one-entry
-``functools.lru_cache`` on the core (``_Core.g_memo``, ``_Core.u_memo``): a
-run's step ends on its grid time i dt exactly, where the next step reads
-them back, and a linear run its start time's G.  Each memo caches a pure
-function of t, read-only, for as long as the core lives; the cache is
-thread-safe and returns the value of the time asked, so runs that share a
-core in several threads read consistent values.  Each RK stage's
-product is formed with six inverse and one forward transform, pruned to the
-1-D lines that carry content: the kept modes have signed y and z indices
-below cuts c_y and c_z, so the x pass runs over those (y, z) lines only and
-the y pass over those z planes only (the zero-padded pseudo-spectral
-product of Canuto, Hussaini, Quarteroni & Zang, *Spectral Methods*, 2006,
-skipping the lines Orszag's 2/3 rule leaves empty).  The x and y passes are
-``numpy.fft`` transforms; the z pass, c_z modes to n_z points and back, is
-a product with a real DFT matrix (``_Core.z_inv``, ``_Core.z_fwd``), one
-BLAS call per x plane: a pruned DFT (Sorensen & Burrus, IEEE Trans. Signal
-Process. 41 (1993) 1184-1200), which beats the FFT when few inputs or
-outputs are needed.  The
-stored members, and the conjugates of the alpha = 0 ones at their partners,
-are written straight into the x pass's buffer, and the forward pass reads
-the packed modes back from the same positions.  Every transform writes into
-a ``_Core.workspace``, which ``run_states`` allocates once for its steps
-(a lone ``step_nonlinear`` makes its own): five buffers, in whose leading
-slots the other passes' inputs and outputs lie while the buffer is dead,
-so each inverse transform re-zeroes the gaps its passes read as zeros.
-The product is formed in place there, so a step allocates only arrays of
-the packed size; the Lawson stages are formed in place too, on two packed
-buffers, and the last right-hand side is gathered into the third's.
+velocity u on the transforms' box, cut on y to the kept ranges, is
+``symbols.transport_symbol`` of the box's broadcast axes (``_Core.u``).
+The nonlinear step evaluates G and u once per distinct stage time, and
+those at its two ends through a one-entry ``functools.lru_cache`` on the
+core (``_Core.g_memo``, ``_Core.u_memo``): a run's step ends on its grid
+time i dt exactly, where the next step reads them back, and a linear run
+its start time's G.  Each memo caches a pure function of t, read-only, for
+as long as the core lives; the cache is thread-safe and returns the value
+of the time asked, so runs that share a core in several threads read
+consistent values.
+
+Each RK stage's product is formed with six inverse transforms and one
+forward transform, pruned to the lines that carry content (the
+zero-padded pseudo-spectral product of Canuto, Hussaini, Quarteroni &
+Zang, *Spectral Methods*, 2006, skipping the lines Orszag's 2/3 rule
+leaves empty): the kept modes have signed x, y and z indices
+below cuts c_x, c_y and c_z.  The inverse passes go y, x, z, and the
+forward ones z, x, y.  The y pass is a ``numpy.fft`` transform over the
+(2 c_x - 1) c_z lines of the transforms' box, (2 c_x - 1) x n_y x c_z.
+The x pass, 2 c_x - 1 modes to n_x points and back, is a product with a
+complex DFT matrix, and the z pass, c_z modes to n_z points and back, with
+a real one: pruned DFTs (Sorensen & Burrus, IEEE Trans. Signal Process. 41
+(1993) 1184-1200), which beat the FFT when few inputs or outputs are
+needed.  Each BLAS call stays on one thread: the z pass makes one per x
+plane, and the x pass one per block of y rows, as many as keep it below
+the size at which OpenBLAS spreads a product over threads
+(``_ONE_THREAD_MNK``).  The gradient's i k and i alpha are folded into
+second x and z matrices (``_Core.x_dx``, ``_Core.z_dz``), so d_x theta
+and d_z theta share theta's one y pass: six y passes per right-hand side.
+The stored members, and the conjugates of the alpha = 0 ones at their
+partners, are written straight into the box, and the forward pass reads
+the packed modes back from the same positions.  Every transform writes
+into a ``_Core.workspace``, which ``run_states`` allocates once for its
+steps (a lone ``step_nonlinear`` makes its own): five buffers, in two of
+which a box-sized slot lies while the buffer is dead, so each y pass of a
+symbol's product re-zeroes there the rows between the kept y ranges,
+which it reads as zeros.  The product is formed in place there, so a step
+allocates only arrays of the packed size; the Lawson stages are formed in
+place too, on two packed buffers, and the last right-hand side is gathered
+into the third's.
 
 No array the size of the lattice outlives the statement that needs it.
 ``init_field`` forms |f|_1 on the packed modes (``_Core.modes``), and its
@@ -71,8 +81,9 @@ rescale sum from one lattice-sized float array; the core reads
 ``Lattice.pairs``, which the lattice does not keep; and ``run_states``
 drops the workspace before it yields the end state, or when it is closed
 early.  Between runs a core holds only arrays of the packed size and of the
-transforms' box, its memos' u and G among them, and the two z matrices of
-2 c_z x n_z values each.
+transforms' box, its memos' u and G among them, and the DFT matrices: three
+x matrices of n_x (2 c_x - 1) complex values and three z matrices of
+2 c_z n_z real ones.
 """
 
 from __future__ import annotations
@@ -242,6 +253,12 @@ def step_linear(state: SimState, dt: float) -> SimState:
                     packed=state.packed * np.exp(core.g_memo(state.t) - core.g(t1)))
 
 
+# the most multiply-adds, m n k, of one complex BLAS product in ``_Core.rhs``:
+# OpenBLAS 0.3.31 ran a zgemm on one thread below 2^16 and on all CPUs from
+# there on (2-CPU Xeon, CPU / wall 1.0 against 2.0)
+_ONE_THREAD_MNK = 2 ** 16 - 1
+
+
 class _Core:
     """The kept modes of a lattice and dealias fraction, one member of each +-f pair.
 
@@ -254,11 +271,15 @@ class _Core:
     partner.  ``neg_idx`` is the flat full-lattice index of -f for each
     packed f.  ``modes`` is the one Couette symbol object, on the packed
     modes, whose G is ``g``; ``u`` is the transport velocity on the
-    transforms' box, evaluated from its axes at each call; ``z_inv`` and
-    ``z_fwd`` are the z pass's real DFT matrices.  ``g_memo`` and
-    ``u_memo`` are this core's own ``lru_cache(maxsize=1)`` over ``g`` and
-    ``u``: read-only values at the last time asked of each, kept for as long
-    as the core lives, and never evicted by another core's.
+    transforms' box, cut on y to the kept ranges, evaluated from its axes
+    at each call.  ``x_inv``,
+    ``x_dx`` and ``x_fwd`` are the x pass's complex DFT matrices, the second
+    with i k folded in; ``z_inv``, ``z_dz`` and ``z_fwd`` the z pass's real
+    ones, the second with i alpha folded in; ``y_block`` is the y rows of
+    one x-pass product.  ``g_memo`` and ``u_memo`` are this core's own
+    ``lru_cache(maxsize=1)`` over ``g`` and ``u``: read-only values at the
+    last time asked of each, kept for as long as the core lives, and never
+    evicted by another core's.
     """
 
     def __init__(self, lat: Lattice, dealias: float):
@@ -273,44 +294,56 @@ class _Core:
         self.plane = np.flatnonzero(iz == 0)
         self.modes = _Couette(lat.kx.ravel()[ix], lat.eta.ravel()[iy], lat.alpha.ravel()[iz])
         self.g = self.modes.G
-        # the transforms' box: signed indices -(c-1)..c-1 on x and y, stored
-        # as 0..c-1 then n-c+1..n-1, and 0..c_z-1 on z.  The symbols u and grad
-        # are formed on the whole box (``box`` holds its wavenumbers), the
-        # coefficients in the x pass's layout, which spans all of x: x_idx
-        # places the packed modes there, x_mirror the partners of the alpha = 0
-        # ones
+        # the transforms' box: signed indices -(c-1)..c-1 on x, stored as
+        # 0..c-1 then n-c+1..n-1, all of y and 0..c_z-1 on z.  The
+        # coefficients fill it (box_idx places the packed modes there,
+        # box_mirror the partners of the alpha = 0 ones), zero between the
+        # kept y ranges -(c_y-1)..c_y-1, where the y pass reads them; the
+        # symbols u and i eta are formed on those ranges only (``box`` holds
+        # their wavenumbers)
         cx, cy = (int(np.minimum(i, n - i).max(initial=0)) + 1
                   for i, n in ((ix, nx), (iy, ny)))
-        self.cut = (cx, cy, int(iz.max(initial=0)) + 1)
-        self.x_shape = (nx, 2 * cy - 1, self.cut[2])
-        box_shape = (2 * cx - 1, *self.x_shape[1:])
-        self.box = (lat.kx[np.r_[:cx, nx - cx + 1:nx]], lat.eta[:, np.r_[:cy, ny - cy + 1:ny]],
-                    lat.alpha[..., :self.cut[2]])
-        self.grad = tuple(np.broadcast_to(1j * v, box_shape) for v in self.box)
+        cz = int(iz.max(initial=0)) + 1
+        self.cut = (cx, cy, cz)
+        kept_x = np.r_[:cx, nx - cx + 1:nx]
+        self.box = (lat.kx[kept_x], lat.eta[:, np.r_[:cy, ny - cy + 1:ny]], lat.alpha[..., :cz])
+        self.i_eta = 1j * self.box[1]
+        self.box_shape = (2 * cx - 1, ny, cz)
 
-        def x_at(jx, jy, jz):
-            return np.ravel_multi_index((jx, np.where(jy < cy, jy, jy - ny + 2 * cy - 1), jz),
-                                        self.x_shape)
+        def box_at(jx, jy, jz):
+            return np.ravel_multi_index((np.where(jx < cx, jx, jx - nx + 2 * cx - 1), jy, jz),
+                                        self.box_shape)
 
-        self.x_idx = x_at(ix, iy, iz)
-        self.x_mirror = x_at(*np.unravel_index(self.neg_idx[self.plane], lat.shape))
-        # the z pass as real DFT matrices on the interleaved re/im of the c_z
-        # kept modes: a pruned DFT, a small product where the FFT would fill
-        # and transform all n_z/2 + 1.  z_inv weighs the mean 1, and its
-        # imaginary part sin 0 = 0, as irfft drops it, and every other mode 2;
-        # z_fwd carries the 1/n_z of norm="forward"
-        cz = self.cut[2]
+        self.box_idx = box_at(ix, iy, iz)
+        self.box_mirror = box_at(*np.unravel_index(self.neg_idx[self.plane], lat.shape))
+        # the x and z passes as pruned DFT matrices (Sorensen & Burrus), a
+        # small product where the FFT would fill and transform the whole axis.
+        # On x, complex: x_inv takes the box's 2c_x - 1 rows to the n_x
+        # points, x_dx the same with the i k of each row folded in, and x_fwd
+        # back, with the 1/n_x of norm="forward".  On z, real, on the
+        # interleaved re/im of the c_z kept modes: z_inv weighs the mean 1,
+        # and its imaginary part sin 0 = 0, as irfft drops it, and every
+        # other mode 2; z_dz folds in i alpha; z_fwd carries the 1/n_z
+        phase = (2.0 * np.pi / nx) * (np.outer(np.arange(nx), kept_x) % nx)
+        self.x_inv = np.exp(1j * phase)
+        self.x_dx = self.x_inv * (1j * self.box[0].ravel())
+        self.x_fwd = np.conj(self.x_inv.T) / nx
         phase = (2.0 * np.pi / nz) * (np.outer(np.arange(cz), np.arange(nz)) % nz)
         cos, sin = np.cos(phase), np.sin(phase)
         weight = np.where(np.arange(cz) == 0, 1.0, 2.0)[:, None]
         self.z_inv = np.stack([weight * cos, -weight * sin], axis=1).reshape(2 * cz, nz)
+        walpha = weight * self.box[2].reshape(cz, 1)
+        self.z_dz = np.stack([-walpha * sin, -walpha * cos], axis=1).reshape(2 * cz, nz)
         self.z_fwd = np.stack([cos.T, -sin.T], axis=2).reshape(nz, 2 * cz) / nz
+        # the y rows of one x-pass product: as many as keep its m n k within
+        # _ONE_THREAD_MNK, so that it stays on one thread, and at least one
+        self.y_block = max(1, _ONE_THREAD_MNK // (nx * (2 * cx - 1) * cz))
         # read-only u and G, kept for the last t asked: a step's ends, a linear run's start
         self.u_memo = lru_cache(maxsize=1)(lambda t: _read_only(self.u(t)))
         self.g_memo = lru_cache(maxsize=1)(lambda t: _read_only(self.g(t)))
 
     def u(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The transport velocity at t on the transforms' box."""
+        """The transport velocity at t on the transforms' box, cut on y to the kept ranges."""
         return transport_symbol(t, *self.box)
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
@@ -335,95 +368,108 @@ class _Core:
 
         ``run_states`` makes one for its steps and drops it before it yields
         the end state; a lone ``step_nonlinear`` makes its own.  One zeroed
-        block holds five buffers: the coefficients in the x pass's layout,
-        the y pass's lines and the three physical arrays of the product.  The
-        seven views returned are, in order: the coefficients, whose zero
-        padding persists, as rhs writes only the positions of packed modes
-        and their alpha = 0 partners; the x pass's input, in the lines'
-        leading slots; the lines, which the z pass reads and writes as
-        interleaved re/im; the physical arrays; the forward x pass's output,
-        in the leading slots of the first, whose z product has run by then.
-        ``rhs`` builds each inverse transform's y-pass input in the leading
-        slots of the physical array it ends in, re-zeroing the gaps of both
-        inputs, and writes the forward y pass into the second's.
+        block holds five buffers: the coefficients on the box, the lines
+        between the x and z passes, and the three physical arrays of the
+        product.  The seven views returned are, in order: the coefficients,
+        whose zero padding persists, as rhs writes only the positions of
+        packed modes and their alpha = 0 partners; the lines, which the z
+        pass reads and writes as interleaved re/im; the physical arrays; and
+        a box-shaped slot in the leading values of the second and of the
+        third, where the y pass runs in place.  A box slot takes less than
+        one physical array, so each array holds at most one.
         """
         nx, ny, nz = self.lattice.shape
-        wide = (nx, ny, self.cut[2])
+        lines_shape = (nx, ny, self.cut[2])
         # one zeroed block, so the buffers leave memory together; a physical
         # array takes n/2 complex slots (every axis is even)
-        n_x, n_wide, n_phys = math.prod(self.x_shape), math.prod(wide), nx * ny * nz // 2
-        block = np.zeros(n_x + n_wide + 3 * n_phys, dtype=np.complex128)
-        coeffs, lines, *phys = np.split(block, np.cumsum([n_x, n_wide, n_phys, n_phys]))
-        return (coeffs.reshape(self.x_shape), lines[:n_x].reshape(self.x_shape),
-                lines.reshape(wide), *(p.view(np.float64).reshape(nx, ny, nz) for p in phys),
-                phys[0][:n_x].reshape(self.x_shape))
+        n_box, n_lines = math.prod(self.box_shape), math.prod(lines_shape)
+        n_phys = nx * ny * nz // 2
+        block = np.zeros(n_box + n_lines + 3 * n_phys, dtype=np.complex128)
+        coeffs, lines, *phys = np.split(block, np.cumsum([n_box, n_lines, n_phys, n_phys]))
+        return (coeffs.reshape(self.box_shape), lines.reshape(lines_shape),
+                *(p.view(np.float64).reshape(nx, ny, nz) for p in phys),
+                *(p[:n_box].reshape(self.box_shape) for p in phys[1:]))
 
     def rhs(self, c: np.ndarray, u, work, out: np.ndarray | None = None) -> np.ndarray:
         """Packed -(u . grad theta) for packed c and symbols u on the box; mean mode zeroed.
 
-        ``work`` is a ``workspace()`` of this core.  Every transform writes
-        into it, so the call allocates nothing the size of a transform: the x
-        and y passes by ``numpy.fft`` with ``out``, the z pass by ``np.matmul``
-        with the core's DFT matrices and ``out``.  The result is gathered into
+        ``work`` is a ``workspace()`` of this core.  An inverse transform
+        runs y, x, z: the y pass by ``numpy.fft`` in place in a box slot, the
+        x pass by ``np.matmul`` with an x matrix into the lines, ``y_block``
+        y rows per BLAS call, and the z pass by ``np.matmul`` with a z matrix
+        into a physical array, one x plane per call.  The forward transform
+        runs z, x, y back into a box slot.  d_x theta and d_z theta take
+        ``x_dx`` and ``z_dz`` after one y pass of theta, so a call makes six
+        ``numpy.fft`` calls, each over the box's (2 c_x - 1) c_z lines.  Every
+        transform writes into ``work`` with ``out``, so the call allocates
+        nothing the size of a transform.  The result is gathered into
         ``out``, a packed array that is not ``c``, when one is given.
         """
-        nx, ny, _ = self.lattice.shape
-        cx, cy, _ = self.cut
-        coeffs, wide_x, lines, adv, term, factor, spec = work
+        ny, cy = self.lattice.ny, self.cut[1]
+        coeffs, lines, adv, term, factor, term_box, factor_box = work
         flat = coeffs.reshape(-1)
-        flat[self.x_mirror] = np.conj(c[self.plane])
-        flat[self.x_idx] = c      # after the mirrors: the mean mode is its own
-        # the kept y ranges, in the x pass's layout and on the lattice; the
-        # upper one starts at n-c+1, not -(c-1), which is the whole axis for c = 1
-        y_ranges = ((slice(None, cy), slice(None, cy)),
-                    (slice(cy, None), slice(ny - cy + 1, None)))
+        flat[self.box_mirror] = np.conj(c[self.plane])
+        flat[self.box_idx] = c      # after the mirrors: the mean mode is its own
 
-        def leading(phys):
-            """A lines-shaped complex view of ``phys``'s leading slots."""
-            return phys.reshape(-1).view(np.complex128)[:lines.size].reshape(lines.shape)
+        # norm="forward": theta(x) = sum_f c(f) exp(i f.x) without scaling.
+        # The y pass runs over the box's (2 c_x - 1) c_z lines, in place in a
+        # box slot, from the coefficients times a symbol on the kept y
+        # ranges; the rows between the ranges are the zeros it reads,
+        # re-zeroed at each call.  The upper range starts at n-c+1, not
+        # -(c-1), which is the whole axis for c = 1
+        def y_pass(box, symbol):
+            box[:, cy:ny - cy + 1] = 0.0
+            np.multiply(symbol[:, :cy], coeffs[:, :cy], out=box[:, :cy])
+            np.multiply(symbol[:, cy:], coeffs[:, ny - cy + 1:], out=box[:, ny - cy + 1:])
+            return np.fft.ifft(box, axis=1, norm="forward", out=box)
 
-        # 1-D passes over the lines that carry content; norm="forward":
-        # theta(x) = sum_f c(f) exp(i f.x) without scaling.  The y pass's
-        # input is built in the leading slots of ``phys``, which only the z
-        # product writes; the x rows past the box and the y rows between the
-        # kept ranges are the zeros the passes read, re-zeroed at each call.
-        # The z products go one x plane per BLAS call, each small enough to
-        # stay on one thread
-        def phys_into(phys, symbol):
-            wide_xy = leading(phys)
-            wide_x[cx:nx - cx + 1] = 0.0
-            np.multiply(symbol[:cx], coeffs[:cx], out=wide_x[:cx])
-            np.multiply(symbol[cx:], coeffs[nx - cx + 1:], out=wide_x[nx - cx + 1:])
-            wide_xy[:, cy:ny - cy + 1] = 0.0
-            for in_x, in_lat in y_ranges:
-                np.fft.ifft(wide_x[:, in_x], axis=0, norm="forward", out=wide_xy[:, in_lat])
-            np.fft.ifft(wide_xy, axis=1, norm="forward", out=lines)
-            return np.matmul(lines.view(np.float64), self.z_inv, out=phys)
+        # the x pass takes y_block y rows per product, all full blocks in one
+        # stacked np.matmul and a shorter last block in another, so that each
+        # BLAS call stays on one thread
+        def x_pass(matrix, src, dst):
+            for a, b in zip(_row_blocks(src, self.y_block), _row_blocks(dst, self.y_block)):
+                np.matmul(matrix, a, out=b)
+            return dst
+
+        # the x pass, then the z pass, one x plane per BLAS call, into phys
+        def phys_into(phys, box, x=self.x_inv, z=self.z_inv):
+            return np.matmul(x_pass(x, box, lines).view(np.float64), z, out=phys)
 
         # overflow here surfaces as a NumericalAbort from the stepper's
         # finiteness check rather than as a warning storm
         with np.errstate(over="ignore", invalid="ignore"):
             u1, u2, u3 = u
-            g1, g2, g3 = self.grad
-            # u1 g1 + u2 g2 + u3 g3, formed in place in that order
-            phys_into(adv, u1)
-            adv *= phys_into(factor, g1)
-            phys_into(term, u2)
-            term *= phys_into(factor, g2)
-            adv += term
-            phys_into(term, u3)
-            term *= phys_into(factor, g3)
-            adv += term
-            # the y pass writes into term's slots, and spec takes adv's once
-            # its z product has run
+            # u1 d_x theta + u3 d_z theta + u2 d_y theta, formed in place in
+            # that order; d_x theta and d_z theta share theta's y pass
+            theta = np.fft.ifft(coeffs, axis=1, norm="forward", out=term_box)
+            phys_into(adv, theta, x=self.x_dx)
+            phys_into(factor, theta, z=self.z_dz)
+            adv *= phys_into(term, y_pass(term_box, u1))
+            factor *= phys_into(term, y_pass(term_box, u3))
+            adv += factor
+            phys_into(factor, y_pass(factor_box, u2))
+            factor *= phys_into(term, y_pass(term_box, self.i_eta))
+            adv += factor
+            # the forward passes, z, x and y, end in term's box slot
             np.matmul(adv, self.z_fwd, out=lines.view(np.float64))
-            wide_y = np.fft.fft(lines, axis=1, norm="forward", out=leading(term))
-            for in_x, in_lat in y_ranges:
-                np.fft.fft(wide_y[:, in_lat], axis=0, norm="forward", out=spec[:, in_x])
-            out = np.take(spec.reshape(-1), self.x_idx, out=out)
+            spec = np.fft.fft(x_pass(self.x_fwd, lines, term_box), axis=1, norm="forward",
+                              out=term_box)
+            out = np.take(spec.reshape(-1), self.box_idx, out=out)
             np.negative(out, out=out)
         out[0] = 0.0
         return out
+
+
+def _row_blocks(a: np.ndarray, rows: int) -> list[np.ndarray]:
+    """Contiguous ``a`` (n, n_y, c_z) as matrices n x (rows c_z) over its y rows.
+
+    The full blocks come as one stack, the shorter last block, if any, as a
+    matrix of its own; either is left out when it would be empty.
+    """
+    n, ny, cz = a.shape
+    full, flat = ny // rows * rows * cz, a.reshape(n, ny * cz)
+    blocks = [flat[:, :full].reshape(n, -1, rows * cz).transpose(1, 0, 2)] if full else []
+    return blocks + ([flat[:, full:]] if full < flat.shape[1] else [])
 
 
 # one core object per (lattice, dealias fraction), so callers pass both positionally

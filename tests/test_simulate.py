@@ -676,9 +676,10 @@ class TestNonlinearRHS:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), t
 
     # (2, 16, 2) keeps index 0 alone on x and z, where the product is 0
-    # identically; (2, 16, 8) and (8, 2, 8) keep it alone on x or on y
+    # identically; (2, 16, 8) and (8, 2, 8) keep it alone on x or on y; on
+    # (32, 22, 32) the x pass's blocks of y rows end in a shorter one
     @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32), (2, 16, 2), (2, 16, 8),
-                                       (8, 2, 8)])
+                                       (8, 2, 8), (32, 22, 32)])
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.75, 0.9, 1.0])
     def test_matches_full_lattice_reference(self, shape, fraction):
         # below 1 the masks hold no Nyquist index and the reference is the
@@ -846,12 +847,15 @@ class TestPairing:
 
     @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
     def test_core_transport_is_the_symbols_one(self, shape):
-        # the core's u on the transforms' box and the public symbol are
+        # the core's u on the transforms' box, (2c_x - 1) x (2c_y - 1) x c_z,
+        # and the public symbol are
         # u = (t(k^2+a^2) + k(eta-kt), -(k^2+a^2), (eta-kt)a) / D^2 bitwise,
         # spelled here on the broadcast box, zero where D = 0
         lat = Lattice(*shape)
         core = simulate._Core(lat, 2.0 / 3.0)
-        k, eta, alpha = (np.broadcast_to(v, core.grad[0].shape) for v in core.box)
+        cx, cy, cz = core.cut
+        k, eta, alpha = np.broadcast_arrays(*core.box)
+        assert k.shape == (2 * cx - 1, 2 * cy - 1, cz)
         ka = k * k + alpha * alpha
         for t in (0.0, 0.05, 2.0, 37.3, 100.0):
             em = eta - k * t
@@ -881,10 +885,82 @@ class TestPairing:
         want = np.fft.irfft(lines, n=nz, norm="forward")
         got = np.matmul(lines.view(np.float64), core.z_inv)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # i alpha folded in: the mean's alpha is 0
+        want = np.fft.irfft(1j * core.box[2] * lines, n=nz, norm="forward")
+        got = np.matmul(lines.view(np.float64), core.z_dz)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         phys = rng.standard_normal((5, 7, nz))
         want = np.fft.rfft(phys, norm="forward")[..., :cz]
         got = np.matmul(phys, core.z_fwd).view(np.complex128)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape, fraction, cx", [
+        ((8, 16, 2), 1.0, 4),
+        ((32, 128, 32), 2.0 / 3.0, 11),    # the desk lattice
+        ((16, 32, 16), 1.0, 8),            # n_x / 2
+        ((2, 16, 8), 1.0, 1),              # index 0 alone
+    ])
+    def test_the_x_matrices_are_the_pruned_complex_transforms(self, shape, fraction, cx):
+        # ifft of the box's 2 c_x - 1 rows, zero-padded to n_x at their
+        # lattice rows, plain and times i k, and fft back at those rows
+        nx = shape[0]
+        core = simulate._Core(Lattice(*shape), fraction)
+        assert core.cut[0] == cx
+        kept = np.r_[:cx, nx - cx + 1:nx]
+        k = core.lattice.kx[kept]
+        assert np.array_equal(core.box[0], k)
+        rng = np.random.default_rng(nx)
+        box = (2 * cx - 1, 5, 7)
+        rows = rng.standard_normal(box) + 1j * rng.standard_normal(box)
+        for matrix, weight in ((core.x_inv, 1.0), (core.x_dx, 1j * k)):
+            padded = np.zeros((nx, 5, 7), dtype=np.complex128)
+            padded[kept] = weight * rows
+            want = np.fft.ifft(padded, axis=0, norm="forward")
+            got = np.matmul(matrix, rows.reshape(2 * cx - 1, -1)).reshape(nx, 5, 7)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        phys = rng.standard_normal((nx, 5, 7)) + 1j * rng.standard_normal((nx, 5, 7))
+        want = np.fft.fft(phys, axis=0, norm="forward")[kept]
+        got = np.matmul(core.x_fwd, phys.reshape(nx, -1)).reshape(want.shape)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape, fraction", [
+        ((32, 128, 32), 2.0 / 3.0),        # the desk lattice
+        ((32, 22, 32), 1.0),               # blocks of y rows ending in a shorter one
+        ((8, 2, 8), 2.0 / 3.0),            # n_y = 2
+    ])
+    def test_rhs_makes_six_y_passes_and_one_thread_products(self, shape, fraction, monkeypatch):
+        # every numpy.fft call of one right-hand side, and the size of every
+        # 2-D product of a complex np.matmul, counted with no timing
+        core = simulate._Core(Lattice(*shape), fraction)
+        cx, _, cz = core.cut
+        lines, products = [], []
+
+        def counting(fn):
+            def call(a, *args, axis=-1, **kwargs):
+                lines.append(np.size(a) // np.shape(a)[axis])
+                return fn(a, *args, axis=axis, **kwargs)
+            return call
+
+        for name in np.fft.__all__:
+            if callable(getattr(np.fft, name)) and not name.endswith(("freq", "shift")):
+                monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        matmul = np.matmul
+
+        def sized(a, b, **kwargs):
+            if np.iscomplexobj(a) or np.iscomplexobj(b):
+                products.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", sized)
+        c = _random_packed(core, 5)
+        got = core.rhs(c, core.u(1.3), core.workspace())
+        monkeypatch.undo()
+        assert lines == [(2 * cx - 1) * cz] * 6
+        # the x pass, six times inverse and once forward, in blocks
+        assert len(products) >= 7
+        assert max(products) <= simulate._ONE_THREAD_MNK
+        want = core.rhs(c, core.u(1.3), core.workspace())
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(8, 16, 8), (32, 128, 32)])
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0, None])

@@ -82,6 +82,8 @@ RUNS = [
      "[lattice]\nnx = 2\nny = 16\nnz = 8\n" + _NONLINEAR + "dealias = 1.0\n"),
     ("cut1_y_8x2x8", ["nonlinear"], "[lattice]\nnx = 8\nny = 2\nnz = 8\n" + _NONLINEAR),
     ("cut1_z_8x16x2", ["nonlinear"], "[lattice]\nnx = 8\nny = 16\nnz = 2\n" + _NONLINEAR),
+    # n_y = 22 in the x pass's blocks of 8 y rows: two and a shorter one of 6
+    ("ragged_y_32x22x32", ["nonlinear"], "[lattice]\nnx = 32\nny = 22\nnz = 32\n" + _NONLINEAR),
     ("multimode_16x32x16", ["nonlinear"],
      "[lattice]\nnx = 16\nny = 32\nnz = 16\n[run]\nepsilon = 1e-2\ndt = 0.1\nt_end = 2\n"
      "output_every = 0.5\n[init]\nrecipe = multimode\n"),
